@@ -1,19 +1,22 @@
 """Command-line surface tying the pipeline together.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-domain error.
+Exit codes: 0 success, 2 configuration or input error (a bad config value
+or argument, an unreadable or malformed file), 3 numerical-domain error.
 Every subcommand accepts --config (flat key=value file; omitted means full
 defaults) and prints a one-line summary on success.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NumericalDomainError, TriphotonError
+from .errors import (ConfigError, InvalidParameterError, NumericalDomainError,
+                     TriphotonError)
 from .config import parse_config, default_config, dump_defaults, RunConfig
 from .params import resonance_set
 from .susceptibility import GridSpec2D, chi5_map, dispersion_profile
@@ -147,6 +150,34 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+_UNDEFINED_REASONS = {
+    "g3_peak": "zero accidental floor: the peak-to-floor ratio is unbounded",
+    "cauchy_schwarz": "zero accidental floor: the peak-to-floor ratio is unbounded",
+    "dominant_periods_s": "no oscillation period found in a marginal trace",
+}
+
+
+def _nulled(val):
+    """(val with each non-finite float replaced by None, whether any was)."""
+    if isinstance(val, float):
+        return (val, False) if np.isfinite(val) else (None, True)
+    if isinstance(val, (list, tuple)):
+        items = [_nulled(v) for v in val]
+        return [v for v, _ in items], any(hit for _, hit in items)
+    return val, False
+
+
+def _strict_json(rep: dict) -> dict:
+    """rep as strict JSON: a non-finite number becomes null plus a
+    '<key>_reason' string."""
+    out = {}
+    for key, val in rep.items():
+        out[key], hit = _nulled(val)
+        if hit:
+            out[f"{key}_reason"] = _UNDEFINED_REASONS.get(key, "not a finite number")
+    return out
+
+
 def cmd_analyze(args) -> int:
     cfg = _load(args)
     stream, header = io_formats.read_events(args.eventfile)
@@ -158,9 +189,8 @@ def cmd_analyze(args) -> int:
     else:
         hist = reconstruct_triple_direct(stream, cfg["window"], cfg["bin"],
                                          duration=duration)
-    import dataclasses as _dc
     floor = estimate_floor(hist)
-    hist = _dc.replace(hist, floor_estimate=floor)
+    hist = dataclasses.replace(hist, floor_estimate=floor)
     report = rates_report(hist, peak_rebin=cfg["peak_rebin"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -174,16 +204,16 @@ def cmd_analyze(args) -> int:
         "triplet_rate_err": report.triplet_rate_err,
         "accidental_rate_per_min": report.accidental_rate_per_min,
         "accidental_rate_err": report.accidental_rate_err,
-        "g3_peak": report.g3_peak if np.isfinite(report.g3_peak) else "inf",
-        "cauchy_schwarz": (report.cauchy_schwarz
-                           if np.isfinite(report.cauchy_schwarz) else "inf"),
+        "g3_peak": report.g3_peak,
+        "cauchy_schwarz": report.cauchy_schwarz,
         "zero_floor": report.zero_floor,
         "visibility": report.visibility,
         "dominant_periods_s": list(report.dominant_periods),
         "method": hist.method,
     }
     with open(out / "report.json", "w") as fh:
-        json.dump(rep, fh, indent=2, sort_keys=True)
+        json.dump(_strict_json(rep), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
     print(f"analyze: {method} method, triplets "
           f"{report.triplet_rate_per_min:.1f}+-{report.triplet_rate_err:.1f}/min, "
           f"accidentals {report.accidental_rate_per_min:.1f}"
@@ -226,13 +256,12 @@ def cmd_sweep(args) -> int:
     quad = cfg.quadrature()
     # spectral window frozen at the largest Rabi frequency so every sweep
     # point is integrated over the same region
-    import dataclasses as _dc
     base = cfg.experiment_params()
-    top = _dc.replace(base, drive=base.drive.with_power2(hi))
+    top = dataclasses.replace(base, drive=base.drive.with_power2(hi))
     spec = _spectral_spec(cfg, top)
     rates = []
     for p in powers:
-        params = _dc.replace(base, drive=base.drive.with_power2(float(p)))
+        params = dataclasses.replace(base, drive=base.drive.with_power2(float(p)))
         rates.append(sweep_rate(cfg, params, spec, quad))
     rates = np.asarray(rates)
     coeff = np.polyfit(powers, rates, 1)
@@ -330,8 +359,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, InvalidParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return 2
     except NumericalDomainError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -74,7 +74,10 @@ def _parse_temperature(text, key):
         val = float(parts[0])
     except ValueError:
         raise ConfigError(f"bad number {parts[0]!r}", key=key)
-    return val + 273.15 if parts[1] == "C" else val
+    kelvin = val + 273.15 if parts[1] == "C" else val
+    if not kelvin > 0:
+        raise ConfigError(f"{text!r} is not above absolute zero", key=key)
+    return kelvin
 
 
 def _parse_int(text, key):
@@ -99,73 +102,104 @@ def _choice(*options):
     return parse
 
 
+def _bounded(parser, low, high=None, strict=False):
+    """parser plus a range check on the parsed value; None passes.
+
+    Every bound is 0, 1 or a count, so it reads the same in any unit.
+    """
+    def parse(text, key):
+        val = parser(text, key)
+        if val is None:
+            return val
+        ok = val > low if strict else val >= low
+        if not (ok and (high is None or val <= high)):
+            need = f"{'>' if strict else '>='} {low:g}"
+            if high is not None:
+                need += f" and <= {high:g}"
+            raise ConfigError(f"{text!r} is out of range: need {need}", key=key)
+        return val
+    return parse
+
+
+def _positive(parser):
+    return _bounded(parser, 0, strict=True)
+
+
+def _nonnegative(parser):
+    return _bounded(parser, 0)
+
+
+def _fraction(parser):
+    return _bounded(parser, 0, 1)
+
+
 # key -> (parser, default-as-written).  The written defaults are the
 # documented configuration; print-defaults dumps exactly this table.
 REGISTRY = {
     # vapor cell
     "temperature": (_parse_temperature, "80 C"),
-    "cell_length": (_parse_length, "7 cm"),
-    "density": (_parse_density, "1.2e11 cm^-3"),
+    "cell_length": (_positive(_parse_length), "7 cm"),
+    "density": (_positive(_parse_density), "1.2e11 cm^-3"),
     # decay rates (linear frequency; x2pi applied on parse)
-    "gamma31": (_parse_freq, "6 MHz"),
-    "gamma41": (_parse_freq, "6 MHz"),
-    "gamma21": (_parse_freq, "1.2 MHz"),
-    "gamma11": (_parse_freq, "2.4 MHz"),
-    "gamma22": (_parse_freq, "2.4 MHz"),
-    "gamma42": (_parse_freq, "6 MHz"),
+    "gamma31": (_positive(_parse_freq), "6 MHz"),
+    "gamma41": (_positive(_parse_freq), "6 MHz"),
+    "gamma21": (_nonnegative(_parse_freq), "1.2 MHz"),
+    "gamma11": (_nonnegative(_parse_freq), "2.4 MHz"),
+    "gamma22": (_nonnegative(_parse_freq), "2.4 MHz"),
+    "gamma42": (_nonnegative(_parse_freq), "6 MHz"),
     # drive fields
     "delta1": (_parse_freq, "-2 GHz"),
     "delta2": (_parse_freq, "-150 MHz"),
     "delta3": (_parse_freq, "50 MHz"),
-    "omega1": (_parse_freq, "300 MHz"),
-    "omega2": (_parse_freq, "870 MHz"),
-    "omega3": (_parse_freq, "533 MHz"),
-    "power1": (_parse_power, "none"),
-    "power2": (_parse_power, "none"),
-    "power3": (_parse_power, "none"),
+    "omega1": (_nonnegative(_parse_freq), "300 MHz"),
+    "omega2": (_nonnegative(_parse_freq), "870 MHz"),
+    "omega3": (_nonnegative(_parse_freq), "533 MHz"),
+    "power1": (_nonnegative(_parse_power), "none"),
+    "power2": (_nonnegative(_parse_power), "none"),
+    "power3": (_nonnegative(_parse_power), "none"),
     # numerics
     "quad_scheme": (_choice("uniform-riemann", "gauss-hermite"), "uniform-riemann"),
-    "quad_nodes": (_parse_int, "2001"),
+    "quad_nodes": (_bounded(_parse_int, 8), "2001"),
     "quad_range_sigmas": (_parse_float, "6.0"),
-    "spectral_n2": (_parse_int, "512"),
-    "spectral_n3": (_parse_int, "512"),
+    "spectral_n2": (_bounded(_parse_int, 2), "512"),
+    "spectral_n3": (_bounded(_parse_int, 2), "512"),
     "spectral_linewidth_multiple": (_parse_float, "8.0"),
     "spectral_pad_fraction": (_parse_float, "0.25"),
-    "tau_max": (_parse_time, "20 ns"),
-    "tau_points": (_parse_int, "128"),
-    "map_range": (_parse_freq, "3 GHz"),
-    "map_n2": (_parse_int, "256"),
-    "map_n3": (_parse_int, "256"),
+    "tau_max": (_positive(_parse_time), "20 ns"),
+    "tau_points": (_bounded(_parse_int, 2), "128"),
+    "map_range": (_positive(_parse_freq), "3 GHz"),
+    "map_n2": (_bounded(_parse_int, 2), "256"),
+    "map_n3": (_bounded(_parse_int, 2), "256"),
     "phase_convention": (_choice("si-eq-s8", "main-text"), "si-eq-s8"),
     "group_delay_mode": (_choice("local", "central"), "local"),
     "dispersion": (_choice("on", "off"), "off"),
     "taper_fraction": (_parse_float, "0"),
     # simulation
-    "triplet_rate": (_parse_rate, "102 /min"),
-    "singles_rate_ch1": (_parse_rate, "800 /s"),
-    "singles_rate_ch2": (_parse_rate, "800 /s"),
-    "singles_rate_ch3": (_parse_rate, "800 /s"),
-    "singles_rate_ch4": (_parse_rate, "800 /s"),
-    "dark_rate_ch1": (_parse_rate, "200 /s"),
-    "dark_rate_ch2": (_parse_rate, "200 /s"),
-    "dark_rate_ch3": (_parse_rate, "200 /s"),
-    "dark_rate_ch4": (_parse_rate, "200 /s"),
-    "dual_pair_rate": (_parse_rate, "1000 /s"),
+    "triplet_rate": (_nonnegative(_parse_rate), "102 /min"),
+    "singles_rate_ch1": (_nonnegative(_parse_rate), "800 /s"),
+    "singles_rate_ch2": (_nonnegative(_parse_rate), "800 /s"),
+    "singles_rate_ch3": (_nonnegative(_parse_rate), "800 /s"),
+    "singles_rate_ch4": (_nonnegative(_parse_rate), "800 /s"),
+    "dark_rate_ch1": (_nonnegative(_parse_rate), "200 /s"),
+    "dark_rate_ch2": (_nonnegative(_parse_rate), "200 /s"),
+    "dark_rate_ch3": (_nonnegative(_parse_rate), "200 /s"),
+    "dark_rate_ch4": (_nonnegative(_parse_rate), "200 /s"),
+    "dual_pair_rate": (_nonnegative(_parse_rate), "1000 /s"),
     "dual_pair_delay": (_parse_time, "1 us"),
-    "efficiency_ch1": (_parse_float, "1.0"),
-    "efficiency_ch2": (_parse_float, "1.0"),
-    "efficiency_ch3": (_parse_float, "1.0"),
-    "efficiency_ch4": (_parse_float, "1.0"),
-    "fiber_coupling": (_parse_float, "1.0"),
+    "efficiency_ch1": (_fraction(_parse_float), "1.0"),
+    "efficiency_ch2": (_fraction(_parse_float), "1.0"),
+    "efficiency_ch3": (_fraction(_parse_float), "1.0"),
+    "efficiency_ch4": (_fraction(_parse_float), "1.0"),
+    "fiber_coupling": (_fraction(_parse_float), "1.0"),
     "jitter_sigma": (_parse_time, "0 ps"),
-    "duration": (_parse_time, "3600 s"),
+    "duration": (_positive(_parse_time), "3600 s"),
     "seed": (_parse_int, "20240817"),
     # analysis
-    "window": (_parse_time, "195 ns"),
-    "bin": (_parse_time, "0.25 ns"),
-    "delay_offset": (_parse_time, "150 ns"),
+    "window": (_positive(_parse_time), "195 ns"),
+    "bin": (_positive(_parse_time), "0.25 ns"),
+    "delay_offset": (_nonnegative(_parse_time), "150 ns"),
     "method": (_choice("direct", "delayed"), "direct"),
-    "peak_rebin": (_parse_int, "8"),
+    "peak_rebin": (_bounded(_parse_int, 1), "8"),
 }
 
 
@@ -239,7 +273,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         try:
             values[key] = parser(val, key)
         except ConfigError as exc:
-            raise ConfigError(f"{exc.args[0]} in {source}", key=key,
+            raise ConfigError(f"{exc.message} in {source}", key=key,
                               line=lineno) from None
     return RunConfig(values=values)
 

@@ -1,6 +1,7 @@
 """Exception hierarchy shared by the whole package.
 
-The CLI maps these onto exit codes: ConfigError -> 2, the numerical family
+The CLI maps these onto exit codes: ConfigError and InvalidParameterError
+(and an OSError, such as a missing input file) -> 2, the numerical family
 (NumericalDomainError, DispersionDomainError, SamplingError) -> 3.
 """
 
@@ -51,6 +52,7 @@ class ConfigError(TriphotonError, ValueError):
     """Configuration file is malformed: unknown key, bad unit, missing value."""
 
     def __init__(self, message, key=None, line=None):
+        self.message = message
         if key is not None:
             message = f"{message} (key '{key}'" + (f", line {line})" if line else ")")
         super().__init__(message)

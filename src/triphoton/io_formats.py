@@ -53,11 +53,29 @@ def write_events(path, stream: np.ndarray, seed: int, duration_ps: int,
         fh.write(rec.tobytes())
 
 
+def _check_time_order(ts, path, chunk=1 << 20):
+    """Raise ConfigError unless ts is non-decreasing.
+
+    Compares chunk by chunk, so the check needs a chunk-sized boolean
+    temporary, not a file-sized one.
+    """
+    for start in range(0, ts.size - 1, chunk):
+        seg = ts[start:start + chunk + 1]
+        back = seg[1:] < seg[:-1]
+        if back.any():
+            k = start + 1 + int(np.argmax(back))
+            raise ConfigError(f"event file {path}: record {k} is earlier than "
+                              f"record {k - 1}; records must be sorted by timestamp")
+
+
 def read_events(path):
     """Read a TPE1 file; returns (stream, header_dict).
 
     The stream is an EVENT_DTYPE structured array with the flags byte mapped
     back onto the origin field (zero when origins were stripped on export).
+    Raises ConfigError for a malformed file: bad magic or version, a truncated
+    record section, records out of time order, a channel outside
+    1..channel_count, or records under a header duration_ps of 0.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -73,6 +91,15 @@ def read_events(path):
     if len(body) % _RECORD_DTYPE.itemsize:
         raise ConfigError(f"truncated record section in {path}")
     rec = np.frombuffer(body, dtype=_RECORD_DTYPE)
+    if rec.size and duration_ps == 0:
+        raise ConfigError(f"event file {path} holds {rec.size} records "
+                          "but a header duration_ps of 0")
+    ch = rec["channel"]
+    if rec.size and (ch.min() < 1 or ch.max() > channel_count):
+        k = int(np.flatnonzero((ch < 1) | (ch > channel_count))[0])
+        raise ConfigError(f"event file {path}: record {k} has channel {ch[k]}, "
+                          f"outside 1..{channel_count}")
+    _check_time_order(rec["timestamp_ps"], path)
     stream = np.empty(rec.size, dtype=EVENT_DTYPE)
     stream["timestamp_ps"] = rec["timestamp_ps"]
     stream["channel"] = rec["channel"]

@@ -183,26 +183,63 @@ def _chi5_prefactor(params: ExperimentParams) -> float:
             * d.overall_scale_A / (cst.eps0 * cst.hbar ** 5))
 
 
-def _chi5_kernel(d2, d3, params: ExperimentParams, quad: VelocityQuadrature):
-    """Evaluate chi5 on matched 1-D arrays of (delta2, delta3) points."""
-    d2 = np.atleast_1d(np.asarray(d2, dtype=float))[:, None]
-    d3 = np.atleast_1d(np.asarray(d3, dtype=float))[:, None]
-    r, drv = params.rates, params.drive
-    v, w = quad.nodes_weights(params)
-    dd1, dd2, dd3 = doppler_detunings(v, drv, params.frame)
-    wm = 1.0 - v / CONST.c
-    wp = 1.0 + v / CONST.c
-    b1 = r.gamma31 + 1j * dd1
-    s = wm * d2 + wp * d3
-    b2 = (r.gamma21 + 1j * s) * (r.gamma41 + 1j * s + 1j * dd2) + np.abs(drv.omega2) ** 2
-    b3 = ((r.gamma11 + 1j * wp * d3) * (r.gamma41 + 1j * wp * d3 + 1j * dd3)
-          + np.abs(drv.omega3) ** 2)
-    summand = w / (b1 * b2 * b3)
-    if not np.all(np.isfinite(summand)):
-        bad = np.argwhere(~np.isfinite(summand))
-        raise NumericalDomainError("non-finite chi5 integrand sample",
-                                   offending_value=float(v[bad[0][-1]]))
-    return _chi5_prefactor(params) * summand.sum(axis=1)
+# delta3 values per block of the chi5 kernel.  At the default 2001 velocity
+# nodes each (block, node) complex temporary is 8 x 2001 x 16 B = 256 KB, so
+# a block's working set stays in cache while every delta2 row passes over it.
+_CHI5_BLOCK = 8
+
+
+class _Chi5Integrand:
+    """Velocity factors of the chi5 integrand for one (params, quad) pair.
+
+    w / (b1 b3) and W+ delta3 do not depend on delta2, so they are built once
+    per block of delta3 values (d3_block); each delta2 then only adds b2
+    (rows).  chi5 and chi5_map run the same elementwise operations on
+    (point, node) arrays, so a map point equals the scalar value exactly,
+    whatever the block size.
+    """
+
+    def __init__(self, params: ExperimentParams, quad: VelocityQuadrature):
+        r, drv = params.rates, params.drive
+        self.v, self.w = quad.nodes_weights(params)
+        dd1, dd2, self.dd3 = doppler_detunings(self.v, drv, params.frame)
+        self.wm = 1.0 - self.v / CONST.c
+        self.wp = 1.0 + self.v / CONST.c
+        self.b1 = r.gamma31 + 1j * dd1
+        self.jdd2 = 1j * dd2
+        self.rates = r
+        self.om2 = np.abs(drv.omega2) ** 2
+        self.om3 = np.abs(drv.omega3) ** 2
+        self.prefactor = _chi5_prefactor(params)
+
+    def d3_block(self, d3):
+        """(W+ d3, w / (b1 b3)) for a 1-D block of delta3 values."""
+        r = self.rates
+        wpd3 = self.wp * d3[:, None]
+        b3 = ((r.gamma11 + 1j * wpd3) * (r.gamma41 + 1j * wpd3 + 1j * self.dd3)
+              + self.om3)
+        return wpd3, self.w / (self.b1 * b3)
+
+    def rows(self, wmd2, wpd3, a):
+        """chi5 over a d3 block from d3_block; wmd2 is W- d2, either one
+        (node,) row shared by the block or one row per block point."""
+        r = self.rates
+        # b2 = (Gamma21 + i s)(Gamma41 + i s + i DeltaD2) + |Omega2|^2, built in
+        # place: this is the only per-(d2, d3, v) work of a map
+        summand = 1j * (wmd2 + wpd3)
+        second = summand + r.gamma41
+        second += self.jdd2
+        summand += r.gamma21
+        summand *= second
+        summand += self.om2
+        np.divide(a, summand, out=summand)
+        out = summand.sum(axis=1)
+        if not np.all(np.isfinite(out)):
+            bad = np.argwhere(~np.isfinite(summand))
+            raise NumericalDomainError(
+                "non-finite chi5 integrand sample",
+                offending_value=float(self.v[bad[0, -1]]) if bad.size else None)
+        return self.prefactor * out
 
 
 def chi5(delta2, delta3, params: ExperimentParams,
@@ -214,10 +251,17 @@ def chi5(delta2, delta3, params: ExperimentParams,
       b1 = Gamma31 + i DeltaD1,
       b2 = (Gamma21 + i(W- d2 + W+ d3))(Gamma41 + i(W- d2 + W+ d3) + i DeltaD2) + |Omega2|^2,
       b3 = (Gamma11 + i W+ d3)(Gamma41 + i W+ d3 + i DeltaD3) + |Omega3|^2,
-    where W+- = 1 +- v/c.  Scalar in, scalar out; matched arrays broadcast
-    elementwise.
+    where W+- = 1 +- v/c.  Scalar in, scalar out; matched 1-D arrays
+    broadcast elementwise.
     """
-    out = _chi5_kernel(delta2, delta3, params, quad)
+    kern = _Chi5Integrand(params, quad)
+    d2, d3 = np.broadcast_arrays(np.atleast_1d(np.asarray(delta2, dtype=float)),
+                                 np.atleast_1d(np.asarray(delta3, dtype=float)))
+    out = np.empty(d2.size, dtype=complex)
+    for j in range(0, d2.size, _CHI5_BLOCK):
+        blk = slice(j, j + _CHI5_BLOCK)
+        wpd3, a = kern.d3_block(d3[blk])
+        out[blk] = kern.rows(kern.wm * d2[blk, None], wpd3, a)
     if np.isscalar(delta2) and np.isscalar(delta3):
         return complex(out[0])
     return out
@@ -227,15 +271,17 @@ def chi5_map(grid_spec: GridSpec2D, params: ExperimentParams,
              quad: VelocityQuadrature = VelocityQuadrature()) -> ComplexGrid2D:
     """chi5 sampled over a rectangular (delta2, delta3) grid.
 
-    Rows are evaluated independently through the same kernel as scalar chi5,
-    so the map is pointwise identical to individual calls and independent of
-    any row partitioning.
+    Built block by block of delta3 through the same kernel as scalar chi5,
+    so the map is pointwise identical to individual calls.
     """
     d2_axis, d3_axis = grid_spec.axes()
+    kern = _Chi5Integrand(params, quad)
     values = np.empty((d2_axis.size, d3_axis.size), dtype=complex)
-    for i, d2 in enumerate(d2_axis):
-        values[i, :] = _chi5_kernel(np.full(d3_axis.size, d2), d3_axis,
-                                    params, quad)
+    for j in range(0, d3_axis.size, _CHI5_BLOCK):
+        blk = slice(j, j + _CHI5_BLOCK)
+        wpd3, a = kern.d3_block(d3_axis[blk])
+        for i, d2 in enumerate(d2_axis):
+            values[i, blk] = kern.rows(kern.wm * d2, wpd3, a)
     return ComplexGrid2D(axis1=d2_axis, axis2=d3_axis, values=values,
                          label1="delta2", label2="delta3", unit="rad/s",
                          provenance=f"chi5_map {params_hash(params, grid_spec, quad)}")
@@ -244,6 +290,32 @@ def chi5_map(grid_spec: GridSpec2D, params: ExperimentParams,
 # ---------------------------------------------------------------------------
 # linear susceptibilities
 # ---------------------------------------------------------------------------
+
+def _chi_linear(mode, delta, params: ExperimentParams, quad: VelocityQuadrature):
+    """Doppler-integrated linear susceptibility of the S2 or S3 photon."""
+    r, drv, cst = params.rates, params.drive, params.const
+    v, w = quad.nodes_weights(params)
+    _, dd2, dd3 = doppler_detunings(v, drv, params.frame)
+    if mode == "S2":
+        sign, mu, dd, omega = -1.0, params.dip.mu24, dd2, drv.omega2
+        g_ground, g_opt = r.gamma22, r.gamma42
+    else:
+        sign, mu, dd, omega = 1.0, params.dip.mu14, dd3, drv.omega3
+        g_ground, g_opt = r.gamma11, r.gamma41
+    scalar = np.isscalar(delta)
+    d = np.atleast_1d(np.asarray(delta, dtype=float))[:, None]
+    kin = (1.0 + sign * v / CONST.c) * d
+    num = -4j * params.cell.density_N * mu ** 2 * (kin + 1j * g_ground)
+    den = cst.eps0 * cst.hbar * (4.0 * (kin - dd + 1j * g_opt)
+                                 * (kin + 1j * g_ground) + np.abs(omega) ** 2)
+    summand = w * num / den
+    if not np.all(np.isfinite(summand)):
+        bad = np.argwhere(~np.isfinite(summand))
+        raise NumericalDomainError(f"non-finite chi_linear_{mode.lower()} integrand sample",
+                                   offending_value=float(v[bad[0][-1]]))
+    out = summand.sum(axis=1)
+    return complex(out[0]) if scalar else out
+
 
 def chi_linear_s2(delta2, params: ExperimentParams,
                   quad: VelocityQuadrature = VelocityQuadrature()):
@@ -256,22 +328,7 @@ def chi_linear_s2(delta2, params: ExperimentParams,
     The |Omega|^2 coupling term uses the field-2 Rabi frequency (the printed
     subscript '22' has no separate definition).
     """
-    scalar = np.isscalar(delta2)
-    d2 = np.atleast_1d(np.asarray(delta2, dtype=float))[:, None]
-    r, drv, cst = params.rates, params.drive, params.const
-    v, w = quad.nodes_weights(params)
-    _, dd2, _ = doppler_detunings(v, drv, params.frame)
-    kin = (1.0 - v / CONST.c) * d2
-    num = -4j * params.cell.density_N * params.dip.mu24 ** 2 * (kin + 1j * r.gamma22)
-    den = cst.eps0 * cst.hbar * (4.0 * (kin - dd2 + 1j * r.gamma42)
-                                 * (kin + 1j * r.gamma22) + np.abs(drv.omega2) ** 2)
-    summand = w * num / den
-    if not np.all(np.isfinite(summand)):
-        bad = np.argwhere(~np.isfinite(summand))
-        raise NumericalDomainError("non-finite chi_linear_s2 integrand sample",
-                                   offending_value=float(v[bad[0][-1]]))
-    out = summand.sum(axis=1)
-    return complex(out[0]) if scalar else out
+    return _chi_linear("S2", delta2, params, quad)
 
 
 def chi_linear_s3(delta3, params: ExperimentParams,
@@ -281,22 +338,7 @@ def chi_linear_s3(delta3, params: ExperimentParams,
     Mirror of chi_linear_s2 with (1 + v/c) delta3 kinematics, Gamma11/Gamma41
     and the field-3 Rabi frequency.
     """
-    scalar = np.isscalar(delta3)
-    d3 = np.atleast_1d(np.asarray(delta3, dtype=float))[:, None]
-    r, drv, cst = params.rates, params.drive, params.const
-    v, w = quad.nodes_weights(params)
-    _, _, dd3 = doppler_detunings(v, drv, params.frame)
-    kin = (1.0 + v / CONST.c) * d3
-    num = -4j * params.cell.density_N * params.dip.mu14 ** 2 * (kin + 1j * r.gamma11)
-    den = cst.eps0 * cst.hbar * (4.0 * (kin - dd3 + 1j * r.gamma41)
-                                 * (kin + 1j * r.gamma11) + np.abs(drv.omega3) ** 2)
-    summand = w * num / den
-    if not np.all(np.isfinite(summand)):
-        bad = np.argwhere(~np.isfinite(summand))
-        raise NumericalDomainError("non-finite chi_linear_s3 integrand sample",
-                                   offending_value=float(v[bad[0][-1]]))
-    out = summand.sum(axis=1)
-    return complex(out[0]) if scalar else out
+    return _chi_linear("S3", delta3, params, quad)
 
 
 def chi_linear_s1() -> complex:
@@ -325,16 +367,11 @@ def dispersion_profile(which: str, delta_axis, params: ExperimentParams,
     axis = _check_axis(np.asarray(delta_axis, dtype=float), "delta_axis")
     if axis.size < 64:
         raise InvalidParameterError("delta_axis must have >= 64 points")
-    if which == "S2":
-        chi_raw = chi_linear_s2(axis, params, quad)
-        kbar = params.frame.kbar["S2"]
-        omega_c = params.frame.omega42
-    elif which == "S3":
-        chi_raw = chi_linear_s3(axis, params, quad)
-        kbar = params.frame.kbar["S3"]
-        omega_c = params.frame.omega41
-    else:
+    if which not in ("S2", "S3"):
         raise InvalidParameterError(f"which must be 'S2' or 'S3', got '{which}'")
+    chi_raw = _chi_linear(which, axis, params, quad)
+    kbar = params.frame.kbar[which]
+    omega_c = params.frame.omega42 if which == "S2" else params.frame.omega41
     peak_abs = float(np.max(np.abs(np.imag(chi_raw))))
     if peak_abs == 0.0:
         chi = chi_raw.astype(complex)

@@ -6,6 +6,7 @@ import pytest
 
 from triphoton.cli import main
 from triphoton.config import default_config, parse_config_text
+from triphoton.eventsim import EVENT_DTYPE
 from triphoton import io_formats
 
 SMALL = """\
@@ -161,3 +162,52 @@ def test_undersampled_delay_grid_exit_code(tmp_path):
     code = main(["correlation-map", "--config", str(cfg),
                  "--out", str(tmp_path / "m.csv")])
     assert code == 3
+
+
+def _event_file(path, n):
+    """A small sorted TPE1 file of n events over 1 s."""
+    rng = np.random.default_rng(11)
+    s = np.zeros(n, dtype=EVENT_DTYPE)
+    s["timestamp_ps"] = np.sort(rng.integers(0, 10 ** 12, n))
+    s["channel"] = rng.integers(1, 5, n)
+    io_formats.write_events(path, s, seed=11, duration_ps=10 ** 12)
+    return str(path)
+
+
+@pytest.mark.parametrize("line, command", [
+    ("tau_points = 1", "correlation-map"),
+    ("quad_nodes = 3", "chi5-map"),
+    ("temperature = -300 C", "chi5-map"),
+    ("bin = 0 ns", "analyze"),
+    ("bin = 300 ns", "analyze"),   # valid alone, rejected against window
+])
+def test_bad_config_value_exit_code(tmp_path, capsys, line, command):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command == "analyze":
+        argv.append(_event_file(tmp_path / "run.tpe1", 40))
+    assert main(argv) == 2
+    assert line.split()[0] in capsys.readouterr().err
+
+
+def test_missing_event_file_exit_code(tmp_path, capsys):
+    missing = tmp_path / "absent.tpe1"
+    assert main(["analyze", str(missing), "--out", str(tmp_path / "o")]) == 2
+    assert str(missing) in capsys.readouterr().err
+
+
+def test_report_json_strict_on_empty_stream(tmp_path):
+    events = _event_file(tmp_path / "empty.tpe1", 0)
+    out = tmp_path / "analysis"
+    assert main(["analyze", events, "--out", str(out)]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+
+    report = json.loads((out / "report.json").read_text(),
+                        parse_constant=reject)
+    for key in ("g3_peak", "cauchy_schwarz"):
+        assert report[key] is None
+        assert report[f"{key}_reason"]
+    assert report["triplet_rate_per_min"] == 0.0

@@ -71,6 +71,38 @@ def test_unsorted_stream_rejected(tmp_path):
                                 duration_ps=1)
 
 
+def _reversed_on_disk(path):
+    raw = path.read_bytes()
+    rec = np.frombuffer(raw[32:], dtype=io_formats._RECORD_DTYPE)
+    path.write_bytes(raw[:32] + rec[::-1].tobytes())
+
+
+def test_out_of_order_records_rejected(tmp_path):
+    path = tmp_path / "rev.tpe1"
+    io_formats.write_events(path, _stream(50, seed=5), seed=0,
+                            duration_ps=10 ** 12)
+    _reversed_on_disk(path)
+    with pytest.raises(ConfigError, match="sorted by timestamp"):
+        io_formats.read_events(path)
+
+
+@pytest.mark.parametrize("channel", [0, 5])
+def test_channel_out_of_range_rejected(tmp_path, channel):
+    s = _stream(20, seed=6)
+    s["channel"][7] = channel
+    path = tmp_path / "ch.tpe1"
+    io_formats.write_events(path, s, seed=0, duration_ps=10 ** 12)
+    with pytest.raises(ConfigError, match=f"record 7 has channel {channel}"):
+        io_formats.read_events(path)
+
+
+def test_zero_duration_with_records_rejected(tmp_path):
+    path = tmp_path / "zero.tpe1"
+    io_formats.write_events(path, _stream(5, seed=7), seed=0, duration_ps=0)
+    with pytest.raises(ConfigError, match="duration_ps of 0"):
+        io_formats.read_events(path)
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.tpe1"
     path.write_bytes(b"NOPE" + bytes(28))

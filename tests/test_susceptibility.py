@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from triphoton.constants import CONST
-from triphoton.errors import InvalidParameterError, RangeError
-from triphoton.params import default_params, density_for_od
+from triphoton import susceptibility
+from triphoton.errors import (InvalidParameterError, NumericalDomainError,
+                              RangeError)
+from triphoton.params import default_params, density_for_od, doppler_detunings
 from triphoton.susceptibility import (ComplexGrid2D, GridSpec2D,
                                       VelocityQuadrature, chi5, chi5_map,
                                       chi_linear_s1, chi_linear_s2,
@@ -44,6 +46,66 @@ def test_chi5_map_pointwise(params, quad):
         for j in range(3):
             assert grid.values[i, j] == chi5(float(a2[i]), float(a3[j]),
                                              params, quad)
+
+
+@pytest.mark.parametrize("n3", [susceptibility._CHI5_BLOCK + 3,
+                                max(2, susceptibility._CHI5_BLOCK - 3)])
+def test_chi5_map_pointwise_partial_blocks(params, quad, n3):
+    """Map points equal scalar chi5 exactly when delta3 ends in a partial
+    block, or fits in less than one block."""
+    spec = GridSpec2D(-2e9, 2e9, 3, -1e9, 1.5e9, n3)
+    grid = chi5_map(spec, params, quad)
+    a2, a3 = spec.axes()
+    for i in range(a2.size):
+        for j in range(n3):
+            assert grid.values[i, j] == chi5(float(a2[i]), float(a3[j]),
+                                             params, quad)
+
+
+def test_chi5_map_matches_direct_integral(params, quad):
+    """The blocked map against the integrand summed over all nodes at once,
+    w / (b1 b2 b3); only the association of the products differs."""
+    spec = GridSpec2D(-2e9, 2e9, 5, -1e9, 1.5e9, 9)
+    d2, d3 = (a[..., None] for a in np.meshgrid(*spec.axes(), indexing="ij"))
+    r, drv = params.rates, params.drive
+    v, w = quad.nodes_weights(params)
+    dd1, dd2, dd3 = doppler_detunings(v, drv, params.frame)
+    wm, wp = 1.0 - v / CONST.c, 1.0 + v / CONST.c
+    s = wm * d2 + wp * d3
+    b1 = r.gamma31 + 1j * dd1
+    b2 = (r.gamma21 + 1j * s) * (r.gamma41 + 1j * s + 1j * dd2) + drv.omega2 ** 2
+    b3 = ((r.gamma11 + 1j * wp * d3) * (r.gamma41 + 1j * wp * d3 + 1j * dd3)
+          + drv.omega3 ** 2)
+    ref = susceptibility._chi5_prefactor(params) * (w / (b1 * b2 * b3)).sum(axis=-1)
+    got = chi5_map(spec, params, quad).values
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_chi5_map_independent_of_block_size(params, quad, monkeypatch):
+    spec = GridSpec2D(-2e9, 2e9, 4, -1e9, 1.5e9, 13)
+    ref = chi5_map(spec, params, quad).values
+    for block in (1, 5, 64):
+        monkeypatch.setattr(susceptibility, "_CHI5_BLOCK", block)
+        assert np.array_equal(chi5_map(spec, params, quad).values, ref)
+
+
+class _NaNWeightQuadrature(VelocityQuadrature):
+    """Default rule with one poisoned weight, to force a non-finite sample."""
+
+    def nodes_weights(self, params):
+        v, w = super().nodes_weights(params)
+        w = w.copy()
+        w[1200] = np.nan
+        return v, w
+
+
+def test_chi5_map_non_finite_integrand_raises(params):
+    quad = _NaNWeightQuadrature()
+    spec = GridSpec2D(-2e9, 2e9, 3, -1e9, 1.5e9, susceptibility._CHI5_BLOCK + 2)
+    with pytest.raises(NumericalDomainError) as err:
+        chi5_map(spec, params, quad)
+    v, _ = VelocityQuadrature().nodes_weights(params)
+    assert err.value.offending_value == v[1200]
 
 
 def test_chi5_gauss_hermite_runs(params):
