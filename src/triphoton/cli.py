@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (ConfigError, InvalidParameterError, NumericalDomainError,
                      TriphotonError)
 from .config import parse_config, default_config, dump_defaults, RunConfig
-from .params import resonance_set
 from .susceptibility import GridSpec2D, chi5_map, dispersion_profile
 from .correlation import (default_spectral_window, spectral_kernel,
                           triphoton_amplitude_map, trace_map, diagonal_cut)
@@ -42,13 +41,12 @@ def _spectral_spec(cfg: RunConfig, params):
 
 
 def _profiles(cfg: RunConfig, params, spec):
-    if cfg["dispersion"] != "on":
-        return None
-    ax2 = np.linspace(spec.min1, spec.max1, max(cfg["spectral_n2"], 64))
-    ax3 = np.linspace(spec.min2, spec.max2, max(cfg["spectral_n3"], 64))
+    """S2 and S3 dispersion profiles over the spectral window."""
     quad = cfg.quadrature()
-    return {"S2": dispersion_profile("S2", ax2, params, quad),
-            "S3": dispersion_profile("S3", ax3, params, quad)}
+    return {mode: dispersion_profile(mode, np.linspace(lo, hi, max(n, 64)),
+                                     params, quad)
+            for mode, lo, hi, n in (("S2", spec.min1, spec.max1, cfg["spectral_n2"]),
+                                    ("S3", spec.min2, spec.max2, cfg["spectral_n3"]))}
 
 
 def _correlation_map(cfg: RunConfig, params):
@@ -58,10 +56,9 @@ def _correlation_map(cfg: RunConfig, params):
                      0.0, cfg["tau_max"], cfg["tau_points"])
     return triphoton_amplitude_map(
         tau, params, quad, spec, method="transform",
-        profiles=_profiles(cfg, params, spec),
+        profiles=_profiles(cfg, params, spec) if cfg["dispersion"] == "on" else None,
         phase_convention=cfg["phase_convention"],
-        group_delay_mode=cfg["group_delay_mode"],
-        taper_fraction=cfg["taper_fraction"])
+        group_delay_mode=cfg["group_delay_mode"])
 
 
 def cmd_chi5_map(args) -> int:
@@ -80,26 +77,18 @@ def cmd_chi5_map(args) -> int:
 def cmd_linear_response(args) -> int:
     cfg = _load(args)
     params = cfg.experiment_params()
-    quad = cfg.quadrature()
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    spec = _spectral_spec(cfg, params)
+    profiles = _profiles(cfg, params, _spectral_spec(cfg, params))
     written = []
-    min_vg = np.inf
-    for which, lo, hi, n in (("S2", spec.min1, spec.max1, cfg["spectral_n2"]),
-                             ("S3", spec.min2, spec.max2, cfg["spectral_n3"])):
-        axis = np.linspace(lo, hi, max(n, 64))
-        prof = dispersion_profile(which, axis, params, quad)
-        min_vg = min(min_vg, float(np.min(prof.v_group)))
+    for which, prof in profiles.items():
         path = outdir / f"dispersion_{which.lower()}.csv"
-        with open(path, "w") as fh:
-            fh.write(f"# dispersion profile {which}\n")
-            fh.write("# columns: delta_rad_s,chi_real,chi_imag,n,v_group_m_s\n")
-            for k in range(axis.size):
-                fh.write(f"{axis[k]:.17g},{prof.chi[k].real:.17g},"
-                         f"{prof.chi[k].imag:.17g},{prof.n[k]:.17g},"
-                         f"{prof.v_group[k]:.17g}\n")
+        io_formats.write_table(
+            path, [f"dispersion profile {which}",
+                   "columns: delta_rad_s,chi_real,chi_imag,n,v_group_m_s"],
+            [prof.delta_axis, prof.chi.real, prof.chi.imag, prof.n, prof.v_group])
         written.append(str(path))
+    min_vg = min(float(np.min(prof.v_group)) for prof in profiles.values())
     print(f"linear-response: wrote {written[0]} and {written[1]} "
           f"(min v_g/c {min_vg / 299792458.0:.3e})")
     return 0
@@ -199,18 +188,9 @@ def cmd_analyze(args) -> int:
         hist.counts, header_lines=[f"method: {hist.method}",
                                    f"floor_per_bin: {floor!r}",
                                    f"duration_s: {duration!r}"])
-    rep = {
-        "triplet_rate_per_min": report.triplet_rate_per_min,
-        "triplet_rate_err": report.triplet_rate_err,
-        "accidental_rate_per_min": report.accidental_rate_per_min,
-        "accidental_rate_err": report.accidental_rate_err,
-        "g3_peak": report.g3_peak,
-        "cauchy_schwarz": report.cauchy_schwarz,
-        "zero_floor": report.zero_floor,
-        "visibility": report.visibility,
-        "dominant_periods_s": list(report.dominant_periods),
-        "method": hist.method,
-    }
+    rep = dataclasses.asdict(report)
+    rep["dominant_periods_s"] = list(rep.pop("dominant_periods"))
+    rep["method"] = hist.method
     with open(out / "report.json", "w") as fh:
         json.dump(_strict_json(rep), fh, indent=2, sort_keys=True,
                   allow_nan=False)
@@ -267,13 +247,12 @@ def cmd_sweep(args) -> int:
     coeff = np.polyfit(powers, rates, 1)
     resid = rates - np.polyval(coeff, powers)
     rel_dev = float(np.max(np.abs(resid)) / np.max(rates))
-    with open(args.out, "w") as fh:
-        fh.write("# columns: power2_W,integrated_rate_arb\n")
-        fh.write(f"# linear_fit_slope: {coeff[0]:.17g}\n")
-        fh.write(f"# linear_fit_intercept: {coeff[1]:.17g}\n")
-        fh.write(f"# max_relative_deviation_from_linear: {rel_dev:.17g}\n")
-        for p, r in zip(powers, rates):
-            fh.write(f"{p:.17g},{r:.17g}\n")
+    io_formats.write_table(
+        args.out, ["columns: power2_W,integrated_rate_arb",
+                   f"linear_fit_slope: {coeff[0]:.17g}",
+                   f"linear_fit_intercept: {coeff[1]:.17g}",
+                   f"max_relative_deviation_from_linear: {rel_dev:.17g}"],
+        [powers, rates])
     mono = bool(np.all(np.diff(rates) >= -1e-12 * np.max(rates)))
     print(f"sweep: power2 {lo*1e3:.1f}-{hi*1e3:.1f} mW in {args.steps} steps, "
           f"monotone={mono}, max deviation from linear {rel_dev:.2%}, "

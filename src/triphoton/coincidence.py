@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidParameterError, EstimationError
 from .correlation import (ConditionalTrace, cauchy_schwarz_factor,
                           oscillation_period, visibility)
-from .eventsim import EVENT_DTYPE, PS_PER_S
+from .eventsim import PS_PER_S
 
 
 @dataclass(frozen=True)
@@ -130,21 +130,25 @@ def pairwise_histogram(stream: np.ndarray, start_ch: int, stop_ch: int,
                        start_ch=start_ch, stop_ch=stop_ch)
 
 
-def _triple_match(t1: np.ndarray, t2: np.ndarray, t3: np.ndarray,
-                  w_ps: int, b_ps: int) -> np.ndarray:
-    """2-D all-stop histogram of (t2 - t1, t3 - t1) delays within the window."""
+def _triple_match(s2: np.ndarray, t2: np.ndarray, s3: np.ndarray,
+                  t3: np.ndarray, w_ps: int, b_ps: int) -> np.ndarray:
+    """2-D all-stop histogram of (t2 - s2, t3 - s3) delays within the window.
+
+    s2 and s3 are one start series, each as paired with its stop channel:
+    the same clicks for the direct matcher, shifted copies for the circuit.
+    """
     nbins = w_ps // b_ps
     counts = np.zeros((nbins, nbins), dtype=np.int64)
-    if not (t1.size and t2.size and t3.size):
+    if not (s2.size and t2.size and t3.size):
         return counts
-    lo2 = np.searchsorted(t2, t1, side="left")
-    hi2 = np.searchsorted(t2, t1 + w_ps, side="left")
-    lo3 = np.searchsorted(t3, t1, side="left")
-    hi3 = np.searchsorted(t3, t1 + w_ps, side="left")
+    lo2 = np.searchsorted(t2, s2, side="left")
+    hi2 = np.searchsorted(t2, s2 + w_ps, side="left")
+    lo3 = np.searchsorted(t3, s3, side="left")
+    hi3 = np.searchsorted(t3, s3 + w_ps, side="left")
     active = np.flatnonzero((hi2 > lo2) & (hi3 > lo3))
     for i in active:
-        d2 = (t2[lo2[i]:hi2[i]] - t1[i]) // b_ps
-        d3 = (t3[lo3[i]:hi3[i]] - t1[i]) // b_ps
+        d2 = (t2[lo2[i]:hi2[i]] - s2[i]) // b_ps
+        d3 = (t3[lo3[i]:hi3[i]] - s3[i]) // b_ps
         d2 = d2[d2 < nbins]
         d3 = d3[d3 < nbins]
         for j in d2:
@@ -162,9 +166,8 @@ def reconstruct_triple_direct(stream: np.ndarray, window: float = 195e-9,
     """
     w_ps, b_ps = _window_bin_ps(window, bin_width)
     t1 = _channel_times(stream, 1)
-    t2 = _channel_times(stream, 2)
-    t3 = _channel_times(stream, 3)
-    counts = _triple_match(t1, t2, t3, w_ps, b_ps)
+    counts = _triple_match(t1, _channel_times(stream, 2),
+                           t1, _channel_times(stream, 3), w_ps, b_ps)
     return _wrap_hist(counts, stream, window, bin_width, duration, "direct-3fold")
 
 
@@ -184,24 +187,10 @@ def reconstruct_triple_delayed(stream: np.ndarray, window: float = 195e-9,
     if off_ps < 0:
         raise InvalidParameterError("delay_offset must be >= 0")
     t1 = _channel_times(stream, 1)
-    t2 = _channel_times(stream, 2)
-    t3 = _channel_times(stream, 3) + off_ps
     # the delayed start series pairs with the equally delayed channel-3 series
-    t1_delayed = t1 + off_ps
-    lo2 = np.searchsorted(t2, t1, side="left")
-    hi2 = np.searchsorted(t2, t1 + w_ps, side="left")
-    lo3 = np.searchsorted(t3, t1_delayed, side="left")
-    hi3 = np.searchsorted(t3, t1_delayed + w_ps, side="left")
-    nbins = w_ps // b_ps
-    counts = np.zeros((nbins, nbins), dtype=np.int64)
-    active = np.flatnonzero((hi2 > lo2) & (hi3 > lo3))
-    for i in active:
-        d2 = (t2[lo2[i]:hi2[i]] - t1[i]) // b_ps
-        d3 = (t3[lo3[i]:hi3[i]] - t1_delayed[i]) // b_ps
-        d2 = d2[d2 < nbins]
-        d3 = d3[d3 < nbins]
-        for j in d2:
-            np.add.at(counts[j], d3, 1)
+    counts = _triple_match(t1, _channel_times(stream, 2),
+                           t1 + off_ps, _channel_times(stream, 3) + off_ps,
+                           w_ps, b_ps)
     return _wrap_hist(counts, stream, window, bin_width, duration,
                       "delayed-pairwise")
 

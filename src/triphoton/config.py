@@ -8,7 +8,6 @@ reference triphoton configuration).
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from math import pi
 
@@ -28,42 +27,35 @@ _RATE = {"/s": 1.0, "/min": 1.0 / 60.0, "/h": 1.0 / 3600.0, "Hz": 1.0}
 _DENSITY = {"m^-3": 1.0, "cm^-3": 1e6}
 
 
-def _with_unit(text, table, key):
-    parts = text.split()
-    if len(parts) != 2 or parts[1] not in table:
-        raise ConfigError(
-            f"expected '<number> <unit>' with unit in {sorted(table)}", key=key)
-    try:
-        return float(parts[0]) * table[parts[1]]
-    except ValueError:
-        raise ConfigError(f"bad number {parts[0]!r}", key=key)
+def _unit(table):
+    """Parser of '<number> <unit>' with the unit looked up in table."""
+    def parse(text, key):
+        parts = text.split()
+        if len(parts) != 2 or parts[1] not in table:
+            raise ConfigError(
+                f"expected '<number> <unit>' with unit in {sorted(table)}", key=key)
+        try:
+            return float(parts[0]) * table[parts[1]]
+        except ValueError:
+            raise ConfigError(f"bad number {parts[0]!r}", key=key)
+    return parse
+
+
+_parse_time = _unit(_TIME)
+_parse_length = _unit(_LENGTH)
+_parse_rate = _unit(_RATE)
+_parse_density = _unit(_DENSITY)
 
 
 def _parse_freq(text, key):
     """Linear frequency with unit -> angular rad/s (the x2pi convention)."""
-    return TWO_PI * _with_unit(text, _FREQ, key)
-
-
-def _parse_time(text, key):
-    return _with_unit(text, _TIME, key)
-
-
-def _parse_length(text, key):
-    return _with_unit(text, _LENGTH, key)
+    return TWO_PI * _unit(_FREQ)(text, key)
 
 
 def _parse_power(text, key):
     if text.lower() == "none":
         return None
-    return _with_unit(text, _POWER, key)
-
-
-def _parse_rate(text, key):
-    return _with_unit(text, _RATE, key)
-
-
-def _parse_density(text, key):
-    return _with_unit(text, _DENSITY, key)
+    return _unit(_POWER)(text, key)
 
 
 def _parse_temperature(text, key):
@@ -173,7 +165,6 @@ REGISTRY = {
     "phase_convention": (_choice("si-eq-s8", "main-text"), "si-eq-s8"),
     "group_delay_mode": (_choice("local", "central"), "local"),
     "dispersion": (_choice("on", "off"), "off"),
-    "taper_fraction": (_parse_float, "0"),
     # simulation
     "triplet_rate": (_nonnegative(_parse_rate), "102 /min"),
     "singles_rate_ch1": (_nonnegative(_parse_rate), "800 /s"),

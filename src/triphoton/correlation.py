@@ -18,7 +18,8 @@ from .errors import (InvalidParameterError, SamplingError, RangeError,
                      EstimationError)
 from .params import ExperimentParams, resonance_set
 from .susceptibility import (ComplexGrid2D, GridSpec2D, VelocityQuadrature,
-                             chi5_map, phase_mismatch, params_hash)
+                             chi5_map, group_velocity, phase_mismatch,
+                             params_hash)
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +88,7 @@ def default_spectral_window(params: ExperimentParams, n2: int = 512,
     """Spectral integration window derived from the resonance structure.
 
     Union of all resonance centers +- linewidth_multiple effective linewidths,
-    padded by pad_fraction of the span on each side (so any optional edge
-    taper lives away from the resonances), clipped to +-clip.  The
+    padded by pad_fraction of the span on each side, clipped to +-clip.  The
     centers are swept over the +-3 sigma thermal velocity range since Doppler
     shifts move each resonance by ~1 MHz per m/s.
     """
@@ -141,15 +141,10 @@ def spectral_kernel(spectral_spec: GridSpec2D, params: ExperimentParams,
                         group_delay_mode=group_delay_mode)
     kern = grid.values * np.sinc(dk * L / (2 * np.pi))
     if profiles:
-        def vhalf(mode, offs):
-            prof = profiles.get(mode)
-            if prof is None:
-                return np.broadcast_to(CONST.c, np.shape(offs))
-            if group_delay_mode == "central":
-                return np.broadcast_to(prof.v_at(0.0), np.shape(offs))
-            return prof.v_at(offs)
-        kern = kern * np.exp(-1j * d2 * (L / (2.0 * vhalf("S2", grid.axis1))[:, None]))
-        kern = kern * np.exp(-1j * d3 * (L / (2.0 * vhalf("S3", grid.axis2))[None, :]))
+        v2 = group_velocity(profiles, "S2", grid.axis1, group_delay_mode)
+        v3 = group_velocity(profiles, "S3", grid.axis2, group_delay_mode)
+        kern = kern * np.exp(-1j * d2 * (L / (2.0 * v2))[:, None])
+        kern = kern * np.exp(-1j * d3 * (L / (2.0 * v3))[None, :])
     else:
         kern = kern * np.exp(-1j * (d2 + d3) * (L / (2.0 * CONST.c)))
     return ComplexGrid2D(axis1=grid.axis1, axis2=grid.axis2, values=kern,
@@ -161,18 +156,6 @@ def spectral_kernel(spectral_spec: GridSpec2D, params: ExperimentParams,
 # ---------------------------------------------------------------------------
 # Fourier machinery
 # ---------------------------------------------------------------------------
-
-def _raised_cosine_taper(n: int, fraction: float = 0.05) -> np.ndarray:
-    """Unit window with raised-cosine roll-off over the outer `fraction`."""
-    w = np.ones(n)
-    m = max(int(round(fraction * n)), 1)
-    if 2 * m >= n:
-        return np.hanning(n)
-    edge = 0.5 * (1.0 - np.cos(np.pi * (np.arange(m) + 0.5) / m))
-    w[:m] = edge
-    w[-m:] = edge[::-1]
-    return w
-
 
 def _fourier_axis(values: np.ndarray, axis_nodes: np.ndarray,
                   tau_nodes: np.ndarray, axis: int) -> np.ndarray:
@@ -211,8 +194,7 @@ def triphoton_amplitude_map(tau_spec: GridSpec2D, params: ExperimentParams,
                             kernel: ComplexGrid2D | None = None,
                             profiles: dict | None = None,
                             phase_convention: str = "si-eq-s8",
-                            group_delay_mode: str = "local",
-                            taper_fraction: float = 0.0) -> CorrelationMap:
+                            group_delay_mode: str = "local") -> CorrelationMap:
     """Triphoton amplitude A3(tau21, tau31), peak-normalized.
 
     A3 = double integral of the spectral kernel times
@@ -223,11 +205,8 @@ def triphoton_amplitude_map(tau_spec: GridSpec2D, params: ExperimentParams,
     coincidence histograms.  method 'direct' performs the
     Riemann double sum explicitly; 'transform' evaluates the identical sum
     with a chirp-z transform, so the two agree to machine precision by
-    default.  A raised-cosine edge taper is available via taper_fraction for
-    sensitivity studies of the window truncation, but it removes genuine
-    kernel mass (the spectral tails decay slowly) and is off by default.
-    A precomputed kernel grid may be injected via `kernel` (used by the
-    analytic-oracle tests).
+    default.  A precomputed kernel grid may be injected via `kernel` (used by
+    the analytic-oracle tests).
     """
     if method not in ("direct", "transform"):
         raise InvalidParameterError(f"unknown method '{method}'")
@@ -246,11 +225,7 @@ def triphoton_amplitude_map(tau_spec: GridSpec2D, params: ExperimentParams,
         e3 = np.exp(1j * np.outer(kernel.axis2, tau31))
         a3 = (e2 @ kernel.values @ e3) * (dd2 * dd3)
     else:
-        kv = kernel.values
-        if taper_fraction > 0:
-            kv = kv * _raised_cosine_taper(kv.shape[0], taper_fraction)[:, None]
-            kv = kv * _raised_cosine_taper(kv.shape[1], taper_fraction)[None, :]
-        a3 = _fourier_axis(kv, kernel.axis1, tau21, axis=0)
+        a3 = _fourier_axis(kernel.values, kernel.axis1, tau21, axis=0)
         a3 = _fourier_axis(a3, kernel.axis2, tau31, axis=1)
         a3 = a3 * (dd2 * dd3)
     scale = float(np.max(np.abs(a3)))

@@ -10,7 +10,8 @@ origin tag only when exported with keep_origin (debug); otherwise zero.
 
 Grid CSVs: '#'-prefixed comment lines with axis names, units, sizes,
 normalization scale and parameter hash, then rows "axis1,axis2,real,imag"
-(complex) or "axis1,axis2,value" (real).  Values are written with 17
+(complex) or "axis1,axis2,value" (real).  Traces and tables have the same
+comment lines and one row per sample.  Values are written with 17
 significant digits so a read-write-read round trip is bit-exact.
 """
 from __future__ import annotations
@@ -39,7 +40,7 @@ def write_events(path, stream: np.ndarray, seed: int, duration_ps: int,
                  channel_count: int = 4, keep_origin: bool = False) -> None:
     """Write a time-sorted event stream to a TPE1 file."""
     ts = stream["timestamp_ps"]
-    if ts.size > 1 and np.any(np.diff(ts.astype(np.int64)) < 0):
+    if _first_out_of_order(ts) is not None:
         raise InvalidParameterError("stream must be sorted by timestamp")
     rec = np.zeros(stream.size, dtype=_RECORD_DTYPE)
     rec["timestamp_ps"] = ts
@@ -50,11 +51,11 @@ def write_events(path, stream: np.ndarray, seed: int, duration_ps: int,
                                  duration_ps, channel_count)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(rec.tobytes())
+        fh.write(rec.data)
 
 
-def _check_time_order(ts, path, chunk=1 << 20):
-    """Raise ConfigError unless ts is non-decreasing.
+def _first_out_of_order(ts, chunk=1 << 20):
+    """Index of the first timestamp earlier than its predecessor, or None.
 
     Compares chunk by chunk, so the check needs a chunk-sized boolean
     temporary, not a file-sized one.
@@ -63,9 +64,8 @@ def _check_time_order(ts, path, chunk=1 << 20):
         seg = ts[start:start + chunk + 1]
         back = seg[1:] < seg[:-1]
         if back.any():
-            k = start + 1 + int(np.argmax(back))
-            raise ConfigError(f"event file {path}: record {k} is earlier than "
-                              f"record {k - 1}; records must be sorted by timestamp")
+            return start + 1 + int(np.argmax(back))
+    return None
 
 
 def read_events(path):
@@ -73,9 +73,9 @@ def read_events(path):
 
     The stream is an EVENT_DTYPE structured array with the flags byte mapped
     back onto the origin field (zero when origins were stripped on export).
-    Raises ConfigError for a malformed file: bad magic or version, a truncated
-    record section, records out of time order, a channel outside
-    1..channel_count, or records under a header duration_ps of 0.
+    Raises ConfigError for a malformed file: bad magic, version or header
+    length, a truncated record section, records out of time order, a channel
+    outside 1..channel_count, or records under a header duration_ps of 0.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -87,10 +87,12 @@ def read_events(path):
         raise ConfigError(f"bad magic in event file {path}: {magic!r}")
     if version != VERSION:
         raise ConfigError(f"unsupported event file version {version}")
-    body = raw[header_len:]
-    if len(body) % _RECORD_DTYPE.itemsize:
+    if header_len != HEADER_LEN:
+        raise ConfigError(f"event file {path}: header_len {header_len}, "
+                          f"version {VERSION} requires {HEADER_LEN}")
+    if (len(raw) - header_len) % _RECORD_DTYPE.itemsize:
         raise ConfigError(f"truncated record section in {path}")
-    rec = np.frombuffer(body, dtype=_RECORD_DTYPE)
+    rec = np.frombuffer(raw, dtype=_RECORD_DTYPE, offset=header_len)
     if rec.size and duration_ps == 0:
         raise ConfigError(f"event file {path} holds {rec.size} records "
                           "but a header duration_ps of 0")
@@ -99,7 +101,10 @@ def read_events(path):
         k = int(np.flatnonzero((ch < 1) | (ch > channel_count))[0])
         raise ConfigError(f"event file {path}: record {k} has channel {ch[k]}, "
                           f"outside 1..{channel_count}")
-    _check_time_order(rec["timestamp_ps"], path)
+    k = _first_out_of_order(rec["timestamp_ps"])
+    if k is not None:
+        raise ConfigError(f"event file {path}: record {k} is earlier than "
+                          f"record {k - 1}; records must be sorted by timestamp")
     stream = np.empty(rec.size, dtype=EVENT_DTYPE)
     stream["timestamp_ps"] = rec["timestamp_ps"]
     stream["channel"] = rec["channel"]
@@ -110,110 +115,116 @@ def read_events(path):
 
 
 # ---------------------------------------------------------------------------
-# CSV grids and traces
+# CSV grids, traces and tables
 # ---------------------------------------------------------------------------
 
-_FMT = "%.17g"
+def _text(values) -> list[str]:
+    """'%.17g' text of each element, in C order."""
+    return [f"{x:.17g}" for x in np.ravel(values).tolist()]
 
 
-def write_complex_grid(path, grid: ComplexGrid2D) -> None:
+def _write_rows(path, header_lines, columns) -> None:
+    """'# ' header lines, then one row per index of the equal-length text
+    columns."""
     with open(path, "w") as fh:
-        fh.write(f"# axis1: {grid.label1} [{grid.unit}] n={grid.axis1.size}\n")
-        fh.write(f"# axis2: {grid.label2} [{grid.unit}] n={grid.axis2.size}\n")
-        fh.write(f"# provenance: {grid.provenance}\n")
-        fh.write("# columns: axis1,axis2,real,imag\n")
-        for i, a1 in enumerate(grid.axis1):
-            for j, a2 in enumerate(grid.axis2):
-                v = grid.values[i, j]
-                fh.write(f"{a1:.17g},{a2:.17g},{v.real:.17g},{v.imag:.17g}\n")
+        fh.writelines(f"# {line}\n" for line in header_lines)
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns, strict=True))
 
 
-def read_complex_grid(path) -> ComplexGrid2D:
-    meta = {"label1": "axis1", "label2": "axis2", "unit": "", "provenance": ""}
-    rows = []
+def _write_grid(path, header_lines, axis1, axis2, cells) -> None:
+    """One row per grid point, axis1 outer; each axis value formatted once."""
+    a1, a2 = _text(axis1), _text(axis2)
+    _write_rows(path, header_lines,
+                [[a for a in a1 for _ in a2], a2 * len(a1), *map(_text, cells)])
+
+
+def write_table(path, header_lines, columns) -> None:
+    """'# ' header lines (the columns line among them), then one row per index
+    of the equal-length numeric columns."""
+    _write_rows(path, header_lines, [_text(c) for c in columns])
+
+
+def _read_rows(path, ncols: int, what: str):
+    """('#' comment lines, float rows array) of a CSV with ncols columns.
+
+    Raises ConfigError naming the path and line for a row with the wrong
+    column count or a non-numeric field, and for a file with no rows.
+    """
+    comments, rows = [], []
+    lineno = 0
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             if line.startswith("#"):
-                if line.startswith("# axis1:"):
-                    meta["label1"] = line.split(":", 1)[1].split("[")[0].strip()
-                    if "[" in line:
-                        meta["unit"] = line.split("[", 1)[1].split("]")[0]
-                elif line.startswith("# axis2:"):
-                    meta["label2"] = line.split(":", 1)[1].split("[")[0].strip()
-                elif line.startswith("# provenance:"):
-                    meta["provenance"] = line.split(":", 1)[1].strip()
+                comments.append(line)
                 continue
             parts = line.split(",")
-            if len(parts) != 4:
-                raise ConfigError(f"expected 4 columns in grid CSV, got {line!r}")
-            rows.append([float(p) for p in parts])
+            if len(parts) != ncols:
+                raise ConfigError(f"{path}, line {lineno}: expected {ncols} "
+                                  f"columns in {what} CSV, got {line!r}")
+            try:
+                rows.append([float(p) for p in parts])
+            except ValueError:
+                raise ConfigError(f"{path}, line {lineno}: non-numeric field "
+                                  f"in {what} CSV row {line!r}") from None
     if not rows:
-        raise ConfigError(f"empty grid CSV: {path}")
-    arr = np.asarray(rows)
+        raise ConfigError(f"empty {what} CSV: {path} has no data row "
+                          f"in its {lineno} lines")
+    return comments, np.asarray(rows)
+
+
+def _read_grid(path, ncols: int):
+    """(comments, axis1, axis2, cell arrays) of a full rectangular grid CSV."""
+    comments, arr = _read_rows(path, ncols, "grid")
     axis1 = np.unique(arr[:, 0])
     axis2 = np.unique(arr[:, 1])
     if axis1.size * axis2.size != arr.shape[0]:
         raise ConfigError(f"grid CSV is not a full rectangular grid: {path}")
-    values = (arr[:, 2] + 1j * arr[:, 3]).reshape(axis1.size, axis2.size)
-    return ComplexGrid2D(axis1=axis1, axis2=axis2, values=values,
+    cells = [arr[:, k].reshape(axis1.size, axis2.size) for k in range(2, ncols)]
+    return comments, axis1, axis2, cells
+
+
+def write_complex_grid(path, grid: ComplexGrid2D) -> None:
+    _write_grid(path, [f"axis1: {grid.label1} [{grid.unit}] n={grid.axis1.size}",
+                       f"axis2: {grid.label2} [{grid.unit}] n={grid.axis2.size}",
+                       f"provenance: {grid.provenance}",
+                       "columns: axis1,axis2,real,imag"],
+                grid.axis1, grid.axis2, [grid.values.real, grid.values.imag])
+
+
+def read_complex_grid(path) -> ComplexGrid2D:
+    meta = {"label1": "axis1", "label2": "axis2", "unit": "", "provenance": ""}
+    comments, axis1, axis2, (re, im) = _read_grid(path, 4)
+    for line in comments:
+        if line.startswith("# axis1:"):
+            meta["label1"] = line.split(":", 1)[1].split("[")[0].strip()
+            if "[" in line:
+                meta["unit"] = line.split("[", 1)[1].split("]")[0]
+        elif line.startswith("# axis2:"):
+            meta["label2"] = line.split(":", 1)[1].split("[")[0].strip()
+        elif line.startswith("# provenance:"):
+            meta["provenance"] = line.split(":", 1)[1].strip()
+    return ComplexGrid2D(axis1=axis1, axis2=axis2, values=re + 1j * im,
                          label1=meta["label1"], label2=meta["label2"],
                          unit=meta["unit"], provenance=meta["provenance"])
 
 
 def write_real_grid(path, axis1, axis2, values, header_lines=()) -> None:
-    values = np.asarray(values)
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("# columns: axis1,axis2,value\n")
-        for i, a1 in enumerate(np.asarray(axis1)):
-            for j, a2 in enumerate(np.asarray(axis2)):
-                fh.write(f"{a1:.17g},{a2:.17g},{values[i, j]:.17g}\n")
+    _write_grid(path, [*header_lines, "columns: axis1,axis2,value"],
+                axis1, axis2, [values])
 
 
 def read_real_grid(path):
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ConfigError(f"expected 3 columns in grid CSV, got {line!r}")
-            rows.append([float(p) for p in parts])
-    if not rows:
-        raise ConfigError(f"empty grid CSV: {path}")
-    arr = np.asarray(rows)
-    axis1 = np.unique(arr[:, 0])
-    axis2 = np.unique(arr[:, 1])
-    if axis1.size * axis2.size != arr.shape[0]:
-        raise ConfigError(f"grid CSV is not a full rectangular grid: {path}")
-    return axis1, axis2, arr[:, 2].reshape(axis1.size, axis2.size)
+    _, axis1, axis2, (values,) = _read_grid(path, 3)
+    return axis1, axis2, values
 
 
 def write_trace(path, axis, values, header_lines=()) -> None:
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("# columns: axis,value\n")
-        for a, v in zip(np.asarray(axis), np.asarray(values)):
-            fh.write(f"{a:.17g},{v:.17g}\n")
+    write_table(path, [*header_lines, "columns: axis,value"], [axis, values])
 
 
 def read_trace(path):
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ConfigError(f"expected 2 columns in trace CSV, got {line!r}")
-            rows.append([float(p) for p in parts])
-    arr = np.asarray(rows)
+    _, arr = _read_rows(path, 2, "trace")
     return arr[:, 0], arr[:, 1]

@@ -11,10 +11,9 @@ from pathlib import Path
 import numpy as np
 
 from .params import (default_params, maxwell_boltzmann_pdf, resonance_set,
-                     doppler_detunings, optical_depth, doppler_width,
-                     DetuningOffsets)
-from .susceptibility import (VelocityQuadrature, GridSpec2D, chi5,
-                             longitudinal_phi, chi_linear_s1)
+                     doppler_detunings, doppler_width, DetuningOffsets)
+from .susceptibility import (VelocityQuadrature, chi5, longitudinal_phi,
+                             chi_linear_s1)
 from .correlation import cauchy_schwarz_factor
 from .config import parse_config_text, default_config
 from .eventsim import SourceConfig, generate_stream

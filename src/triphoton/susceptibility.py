@@ -10,7 +10,7 @@ thermal Gaussian, which drives the quadrature choice (see VelocityQuadrature).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -387,6 +387,24 @@ def dispersion_profile(which: str, delta_axis, params: ExperimentParams,
     return DispersionProfile(delta_axis=axis, chi=chi, n=n, v_group=v_group)
 
 
+def group_velocity(profiles: dict | None, mode: str, offs,
+                   group_delay_mode: str = "local"):
+    """Group velocity of mode 'S2' or 'S3' at the spectral offsets offs.
+
+    A mode missing from profiles (or profiles None) is vacuum, v = c;
+    group_delay_mode 'local' evaluates the profile at each offset, 'central'
+    freezes it at line center.
+    """
+    if group_delay_mode not in ("local", "central"):
+        raise InvalidParameterError(f"unknown group_delay_mode '{group_delay_mode}'")
+    prof = (profiles or {}).get(mode)
+    if prof is None:
+        return np.broadcast_to(CONST.c, np.shape(offs))
+    if group_delay_mode == "central":
+        return np.broadcast_to(prof.v_at(0.0), np.shape(offs))
+    return prof.v_at(offs)
+
+
 def phase_mismatch(delta2, delta3, params: ExperimentParams,
                    profiles: dict | None = None,
                    phase_convention: str = "si-eq-s8",
@@ -406,24 +424,12 @@ def phase_mismatch(delta2, delta3, params: ExperimentParams,
     """
     if phase_convention not in ("si-eq-s8", "main-text"):
         raise InvalidParameterError(f"unknown phase_convention '{phase_convention}'")
-    if group_delay_mode not in ("local", "central"):
-        raise InvalidParameterError(f"unknown group_delay_mode '{group_delay_mode}'")
     d2 = np.asarray(delta2, dtype=float)
     d3 = np.asarray(delta3, dtype=float)
     d1 = -(d2 + d3)
-    profiles = profiles or {}
-
-    def velocity(mode, offs):
-        prof = profiles.get(mode)
-        if prof is None:
-            return np.broadcast_to(CONST.c, np.shape(offs))
-        if group_delay_mode == "central":
-            return np.broadcast_to(prof.v_at(0.0), np.shape(offs))
-        return prof.v_at(offs)
-
     t1 = d1 / CONST.c
-    t2 = d2 / velocity("S2", d2)
-    t3 = d3 / velocity("S3", d3)
+    t2 = d2 / group_velocity(profiles, "S2", d2, group_delay_mode)
+    t3 = d3 / group_velocity(profiles, "S3", d3, group_delay_mode)
     if phase_convention == "si-eq-s8":
         dk = t1 - t2 + t3
     else:

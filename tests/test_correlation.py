@@ -6,7 +6,10 @@ from hypothesis import given, settings, strategies as st
 from triphoton.errors import (InvalidParameterError, RangeError,
                               SamplingError)
 from triphoton.params import resonance_set
-from triphoton.susceptibility import ComplexGrid2D, GridSpec2D
+from triphoton.constants import CONST
+from triphoton.susceptibility import (ComplexGrid2D, GridSpec2D,
+                                      VelocityQuadrature, chi5_map,
+                                      dispersion_profile)
 from triphoton.correlation import (CorrelationMap, ConditionalTrace,
                                    cauchy_schwarz_factor,
                                    conditional_r2_closed,
@@ -45,6 +48,34 @@ def test_kernel_rejects_undersized_window(params, quad):
     spec = GridSpec2D(-1e8, 1e8, 32, -1e8, 1e8, 32)
     with pytest.raises(InvalidParameterError):
         spectral_kernel(spec, params, quad)
+
+
+def test_kernel_group_delay_phases_from_profiles(params):
+    """The dispersive kernel against a reference built from
+    DispersionProfile.v_at, for both group-delay modes."""
+    quad = VelocityQuadrature(node_count=201)
+    spec = default_spectral_window(params, n2=12, n3=10)
+    d2, d3 = spec.axes()
+    profiles = {"S2": dispersion_profile("S2", np.linspace(spec.min1, spec.max1, 64),
+                                         params, quad),
+                "S3": dispersion_profile("S3", np.linspace(spec.min2, spec.max2, 64),
+                                         params, quad)}
+    chi = chi5_map(spec, params, quad).values
+    L = params.cell.length_L
+    kernels = []
+    for mode in ("local", "central"):
+        at = (lambda d: d) if mode == "local" else (lambda d: np.zeros_like(d))
+        v2 = profiles["S2"].v_at(at(d2))[:, None]
+        v3 = profiles["S3"].v_at(at(d3))[None, :]
+        dk = -(d2[:, None] + d3[None, :]) / CONST.c - d2[:, None] / v2 + d3[None, :] / v3
+        ref = (chi * np.sinc(dk * L / (2 * np.pi))
+               * np.exp(-1j * d2[:, None] * L / (2 * v2))
+               * np.exp(-1j * d3[None, :] * L / (2 * v3)))
+        kern = spectral_kernel(spec, params, quad, profiles,
+                               group_delay_mode=mode).values
+        assert np.max(np.abs(kern - ref)) <= 1e-12 * np.max(np.abs(ref))
+        kernels.append(kern)
+    assert np.max(np.abs(kernels[0] - kernels[1])) > 1e-3 * np.max(np.abs(kernels[0]))
 
 
 def test_kernel_metadata(kernel512):

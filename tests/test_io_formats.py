@@ -1,4 +1,5 @@
 """Binary event files and CSV grid serialization."""
+import re
 import struct
 
 import numpy as np
@@ -117,6 +118,20 @@ def test_bad_version_rejected(tmp_path):
         io_formats.read_events(path)
 
 
+@pytest.mark.parametrize("header_len", [48, 4096])
+def test_bad_header_len_rejected(tmp_path, header_len):
+    """A corrupted header_len must not shift the record section: 48 used to
+    drop the first record silently, 4096 to read as an empty stream."""
+    path = tmp_path / "hl.tpe1"
+    io_formats.write_events(path, _stream(5, seed=8), seed=0,
+                            duration_ps=10 ** 12)
+    raw = bytearray(path.read_bytes())
+    raw[6:8] = struct.pack("<H", header_len)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: header_len {header_len}"):
+        io_formats.read_events(path)
+
+
 def test_truncated_file_rejected(tmp_path):
     s = _stream(5, seed=4)
     path = tmp_path / "run.tpe1"
@@ -187,6 +202,8 @@ def test_empty_grid_rejected(tmp_path):
         io_formats.read_complex_grid(path)
     with pytest.raises(ConfigError):
         io_formats.read_real_grid(path)
+    with pytest.raises(ConfigError, match=f"empty trace CSV: {re.escape(str(path))}"):
+        io_formats.read_trace(path)
 
 
 def test_malformed_rows_rejected(tmp_path):
@@ -196,6 +213,15 @@ def test_malformed_rows_rejected(tmp_path):
         io_formats.read_complex_grid(path)
     with pytest.raises(ConfigError):
         io_formats.read_real_grid(path)
+    with pytest.raises(ConfigError, match=f"{re.escape(str(path))}, line 1"):
+        io_formats.read_trace(path)
+    for read, row in ((io_formats.read_complex_grid, "0,0,1,x"),
+                      (io_formats.read_real_grid, "0,0,x"),
+                      (io_formats.read_trace, "0,x")):
+        path.write_text(f"# header\n{row}\n")
+        with pytest.raises(ConfigError,
+                           match=f"{re.escape(str(path))}, line 2: non-numeric"):
+            read(path)
 
 
 def test_trace_round_trip(tmp_path):
@@ -207,3 +233,65 @@ def test_trace_round_trip(tmp_path):
     b_axis, b_vals = io_formats.read_trace(path)
     assert np.array_equal(b_axis, axis)
     assert np.array_equal(b_vals, vals)
+
+
+# ---------------------------------------------------------------------------
+# byte-level output of the CSV writers
+# ---------------------------------------------------------------------------
+
+_AXIS1 = np.array([0.0, 0.1, 1.0 / 3.0])
+_AXIS2 = np.array([-2.5e-17, 0.25e-9, 7.0, 1e300])
+
+
+def _per_cell_text(header_lines, rows):
+    """Reference: the per-cell f"{x:.17g}" loop the writers are held to."""
+    text = "".join(f"# {line}\n" for line in header_lines)
+    for row in rows:
+        text += ",".join(f"{x:.17g}" for x in row) + "\n"
+    return text
+
+
+def _grid_rows(axis1, axis2, *cells):
+    for i, a1 in enumerate(axis1):
+        for j, a2 in enumerate(axis2):
+            yield (a1, a2, *(c[i, j] for c in cells))
+
+
+@pytest.mark.parametrize("values", [
+    np.arange(12, dtype=np.int64).reshape(3, 4) * 7,
+    np.array([[1.0 / 3.0, -0.0, 1e-300, 2.0 ** 60],
+              [np.pi, -np.e, 0.1, 5e-324],
+              [1.0, 123456789.125, -1e17, 0.3]]),
+])
+def test_real_grid_bytes_match_per_cell_format(tmp_path, values):
+    path = tmp_path / "r.csv"
+    io_formats.write_real_grid(path, _AXIS1, _AXIS2, values,
+                               header_lines=["method: demo"])
+    assert path.read_text() == _per_cell_text(
+        ["method: demo", "columns: axis1,axis2,value"],
+        _grid_rows(_AXIS1, _AXIS2, values))
+
+
+def test_complex_grid_bytes_match_per_cell_format(tmp_path):
+    rng = np.random.default_rng(9)
+    values = (rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))) * 1e-22
+    grid = ComplexGrid2D(axis1=np.linspace(-1.0 / 3.0, 1.0 / 3.0, 3),
+                         axis2=np.linspace(0.1, 0.4, 4),
+                         values=values, label1="delta2", label2="delta3",
+                         unit="rad/s", provenance="chi5_map abc")
+    path = tmp_path / "c.csv"
+    io_formats.write_complex_grid(path, grid)
+    header = ["axis1: delta2 [rad/s] n=3", "axis2: delta3 [rad/s] n=4",
+              "provenance: chi5_map abc", "columns: axis1,axis2,real,imag"]
+    rows = ((a1, a2, v.real, v.imag) for a1, a2, v in
+            _grid_rows(grid.axis1, grid.axis2, grid.values))
+    assert path.read_text() == _per_cell_text(header, rows)
+
+
+def test_trace_bytes_match_per_cell_format(tmp_path):
+    axis = np.linspace(0.0, 1e-8, 7)
+    values = np.array([0.0, 1.0 / 3.0, 1.0, 0.1, 2e-17, 0.5, 1e-300])
+    path = tmp_path / "t.csv"
+    io_formats.write_trace(path, axis, values, header_lines=["kind: demo"])
+    assert path.read_text() == _per_cell_text(
+        ["kind: demo", "columns: axis,value"], zip(axis, values))
