@@ -21,6 +21,9 @@ from .correlation import (ConditionalTrace, cauchy_schwarz_factor,
                           oscillation_period, visibility)
 from .eventsim import PS_PER_S
 
+# (stop2, stop3) pairs expanded and binned at once by the three-fold matcher
+_TRIPLE_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class Histogram1D:
@@ -85,6 +88,33 @@ def _channel_times(stream: np.ndarray, ch: int) -> np.ndarray:
     return stream["timestamp_ps"][stream["channel"] == ch].astype(np.int64)
 
 
+def _expand(n: np.ndarray):
+    """(owner, offset) of the sum(n) items when owner i holds n[i] of them.
+
+    Item k is number offset[k] (counting from 0) of owner[k], in owner order:
+    the repeat/cumsum expansion of variable-length ranges without a loop.
+    """
+    owner = np.repeat(np.arange(n.size), n)
+    offset = np.arange(owner.size) - np.repeat(np.cumsum(n) - n, n)
+    return owner, offset
+
+
+def _stop_ranges(starts: np.ndarray, stops: np.ndarray, span: int):
+    """(keep, lo, n) of the starts with a stop in [start, start + span).
+
+    keep indexes those starts; their stops are stops[lo:lo + n].  stops must
+    be non-empty.  One full search finds each start's first stop; the second
+    search, for the end of the range, runs on the kept starts only.
+    """
+    lo = np.searchsorted(stops, starts, side="left")
+    # delay to the first stop; negative where no stop follows (lo clipped)
+    gap = stops.take(lo, mode="clip") - starts
+    keep = np.flatnonzero((gap >= 0) & (gap < span))
+    lo = lo[keep]
+    n = np.searchsorted(stops, starts[keep] + span, side="left") - lo
+    return keep, lo, n
+
+
 def _window_bin_ps(window: float, bin_width: float):
     if bin_width <= 0 or window <= 0:
         raise InvalidParameterError("window and bin must be > 0")
@@ -110,19 +140,12 @@ def pairwise_histogram(stream: np.ndarray, start_ch: int, stop_ch: int,
     stops = _channel_times(stream, stop_ch)
     counts = np.zeros(nbins, dtype=np.int64)
     if starts.size and stops.size:
-        lo = np.searchsorted(stops, starts, side="left")
-        hi = np.searchsorted(stops, starts + w_ps, side="left")
+        keep, lo, n = _stop_ranges(starts, stops, nbins * b_ps)
         if not multiple_stops:
-            hi = np.minimum(hi, lo + 1)
-        n = hi - lo
-        total = int(n.sum())
-        if total:
-            rep = np.repeat(np.arange(starts.size), n)
-            offs = np.arange(total) - np.repeat(np.cumsum(n) - n, n)
-            delays = stops[lo[rep] + offs] - starts[rep]
-            idx = delays // b_ps
-            idx = idx[idx < nbins]
-            counts += np.bincount(idx, minlength=nbins)
+            n = np.minimum(n, 1)
+        rep, offs = _expand(n)
+        delays = stops[lo[rep] + offs] - starts[keep][rep]
+        counts += np.bincount(delays // b_ps, minlength=nbins)
     axis = (np.arange(nbins) + 0.5) * b_ps / PS_PER_S
     duration = float(stream["timestamp_ps"].max()) / PS_PER_S if stream.size else 0.0
     return Histogram1D(axis=axis, counts=counts, window=window,
@@ -136,24 +159,44 @@ def _triple_match(s2: np.ndarray, t2: np.ndarray, s3: np.ndarray,
 
     s2 and s3 are one start series, each as paired with its stop channel:
     the same clicks for the direct matcher, shifted copies for the circuit.
+    A delay counts when its bin lies inside the grid, i.e. it is below
+    nbins * b_ps; the rest of a window that is not a whole number of bins
+    is dropped.
+
+    Channel 2 is searched for every start, channel 3 only for the starts
+    with a channel-2 stop.  The starts with stops on both channels are then
+    expanded, a block of whole starts at a time, into their n2 * n3
+    (stop2, stop3) pairs and binned with one bincount over the flat bin
+    index.  A block holds at most _TRIPLE_BLOCK pairs, or the one start that
+    alone has more, so the temporaries stay bounded however dense the stream.
     """
     nbins = w_ps // b_ps
-    counts = np.zeros((nbins, nbins), dtype=np.int64)
+    counts = np.zeros(nbins * nbins, dtype=np.int64)
     if not (s2.size and t2.size and t3.size):
-        return counts
-    lo2 = np.searchsorted(t2, s2, side="left")
-    hi2 = np.searchsorted(t2, s2 + w_ps, side="left")
-    lo3 = np.searchsorted(t3, s3, side="left")
-    hi3 = np.searchsorted(t3, s3 + w_ps, side="left")
-    active = np.flatnonzero((hi2 > lo2) & (hi3 > lo3))
-    for i in active:
-        d2 = (t2[lo2[i]:hi2[i]] - s2[i]) // b_ps
-        d3 = (t3[lo3[i]:hi3[i]] - s3[i]) // b_ps
-        d2 = d2[d2 < nbins]
-        d3 = d3[d3 < nbins]
-        for j in d2:
-            np.add.at(counts[j], d3, 1)
-    return counts
+        return counts.reshape(nbins, nbins)
+    span = nbins * b_ps
+    keep, lo2, n2 = _stop_ranges(s2, t2, span)
+    s2, s3 = s2[keep], s3[keep]
+    keep, lo3, n3 = _stop_ranges(s3, t3, span)
+    s2, lo2, n2, s3 = s2[keep], lo2[keep], n2[keep], s3[keep]
+    ends = np.cumsum(n2 * n3)
+    i = 0
+    while i < ends.size:
+        base = ends[i - 1] if i else 0
+        j = max(int(np.searchsorted(ends, base + _TRIPLE_BLOCK, side="right")),
+                i + 1)
+        o2, k2 = _expand(n2[i:j])
+        o3, k3 = _expand(n3[i:j])
+        rows = (t2[lo2[i:j][o2] + k2] - s2[i:j][o2]) // b_ps * nbins
+        cols = (t3[lo3[i:j][o3] + k3] - s3[i:j][o3]) // b_ps
+        # each (start, stop2) pair meets every channel-3 stop of its start
+        b3 = n3[i:j]
+        first3 = (np.cumsum(b3) - b3)[o2]
+        pair, k = _expand(b3[o2])
+        counts += np.bincount(rows[pair] + cols[first3[pair] + k],
+                              minlength=counts.size)
+        i = j
+    return counts.reshape(nbins, nbins)
 
 
 def reconstruct_triple_direct(stream: np.ndarray, window: float = 195e-9,

@@ -121,7 +121,9 @@ def _poisson_times(rng: np.random.Generator, rate: float, duration: float):
 
 def _finalize(times_s: np.ndarray, channels: np.ndarray, origins: np.ndarray,
               cfg: SourceConfig, rng: np.random.Generator) -> np.ndarray:
-    """Thin by efficiency, add jitter, sort and quantize one source's clicks."""
+    """Thin by efficiency, add jitter, clip to the run and quantize one
+    source's clicks, left in input order; generate_stream sorts the merged
+    stream."""
     if times_s.size == 0:
         return np.empty(0, dtype=EVENT_DTYPE)
     eff = np.asarray(cfg.detector_efficiency)[channels - 1] * cfg.fiber_coupling

@@ -147,6 +147,34 @@ def write_table(path, header_lines, columns) -> None:
 def _read_rows(path, ncols: int, what: str):
     """('#' comment lines, float rows array) of a CSV with ncols columns.
 
+    numpy parses the rows after the leading comment lines.  Only when that
+    fails, or finds no row, does _scan_rows go through the file line by line,
+    to name the culprit or to read what only Python float accepts.
+    """
+    comments = []
+    with open(path) as fh:
+        while True:
+            pos = fh.tell()
+            raw = fh.readline()
+            line = raw.strip()
+            if line.startswith("#"):
+                comments.append(line)
+            elif line or not raw:  # the first data row, or the end of file
+                break
+        if line:
+            fh.seek(pos)
+            try:
+                arr = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                arr = None
+            if arr is not None and arr.shape[1] == ncols:
+                return comments, arr
+    return _scan_rows(path, ncols, what)
+
+
+def _scan_rows(path, ncols: int, what: str):
+    """_read_rows line by line, with Python float.
+
     Raises ConfigError naming the path and line for a row with the wrong
     column count or a non-numeric field, and for a file with no rows.
     """

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from triphoton import coincidence
 from triphoton.errors import EstimationError, InvalidParameterError
 from triphoton.eventsim import EVENT_DTYPE, PS_PER_S, SourceConfig, \
     generate_stream
@@ -100,6 +101,79 @@ def test_direct_matcher_matches_brute_force(seed):
                 if 0 <= d2 < 500 and 0 <= d3 < 500:
                     brute[d2 // 50, d3 // 50] += 1
     assert np.array_equal(h.counts, brute)
+
+
+def _brute_triple(s, w_ps, b_ps):
+    """Three nested loops over the clicks: the definition of the matcher."""
+    nbins = w_ps // b_ps
+    t = {ch: np.sort(s["timestamp_ps"][s["channel"] == ch].astype(np.int64))
+         for ch in (1, 2, 3)}
+    brute = np.zeros((nbins, nbins), dtype=int)
+    for t1 in t[1]:
+        for t2 in t[2]:
+            for t3 in t[3]:
+                d2, d3 = t2 - t1, t3 - t1
+                if 0 <= d2 < w_ps and 0 <= d3 < w_ps:
+                    i2, i3 = d2 // b_ps, d3 // b_ps
+                    if i2 < nbins and i3 < nbins:
+                        brute[i2, i3] += 1
+    return brute
+
+
+@settings(max_examples=25)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_matcher_drops_last_partial_bin(seed):
+    """A 530 ps window holds ten whole 50 ps bins; delays in [500, 530) ps
+    fall in no bin and are dropped."""
+    rng = np.random.default_rng(seed)
+    s = _random_stream(rng, 25, 2000)
+    brute = _brute_triple(s, 530, 50)
+    assert brute.shape == (10, 10)
+    for reconstruct in (reconstruct_triple_direct, reconstruct_triple_delayed):
+        h = reconstruct(s, 530e-12, 50e-12)
+        assert np.array_equal(h.counts, brute)
+
+
+@settings(max_examples=10)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_matcher_dense_matches_brute_force(seed):
+    """Most starts see several stops on both channels inside the window."""
+    rng = np.random.default_rng(seed)
+    s = _random_stream(rng, 40, 800)
+    h = reconstruct_triple_direct(s, 400e-12, 40e-12)
+    brute = _brute_triple(s, 400, 40)
+    assert np.array_equal(h.counts, brute)
+    assert brute.sum() > 4 * 40
+
+
+def test_triple_match_independent_of_block_size(monkeypatch):
+    rng = np.random.default_rng(17)
+    s = _random_stream(rng, 300, 20000)
+    ref = reconstruct_triple_direct(s, 700e-12, 50e-12).counts
+    t = {ch: s["timestamp_ps"][s["channel"] == ch].astype(np.int64)
+         for ch in (1, 2, 3)}
+    n2 = np.searchsorted(t[2], t[1] + 700) - np.searchsorted(t[2], t[1])
+    n3 = np.searchsorted(t[3], t[1] + 700) - np.searchsorted(t[3], t[1])
+    most = int((n2 * n3).max())
+    assert most > 2 and ref.sum() > 100
+    for block in (1, 3, most - 1):
+        monkeypatch.setattr(coincidence, "_TRIPLE_BLOCK", block, raising=False)
+        assert np.array_equal(
+            reconstruct_triple_direct(s, 700e-12, 50e-12).counts, ref)
+        assert np.array_equal(
+            reconstruct_triple_delayed(s, 700e-12, 50e-12).counts, ref)
+
+
+@pytest.mark.parametrize("empty", [2, 3])
+@pytest.mark.parametrize("reconstruct", [reconstruct_triple_direct,
+                                         reconstruct_triple_delayed])
+def test_matcher_empty_stop_channel(reconstruct, empty):
+    times = {1: [0, 100, 250], 2: [40, 180], 3: [60, 300]}
+    times[empty] = []
+    h = reconstruct(_stream(times), 530e-12, 50e-12)
+    assert h.counts.shape == (10, 10)
+    assert h.counts.dtype == np.int64
+    assert not h.counts.any()
 
 
 @settings(max_examples=15)

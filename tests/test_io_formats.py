@@ -224,6 +224,22 @@ def test_malformed_rows_rejected(tmp_path):
             read(path)
 
 
+@pytest.mark.parametrize("text", [
+    "# kind: demo\n0,1.5\n1,-2\n2,1e-300\n",
+    "\n# kind: demo\n\n  0 , 1.5\r\n1,-2\n\n# late comment\n2,1e-300\n\n",
+    "# kind: demo\n0,1.5\n1,-2\n2,1_0e-30_1\n",
+    "# kind: demo\n0,1.5\n1,-2\n2,١e-300\n",
+])
+def test_trace_reader_layouts(tmp_path, text):
+    """Blank lines, comments between rows, padding, CRLF, and digit forms
+    that only Python float parses all read as the same three rows."""
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    axis, values = io_formats.read_trace(path)
+    assert np.array_equal(axis, [0.0, 1.0, 2.0])
+    assert np.array_equal(values, [1.5, -2.0, 1e-300])
+
+
 def test_trace_round_trip(tmp_path):
     rng = np.random.default_rng(8)
     axis = np.linspace(0.0, 1e-8, 33)
