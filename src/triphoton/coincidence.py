@@ -12,7 +12,10 @@ tau21 bin and (r3*bin) in a given tau31 bin, independently, so the expected
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 
 import numpy as np
 
@@ -85,7 +88,8 @@ class RatesReport:
 # ---------------------------------------------------------------------------
 
 def _channel_times(stream: np.ndarray, ch: int) -> np.ndarray:
-    return stream["timestamp_ps"][stream["channel"] == ch].astype(np.int64)
+    # a view, not a second copy; stamps below 2^63 ps (106 days) keep their value
+    return stream["timestamp_ps"][stream["channel"] == ch].view(np.int64)
 
 
 def _expand(n: np.ndarray):
@@ -372,6 +376,35 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return v / peak if peak > 0 else v
 
 
+def _poisson_sum(js, mu: float) -> float:
+    """Sum of the Poisson(mu) pmf over js, which run away from the mode.
+
+    Each term is taken in log space; the terms fall monotonically, so the
+    sum stops once a term no longer changes it.
+    """
+    log_mu = math.log(mu)
+    total = 0.0
+    for j in js:
+        term = math.exp(j * log_mu - mu - math.lgamma(j + 1))
+        if term <= total * 1e-17:
+            break
+        total += term
+    return total
+
+
+def _poisson_tails(k: int, mu: float) -> tuple[float, float]:
+    """(P(X <= k), P(X > k)) for X ~ Poisson(mu), k >= 0.
+
+    The tail on the far side of the mode is summed directly and the other
+    is its complement, so a small tail keeps its relative precision.
+    """
+    if k + 1 <= mu:
+        lo = _poisson_sum(range(k, -1, -1), mu)
+        return lo, 1.0 - lo
+    hi = _poisson_sum(itertools.count(k + 1), mu)
+    return 1.0 - hi, hi
+
+
 def diagnose_crosscheck(stream: np.ndarray, window: float = 195e-9,
                         bin_width: float = 0.25e-9) -> dict:
     """Flatness test of the channel-3 / channel-4 pairwise histogram.
@@ -383,17 +416,15 @@ def diagnose_crosscheck(stream: np.ndarray, window: float = 195e-9,
     flagged when the corrected two-sided p drops below 1%.  Returns
     {'flat': bool, 'max_deviation_sigma': equivalent Gaussian z}.
     """
-    from scipy.stats import norm, poisson
-
     if not np.any(stream["channel"] == 4):
         return {"flat": True, "max_deviation_sigma": 0.0}
     h = pairwise_histogram(stream, 3, 4, window, bin_width)
     mu = float(h.counts.mean())
     if mu == 0:
         return {"flat": True, "max_deviation_sigma": 0.0}
-    p_hi = float(poisson.sf(h.counts.max() - 1, mu))
-    p_lo = float(poisson.cdf(h.counts.min(), mu))
+    p_hi = _poisson_tails(int(h.counts.max()) - 1, mu)[1]
+    p_lo = _poisson_tails(int(h.counts.min()), mu)[0]
     p_extreme = min(p_hi, p_lo)
-    z = float(norm.isf(max(p_extreme, 1e-300)))
+    z = -NormalDist().inv_cdf(max(p_extreme, 1e-300))
     adjusted = p_extreme * 2 * h.counts.size
     return {"flat": adjusted >= 0.01, "max_deviation_sigma": z}

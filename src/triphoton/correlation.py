@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import czt, find_peaks
 
 from .constants import CONST
 from .errors import (InvalidParameterError, SamplingError, RangeError,
@@ -156,6 +155,43 @@ def spectral_kernel(spectral_spec: GridSpec2D, params: ExperimentParams,
 # ---------------------------------------------------------------------------
 # Fourier machinery
 # ---------------------------------------------------------------------------
+
+def _next_fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c 7^d 11^e >= n: a length the FFT handles fast."""
+    while True:
+        r = n
+        for p in (2, 3, 5, 7, 11):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return n
+        n += 1
+
+
+def czt(x, m=None, w=None, a=1 + 0j, *, axis=-1):
+    """Chirp z-transform sum_k x_k a^-k w^(j k), j < m, along one axis.
+
+    Bluestein's algorithm (Rabiner, Schafer & Rader 1969) on numpy.fft, in
+    the order of operations of scipy.signal.czt, so the two agree bit for
+    bit.  The defaults give the length-n DFT.
+    """
+    x = np.asarray(x)
+    n = x.shape[axis]
+    m = n if m is None else m
+    k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n) ** 2))
+    if w is None:
+        wk2 = np.exp(-(1j * np.pi * ((k ** 2) % (2 * m))) / m)
+    else:
+        wk2 = w ** (k ** 2 / 2.)
+    a = 1.0 * a
+    awk2 = a ** -k[:n] * wk2[:n]
+    nfft = _next_fast_len(n + m - 1)
+    fwk2 = np.fft.fft(1 / np.hstack((wk2[n - 1:0:-1], wk2[:m])), nfft)
+    x = np.swapaxes(x, axis, -1)
+    y = np.fft.ifft(fwk2 * np.fft.fft(x * awk2, nfft))
+    y = y[..., n - 1:n + m - 1] * wk2[:m]
+    return np.swapaxes(y, axis, -1)
+
 
 def _fourier_axis(values: np.ndarray, axis_nodes: np.ndarray,
                   tau_nodes: np.ndarray, axis: int) -> np.ndarray:
@@ -349,6 +385,23 @@ def _trace_floor(values: np.ndarray) -> float:
     return float(np.median(border))
 
 
+def _find_peaks(v: np.ndarray, height: float | None = None) -> np.ndarray:
+    """Indices of the local maxima of v, edges excluded.
+
+    A flat top counts once, at its middle sample (rounded down), as in
+    scipy.signal.find_peaks; height keeps the peaks with v[p] >= height.
+    """
+    v = np.asarray(v, dtype=float)
+    d = np.diff(v)
+    steps = np.flatnonzero(d)
+    up = d[steps] > 0
+    top = np.flatnonzero(up[:-1] & ~up[1:])
+    peaks = (steps[top] + 1 + steps[top + 1]) // 2
+    if height is not None:
+        peaks = peaks[v[peaks] >= height]
+    return peaks
+
+
 def oscillation_period(trace: ConditionalTrace) -> PeriodEstimate:
     """Dominant oscillation period of a trace, with a 0-1 confidence score.
 
@@ -361,11 +414,11 @@ def oscillation_period(trace: ConditionalTrace) -> PeriodEstimate:
     dt = trace.axis[1] - trace.axis[0]
     floor = _trace_floor(v)
     height = floor + 0.02 * (float(v.max()) - floor)
-    peaks, _ = find_peaks(v, height=height)
+    peaks = _find_peaks(v, height=height)
     spec = np.abs(np.fft.rfft(v - v.mean()))
     freqs = np.fft.rfftfreq(v.size, d=dt)
     spec[0] = 0.0
-    sp_peaks, _ = find_peaks(spec)
+    sp_peaks = _find_peaks(spec)
     if sp_peaks.size == 0:
         sp_peaks = np.array([int(np.argmax(spec))])
     order = sp_peaks[np.argsort(spec[sp_peaks])[::-1]]
@@ -387,7 +440,7 @@ def visibility(trace: ConditionalTrace) -> float:
     after the global peak."""
     v = trace.values
     i0 = int(np.argmax(v))
-    peaks, _ = find_peaks(v[i0 + 1:])
+    peaks = _find_peaks(v[i0 + 1:])
     if peaks.size == 0:
         raise EstimationError("trace has no full oscillation after the peak")
     i1 = i0 + 1 + int(peaks[0])

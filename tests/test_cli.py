@@ -1,9 +1,14 @@
 """End-to-end command-line surface, run in process."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import triphoton
 from triphoton.cli import main
 from triphoton.config import default_config, parse_config_text
 from triphoton.eventsim import EVENT_DTYPE
@@ -211,3 +216,13 @@ def test_report_json_strict_on_empty_stream(tmp_path):
         assert report[key] is None
         assert report[f"{key}_reason"]
     assert report["triplet_rate_per_min"] == 0.0
+
+
+def test_cli_import_loads_no_scipy():
+    """The package and its CLI run on numpy alone; scipy is a test oracle."""
+    code = ("import triphoton, triphoton.cli, sys; print(any(m == 'scipy' "
+            "or m.startswith('scipy.') for m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(triphoton.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

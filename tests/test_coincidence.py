@@ -1,9 +1,11 @@
 """Coincidence reconstruction, floor estimation and reporting."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from scipy.stats import norm, poisson
 
 from triphoton import coincidence
 from triphoton.errors import EstimationError, InvalidParameterError
@@ -356,3 +358,54 @@ def test_diagnose_trivial_cases():
     assert diagnose_crosscheck(_stream({1: [0], 2: [5]}))["flat"]
     assert diagnose_crosscheck(
         np.empty(0, dtype=EVENT_DTYPE))["flat"]
+
+
+@settings(max_examples=300)
+@given(st.floats(min_value=1e-3, max_value=1e4),
+       st.floats(min_value=-60.0, max_value=200.0))
+def test_poisson_tails_match_scipy(mu, offset):
+    """Both tails against scipy.stats, to 1e-10 relative, down to 1e-300."""
+    k = max(0, int(mu + offset * max(math.sqrt(mu), 1.0)))
+    lo, hi = coincidence._poisson_tails(k, mu)
+    for ours, ref in ((lo, poisson.cdf(k, mu)), (hi, poisson.sf(k, mu))):
+        if ref >= 1e-300:
+            assert ours == pytest.approx(ref, rel=1e-10, abs=0.0)
+        else:
+            assert ours < 1e-290
+
+
+def _scipy_crosscheck(stream):
+    """The scipy.stats form of diagnose_crosscheck, kept as its oracle."""
+    h = pairwise_histogram(stream, 3, 4, 195e-9, 0.25e-9)
+    mu = float(h.counts.mean())
+    p = min(float(poisson.sf(h.counts.max() - 1, mu)),
+            float(poisson.cdf(h.counts.min(), mu)))
+    return {"flat": p * 2 * h.counts.size >= 0.01,
+            "max_deviation_sigma": float(norm.isf(max(p, 1e-300)))}
+
+
+@settings(max_examples=20)
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.sampled_from([0.0, 0.0002, 0.0005, 0.002, 0.05]),
+       st.sampled_from([200.0, 2000.0, 20000.0]))
+def test_diagnose_matches_scipy_oracle(seed, echo_fraction, rate):
+    """Same flat verdict and z-score as the scipy.stats form, from flat
+    histograms to ones with an echo of channel 3 on channel 4."""
+    cfg = SourceConfig(triplet_rate=0.0,
+                       singles_rate=(0.0, 0.0, rate, rate), duration=20.0,
+                       seed=seed)
+    s = generate_stream(None, cfg)
+    rng = np.random.default_rng(seed)
+    t3 = s["timestamp_ps"][s["channel"] == 3]
+    t3 = t3[rng.random(t3.size) < echo_fraction]
+    echo = np.empty(t3.size, dtype=EVENT_DTYPE)
+    echo["timestamp_ps"] = t3 + 50_000
+    echo["channel"] = 4
+    echo["origin"] = 0
+    merged = np.concatenate([s, echo])
+    merged = merged[np.argsort(merged["timestamp_ps"], kind="stable")]
+    assume(pairwise_histogram(merged, 3, 4, 195e-9, 0.25e-9).counts.any())
+    ours, ref = diagnose_crosscheck(merged), _scipy_crosscheck(merged)
+    assert ours["flat"] == ref["flat"]
+    assert ours["max_deviation_sigma"] == pytest.approx(
+        ref["max_deviation_sigma"], rel=1e-9)

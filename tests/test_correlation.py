@@ -1,6 +1,8 @@
 """Correlation maps, transforms, traces and derived metrics."""
 import numpy as np
 import pytest
+import scipy.fft
+import scipy.signal
 from hypothesis import given, settings, strategies as st
 
 from triphoton.errors import (InvalidParameterError, RangeError,
@@ -10,6 +12,7 @@ from triphoton.constants import CONST
 from triphoton.susceptibility import (ComplexGrid2D, GridSpec2D,
                                       VelocityQuadrature, chi5_map,
                                       dispersion_profile)
+from triphoton import correlation
 from triphoton.correlation import (CorrelationMap, ConditionalTrace,
                                    cauchy_schwarz_factor,
                                    conditional_r2_closed,
@@ -288,3 +291,71 @@ def test_cauchy_schwarz_validation():
         cauchy_schwarz_factor(0.0, (1.0, 1.0, 1.0))
     with pytest.raises(InvalidParameterError):
         cauchy_schwarz_factor(1.0, (1.0, -1.0, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# numpy CZT and peak finder against their scipy.signal oracles
+# ---------------------------------------------------------------------------
+
+def test_next_fast_len_matches_scipy():
+    for n in range(1, 3001):
+        assert correlation._next_fast_len(n) == scipy.fft.next_fast_len(n), n
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=1, max_value=300),
+       st.integers(min_value=1, max_value=300),
+       st.integers(min_value=1, max_value=4),
+       st.sampled_from([0, 1, -1]),
+       st.sampled_from(["fourier-axis", "m-only", "defaults"]),
+       st.integers(min_value=0, max_value=10 ** 6))
+def test_czt_bit_identical_to_scipy(n, m, other, axis, mode, seed):
+    """Same operation order as scipy.signal.czt, so array_equal holds; the
+    chirp of the fourier-axis mode is the one _fourier_axis passes."""
+    rng = np.random.default_rng(seed)
+    shape = (n, other) if axis == 0 else (other, n)
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if mode == "fourier-axis":
+        ddel = rng.uniform(1e6, 1e9)
+        dtau = rng.uniform(1e-12, 1e-9)
+        tau0 = rng.uniform(-2e-8, 2e-8)
+        kw = dict(m=m, w=np.exp(1j * ddel * dtau), a=np.exp(-1j * ddel * tau0))
+    elif mode == "m-only":
+        kw = dict(m=m)
+    else:
+        kw = {}
+    ours = correlation.czt(x, axis=axis, **kw)
+    assert np.array_equal(ours, scipy.signal.czt(x, axis=axis, **kw))
+
+
+def test_czt_defaults_match_scipy():
+    x = np.ones(8, dtype=complex)
+    assert np.array_equal(correlation.czt(x), scipy.signal.czt(x))
+    x = np.arange(24.0).reshape(2, 3, 4)
+    for axis in (0, 1, 2, -1):
+        assert np.array_equal(correlation.czt(x, m=5, axis=axis),
+                              scipy.signal.czt(x, m=5, axis=axis))
+
+
+_traces = st.one_of(
+    st.lists(st.integers(min_value=0, max_value=3), max_size=40),
+    st.lists(st.floats(min_value=-1e3, max_value=1e3), max_size=40))
+
+
+@settings(max_examples=300)
+@given(_traces, st.one_of(st.none(), st.floats(min_value=-1e3, max_value=1e3)))
+def test_find_peaks_matches_scipy(values, height):
+    """Plateaus (integer traces have many ties), constant traces and traces
+    of length 0-2 included, with and without a height."""
+    v = np.array(values, dtype=float)
+    expected = scipy.signal.find_peaks(v, height=height)[0]
+    assert np.array_equal(correlation._find_peaks(v, height=height), expected)
+
+
+@pytest.mark.parametrize("values", [[], [1.0], [1.0, 2.0], [2.0] * 7,
+                                    [0, 1, 1, 0], [0, 1, 1, 1, 1, 0, 2, 2],
+                                    [3, 1, 2, 2, 2, 5, 5, 4]])
+def test_find_peaks_plateau_cases(values):
+    v = np.array(values, dtype=float)
+    assert np.array_equal(correlation._find_peaks(v),
+                          scipy.signal.find_peaks(v)[0])
