@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 import scipy.fft
 import scipy.signal
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from triphoton.errors import (InvalidParameterError, RangeError,
                               SamplingError)
@@ -344,18 +344,16 @@ _traces = st.one_of(
 
 @settings(max_examples=300)
 @given(_traces, st.one_of(st.none(), st.floats(min_value=-1e3, max_value=1e3)))
+@example([], None)
+@example([1.0], None)
+@example([1.0, 2.0], 0.0)
+@example([2.0] * 7, None)
+@example([0, 1, 1, 0], None)
+@example([0, 1, 1, 1, 1, 0, 2, 2], 0.5)
+@example([3, 1, 2, 2, 2, 5, 5, 4], 3.0)
 def test_find_peaks_matches_scipy(values, height):
     """Plateaus (integer traces have many ties), constant traces and traces
     of length 0-2 included, with and without a height."""
     v = np.array(values, dtype=float)
     expected = scipy.signal.find_peaks(v, height=height)[0]
     assert np.array_equal(correlation._find_peaks(v, height=height), expected)
-
-
-@pytest.mark.parametrize("values", [[], [1.0], [1.0, 2.0], [2.0] * 7,
-                                    [0, 1, 1, 0], [0, 1, 1, 1, 1, 0, 2, 2],
-                                    [3, 1, 2, 2, 2, 5, 5, 4]])
-def test_find_peaks_plateau_cases(values):
-    v = np.array(values, dtype=float)
-    assert np.array_equal(correlation._find_peaks(v),
-                          scipy.signal.find_peaks(v)[0])
