@@ -9,7 +9,7 @@ reference triphoton configuration).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi
+from math import isfinite, pi
 
 from .errors import ConfigError
 from .params import (DecayRates, DriveFields, VaporCell, ExperimentParams)
@@ -27,6 +27,14 @@ _RATE = {"/s": 1.0, "/min": 1.0 / 60.0, "/h": 1.0 / 3600.0, "Hz": 1.0}
 _DENSITY = {"m^-3": 1.0, "cm^-3": 1e6}
 
 
+def _finite(val, text, key):
+    """val, or a ConfigError if it is nan or infinite (also after a unit
+    conversion overflowed)."""
+    if not isfinite(val):
+        raise ConfigError(f"{text!r} is not a finite number", key=key)
+    return val
+
+
 def _unit(table):
     """Parser of '<number> <unit>' with the unit looked up in table."""
     def parse(text, key):
@@ -35,9 +43,10 @@ def _unit(table):
             raise ConfigError(
                 f"expected '<number> <unit>' with unit in {sorted(table)}", key=key)
         try:
-            return float(parts[0]) * table[parts[1]]
+            val = float(parts[0])
         except ValueError:
             raise ConfigError(f"bad number {parts[0]!r}", key=key)
+        return _finite(val * table[parts[1]], text, key)
     return parse
 
 
@@ -49,7 +58,7 @@ _parse_density = _unit(_DENSITY)
 
 def _parse_freq(text, key):
     """Linear frequency with unit -> angular rad/s (the x2pi convention)."""
-    return TWO_PI * _unit(_FREQ)(text, key)
+    return _finite(TWO_PI * _unit(_FREQ)(text, key), text, key)
 
 
 def _parse_power(text, key):
@@ -66,7 +75,7 @@ def _parse_temperature(text, key):
         val = float(parts[0])
     except ValueError:
         raise ConfigError(f"bad number {parts[0]!r}", key=key)
-    kelvin = val + 273.15 if parts[1] == "C" else val
+    kelvin = _finite(val + 273.15 if parts[1] == "C" else val, text, key)
     if not kelvin > 0:
         raise ConfigError(f"{text!r} is not above absolute zero", key=key)
     return kelvin
@@ -81,9 +90,15 @@ def _parse_int(text, key):
 
 def _parse_float(text, key):
     try:
-        return float(text)
+        val = float(text)
     except ValueError:
         raise ConfigError(f"expected number, got {text!r}", key=key)
+    return _finite(val, text, key)
+
+
+def _parse_quad_nodes(text, key):
+    """'exact' (closed-form Doppler integrals) or a midpoint node count."""
+    return text if text == "exact" else _bounded(_parse_int, 8)(text, key)
 
 
 def _choice(*options):
@@ -97,7 +112,8 @@ def _choice(*options):
 def _bounded(parser, low, high=None, strict=False):
     """parser plus a range check on the parsed value; None passes.
 
-    Every bound is 0, 1 or a count, so it reads the same in any unit.
+    Every bound is 0, 1, a count or a number of thermal widths, so it reads
+    the same in any unit.
     """
     def parse(text, key):
         val = parser(text, key)
@@ -150,13 +166,12 @@ REGISTRY = {
     "power2": (_nonnegative(_parse_power), "none"),
     "power3": (_nonnegative(_parse_power), "none"),
     # numerics
-    "quad_scheme": (_choice("uniform-riemann", "gauss-hermite"), "uniform-riemann"),
-    "quad_nodes": (_bounded(_parse_int, 8), "2001"),
-    "quad_range_sigmas": (_parse_float, "6.0"),
+    "quad_nodes": (_parse_quad_nodes, "exact"),
+    "quad_range_sigmas": (_bounded(_parse_float, 3), "6.0"),
     "spectral_n2": (_bounded(_parse_int, 2), "512"),
     "spectral_n3": (_bounded(_parse_int, 2), "512"),
-    "spectral_linewidth_multiple": (_parse_float, "8.0"),
-    "spectral_pad_fraction": (_parse_float, "0.25"),
+    "spectral_linewidth_multiple": (_positive(_parse_float), "8.0"),
+    "spectral_pad_fraction": (_nonnegative(_parse_float), "0.25"),
     "tau_max": (_positive(_parse_time), "20 ns"),
     "tau_points": (_bounded(_parse_int, 2), "128"),
     "map_range": (_positive(_parse_freq), "3 GHz"),
@@ -218,8 +233,12 @@ class RunConfig:
         return ExperimentParams(cell=cell, rates=rates, drive=drive)
 
     def quadrature(self) -> VelocityQuadrature:
+        """quad_nodes 'exact' is the closed-form scheme (its fallback keeps
+        the default node count); a number selects the midpoint rule."""
         v = self.values
-        return VelocityQuadrature(scheme=v["quad_scheme"],
+        if v["quad_nodes"] == "exact":
+            return VelocityQuadrature(range_sigmas=v["quad_range_sigmas"])
+        return VelocityQuadrature(scheme="uniform-riemann",
                                   node_count=v["quad_nodes"],
                                   range_sigmas=v["quad_range_sigmas"])
 

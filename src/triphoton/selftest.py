@@ -53,11 +53,22 @@ def _checks():
         return abs(slope + params.frame.omega42 / 299792458.0) < 1e-6
 
     def quadrature_oracle():
-        quad = VelocityQuadrature()
-        oracle = VelocityQuadrature(node_count=20000)
+        quad = VelocityQuadrature(scheme="uniform-riemann")
+        oracle = VelocityQuadrature(scheme="uniform-riemann", node_count=20000)
         x = chi5(1e8, -5e7, params, quad)
         y = chi5(1e8, -5e7, params, oracle)
         return abs(x - y) / abs(y) < 1e-6
+
+    def exact_oracle():
+        # (0, 0), one point on d2 = d3 (b2 turns linear) and one with d3 = 0
+        # (b3 turns linear)
+        d2 = np.array([0.0, 7e8, -4e8])
+        d3 = np.array([0.0, 7e8, 0.0])
+        oracle = VelocityQuadrature(scheme="uniform-riemann", node_count=20000,
+                                    range_sigmas=8.0)
+        x = chi5(d2, d3, params)
+        y = chi5(d2, d3, params, oracle)
+        return bool(np.all(np.abs(x - y) <= 1e-12 * np.abs(y)))
 
     def chi_s1_zero():
         return chi_linear_s1() == 0j
@@ -100,7 +111,8 @@ def _checks():
         ("emitted-offset sum rule", energy_conservation),
         ("resonance center pair symmetry", resonance_pairs),
         ("doppler detuning slopes", doppler_affine),
-        ("velocity quadrature vs 20k-node oracle", quadrature_oracle),
+        ("midpoint velocity quadrature vs 20k-node oracle", quadrature_oracle),
+        ("exact doppler integral vs 20k-node oracle", exact_oracle),
         ("chi_S1 identically zero", chi_s1_zero),
         ("cauchy-schwarz algebraic identity", cs_identity),
         ("optical depth reference calibration", od_reference),

@@ -40,7 +40,7 @@ def _report(num, ok, detail):
 def test_criterion_01_quadrature_fidelity(params, quad):
     """Default velocity quadrature matches a 20000-node uniform reference to
     1e-6 relative at 10 random spectral points, in under 30 s."""
-    oracle = VelocityQuadrature(node_count=20000)
+    oracle = VelocityQuadrature(scheme="uniform-riemann", node_count=20000)
     rng = np.random.default_rng(20240817)
     pts = rng.uniform(-2 * np.pi * 2e9, 2 * np.pi * 2e9, size=(10, 2))
     t0 = time.perf_counter()

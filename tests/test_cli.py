@@ -185,6 +185,9 @@ def _event_file(path, n):
     ("temperature = -300 C", "chi5-map"),
     ("bin = 0 ns", "analyze"),
     ("bin = 300 ns", "analyze"),   # valid alone, rejected against window
+    ("quad_range_sigmas = nan", "chi5-map"),
+    ("quad_range_sigmas = 2", "chi5-map"),
+    ("quad_scheme = gauss-hermite", "chi5-map"),   # the key is gone
 ])
 def test_bad_config_value_exit_code(tmp_path, capsys, line, command):
     cfg = tmp_path / "bad.cfg"

@@ -7,6 +7,7 @@ import pytest
 from triphoton.errors import ConfigError
 from triphoton.config import (REGISTRY, default_config, dump_defaults,
                               parse_config, parse_config_text)
+from triphoton.susceptibility import VelocityQuadrature
 
 TWO_PI = 2.0 * pi
 
@@ -89,7 +90,7 @@ def test_missing_equals_rejected():
 
 def test_choice_keys_validated():
     with pytest.raises(ConfigError):
-        parse_config_text("quad_scheme = simpson\n")
+        parse_config_text("group_delay_mode = frozen\n")
     with pytest.raises(ConfigError):
         parse_config_text("method = fastest\n")
     assert parse_config_text("dispersion = on\n")["dispersion"] == "on"
@@ -124,6 +125,46 @@ def test_quadrature_wiring():
     assert q.node_count == 501
     assert q.range_sigmas == 7.0
     assert q.scheme == "uniform-riemann"
+    assert default_config().quadrature() == VelocityQuadrature()
+    q = parse_config_text("quad_nodes = exact\nquad_range_sigmas = 7\n").quadrature()
+    assert (q.scheme, q.range_sigmas) == ("faddeeva", 7.0)
+
+
+@pytest.mark.parametrize("line", ["quad_nodes = 2001.0", "quad_nodes = Exact",
+                                  "quad_range_sigmas = 2", "spectral_linewidth_multiple = 0",
+                                  "spectral_pad_fraction = -0.1"])
+def test_numeric_bounds_name_the_key(line):
+    key = line.split()[0]
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("seed = 1\n" + line + "\n")
+    assert (err.value.key, err.value.line) == (key, 2)
+
+
+def _numeric_keys():
+    """(key, unit suffix) for every REGISTRY key that holds a number."""
+    for key, (_, text) in REGISTRY.items():
+        val = default_config()[key]
+        if key == "quad_nodes" or val is None or (
+                isinstance(val, (int, float)) and not isinstance(val, bool)):
+            unit = " mW" if val is None else "".join(" " + u for u in text.split()[1:])
+            yield key, unit
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_non_finite_numbers_rejected(bad):
+    keys = list(_numeric_keys())
+    assert len(keys) > 40
+    for key, unit in keys:
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(f"{key} = {bad}{unit}\n")
+        assert (err.value.key, err.value.line) == (key, 1)
+
+
+@pytest.mark.parametrize("line", ["delta1 = 1e300 GHz", "duration = 1e307 h",
+                                  "density = 1e305 cm^-3"])
+def test_unit_conversion_overflow_rejected(line):
+    with pytest.raises(ConfigError, match="not a finite number"):
+        parse_config_text(line + "\n")
 
 
 def test_source_config_wiring():

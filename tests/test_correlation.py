@@ -9,8 +9,7 @@ from triphoton.errors import (InvalidParameterError, RangeError,
                               SamplingError)
 from triphoton.params import resonance_set
 from triphoton.constants import CONST
-from triphoton.susceptibility import (ComplexGrid2D, GridSpec2D,
-                                      VelocityQuadrature, chi5_map,
+from triphoton.susceptibility import (ComplexGrid2D, GridSpec2D, chi5_map,
                                       dispersion_profile)
 from triphoton import correlation
 from triphoton.correlation import (CorrelationMap, ConditionalTrace,
@@ -53,10 +52,9 @@ def test_kernel_rejects_undersized_window(params, quad):
         spectral_kernel(spec, params, quad)
 
 
-def test_kernel_group_delay_phases_from_profiles(params):
+def test_kernel_group_delay_phases_from_profiles(params, quad):
     """The dispersive kernel against a reference built from
     DispersionProfile.v_at, for both group-delay modes."""
-    quad = VelocityQuadrature(node_count=201)
     spec = default_spectral_window(params, n2=12, n3=10)
     d2, d3 = spec.axes()
     profiles = {"S2": dispersion_profile("S2", np.linspace(spec.min1, spec.max1, 64),

@@ -3,7 +3,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from triphoton.constants import CONST
 from triphoton import susceptibility
@@ -22,53 +22,85 @@ from triphoton.susceptibility import (ComplexGrid2D, GridSpec2D,
 # chi5
 # ---------------------------------------------------------------------------
 
-def test_chi5_frozen_regression(params, quad):
-    """Pinned value at one reference spectral point (guards against silent
-    changes to the integrand, prefactor or quadrature)."""
-    val = chi5(1e8, -5e7, params, quad)
+MIDPOINT = VelocityQuadrature(scheme="uniform-riemann")
+EXACT = VelocityQuadrature(scheme="faddeeva")
+# the 20k-node oracle over +-8 sigma: its truncation and step errors are
+# below 1e-12 of chi5
+ORACLE = VelocityQuadrature(scheme="uniform-riemann", node_count=20000,
+                            range_sigmas=8.0)
+
+
+def test_chi5_frozen_regression(params):
+    """Pinned values at one reference spectral point for each scheme (guards
+    against silent changes to the integrand, prefactor or quadrature)."""
+    val = chi5(1e8, -5e7, params, MIDPOINT)
     assert val.real == pytest.approx(1.634757268166e-27, rel=1e-9)
     assert val.imag == pytest.approx(4.986281884354e-25, rel=1e-9)
+    val = chi5(1e8, -5e7, params, EXACT)
+    assert val.real == pytest.approx(1.6347572993288e-27, rel=1e-9)
+    assert val.imag == pytest.approx(4.9862819038337e-25, rel=1e-9)
 
 
-def test_chi5_scalar_array_consistency(params, quad):
+def test_default_quadrature_is_exact():
+    assert VelocityQuadrature() == EXACT
+
+
+def test_chi5_scalar_array_consistency(params):
     d2 = np.array([1e8, -3e8, 7e8])
     d3 = np.array([-5e7, 2e8, -1e8])
-    vec = chi5(d2, d3, params, quad)
-    for k in range(3):
-        assert vec[k] == chi5(float(d2[k]), float(d3[k]), params, quad)
+    for quad in (MIDPOINT, EXACT):
+        vec = chi5(d2, d3, params, quad)
+        for k in range(3):
+            assert vec[k] == chi5(float(d2[k]), float(d3[k]), params, quad)
 
 
-def test_chi5_map_pointwise(params, quad):
+def test_chi5_map_pointwise(params):
     spec = GridSpec2D(-1e9, 1e9, 4, -8e8, 8e8, 3)
-    grid = chi5_map(spec, params, quad)
     a2, a3 = spec.axes()
-    for i in range(4):
-        for j in range(3):
-            assert grid.values[i, j] == chi5(float(a2[i]), float(a3[j]),
-                                             params, quad)
+    for quad in (MIDPOINT, EXACT):
+        grid = chi5_map(spec, params, quad)
+        for i in range(4):
+            for j in range(3):
+                assert grid.values[i, j] == chi5(float(a2[i]), float(a3[j]),
+                                                 params, quad)
 
 
 @pytest.mark.parametrize("n3", [susceptibility._CHI5_BLOCK + 3,
                                 max(2, susceptibility._CHI5_BLOCK - 3)])
-def test_chi5_map_pointwise_partial_blocks(params, quad, n3):
+def test_chi5_map_pointwise_partial_blocks(params, n3, monkeypatch):
     """Map points equal scalar chi5 exactly when delta3 ends in a partial
-    block, or fits in less than one block."""
+    block, or fits in less than one block (of delta3 columns for the
+    midpoint rule, of delta2 rows for the exact scheme)."""
+    monkeypatch.setattr(susceptibility, "_EXACT_BLOCK", 2 * n3)
     spec = GridSpec2D(-2e9, 2e9, 3, -1e9, 1.5e9, n3)
-    grid = chi5_map(spec, params, quad)
     a2, a3 = spec.axes()
+    for quad in (MIDPOINT, EXACT):
+        grid = chi5_map(spec, params, quad)
+        for i in range(a2.size):
+            for j in range(n3):
+                assert grid.values[i, j] == chi5(float(a2[i]), float(a3[j]),
+                                                 params, quad)
+
+
+def test_chi5_exact_map_equals_scalar_on_a_square_grid(params):
+    """Every point of a grid with d2 = d3 on its diagonal and a d3 = 0
+    column, against scalar chi5 with ==."""
+    spec = GridSpec2D(-3e9, 3e9, 11, -3e9, 3e9, 11)
+    a2, a3 = spec.axes()
+    assert a3[5] == 0.0
+    grid = chi5_map(spec, params, EXACT).values
     for i in range(a2.size):
-        for j in range(n3):
-            assert grid.values[i, j] == chi5(float(a2[i]), float(a3[j]),
-                                             params, quad)
+        for j in range(a3.size):
+            assert grid[i, j] == chi5(float(a2[i]), float(a3[j]), params, EXACT)
 
 
-def test_chi5_map_matches_direct_integral(params, quad):
-    """The blocked map against the integrand summed over all nodes at once,
-    w / (b1 b2 b3); only the association of the products differs."""
+def test_chi5_map_matches_direct_integral(params):
+    """The blocked midpoint map against the integrand summed over all nodes
+    at once, w / (b1 b2 b3); only the association of the products differs."""
     spec = GridSpec2D(-2e9, 2e9, 5, -1e9, 1.5e9, 9)
     d2, d3 = (a[..., None] for a in np.meshgrid(*spec.axes(), indexing="ij"))
     r, drv = params.rates, params.drive
-    v, w = quad.nodes_weights(params)
+    v, w = MIDPOINT.nodes_weights(params)
     dd1, dd2, dd3 = doppler_detunings(v, drv, params.frame)
     wm, wp = 1.0 - v / CONST.c, 1.0 + v / CONST.c
     s = wm * d2 + wp * d3
@@ -77,20 +109,21 @@ def test_chi5_map_matches_direct_integral(params, quad):
     b3 = ((r.gamma11 + 1j * wp * d3) * (r.gamma41 + 1j * wp * d3 + 1j * dd3)
           + drv.omega3 ** 2)
     ref = susceptibility._chi5_prefactor(params) * (w / (b1 * b2 * b3)).sum(axis=-1)
-    got = chi5_map(spec, params, quad).values
+    got = chi5_map(spec, params, MIDPOINT).values
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_chi5_map_independent_of_block_size(params, quad, monkeypatch):
+def test_chi5_map_independent_of_block_size(params, monkeypatch):
     spec = GridSpec2D(-2e9, 2e9, 4, -1e9, 1.5e9, 13)
-    ref = chi5_map(spec, params, quad).values
-    for block in (1, 5, 64):
-        monkeypatch.setattr(susceptibility, "_CHI5_BLOCK", block)
-        assert np.array_equal(chi5_map(spec, params, quad).values, ref)
+    for quad, name in ((MIDPOINT, "_CHI5_BLOCK"), (EXACT, "_EXACT_BLOCK")):
+        ref = chi5_map(spec, params, quad).values
+        for block in (1, 5, 64):
+            monkeypatch.setattr(susceptibility, name, block)
+            assert np.array_equal(chi5_map(spec, params, quad).values, ref)
 
 
 class _NaNWeightQuadrature(VelocityQuadrature):
-    """Default rule with one poisoned weight, to force a non-finite sample."""
+    """Midpoint rule with one poisoned weight, to force a non-finite sample."""
 
     def nodes_weights(self, params):
         v, w = super().nodes_weights(params)
@@ -100,20 +133,101 @@ class _NaNWeightQuadrature(VelocityQuadrature):
 
 
 def test_chi5_map_non_finite_integrand_raises(params):
-    quad = _NaNWeightQuadrature()
+    quad = _NaNWeightQuadrature(scheme="uniform-riemann")
     spec = GridSpec2D(-2e9, 2e9, 3, -1e9, 1.5e9, susceptibility._CHI5_BLOCK + 2)
     with pytest.raises(NumericalDomainError) as err:
         chi5_map(spec, params, quad)
-    v, _ = VelocityQuadrature().nodes_weights(params)
+    v, _ = MIDPOINT.nodes_weights(params)
     assert err.value.offending_value == v[1200]
 
 
-def test_chi5_gauss_hermite_runs(params):
-    """The alternative scheme stays available even though it is not the
-    default (its nodes undersample the narrow velocity resonances)."""
-    gh = VelocityQuadrature(scheme="gauss-hermite", node_count=64)
-    val = chi5(1e8, -5e7, params, gh)
-    assert np.isfinite(val)
+# ---------------------------------------------------------------------------
+# exact Doppler integrals
+# ---------------------------------------------------------------------------
+
+def _pole_arguments(draw_re, draw_im):
+    """z = x + iy with |x| and y log-uniform over the pole arguments of the
+    chi5 maps: Re z from -1.4e12 to 1.3e11, Im z from 0.017 to 1.4e9."""
+    return st.builds(lambda s, a, b: complex(s * 10.0 ** a, 10.0 ** b),
+                     st.sampled_from([-1.0, 1.0]), draw_re, draw_im)
+
+
+@settings(max_examples=300)
+@given(st.lists(_pole_arguments(st.floats(-3.0, 12.2), st.floats(-2.0, 9.2)),
+                min_size=1, max_size=64))
+def test_faddeeva_matches_scipy(zs):
+    from scipy.special import wofz
+    z = np.array(zs)
+    ref = wofz(z)
+    assert np.all(np.abs(susceptibility._faddeeva_w(z) - ref) <= 1e-13 * np.abs(ref))
+
+
+# random points, then the adversarial ones: d2 = d3 (b2 turns linear),
+# d3 = 0 (b3 turns linear), both at once, and the two resonance regions
+_ORACLE_POINTS = np.concatenate([
+    np.random.default_rng(20241018).uniform(-2 * np.pi * 3e9, 2 * np.pi * 3e9,
+                                            size=(16, 2)),
+    [[0.0, 0.0], [7e8, 7e8], [-2.5e9, -2.5e9], [4e8, 0.0], [-1.2e10, 0.0],
+     [1e8, -5e7], [-9.4e8, 3.1e8]]])
+
+
+def test_chi5_exact_matches_oracle(params):
+    d2, d3 = _ORACLE_POINTS.T
+    x = chi5(d2, d3, params, EXACT)
+    y = chi5(d2, d3, params, ORACLE)
+    assert np.all(np.abs(x - y) <= 1e-12 * np.abs(y))
+
+
+@pytest.mark.parametrize("fn", [chi_linear_s2, chi_linear_s3])
+def test_chi_linear_exact_matches_oracle(params, fn):
+    """The S2 line has a velocity pole that crosses the real axis near
+    delta = -1.74e9 rad/s: 0.16 m/s off it at -1.7593e9, 0.018 m/s at
+    -1.7253e9.  A 20k-node rule over +-8 sigma (0.15 m/s steps) is 3e-5 off
+    at the first point, so the oracle takes 200k nodes, and 800k at the
+    second."""
+    oracle = VelocityQuadrature(scheme="uniform-riemann", node_count=200000,
+                                range_sigmas=8.0)
+    delta = np.concatenate([np.random.default_rng(7).uniform(
+        -2 * np.pi * 3e9, 2 * np.pi * 3e9, 24), [0.0, -1.7592918860e9, 1.0053e9]])
+    x = fn(delta, params, EXACT)
+    y = fn(delta, params, oracle)
+    assert np.all(np.abs(x - y) <= 1e-12 * np.abs(y))
+    assert fn(0.0, params, EXACT) == x[24]
+    fine = VelocityQuadrature(scheme="uniform-riemann", node_count=800000,
+                              range_sigmas=8.0)
+    x, y = fn(-1.7253045e9, params, EXACT), fn(-1.7253045e9, params, fine)
+    assert abs(x - y) <= 1e-12 * abs(y)
+
+
+def _coincident_pole_params(params):
+    """Parameters under which the b1 pole and the b3 pole coincide at
+    delta3 = 0: with Omega3 = 0, b3 = Gamma11 (Gamma41 + i DeltaD3) there,
+    whose root equals that of b1 = Gamma31 + i DeltaD1 once
+    Gamma31 / omega31 = Gamma41 / omega42 and Delta1 / omega31 = Delta3 / omega42."""
+    ratio = params.frame.omega31 / params.frame.omega42
+    return dataclasses.replace(
+        params,
+        rates=dataclasses.replace(params.rates, gamma31=params.rates.gamma41 * ratio),
+        drive=dataclasses.replace(params.drive, omega3=0.0,
+                                  delta1=params.drive.delta3 * ratio))
+
+
+def test_chi5_coincident_poles_fall_back(params):
+    coincident = _coincident_pole_params(params)
+    _, ok = susceptibility._doppler_average(
+        1.0, 0.0, ((1j * coincident.frame.omega31 / CONST.c,
+                    -(coincident.rates.gamma31 + 1j * coincident.drive.delta1)),
+                   (1j * coincident.frame.omega42 / CONST.c,
+                    -(coincident.rates.gamma41 + 1j * coincident.drive.delta3))),
+        coincident.sigma_v)
+    assert not ok
+    x = chi5(1e8, 0.0, coincident, EXACT)
+    assert np.isfinite(x)
+    assert x == chi5(1e8, 0.0, coincident, MIDPOINT)
+    y = chi5(1e8, 0.0, coincident, ORACLE)
+    assert abs(x - y) <= 1e-6 * abs(y)
+    grid = chi5_map(GridSpec2D(-1e8, 1e8, 3, -1e8, 1e8, 3), coincident, EXACT)
+    assert grid.values[2, 1] == x
 
 
 # ---------------------------------------------------------------------------
@@ -121,12 +235,14 @@ def test_chi5_gauss_hermite_runs(params):
 # ---------------------------------------------------------------------------
 
 def test_quadrature_validation():
-    with pytest.raises(InvalidParameterError):
-        VelocityQuadrature(scheme="simpson")
+    for scheme in ("simpson", "gauss-hermite"):
+        with pytest.raises(InvalidParameterError):
+            VelocityQuadrature(scheme=scheme)
     with pytest.raises(InvalidParameterError):
         VelocityQuadrature(node_count=4)
-    with pytest.raises(InvalidParameterError):
-        VelocityQuadrature(range_sigmas=2.0)
+    for sigmas in (2.0, np.nan, np.inf):
+        with pytest.raises(InvalidParameterError):
+            VelocityQuadrature(range_sigmas=sigmas)
 
 
 @given(st.integers(min_value=101, max_value=4001))
@@ -135,12 +251,6 @@ def test_quadrature_weights_normalized(params, n):
     assert v.size == n
     assert np.all(np.diff(v) > 0)
     assert w.sum() == pytest.approx(1.0, abs=1e-6)
-
-
-def test_gauss_hermite_weights_normalized(params):
-    _, w = VelocityQuadrature(scheme="gauss-hermite",
-                              node_count=64).nodes_weights(params)
-    assert w.sum() == pytest.approx(1.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
