@@ -199,7 +199,7 @@ REGISTRY = {
     "fiber_coupling": (_fraction(_parse_float), "1.0"),
     "jitter_sigma": (_parse_time, "0 ps"),
     "duration": (_positive(_parse_time), "3600 s"),
-    "seed": (_parse_int, "20240817"),
+    "seed": (_bounded(_parse_int, 0, 2 ** 64 - 1), "20240817"),
     # analysis
     "window": (_positive(_parse_time), "195 ns"),
     "bin": (_positive(_parse_time), "0.25 ns"),

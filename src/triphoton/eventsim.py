@@ -4,9 +4,13 @@ True triplets are drawn from a CorrelationMap used as a 2-D probability
 density over (tau21, tau31); on top of that the accidental sources the
 experiment suffers from are layered: uncorrelated singles, dual SFWM biphoton
 contamination, and dark counts.  Every click passes efficiency thinning and
-Gaussian timing jitter, then everything is merged, sorted and quantized to
-1 ps (finer than the recording card's 813 fs resolution is pointless, and
-1 ps keeps 64-bit integer arithmetic exact for over 100 days of stream).
+Gaussian timing jitter and is quantized to 1 ps (finer than the recording
+card's 813 fs resolution is pointless, and 1 ps keeps 64-bit integer
+arithmetic exact for over 100 days of stream).  Each source is sorted on its
+own, then the sources are merged one time window of about CHUNK events at a
+time, so no stream-sized sort temporary is ever built: generating the
+stream holds the sorted sources, the output and one window, 2.2-2.5 times
+the bytes of the stream itself.
 
 All randomness derives from a single 64-bit master seed through fixed
 per-source labels, so adding or removing one source never perturbs the
@@ -15,6 +19,7 @@ timestamps of another.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -34,6 +39,9 @@ EVENT_DTYPE = np.dtype([("timestamp_ps", "<u8"), ("channel", "u1"),
                         ("origin", "u1")])
 
 PS_PER_S = 1_000_000_000_000
+
+# events per efficiency or jitter draw, per order check and per merge window
+CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -58,8 +66,16 @@ class SourceConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise InvalidParameterError("duration must be > 0")
+        # the stamps are viewed as int64 downstream, the seed feeds a u64
+        if not (isfinite(self.duration) and
+                0 < self.duration * PS_PER_S < 2 ** 63):
+            raise InvalidParameterError(
+                f"duration {self.duration!r} s must be finite, > 0 and "
+                "below 2^63 ps")
+        if not (isinstance(self.seed, (int, np.integer))
+                and 0 <= self.seed < 2 ** 64):
+            raise InvalidParameterError(
+                f"seed {self.seed!r} must be an integer in [0, 2^64)")
         if self.triplet_rate < 0:
             raise InvalidParameterError("triplet_rate must be >= 0")
         for name in ("singles_rate", "dark_rate"):
@@ -119,84 +135,165 @@ def _poisson_times(rng: np.random.Generator, rate: float, duration: float):
     return np.sort(rng.random(n)) * duration
 
 
-def _finalize(times_s: np.ndarray, channels: np.ndarray, origins: np.ndarray,
-              cfg: SourceConfig, rng: np.random.Generator) -> np.ndarray:
-    """Thin by efficiency, add jitter, clip to the run and quantize one
-    source's clicks, left in input order; generate_stream sorts the merged
-    stream."""
-    if times_s.size == 0:
-        return np.empty(0, dtype=EVENT_DTYPE)
-    eff = np.asarray(cfg.detector_efficiency)[channels - 1] * cfg.fiber_coupling
-    keep = rng.random(times_s.size) < eff
-    times_s, channels, origins = times_s[keep], channels[keep], origins[keep]
-    if cfg.jitter_sigma > 0 and times_s.size:
-        times_s = times_s + rng.normal(0.0, cfg.jitter_sigma, times_s.size)
+def _first_out_of_order(ts, chunk=CHUNK):
+    """Index of the first timestamp earlier than its predecessor, or None.
+
+    Compares chunk by chunk, so the check needs a chunk-sized boolean
+    temporary, not a stream-sized one.
+    """
+    for start in range(0, ts.size - 1, chunk):
+        seg = ts[start:start + chunk + 1]
+        back = seg[1:] < seg[:-1]
+        if back.any():
+            return start + 1 + int(np.argmax(back))
+    return None
+
+
+def _triplet_clicks(rng, cfg: SourceConfig, cmap: CorrelationMap):
+    """Clicks on channels 1, 2, 3 at (t, t + tau21, t + tau31) per emission."""
+    t0 = _poisson_times(rng, cfg.triplet_rate, cfg.duration)
+    t21, t31 = _sample_triplet_delays(cmap, rng, t0.size)
+    t21 += t0
+    t31 += t0
+    times = np.concatenate([t0, t21, t31])
+    chans = np.repeat(np.array([1, 2, 3], dtype=np.uint8), t0.size)
+    return times, chans, np.full(times.size, ORIGIN_TRIPLET, dtype=np.uint8)
+
+
+def _channel_clicks(rng, cfg: SourceConfig, rate: float, ch: int, tag: int):
+    """Poisson clicks on one channel: singles or darks."""
+    times = _poisson_times(rng, rate, cfg.duration)
+    return (times, np.full(times.size, ch, dtype=np.uint8),
+            np.full(times.size, tag, dtype=np.uint8))
+
+
+def _dual_pair_clicks(rng, cfg: SourceConfig, pair_a, pair_b, rate: float,
+                      mean: float):
+    """Two independent biphoton streams, each pair split by an exponential
+    delay."""
+    times_list, chan_list = [], []
+    for (ch_first, ch_second) in (pair_a, pair_b):
+        t0 = _poisson_times(rng, rate, cfg.duration)
+        dt = rng.exponential(mean, t0.size)
+        dt += t0
+        times_list.extend([t0, dt])
+        chan_list.extend([np.full(t0.size, ch_first, dtype=np.uint8),
+                          np.full(t0.size, ch_second, dtype=np.uint8)])
+    times = np.concatenate(times_list)
+    return (times, np.concatenate(chan_list),
+            np.full(times.size, ORIGIN_DUAL_PAIR, dtype=np.uint8))
+
+
+def _finalize(cfg: SourceConfig, label: int, clicks, *args):
+    """One source's detected clicks as (timestamp_ps, channel, origin) arrays,
+    sorted stably by timestamp.
+
+    clicks(rng, cfg, *args) draws the source's raw (times [s], channels,
+    origins) with the generator of seed label `label`; only this frame holds
+    them, so each array dies as soon as its thinned or quantized successor
+    exists.  The clicks are thinned by efficiency, jittered, clipped to the
+    run and quantized to 1 ps.  The efficiency and jitter draws are taken
+    CHUNK at a time; PCG64 yields the same numbers as from one call.  A copy
+    is made only where a click is dropped, and the sort only where the
+    clicks are out of order: singles and darks without jitter never are.
+    """
+    rng = _rng(cfg.seed, label)
+    times_s, channels, origins = clicks(rng, cfg, *args)
+    n = times_s.size
+    eff = np.asarray(cfg.detector_efficiency) * cfg.fiber_coupling
+    keep = np.empty(n, dtype=bool)
+    for lo in range(0, n, CHUNK):
+        hi = min(lo + CHUNK, n)
+        keep[lo:hi] = rng.random(hi - lo) < eff[channels[lo:hi] - 1]
+    if not keep.all():
+        times_s, channels, origins = times_s[keep], channels[keep], origins[keep]
+    del keep
+    if cfg.jitter_sigma > 0:
+        for lo in range(0, times_s.size, CHUNK):
+            seg = times_s[lo:lo + CHUNK]
+            seg += rng.normal(0.0, cfg.jitter_sigma, seg.size)
     inside = (times_s >= 0) & (times_s < cfg.duration)
-    times_s, channels, origins = times_s[inside], channels[inside], origins[inside]
-    out = np.empty(times_s.size, dtype=EVENT_DTYPE)
-    out["timestamp_ps"] = np.rint(times_s * PS_PER_S).astype(np.uint64)
-    out["channel"] = channels
-    out["origin"] = origins
+    if not inside.all():
+        times_s, channels, origins = \
+            times_s[inside], channels[inside], origins[inside]
+    del inside
+    times_s *= PS_PER_S
+    np.rint(times_s, out=times_s)
+    ts = times_s.astype(np.uint64)
+    del times_s
+    if _first_out_of_order(ts) is not None:
+        order = np.argsort(ts, kind="stable")
+        ts, channels, origins = ts[order], channels[order], origins[order]
+    return ts, channels, origins
+
+
+def _merge(parts, window: int) -> np.ndarray:
+    """Stable merge of sorted (timestamp_ps, channel, origin) parts into one
+    EVENT_DTYPE stream.
+
+    The time axis up to the largest stamp is cut into about total / window
+    equal windows.  Each window's slices of the parts are concatenated in
+    part order, stable-argsorted and gathered into the preallocated output.
+    Equal stamps always share a window, so ties break by part order, then by
+    position within the part: the order of one stable argsort of all parts
+    concatenated, without its stream-sized key, index and gather copies.
+    """
+    total = sum(ts.size for ts, _, _ in parts)
+    out = np.empty(total, dtype=EVENT_DTYPE)
+    if total == 0:
+        return out
+    end = max(int(ts[-1]) for ts, _, _ in parts if ts.size) + 1
+    n_win = -(-total // window)
+    edges = np.array([end * k // n_win for k in range(n_win + 1)],
+                     dtype=np.uint64)
+    cuts = [np.searchsorted(ts, edges) for ts, _, _ in parts]
+    pos = 0
+    for k in range(n_win):
+        slices = [slice(c[k], c[k + 1]) for c in cuts]
+        key = np.concatenate([p[0][s] for p, s in zip(parts, slices)])
+        order = np.argsort(key, kind="stable")
+        stop = pos + key.size
+        out["timestamp_ps"][pos:stop] = key[order]
+        for field, col in (("channel", 1), ("origin", 2)):
+            out[field][pos:stop] = np.concatenate(
+                [p[col][s] for p, s in zip(parts, slices)])[order]
+        pos = stop
     return out
 
 
 def generate_stream(cmap: CorrelationMap | None, cfg: SourceConfig) -> np.ndarray:
     """Synthesize the full detection stream for one run.
 
-    Returns a structured array (EVENT_DTYPE) sorted by timestamp.  Triplet
+    Returns a structured array (EVENT_DTYPE) sorted stably by timestamp, ties
+    in source order: triplets, singles, darks, dual pairs.  Triplet
     emissions are a homogeneous Poisson process; each emission puts clicks at
     (t, t + tau21, t + tau31) on channels 1, 2, 3 with the delays drawn from
     the map.  Dual-pair entries place two independent biphoton streams with
     exponential intra-pair delay.  Singles and darks are independent Poisson
-    per channel.  Deterministic given cfg.seed.
+    per channel.  Each source is finalized and sorted on its own, then the
+    sources are merged window by window (_merge).  Deterministic given
+    cfg.seed.
     """
     parts = []
     # triplets (label 0)
     if cfg.triplet_rate > 0:
         if cmap is None:
             raise InvalidParameterError("triplet_rate > 0 requires a correlation map")
-        rng = _rng(cfg.seed, 0)
-        t0 = _poisson_times(rng, cfg.triplet_rate, cfg.duration)
-        t21, t31 = _sample_triplet_delays(cmap, rng, t0.size)
-        times = np.concatenate([t0, t0 + t21, t0 + t31])
-        chans = np.concatenate([np.full(t0.size, 1, dtype=np.uint8),
-                                np.full(t0.size, 2, dtype=np.uint8),
-                                np.full(t0.size, 3, dtype=np.uint8)])
-        origins = np.full(times.size, ORIGIN_TRIPLET, dtype=np.uint8)
-        parts.append(_finalize(times, chans, origins, cfg, rng))
+        parts.append(_finalize(cfg, 0, _triplet_clicks, cmap))
     # singles (labels 10+ch) and darks (labels 200+ch)
     for base, rates, tag in ((10, cfg.singles_rate, ORIGIN_SINGLE),
                              (200, cfg.dark_rate, ORIGIN_DARK)):
         for ch in (1, 2, 3, 4):
             rate = rates[ch - 1]
-            if rate <= 0:
-                continue
-            rng = _rng(cfg.seed, base + ch)
-            times = _poisson_times(rng, rate, cfg.duration)
-            chans = np.full(times.size, ch, dtype=np.uint8)
-            origins = np.full(times.size, tag, dtype=np.uint8)
-            parts.append(_finalize(times, chans, origins, cfg, rng))
+            if rate > 0:
+                parts.append(_finalize(cfg, base + ch, _channel_clicks,
+                                       rate, ch, tag))
     # dual-pair SFWM contamination (labels 100+k)
     for k, (pair_a, pair_b, rate, mean) in enumerate(cfg.dual_pair_rates):
-        if rate <= 0:
-            continue
-        rng = _rng(cfg.seed, 100 + k)
-        times_list, chan_list = [], []
-        for (ch_first, ch_second) in (pair_a, pair_b):
-            t0 = _poisson_times(rng, rate, cfg.duration)
-            dt = rng.exponential(mean, t0.size)
-            times_list.extend([t0, t0 + dt])
-            chan_list.extend([np.full(t0.size, ch_first, dtype=np.uint8),
-                              np.full(t0.size, ch_second, dtype=np.uint8)])
-        times = np.concatenate(times_list)
-        chans = np.concatenate(chan_list)
-        origins = np.full(times.size, ORIGIN_DUAL_PAIR, dtype=np.uint8)
-        parts.append(_finalize(times, chans, origins, cfg, rng))
-    if not parts:
-        return np.empty(0, dtype=EVENT_DTYPE)
-    stream = np.concatenate(parts)
-    stream = stream[np.argsort(stream["timestamp_ps"], kind="stable")]
-    return stream
+        if rate > 0:
+            parts.append(_finalize(cfg, 100 + k, _dual_pair_clicks,
+                                   pair_a, pair_b, rate, mean))
+    return _merge(parts, CHUNK)
 
 
 def diagnose_stream(cfg: SourceConfig) -> np.ndarray:
@@ -205,9 +302,5 @@ def diagnose_stream(cfg: SourceConfig) -> np.ndarray:
     Uses the channel-4 singles rate; statistically independent of channels
     1-3 by construction (its own seeded stream).
     """
-    rate = cfg.singles_rate[3]
-    rng = _rng(cfg.seed, 14)
-    times = _poisson_times(rng, rate, cfg.duration)
-    chans = np.full(times.size, 4, dtype=np.uint8)
-    origins = np.full(times.size, ORIGIN_SINGLE, dtype=np.uint8)
-    return _finalize(times, chans, origins, cfg, rng)
+    return _merge([_finalize(cfg, 14, _channel_clicks, cfg.singles_rate[3],
+                             4, ORIGIN_SINGLE)], CHUNK)

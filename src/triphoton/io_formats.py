@@ -7,6 +7,9 @@ followed by fixed 16-byte records
   timestamp_ps (u64) | channel (u8) | flags (u8) | 6 reserved bytes.
 Records are sorted by timestamp.  The flags byte carries the simulation
 origin tag only when exported with keep_origin (debug); otherwise zero.
+Files are written and read RECORD_CHUNK records at a time, so beside the
+in-memory stream the I/O holds one 16 MB record buffer, never a file-sized
+copy.
 
 Grid CSVs: '#'-prefixed comment lines with axis names, units, sizes,
 normalization scale and parameter hash, then rows "axis1,axis2,real,imag"
@@ -16,12 +19,13 @@ significant digits so a read-write-read round trip is bit-exact.
 """
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
 
 from .errors import ConfigError, InvalidParameterError
-from .eventsim import EVENT_DTYPE
+from .eventsim import EVENT_DTYPE, _first_out_of_order
 from .susceptibility import ComplexGrid2D
 
 MAGIC = b"TPE1"
@@ -30,6 +34,8 @@ HEADER_LEN = 32
 _HEADER_STRUCT = struct.Struct("<4sHHQQH6x")
 _RECORD_DTYPE = np.dtype([("timestamp_ps", "<u8"), ("channel", "u1"),
                           ("flags", "u1"), ("reserved", "V6")])
+# records per read or write: the memory the I/O needs beside the stream
+RECORD_CHUNK = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -38,34 +44,23 @@ _RECORD_DTYPE = np.dtype([("timestamp_ps", "<u8"), ("channel", "u1"),
 
 def write_events(path, stream: np.ndarray, seed: int, duration_ps: int,
                  channel_count: int = 4, keep_origin: bool = False) -> None:
-    """Write a time-sorted event stream to a TPE1 file."""
-    ts = stream["timestamp_ps"]
-    if _first_out_of_order(ts) is not None:
+    """Write a time-sorted event stream to a TPE1 file, RECORD_CHUNK records
+    at a time through one reused record buffer."""
+    if _first_out_of_order(stream["timestamp_ps"]) is not None:
         raise InvalidParameterError("stream must be sorted by timestamp")
-    rec = np.zeros(stream.size, dtype=_RECORD_DTYPE)
-    rec["timestamp_ps"] = ts
-    rec["channel"] = stream["channel"]
-    if keep_origin:
-        rec["flags"] = stream["origin"]
     header = _HEADER_STRUCT.pack(MAGIC, VERSION, HEADER_LEN, seed,
                                  duration_ps, channel_count)
+    buf = np.zeros(min(stream.size, RECORD_CHUNK), dtype=_RECORD_DTYPE)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(rec.data)
-
-
-def _first_out_of_order(ts, chunk=1 << 20):
-    """Index of the first timestamp earlier than its predecessor, or None.
-
-    Compares chunk by chunk, so the check needs a chunk-sized boolean
-    temporary, not a file-sized one.
-    """
-    for start in range(0, ts.size - 1, chunk):
-        seg = ts[start:start + chunk + 1]
-        back = seg[1:] < seg[:-1]
-        if back.any():
-            return start + 1 + int(np.argmax(back))
-    return None
+        for start in range(0, stream.size, RECORD_CHUNK):
+            part = stream[start:start + RECORD_CHUNK]
+            rec = buf[:part.size]
+            rec["timestamp_ps"] = part["timestamp_ps"]
+            rec["channel"] = part["channel"]
+            if keep_origin:
+                rec["flags"] = part["origin"]
+            fh.write(rec.data)
 
 
 def read_events(path):
@@ -73,42 +68,55 @@ def read_events(path):
 
     The stream is an EVENT_DTYPE structured array with the flags byte mapped
     back onto the origin field (zero when origins were stripped on export).
-    Raises ConfigError for a malformed file: bad magic, version or header
-    length, a truncated record section, records out of time order, a channel
-    outside 1..channel_count, or records under a header duration_ps of 0.
+    The records are read RECORD_CHUNK at a time into one reused buffer and
+    checked chunk by chunk.  Raises ConfigError for a malformed file: bad
+    magic, version or header length, a truncated record section, records
+    out of time order, a channel outside 1..channel_count, or records under
+    a header duration_ps of 0.  A record error names the record's index in
+    the file.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < HEADER_LEN:
-        raise ConfigError(f"event file too short: {path}")
-    magic, version, header_len, seed, duration_ps, channel_count = \
-        _HEADER_STRUCT.unpack(raw[:_HEADER_STRUCT.size])
-    if magic != MAGIC:
-        raise ConfigError(f"bad magic in event file {path}: {magic!r}")
-    if version != VERSION:
-        raise ConfigError(f"unsupported event file version {version}")
-    if header_len != HEADER_LEN:
-        raise ConfigError(f"event file {path}: header_len {header_len}, "
-                          f"version {VERSION} requires {HEADER_LEN}")
-    if (len(raw) - header_len) % _RECORD_DTYPE.itemsize:
-        raise ConfigError(f"truncated record section in {path}")
-    rec = np.frombuffer(raw, dtype=_RECORD_DTYPE, offset=header_len)
-    if rec.size and duration_ps == 0:
-        raise ConfigError(f"event file {path} holds {rec.size} records "
-                          "but a header duration_ps of 0")
-    ch = rec["channel"]
-    if rec.size and (ch.min() < 1 or ch.max() > channel_count):
-        k = int(np.flatnonzero((ch < 1) | (ch > channel_count))[0])
-        raise ConfigError(f"event file {path}: record {k} has channel {ch[k]}, "
-                          f"outside 1..{channel_count}")
-    k = _first_out_of_order(rec["timestamp_ps"])
-    if k is not None:
-        raise ConfigError(f"event file {path}: record {k} is earlier than "
-                          f"record {k - 1}; records must be sorted by timestamp")
-    stream = np.empty(rec.size, dtype=EVENT_DTYPE)
-    stream["timestamp_ps"] = rec["timestamp_ps"]
-    stream["channel"] = rec["channel"]
-    stream["origin"] = rec["flags"]
+        raw = fh.read(HEADER_LEN)
+        if len(raw) < HEADER_LEN:
+            raise ConfigError(f"event file too short: {path}")
+        magic, version, header_len, seed, duration_ps, channel_count = \
+            _HEADER_STRUCT.unpack(raw)
+        if magic != MAGIC:
+            raise ConfigError(f"bad magic in event file {path}: {magic!r}")
+        if version != VERSION:
+            raise ConfigError(f"unsupported event file version {version}")
+        if header_len != HEADER_LEN:
+            raise ConfigError(f"event file {path}: header_len {header_len}, "
+                              f"version {VERSION} requires {HEADER_LEN}")
+        n, tail = divmod(os.fstat(fh.fileno()).st_size - HEADER_LEN,
+                         _RECORD_DTYPE.itemsize)
+        if tail:
+            raise ConfigError(f"truncated record section in {path}")
+        if n and duration_ps == 0:
+            raise ConfigError(f"event file {path} holds {n} records "
+                              "but a header duration_ps of 0")
+        stream = np.empty(n, dtype=EVENT_DTYPE)
+        buf = np.empty(min(n, RECORD_CHUNK), dtype=_RECORD_DTYPE)
+        last = 0
+        for start in range(0, n, RECORD_CHUNK):
+            rec = buf[:min(RECORD_CHUNK, n - start)]
+            if fh.readinto(rec.view(np.uint8)) != rec.nbytes:
+                raise ConfigError(f"truncated record section in {path}")
+            ch, ts = rec["channel"], rec["timestamp_ps"]
+            if ch.min() < 1 or ch.max() > channel_count:
+                k = int(np.flatnonzero((ch < 1) | (ch > channel_count))[0])
+                raise ConfigError(f"event file {path}: record {start + k} has "
+                                  f"channel {ch[k]}, outside 1..{channel_count}")
+            k = 0 if ts[0] < last else _first_out_of_order(ts)
+            if k is not None:
+                raise ConfigError(
+                    f"event file {path}: record {start + k} is earlier than "
+                    f"record {start + k - 1}; records must be sorted by timestamp")
+            last = ts[-1]
+            out = stream[start:start + rec.size]
+            out["timestamp_ps"] = ts
+            out["channel"] = ch
+            out["origin"] = rec["flags"]
     header = {"version": version, "seed": seed, "duration_ps": duration_ps,
               "channel_count": channel_count}
     return stream, header

@@ -38,9 +38,13 @@ def _report(num, ok, detail):
 
 
 def test_criterion_01_quadrature_fidelity(params, quad):
-    """Default velocity quadrature matches a 20000-node uniform reference to
-    1e-6 relative at 10 random spectral points, in under 30 s."""
-    oracle = VelocityQuadrature(scheme="uniform-riemann", node_count=20000)
+    """Default velocity quadrature matches a 20000-node uniform reference over
+    +-8 thermal widths to 1e-6 relative at 10 random spectral points, in
+    under 30 s.  At +-8 widths the reference is itself within 1e-12, so the
+    reading is the default scheme's error, not the truncation of the
+    reference (3.3e-8 at +-6 widths)."""
+    oracle = VelocityQuadrature(scheme="uniform-riemann", node_count=20000,
+                                range_sigmas=8)
     rng = np.random.default_rng(20240817)
     pts = rng.uniform(-2 * np.pi * 2e9, 2 * np.pi * 2e9, size=(10, 2))
     t0 = time.perf_counter()

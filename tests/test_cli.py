@@ -199,6 +199,25 @@ def test_bad_config_value_exit_code(tmp_path, capsys, line, command):
     assert line.split()[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, config, name", [
+    (["--seed", "-1"], "", "seed"),
+    (["--seed", str(2 ** 64)], "", "seed"),
+    ([], "seed = -1\n", "seed"),
+    (["--duration", "nan"], "", "duration"),
+    (["--duration", "inf"], "", "duration"),
+], ids=["seed-negative", "seed-2^64", "config-seed-negative", "duration-nan",
+        "duration-inf"])
+def test_simulate_bad_seed_or_duration_exit_code(tmp_path, capsys, args,
+                                                 config, name):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "run.tpe1"
+    assert main(["simulate", "--config", str(cfg), *args,
+                 "--out", str(out)]) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_event_file_exit_code(tmp_path, capsys):
     missing = tmp_path / "absent.tpe1"
     assert main(["analyze", str(missing), "--out", str(tmp_path / "o")]) == 2

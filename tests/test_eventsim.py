@@ -1,14 +1,19 @@
 """Monte Carlo event stream generation."""
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from triphoton.config import default_config, parse_config_text
+from triphoton import eventsim
 from triphoton.errors import InvalidParameterError
 from triphoton.susceptibility import ComplexGrid2D
 from triphoton.correlation import CorrelationMap
 from triphoton.eventsim import (EVENT_DTYPE, ORIGIN_DARK, ORIGIN_DUAL_PAIR,
                                 ORIGIN_SINGLE, ORIGIN_TRIPLET, PS_PER_S,
-                                SourceConfig, diagnose_stream,
+                                SourceConfig, _merge, diagnose_stream,
                                 generate_stream, sample_triplet_delays)
 
 
@@ -155,6 +160,84 @@ def test_empty_configuration_yields_empty_stream():
     assert s.size == 0 and s.dtype == EVENT_DTYPE
 
 
+# stream bytes before the windowed merge, sha256 of generate_stream(...).tobytes()
+_PINNED_STREAMS = {
+    "default-mix-60s": (
+        lambda: default_config().source_config(duration=60.0),
+        "6c413bb4eef3887de20b6e64021044cbdb9b7066258d52a1b94acf7fd496bc23"),
+    "dense-1s": (
+        lambda: parse_config_text(
+            "triplet_rate = 20000 /s\nsingles_rate_ch1 = 20000 /s\n"
+            "singles_rate_ch2 = 20000 /s\nsingles_rate_ch3 = 20000 /s\n"
+            "singles_rate_ch4 = 0 /s\n").source_config(duration=1.0),
+        "1f3aed8379e877968609bb2af90d76f3fc9e2f6c8a9ff1a027a2c83ff726fb5b"),
+    "jitter-thinned": (
+        lambda: SourceConfig(triplet_rate=300.0,
+                             singles_rate=(400.0, 300.0, 200.0, 100.0),
+                             dual_pair_rates=(((1, 2), (2, 3), 500.0, 1e-6),),
+                             dark_rate=(50.0,) * 4,
+                             detector_efficiency=(0.9, 0.8, 0.7, 0.6),
+                             fiber_coupling=0.85, jitter_sigma=50e-12,
+                             duration=20.0, seed=99),
+        "da5d5c61657b7a930665dd8a74e6f7804c120863431031f81eaf6adb90cb6c45"),
+}
+
+
+@pytest.mark.parametrize("chunk", [1 << 20, 4096])
+@pytest.mark.parametrize("name", sorted(_PINNED_STREAMS))
+def test_stream_bytes_pinned(name, chunk, monkeypatch):
+    """Per-source sorting and the windowed merge reproduce, byte for byte,
+    the stream of one global stable sort.  The streams are 55k-480k events:
+    one merge window at the default chunk, 14-118 windows (and chunked
+    efficiency and jitter draws) at 4096."""
+    monkeypatch.setattr(eventsim, "CHUNK", chunk)
+    make_cfg, digest = _PINNED_STREAMS[name]
+    stream = generate_stream(_toy_cmap(), make_cfg())
+    assert hashlib.sha256(stream.tobytes()).hexdigest() == digest
+
+
+@st.composite
+def _sorted_parts(draw):
+    """Sorted (timestamp_ps, channel, origin) parts with many equal stamps
+    within and across parts; the channel numbers each event's position."""
+    high = draw(st.sampled_from([0, 3, 1000, 2 ** 63 - 2]))
+    parts = []
+    for k in range(draw(st.integers(0, 5))):
+        ts = np.sort(np.array(draw(st.lists(st.integers(0, high), max_size=40)),
+                              dtype=np.uint64))
+        parts.append((ts, np.arange(ts.size, dtype=np.uint8),
+                      np.full(ts.size, k, dtype=np.uint8)))
+    return parts
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sorted_parts(), st.integers(1, 250))
+def test_windowed_merge_equals_global_stable_sort(parts, window):
+    cat = np.empty(sum(p[0].size for p in parts), dtype=EVENT_DTYPE)
+    if parts:
+        for field, col in (("timestamp_ps", 0), ("channel", 1), ("origin", 2)):
+            cat[field] = np.concatenate([p[col] for p in parts])
+    expect = cat[np.argsort(cat["timestamp_ps"], kind="stable")]
+    assert _merge(parts, window).tobytes() == expect.tobytes()
+
+
+def test_generate_stream_peak_memory():
+    """The reference mix (600 s, 4.8M events) peaks at <= 3.2x the stream's
+    own bytes: the sorted sources plus the output and one merge window, with
+    no stream-sized sort key, index or gather copy."""
+    cmap = _toy_cmap()
+    cfg = default_config().source_config(duration=600.0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        stream = generate_stream(cmap, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert stream.size > 4_500_000
+    assert peak <= 3.2 * stream.nbytes, f"{peak / stream.nbytes:.2f}x"
+
+
 # ---------------------------------------------------------------------------
 # triplet delay sampling
 # ---------------------------------------------------------------------------
@@ -222,6 +305,13 @@ def test_source_config_validation():
         SourceConfig(fiber_coupling=1.5)
     with pytest.raises(InvalidParameterError):
         SourceConfig(dual_pair_rates=(((1, 2), (3, 4), 10.0, 0.0),))
+    for duration in (float("nan"), float("inf"), -1.0, 2.0 ** 63 / PS_PER_S):
+        with pytest.raises(InvalidParameterError, match="duration"):
+            SourceConfig(duration=duration)
+    for seed in (-1, 2 ** 64, 1.5):
+        with pytest.raises(InvalidParameterError, match="seed"):
+            SourceConfig(seed=seed)
+    SourceConfig(seed=2 ** 64 - 1)
 
 
 def test_triplets_require_map():

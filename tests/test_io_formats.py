@@ -1,6 +1,7 @@
 """Binary event files and CSV grid serialization."""
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,102 @@ def test_truncated_file_rejected(tmp_path):
     (tmp_path / "tiny.tpe1").write_bytes(raw[:10])
     with pytest.raises(ConfigError):
         io_formats.read_events(tmp_path / "tiny.tpe1")
+
+
+@pytest.fixture(params=[1, 3, 7])
+def record_chunk(request, monkeypatch):
+    """Chunked TPE1 I/O with chunks of 1, 3 and 7 records; the 20-record
+    files below then end in a partial chunk."""
+    monkeypatch.setattr(io_formats, "RECORD_CHUNK", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("keep_origin", [True, False])
+def test_chunked_round_trip(tmp_path, record_chunk, keep_origin):
+    s = _stream(20, seed=9)
+    path = tmp_path / "run.tpe1"
+    io_formats.write_events(path, s, seed=3, duration_ps=10 ** 12,
+                            keep_origin=keep_origin)
+    back, _ = io_formats.read_events(path)
+    expect = s.copy()
+    if not keep_origin:
+        expect["origin"] = 0
+    assert back.tobytes() == expect.tobytes()
+    rec = np.frombuffer(path.read_bytes(), dtype=io_formats._RECORD_DTYPE,
+                        offset=32)
+    assert np.array_equal(rec["timestamp_ps"], s["timestamp_ps"])
+    assert np.array_equal(rec["flags"], expect["origin"])
+    assert not any(rec["reserved"].tobytes())
+
+
+def _patched_on_disk(path, index, field, value):
+    raw = bytearray(path.read_bytes())
+    rec = np.frombuffer(raw, dtype=io_formats._RECORD_DTYPE, offset=32)
+    rec[field][index] = value
+    path.write_bytes(bytes(raw))
+
+
+def _spaced_file(path):
+    """20 records, 10 ps apart."""
+    s = _stream(20, seed=10)
+    s["timestamp_ps"] = 10 * np.arange(1, 21)
+    io_formats.write_events(path, s, seed=0, duration_ps=10 ** 12)
+    return s
+
+
+def test_chunked_out_of_order_at_chunk_start(tmp_path, record_chunk):
+    """The only step back is between the last record of one chunk and the
+    first of the next."""
+    path = tmp_path / "back.tpe1"
+    s = _spaced_file(path)
+    k = 2 * record_chunk
+    _patched_on_disk(path, k, "timestamp_ps", s["timestamp_ps"][k - 1] - 1)
+    with pytest.raises(ConfigError,
+                       match=f"record {k} is earlier than record {k - 1};"):
+        io_formats.read_events(path)
+
+
+def test_chunked_bad_channel_in_last_chunk(tmp_path, record_chunk):
+    path = tmp_path / "ch.tpe1"
+    _spaced_file(path)
+    _patched_on_disk(path, 19, "channel", 9)
+    with pytest.raises(ConfigError, match="record 19 has channel 9"):
+        io_formats.read_events(path)
+
+
+def test_chunked_truncated_and_empty(tmp_path, record_chunk):
+    path = tmp_path / "run.tpe1"
+    _spaced_file(path)
+    (tmp_path / "cut.tpe1").write_bytes(path.read_bytes()[:-7])
+    with pytest.raises(ConfigError, match="truncated"):
+        io_formats.read_events(tmp_path / "cut.tpe1")
+    empty = tmp_path / "empty.tpe1"
+    io_formats.write_events(empty, np.empty(0, dtype=EVENT_DTYPE), seed=0,
+                            duration_ps=0)
+    back, header = io_formats.read_events(empty)
+    assert back.size == 0 and header["duration_ps"] == 0
+
+
+def test_event_file_io_peak_memory(tmp_path):
+    """Writing and reading 4.8M events (the 600 s reference mix) takes at
+    most 24 MB beside the stream: one record chunk, no file-sized copy."""
+    s = _stream(4_800_000, seed=12)
+    path = tmp_path / "big.tpe1"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        io_formats.write_events(path, s, seed=0, duration_ps=10 ** 12)
+        write_peak = tracemalloc.get_traced_memory()[1] - base
+        del s
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        back, _ = io_formats.read_events(path)
+        read_peak = tracemalloc.get_traced_memory()[1] - base - back.nbytes
+    finally:
+        tracemalloc.stop()
+    assert back.size == 4_800_000
+    assert write_peak <= 24e6, f"write: {write_peak / 1e6:.1f} MB"
+    assert read_peak <= 24e6, f"read: {read_peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
