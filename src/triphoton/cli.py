@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -54,11 +55,11 @@ def _correlation_map(cfg: RunConfig, params):
     spec = _spectral_spec(cfg, params)
     tau = GridSpec2D(0.0, cfg["tau_max"], cfg["tau_points"],
                      0.0, cfg["tau_max"], cfg["tau_points"])
-    return triphoton_amplitude_map(
-        tau, params, quad, spec, method="transform",
-        profiles=_profiles(cfg, params, spec) if cfg["dispersion"] == "on" else None,
-        phase_convention=cfg["phase_convention"],
-        group_delay_mode=cfg["group_delay_mode"])
+    kernel = spectral_kernel(
+        spec, params, quad,
+        _profiles(cfg, params, spec) if cfg["dispersion"] == "on" else None,
+        cfg["phase_convention"], cfg["group_delay_mode"])
+    return triphoton_amplitude_map(tau, params, quad, kernel)
 
 
 def cmd_chi5_map(args) -> int:
@@ -216,20 +217,29 @@ def sweep_rate(cfg: RunConfig, params, spec, quad) -> float:
     return float(scale * np.sum(np.abs(kern.values) ** 2) * dd2 * dd3)
 
 
-def _parse_power_arg(text: str) -> float:
-    text = text.strip()
-    for suffix, mult in (("mW", 1e-3), ("uW", 1e-6), ("W", 1.0)):
-        if text.endswith(suffix):
-            return float(text[: -len(suffix)].strip()) * mult
-    return float(text)
+def _parse_power_arg(flag: str, text: str) -> float:
+    """A power in W, or in mW, uW or W with the unit suffixed."""
+    num, mult = text.strip(), 1.0
+    for suffix, m in (("mW", 1e-3), ("uW", 1e-6), ("W", 1.0)):
+        if num.endswith(suffix):
+            num, mult = num[: -len(suffix)].strip(), m
+            break
+    try:
+        value = float(num) * mult
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"sweep {flag} needs a finite power such as 40mW, "
+                          f"got {text!r}")
+    return value
 
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
     if args.param != "power2":
         raise ConfigError(f"sweep supports only --param power2, got {args.param}")
-    lo = _parse_power_arg(args.start)
-    hi = _parse_power_arg(args.stop)
+    lo = _parse_power_arg("--from", args.start)
+    hi = _parse_power_arg("--to", args.stop)
     if args.steps < 2 or not hi > lo > 0:
         raise ConfigError("sweep needs --steps >= 2 and 0 < from < to")
     powers = np.linspace(lo, hi, args.steps)

@@ -157,12 +157,10 @@ def pairwise_histogram(stream: np.ndarray, start_ch: int, stop_ch: int,
                        start_ch=start_ch, stop_ch=stop_ch)
 
 
-def _triple_match(s2: np.ndarray, t2: np.ndarray, s3: np.ndarray,
-                  t3: np.ndarray, w_ps: int, b_ps: int) -> np.ndarray:
-    """2-D all-stop histogram of (t2 - s2, t3 - s3) delays within the window.
+def _triple_match(t1: np.ndarray, t2: np.ndarray, t3: np.ndarray,
+                  w_ps: int, b_ps: int) -> np.ndarray:
+    """2-D all-stop histogram of (t2 - t1, t3 - t1) delays within the window.
 
-    s2 and s3 are one start series, each as paired with its stop channel:
-    the same clicks for the direct matcher, shifted copies for the circuit.
     A delay counts when its bin lies inside the grid, i.e. it is below
     nbins * b_ps; the rest of a window that is not a whole number of bins
     is dropped.
@@ -176,13 +174,13 @@ def _triple_match(s2: np.ndarray, t2: np.ndarray, s3: np.ndarray,
     """
     nbins = w_ps // b_ps
     counts = np.zeros(nbins * nbins, dtype=np.int64)
-    if not (s2.size and t2.size and t3.size):
+    if not (t1.size and t2.size and t3.size):
         return counts.reshape(nbins, nbins)
     span = nbins * b_ps
-    keep, lo2, n2 = _stop_ranges(s2, t2, span)
-    s2, s3 = s2[keep], s3[keep]
-    keep, lo3, n3 = _stop_ranges(s3, t3, span)
-    s2, lo2, n2, s3 = s2[keep], lo2[keep], n2[keep], s3[keep]
+    keep, lo2, n2 = _stop_ranges(t1, t2, span)
+    t1 = t1[keep]
+    keep, lo3, n3 = _stop_ranges(t1, t3, span)
+    t1, lo2, n2 = t1[keep], lo2[keep], n2[keep]
     ends = np.cumsum(n2 * n3)
     i = 0
     while i < ends.size:
@@ -191,8 +189,8 @@ def _triple_match(s2: np.ndarray, t2: np.ndarray, s3: np.ndarray,
                 i + 1)
         o2, k2 = _expand(n2[i:j])
         o3, k3 = _expand(n3[i:j])
-        rows = (t2[lo2[i:j][o2] + k2] - s2[i:j][o2]) // b_ps * nbins
-        cols = (t3[lo3[i:j][o3] + k3] - s3[i:j][o3]) // b_ps
+        rows = (t2[lo2[i:j][o2] + k2] - t1[i:j][o2]) // b_ps * nbins
+        cols = (t3[lo3[i:j][o3] + k3] - t1[i:j][o3]) // b_ps
         # each (start, stop2) pair meets every channel-3 stop of its start
         b3 = n3[i:j]
         first3 = (np.cumsum(b3) - b3)[o2]
@@ -203,6 +201,19 @@ def _triple_match(s2: np.ndarray, t2: np.ndarray, s3: np.ndarray,
     return counts.reshape(nbins, nbins)
 
 
+def _reconstruct(stream, window, bin_width, duration, method):
+    w_ps, b_ps = _window_bin_ps(window, bin_width)
+    counts = _triple_match(_channel_times(stream, 1), _channel_times(stream, 2),
+                           _channel_times(stream, 3), w_ps, b_ps)
+    axis = (np.arange(w_ps // b_ps) + 0.5) * b_ps / PS_PER_S
+    if duration is None:
+        duration = float(stream["timestamp_ps"].max()) / PS_PER_S if stream.size else 0.0
+    return CoincidenceHistogram2D(tau21_axis=axis, tau31_axis=axis.copy(),
+                                  counts=counts, window=window,
+                                  bin_width=bin_width, duration=duration,
+                                  method=method)
+
+
 def reconstruct_triple_direct(stream: np.ndarray, window: float = 195e-9,
                               bin_width: float = 0.25e-9,
                               duration: float | None = None) -> CoincidenceHistogram2D:
@@ -211,11 +222,7 @@ def reconstruct_triple_direct(stream: np.ndarray, window: float = 195e-9,
     For each channel-1 click, every (channel-2, channel-3) pair within the
     window contributes one count at (tau21, tau31).
     """
-    w_ps, b_ps = _window_bin_ps(window, bin_width)
-    t1 = _channel_times(stream, 1)
-    counts = _triple_match(t1, _channel_times(stream, 2),
-                           t1, _channel_times(stream, 3), w_ps, b_ps)
-    return _wrap_hist(counts, stream, window, bin_width, duration, "direct-3fold")
+    return _reconstruct(stream, window, bin_width, duration, "direct-3fold")
 
 
 def reconstruct_triple_delayed(stream: np.ndarray, window: float = 195e-9,
@@ -226,32 +233,15 @@ def reconstruct_triple_delayed(stream: np.ndarray, window: float = 195e-9,
 
     The channel-1 click fans out into an undelayed start (paired with
     channel-2 stops, giving tau21) and a copy delayed by delay_offset paired
-    with equally delayed channel-3 stops (giving tau31 after the offset
-    cancels); (tau21, tau31) pairs sharing one start increment the histogram.
+    with equally delayed channel-3 stops (giving tau31); (tau21, tau31) pairs
+    sharing one start increment the histogram.  Delaying a start and its
+    channel-3 stops by the same whole number of picoseconds changes neither
+    their order nor their difference, so the offset cancels exactly and the
+    circuit counts what the direct matcher counts.
     """
-    w_ps, b_ps = _window_bin_ps(window, bin_width)
-    off_ps = int(round(delay_offset * PS_PER_S))
-    if off_ps < 0:
+    if round(delay_offset * PS_PER_S) < 0:
         raise InvalidParameterError("delay_offset must be >= 0")
-    t1 = _channel_times(stream, 1)
-    # the delayed start series pairs with the equally delayed channel-3 series
-    counts = _triple_match(t1, _channel_times(stream, 2),
-                           t1 + off_ps, _channel_times(stream, 3) + off_ps,
-                           w_ps, b_ps)
-    return _wrap_hist(counts, stream, window, bin_width, duration,
-                      "delayed-pairwise")
-
-
-def _wrap_hist(counts, stream, window, bin_width, duration, method):
-    w_ps, b_ps = _window_bin_ps(window, bin_width)
-    nbins = w_ps // b_ps
-    axis = (np.arange(nbins) + 0.5) * b_ps / PS_PER_S
-    if duration is None:
-        duration = float(stream["timestamp_ps"].max()) / PS_PER_S if stream.size else 0.0
-    return CoincidenceHistogram2D(tau21_axis=axis, tau31_axis=axis.copy(),
-                                  counts=counts, window=window,
-                                  bin_width=bin_width, duration=duration,
-                                  method=method)
+    return _reconstruct(stream, window, bin_width, duration, "delayed-pairwise")
 
 
 # ---------------------------------------------------------------------------

@@ -224,13 +224,8 @@ def _nyquist_check(spec_axis: np.ndarray, tau_axis: np.ndarray, name: str):
 # ---------------------------------------------------------------------------
 
 def triphoton_amplitude_map(tau_spec: GridSpec2D, params: ExperimentParams,
-                            quad: VelocityQuadrature = VelocityQuadrature(),
-                            spectral_spec: GridSpec2D | None = None,
-                            method: str = "transform",
-                            kernel: ComplexGrid2D | None = None,
-                            profiles: dict | None = None,
-                            phase_convention: str = "si-eq-s8",
-                            group_delay_mode: str = "local") -> CorrelationMap:
+                            quad: VelocityQuadrature, kernel: ComplexGrid2D,
+                            method: str = "transform") -> CorrelationMap:
     """Triphoton amplitude A3(tau21, tau31), peak-normalized.
 
     A3 = double integral of the spectral kernel times
@@ -241,16 +236,11 @@ def triphoton_amplitude_map(tau_spec: GridSpec2D, params: ExperimentParams,
     coincidence histograms.  method 'direct' performs the
     Riemann double sum explicitly; 'transform' evaluates the identical sum
     with a chirp-z transform, so the two agree to machine precision by
-    default.  A precomputed kernel grid may be injected via `kernel` (used by
-    the analytic-oracle tests).
+    default.  kernel is the spectral kernel grid, as built by
+    spectral_kernel; params and quad only feed the map's params_hash.
     """
     if method not in ("direct", "transform"):
         raise InvalidParameterError(f"unknown method '{method}'")
-    if kernel is None:
-        if spectral_spec is None:
-            spectral_spec = default_spectral_window(params)
-        kernel = spectral_kernel(spectral_spec, params, quad, profiles,
-                                 phase_convention, group_delay_mode)
     tau21, tau31 = tau_spec.axes()
     _nyquist_check(kernel.axis1, tau21, "delta2")
     _nyquist_check(kernel.axis2, tau31, "delta3")
@@ -275,13 +265,7 @@ def triphoton_amplitude_map(tau_spec: GridSpec2D, params: ExperimentParams,
                           params_hash=params_hash(params, tau_spec, quad))
 
 
-def conditional_r2_closed(tau23_axis, params: ExperimentParams,
-                          quad: VelocityQuadrature = VelocityQuadrature(),
-                          spectral_spec: GridSpec2D | None = None,
-                          kernel: ComplexGrid2D | None = None,
-                          profiles: dict | None = None,
-                          phase_convention: str = "si-eq-s8",
-                          group_delay_mode: str = "local") -> ConditionalTrace:
+def conditional_r2_closed(tau23_axis, kernel: ComplexGrid2D) -> ConditionalTrace:
     """Closed-form conditional two-photon rate R2(tau23), unit-normalized.
 
     R2 = integral over delta3 of |integral over delta2 of the spectral kernel
@@ -290,11 +274,6 @@ def conditional_r2_closed(tau23_axis, params: ExperimentParams,
     sign matches triphoton_amplitude_map.
     """
     tau23 = np.asarray(tau23_axis, dtype=float)
-    if kernel is None:
-        if spectral_spec is None:
-            spectral_spec = default_spectral_window(params)
-        kernel = spectral_kernel(spectral_spec, params, quad, profiles,
-                                 phase_convention, group_delay_mode)
     _nyquist_check(kernel.axis1, tau23, "delta2")
     dd2 = kernel.axis1[1] - kernel.axis1[0]
     dd3 = kernel.axis2[1] - kernel.axis2[0]

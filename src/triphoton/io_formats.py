@@ -36,6 +36,8 @@ _RECORD_DTYPE = np.dtype([("timestamp_ps", "<u8"), ("channel", "u1"),
                           ("flags", "u1"), ("reserved", "V6")])
 # records per read or write: the memory the I/O needs beside the stream
 RECORD_CHUNK = 1 << 20
+# first timestamp the reader rejects: the matcher reads stamps as int64
+_STAMP_LIMIT = np.uint64(1 << 63)
 
 
 # ---------------------------------------------------------------------------
@@ -71,9 +73,9 @@ def read_events(path):
     The records are read RECORD_CHUNK at a time into one reused buffer and
     checked chunk by chunk.  Raises ConfigError for a malformed file: bad
     magic, version or header length, a truncated record section, records
-    out of time order, a channel outside 1..channel_count, or records under
-    a header duration_ps of 0.  A record error names the record's index in
-    the file.
+    out of time order, a channel outside 1..channel_count, a timestamp at or
+    above 2^63 ps, or records under a header duration_ps of 0.  A record
+    error names the record's index in the file.
     """
     with open(path, "rb") as fh:
         raw = fh.read(HEADER_LEN)
@@ -113,6 +115,11 @@ def read_events(path):
                     f"event file {path}: record {start + k} is earlier than "
                     f"record {start + k - 1}; records must be sorted by timestamp")
             last = ts[-1]
+            if last >= _STAMP_LIMIT:
+                # the chunk is sorted, so its stamps past the limit are a tail
+                k = int(np.searchsorted(ts, _STAMP_LIMIT))
+                raise ConfigError(f"event file {path}: record {start + k} has "
+                                  f"timestamp {ts[k]} ps, at or above 2^63 ps")
             out = stream[start:start + rec.size]
             out["timestamp_ps"] = ts
             out["channel"] = ch

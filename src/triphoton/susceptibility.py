@@ -299,9 +299,11 @@ def _chi5_prefactor(params: ExperimentParams) -> float:
             * d.overall_scale_A / (cst.eps0 * cst.hbar ** 5))
 
 
-# delta3 values per block of the chi5 kernel.  At the default 2001 velocity
-# nodes each (block, node) complex temporary is 8 x 2001 x 16 B = 256 KB, so
-# a block's working set stays in cache while every delta2 row passes over it.
+# delta3 values per block of the midpoint-rule chi5 map, which serves the
+# quick-look configs with quad_nodes = 201 and the oracles of the exact
+# scheme.  Each (block, node) complex temporary is 8 x 201 x 16 B = 25 KB at
+# 201 nodes and 256 KB at 2001, so a block's working set stays in cache while
+# every delta2 row passes over it.
 _CHI5_BLOCK = 8
 
 

@@ -139,7 +139,7 @@ def test_criterion_04_conditional_pair_rate(params, quad, kernel1024):
     """The closed-form conditional pair rate matches the correlation map
     marginalized over the third photon's delay to 1e-3 relative."""
     tau23 = np.linspace(0.0, 50e-9, 128)
-    closed = conditional_r2_closed(tau23, params, quad, kernel=kernel1024)
+    closed = conditional_r2_closed(tau23, kernel=kernel1024)
     tau = GridSpec2D(0.0, 50e-9, 128, 0.0, 160e-9, 640)
     cmap = triphoton_amplitude_map(tau, params, quad, method="transform",
                                    kernel=kernel1024)
@@ -277,14 +277,13 @@ def test_criterion_09_determinism_round_trips(params, quad, tmp_path):
     """Identical seeds give byte-identical outputs and every file format
     round-trips losslessly."""
     tau = GridSpec2D(0.0, 10e-9, 12, 0.0, 10e-9, 12)
-    spec = GridSpec2D(-2e9, 2e9, 24, -2e9, 2e9, 24)
     rng = np.random.default_rng(5)
     kern = ComplexGrid2D(axis1=np.linspace(-2e9, 2e9, 24),
                          axis2=np.linspace(-2e9, 2e9, 24),
                          values=rng.normal(size=(24, 24))
                          + 1j * rng.normal(size=(24, 24)))
-    m1 = triphoton_amplitude_map(tau, params, quad, spec, kernel=kern)
-    m2 = triphoton_amplitude_map(tau, params, quad, spec, kernel=kern)
+    m1 = triphoton_amplitude_map(tau, params, quad, kernel=kern)
+    m2 = triphoton_amplitude_map(tau, params, quad, kernel=kern)
     same_map = m1.grid.values.tobytes() == m2.grid.values.tobytes()
     cfg = SourceConfig(triplet_rate=5.0, singles_rate=(100.0,) * 4,
                        dark_rate=(20.0,) * 4, duration=30.0, seed=99)

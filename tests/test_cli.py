@@ -142,7 +142,7 @@ def test_sweep_command(small_cfg, tmp_path):
     assert powers == pytest.approx([5e-3, 22.5e-3, 40e-3])
 
 
-def test_sweep_rejects_bad_arguments(small_cfg, tmp_path):
+def test_sweep_rejects_bad_arguments(small_cfg, tmp_path, capsys):
     out = str(tmp_path / "s.csv")
     assert main(["sweep", "--config", small_cfg, "--param", "power3",
                  "--from", "5mW", "--to", "40mW", "--out", out]) == 2
@@ -151,6 +151,15 @@ def test_sweep_rejects_bad_arguments(small_cfg, tmp_path):
     assert main(["sweep", "--config", small_cfg, "--param", "power2",
                  "--from", "5mW", "--to", "40mW", "--steps", "1",
                  "--out", out]) == 2
+    capsys.readouterr()
+    # a power that is not a number, or not finite, names its flag
+    for flag, value in (("--from", "abc"), ("--from", "5kW"),
+                        ("--to", "inf"), ("--to", "1e400mW")):
+        powers = {"--from": "5mW", "--to": "40mW", flag: value}
+        assert main(["sweep", "--config", small_cfg, "--param", "power2",
+                     "--from", powers["--from"], "--to", powers["--to"],
+                     "--out", out]) == 2
+        assert f"sweep {flag} " in capsys.readouterr().err
 
 
 def test_bad_config_exit_code(tmp_path):
@@ -216,6 +225,19 @@ def test_simulate_bad_seed_or_duration_exit_code(tmp_path, capsys, args,
                  "--out", str(out)]) == 2
     assert name in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_timestamp_at_2_63_exit_code(tmp_path, capsys):
+    """A stamp past the int64 range is a bad input, not a matcher crash."""
+    s = np.zeros(3001, dtype=EVENT_DTYPE)
+    s["timestamp_ps"][:3000] = np.arange(3000) * 10 ** 6
+    s["channel"][:3000] = np.arange(3000) % 4 + 1
+    s[3000] = (2 ** 63 + 5, 2, 0)
+    path = tmp_path / "late.tpe1"
+    io_formats.write_events(path, s, seed=0, duration_ps=10 ** 12)
+    assert main(["analyze", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "record 3000" in err
 
 
 def test_missing_event_file_exit_code(tmp_path, capsys):

@@ -152,7 +152,7 @@ def test_map_is_peak_normalized(params, quad, kernel512):
 def test_conditional_r2_matches_brute_force(params, quad):
     kern = _random_kernel(11, n=12, dd=1.5e8)
     tau23 = np.linspace(0.0, 10e-9, 9)
-    closed = conditional_r2_closed(tau23, params, quad, kernel=kern)
+    closed = conditional_r2_closed(tau23, kernel=kern)
     dd2 = kern.axis1[1] - kern.axis1[0]
     dd3 = kern.axis2[1] - kern.axis2[0]
     brute = np.zeros(tau23.size)

@@ -207,6 +207,18 @@ def test_chunked_bad_channel_in_last_chunk(tmp_path, record_chunk):
         io_formats.read_events(path)
 
 
+def test_chunked_timestamp_at_2_63_rejected(tmp_path, record_chunk):
+    """2^63 - 1 ps is the last stamp an int64 holds; the first record at or
+    above 2^63 ps is named, whichever chunk it falls in."""
+    path = tmp_path / "late.tpe1"
+    _spaced_file(path)
+    for k, stamp in ((17, 2 ** 63 - 1), (18, 2 ** 63), (19, 2 ** 63 + 5)):
+        _patched_on_disk(path, k, "timestamp_ps", stamp)
+    with pytest.raises(ConfigError,
+                       match=f"record 18 has timestamp {2 ** 63} ps"):
+        io_formats.read_events(path)
+
+
 def test_chunked_truncated_and_empty(tmp_path, record_chunk):
     path = tmp_path / "run.tpe1"
     _spaced_file(path)
