@@ -22,7 +22,7 @@ from .config import parse_config, default_config, dump_defaults, RunConfig
 from .susceptibility import GridSpec2D, chi5_map, dispersion_profile
 from .correlation import (default_spectral_window, spectral_kernel,
                           triphoton_amplitude_map, trace_map, diagonal_cut)
-from .eventsim import generate_stream
+from .eventsim import PS_PER_S, generate_stream
 from .coincidence import (reconstruct_triple_direct, reconstruct_triple_delayed,
                           estimate_floor, rates_report)
 from . import io_formats
@@ -133,7 +133,7 @@ def cmd_simulate(args) -> int:
     cmap = _correlation_map(cfg, params) if scfg.triplet_rate > 0 else None
     stream = generate_stream(cmap, scfg)
     io_formats.write_events(args.out, stream, seed=scfg.seed,
-                            duration_ps=int(round(scfg.duration * 1e12)),
+                            duration_ps=int(round(scfg.duration * PS_PER_S)),
                             keep_origin=args.keep_origin)
     print(f"simulate: {stream.size} events over {scfg.duration:.0f} s "
           f"(seed {scfg.seed}), wrote {args.out}")
@@ -171,7 +171,7 @@ def _strict_json(rep: dict) -> dict:
 def cmd_analyze(args) -> int:
     cfg = _load(args)
     stream, header = io_formats.read_events(args.eventfile)
-    duration = header["duration_ps"] / 1e12
+    duration = header["duration_ps"] / PS_PER_S
     method = args.method or cfg["method"]
     if method == "delayed":
         hist = reconstruct_triple_delayed(stream, cfg["window"], cfg["bin"],
@@ -202,7 +202,7 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def sweep_rate(cfg: RunConfig, params, spec, quad) -> float:
+def sweep_rate(params, spec, quad) -> float:
     """Integrated triplet generation rate, arbitrary units.
 
     The emitted amplitude is proportional to the field-2 amplitude times the
@@ -252,7 +252,7 @@ def cmd_sweep(args) -> int:
     rates = []
     for p in powers:
         params = dataclasses.replace(base, drive=base.drive.with_power2(float(p)))
-        rates.append(sweep_rate(cfg, params, spec, quad))
+        rates.append(sweep_rate(params, spec, quad))
     rates = np.asarray(rates)
     coeff = np.polyfit(powers, rates, 1)
     resid = rates - np.polyval(coeff, powers)

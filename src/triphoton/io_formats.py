@@ -74,8 +74,9 @@ def read_events(path):
     checked chunk by chunk.  Raises ConfigError for a malformed file: bad
     magic, version or header length, a truncated record section, records
     out of time order, a channel outside 1..channel_count, a timestamp at or
-    above 2^63 ps, or records under a header duration_ps of 0.  A record
-    error names the record's index in the file.
+    above 2^63 ps, a timestamp after the header duration_ps, or records
+    under a header duration_ps of 0.  A record error names the record's
+    index in the file.
     """
     with open(path, "rb") as fh:
         raw = fh.read(HEADER_LEN)
@@ -124,6 +125,13 @@ def read_events(path):
             out["timestamp_ps"] = ts
             out["channel"] = ch
             out["origin"] = rec["flags"]
+    if last > duration_ps:
+        # the records are sorted, so the late ones are a tail
+        ts = stream["timestamp_ps"]
+        k = int(np.searchsorted(ts, duration_ps, side="right"))
+        raise ConfigError(f"event file {path}: record {k} has timestamp "
+                          f"{ts[k]} ps, after the header duration_ps "
+                          f"{duration_ps}")
     header = {"version": version, "seed": seed, "duration_ps": duration_ps,
               "channel_count": channel_count}
     return stream, header

@@ -229,21 +229,18 @@ class ExperimentParams:
 
 
 def default_params(temperature_K: float = 353.15) -> ExperimentParams:
-    """The reference parameter set (hot-cell triphoton configuration).
+    """The reference parameter set (hot-cell triphoton configuration): the
+    default config's parameters, at temperature_K.
 
     Gamma31 = Gamma41 = 2pi x 6 MHz, Gamma11 = Gamma22 = 0.4 Gamma41,
     Gamma21 = 0.2 Gamma41, Gamma42 = Gamma41 (not independently specified);
     Delta1 = -2 GHz, Delta2 = -150 MHz, Delta3 = 50 MHz;
     Omega1 = 300 MHz, Omega2 = 870 MHz, Omega3 = 533 MHz.
     """
-    g41 = TWO_PI * 6e6
-    rates = DecayRates(gamma31=g41, gamma41=g41, gamma21=0.2 * g41,
-                       gamma11=0.4 * g41, gamma22=0.4 * g41, gamma42=g41)
-    drive = DriveFields(delta1=-TWO_PI * 2e9, delta2=-TWO_PI * 150e6,
-                        delta3=TWO_PI * 50e6, omega1=TWO_PI * 300e6,
-                        omega2=TWO_PI * 870e6, omega3=TWO_PI * 533e6)
-    cell = VaporCell(temperature=temperature_K, length_L=0.07, density_N=1.2e17)
-    return ExperimentParams(cell=cell, rates=rates, drive=drive)
+    from .config import default_config   # config imports this module
+    params = default_config().experiment_params()
+    return dataclasses.replace(
+        params, cell=dataclasses.replace(params.cell, temperature=temperature_K))
 
 
 # ---------------------------------------------------------------------------

@@ -299,76 +299,67 @@ def _chi5_prefactor(params: ExperimentParams) -> float:
             * d.overall_scale_A / (cst.eps0 * cst.hbar ** 5))
 
 
-# delta3 values per block of the midpoint-rule chi5 map, which serves the
-# quick-look configs with quad_nodes = 201 and the oracles of the exact
-# scheme.  Each (block, node) complex temporary is 8 x 201 x 16 B = 25 KB at
-# 201 nodes and 256 KB at 2001, so a block's working set stays in cache while
-# every delta2 row passes over it.
+# delta3 columns per block of the midpoint-rule chi5 grid, which serves the
+# quick-look configs with quad_nodes = 201, the oracles of the exact scheme
+# and its fallback points.  w / (b1 b3) is built once per column block; each
+# block of delta2 rows then holds at most _CHI5_PAIRS (point, node) pairs,
+# 256 KB of complex temporaries, so its working set stays in cache.  At 201
+# nodes a row block holds 10 rows, which saves the Python calls one row each
+# would take; at 2001 it holds one.  Wider blocks, of columns or of rows,
+# leave the cache and run 1.7-3x slower at 2001 nodes.
 _CHI5_BLOCK = 8
+_CHI5_PAIRS = 1 << 14
 
 
-class _Chi5Integrand:
-    """Velocity factors of the chi5 integrand for one (params, quad) pair.
+def _chi5_grid(d2_axis, d3_axis, params: ExperimentParams,
+               quad: VelocityQuadrature):
+    """chi5 over the (d2_axis, d3_axis) grid by the midpoint rule.
 
-    w / (b1 b3) and W+ delta3 do not depend on delta2, so they are built once
-    per block of delta3 values (d3_block); each delta2 then only adds b2
-    (rows).  chi5 and chi5_map run the same elementwise operations on
-    (point, node) arrays, so a map point equals the scalar value exactly,
-    whatever the block size.
+    Every point runs the same elementwise operations on its own (node,)
+    slice whatever the block shapes, so a point of any grid equals the same
+    point evaluated as a 1 x 1 grid.
     """
-
-    def __init__(self, params: ExperimentParams, quad: VelocityQuadrature):
-        r, drv = params.rates, params.drive
-        self.v, self.w = quad.nodes_weights(params)
-        dd1, dd2, self.dd3 = doppler_detunings(self.v, drv, params.frame)
-        self.wm = 1.0 - self.v / CONST.c
-        self.wp = 1.0 + self.v / CONST.c
-        self.b1 = r.gamma31 + 1j * dd1
-        self.jdd2 = 1j * dd2
-        self.rates = r
-        self.om2 = np.abs(drv.omega2) ** 2
-        self.om3 = np.abs(drv.omega3) ** 2
-        self.prefactor = _chi5_prefactor(params)
-
-    def d3_block(self, d3):
-        """(W+ d3, w / (b1 b3)) for a 1-D block of delta3 values."""
-        r = self.rates
-        wpd3 = self.wp * d3[:, None]
-        b3 = ((r.gamma11 + 1j * wpd3) * (r.gamma41 + 1j * wpd3 + 1j * self.dd3)
-              + self.om3)
-        return wpd3, self.w / (self.b1 * b3)
-
-    def rows(self, wmd2, wpd3, a):
-        """chi5 over a d3 block from d3_block; wmd2 is W- d2, either one
-        (node,) row shared by the block or one row per block point."""
-        r = self.rates
-        # b2 = (Gamma21 + i s)(Gamma41 + i s + i DeltaD2) + |Omega2|^2, built in
-        # place: this is the only per-(d2, d3, v) work of a map
-        summand = 1j * (wmd2 + wpd3)
-        second = summand + r.gamma41
-        second += self.jdd2
-        summand += r.gamma21
-        summand *= second
-        summand += self.om2
-        np.divide(a, summand, out=summand)
-        out = summand.sum(axis=1)
-        if not np.all(np.isfinite(out)):
-            bad = np.argwhere(~np.isfinite(summand))
-            raise NumericalDomainError(
-                "non-finite chi5 integrand sample",
-                offending_value=float(self.v[bad[0, -1]]) if bad.size else None)
-        return self.prefactor * out
-
-
-def _chi5_midpoint(d2, d3, params: ExperimentParams, quad: VelocityQuadrature):
-    """chi5 at matched 1-D (d2, d3) arrays by the midpoint rule."""
-    kern = _Chi5Integrand(params, quad)
-    out = np.empty(d2.size, dtype=complex)
-    for j in range(0, d2.size, _CHI5_BLOCK):
-        blk = slice(j, j + _CHI5_BLOCK)
-        wpd3, a = kern.d3_block(d3[blk])
-        out[blk] = kern.rows(kern.wm * d2[blk, None], wpd3, a)
+    r, drv = params.rates, params.drive
+    v, w = quad.nodes_weights(params)
+    dd1, dd2, dd3 = doppler_detunings(v, drv, params.frame)
+    wm, wp = 1.0 - v / CONST.c, 1.0 + v / CONST.c
+    b1 = r.gamma31 + 1j * dd1
+    jdd2 = 1j * dd2
+    om2, om3 = np.abs(drv.omega2) ** 2, np.abs(drv.omega3) ** 2
+    prefactor = _chi5_prefactor(params)
+    out = np.empty((d2_axis.size, d3_axis.size), dtype=complex)
+    for j in range(0, d3_axis.size, _CHI5_BLOCK):
+        cols = slice(j, j + _CHI5_BLOCK)
+        wpd3 = wp * d3_axis[cols, None]
+        b3 = (r.gamma11 + 1j * wpd3) * (r.gamma41 + 1j * wpd3 + 1j * dd3) + om3
+        a = w / (b1 * b3)
+        rows = max(1, _CHI5_PAIRS // a.size)
+        for i in range(0, d2_axis.size, rows):
+            blk = slice(i, i + rows)
+            # b2 = (Gamma21 + i s)(Gamma41 + i s + i DeltaD2) + |Omega2|^2 with
+            # s = W- d2 + W+ d3, built in place: the only per-(d2, d3, v) work
+            summand = 1j * (wm * d2_axis[blk, None, None] + wpd3)
+            second = summand + r.gamma41
+            second += jdd2
+            summand += r.gamma21
+            summand *= second
+            summand += om2
+            np.divide(a, summand, out=summand)
+            total = summand.sum(axis=-1)
+            if not np.all(np.isfinite(total)):
+                bad = np.argwhere(~np.isfinite(summand))
+                raise NumericalDomainError(
+                    "non-finite chi5 integrand sample",
+                    offending_value=float(v[bad[0, -1]]) if bad.size else None)
+            out[blk, cols] = prefactor * total
     return out
+
+
+def _chi5_points(d2, d3, params: ExperimentParams, quad: VelocityQuadrature):
+    """chi5 at matched 1-D (d2, d3) arrays by the midpoint rule, each point
+    a 1 x 1 grid, so that it equals the map value exactly."""
+    return np.array([_chi5_grid(d2[k:k + 1], d3[k:k + 1], params, quad)[0, 0]
+                     for k in range(d2.size)], dtype=complex)
 
 
 def _chi5_exact(d2, d3, params: ExperimentParams, quad: VelocityQuadrature):
@@ -394,7 +385,7 @@ def _chi5_exact(d2, d3, params: ExperimentParams, quad: VelocityQuadrature):
     if not np.all(ok):
         bad = np.nonzero(~ok)
         d2b, d3b = np.broadcast_arrays(d2, d3)
-        out[bad] = _chi5_midpoint(d2b[bad], d3b[bad], params, quad)
+        out[bad] = _chi5_points(d2b[bad], d3b[bad], params, quad)
     return out
 
 
@@ -420,7 +411,7 @@ def chi5(delta2, delta3, params: ExperimentParams,
     if quad.scheme == "faddeeva":
         out = _chi5_exact(d2, d3, params, quad)
     else:
-        out = _chi5_midpoint(d2, d3, params, quad)
+        out = _chi5_points(d2, d3, params, quad)
     if np.isscalar(delta2) and np.isscalar(delta3):
         return complex(out[0])
     return out
@@ -430,24 +421,21 @@ def chi5_map(grid_spec: GridSpec2D, params: ExperimentParams,
              quad: VelocityQuadrature = VelocityQuadrature()) -> ComplexGrid2D:
     """chi5 sampled over a rectangular (delta2, delta3) grid.
 
-    Built block by block (of delta2 rows, exact scheme; of delta3 columns,
-    midpoint rule) through the same elementwise code as scalar chi5, so the
-    map is pointwise identical to individual calls.
+    The midpoint rule is _chi5_grid, which also evaluates each point of
+    scalar chi5 (and each fallback point of the exact scheme) as a 1 x 1
+    grid.  The exact scheme runs _chi5_exact on blocks of delta2 rows, the
+    same elementwise code as scalar chi5.  Either way the map is pointwise
+    identical to individual calls.
     """
     d2_axis, d3_axis = grid_spec.axes()
-    values = np.empty((d2_axis.size, d3_axis.size), dtype=complex)
-    if quad.scheme == "faddeeva":
+    if quad.scheme != "faddeeva":
+        values = _chi5_grid(d2_axis, d3_axis, params, quad)
+    else:
+        values = np.empty((d2_axis.size, d3_axis.size), dtype=complex)
         rows = max(1, _EXACT_BLOCK // d3_axis.size)
         for i in range(0, d2_axis.size, rows):
             blk = slice(i, i + rows)
             values[blk] = _chi5_exact(d2_axis[blk, None], d3_axis, params, quad)
-    else:
-        kern = _Chi5Integrand(params, quad)
-        for j in range(0, d3_axis.size, _CHI5_BLOCK):
-            blk = slice(j, j + _CHI5_BLOCK)
-            wpd3, a = kern.d3_block(d3_axis[blk])
-            for i, d2 in enumerate(d2_axis):
-                values[i, blk] = kern.rows(kern.wm * d2, wpd3, a)
     return ComplexGrid2D(axis1=d2_axis, axis2=d3_axis, values=values,
                          label1="delta2", label2="delta3", unit="rad/s",
                          provenance=f"chi5_map {params_hash(params, grid_spec, quad)}")

@@ -251,7 +251,6 @@ def test_criterion_08_power_sweep(params, quad):
     power factor exactly, so the trend is flat-to-decreasing and the
     monotonicity assertion fails; the deviation is still reported.
     """
-    cfg = default_config()
     powers = np.linspace(5e-3, 40e-3, 8)
     top = dataclasses.replace(params,
                               drive=params.drive.with_power2(float(powers[-1])))
@@ -260,7 +259,7 @@ def test_criterion_08_power_sweep(params, quad):
     for p in powers:
         pp = dataclasses.replace(params,
                                  drive=params.drive.with_power2(float(p)))
-        rates.append(sweep_rate(cfg, pp, spec, quad))
+        rates.append(sweep_rate(pp, spec, quad))
     rates = np.asarray(rates)
     coeff = np.polyfit(powers, rates, 1)
     rel_dev = float(np.max(np.abs(rates - np.polyval(coeff, powers)))

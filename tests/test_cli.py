@@ -240,6 +240,19 @@ def test_timestamp_at_2_63_exit_code(tmp_path, capsys):
     assert str(path) in err and "record 3000" in err
 
 
+def test_timestamp_after_duration_exit_code(tmp_path, capsys):
+    """Counts divided by a header duration shorter than the stream would
+    give scaled rates, so analyze refuses the file."""
+    s = np.zeros(3, dtype=EVENT_DTYPE)
+    s["timestamp_ps"] = (10, 20, 10 ** 13)
+    s["channel"] = (1, 2, 3)
+    path = tmp_path / "short.tpe1"
+    io_formats.write_events(path, s, seed=0, duration_ps=10 ** 12)
+    assert main(["analyze", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "record 2" in err and "duration_ps" in err
+
+
 def test_missing_event_file_exit_code(tmp_path, capsys):
     missing = tmp_path / "absent.tpe1"
     assert main(["analyze", str(missing), "--out", str(tmp_path / "o")]) == 2

@@ -40,7 +40,7 @@ def test_event_round_trip_with_origins(tmp_path):
 def test_event_round_trip_strips_origins_by_default(tmp_path):
     s = _stream(100, seed=1)
     path = tmp_path / "run.tpe1"
-    io_formats.write_events(path, s, seed=1, duration_ps=5)
+    io_formats.write_events(path, s, seed=1, duration_ps=10 ** 12)
     back, _ = io_formats.read_events(path)
     assert np.array_equal(back["timestamp_ps"], s["timestamp_ps"])
     assert np.array_equal(back["channel"], s["channel"])
@@ -216,6 +216,24 @@ def test_chunked_timestamp_at_2_63_rejected(tmp_path, record_chunk):
         _patched_on_disk(path, k, "timestamp_ps", stamp)
     with pytest.raises(ConfigError,
                        match=f"record 18 has timestamp {2 ** 63} ps"):
+        io_formats.read_events(path)
+
+
+def test_chunked_timestamp_after_duration_rejected(tmp_path, record_chunk):
+    """A stamp equal to the header duration_ps is valid; the first record
+    stamped after it is named."""
+    path = tmp_path / "late.tpe1"
+    s = _spaced_file(path)
+    raw = bytearray(path.read_bytes())
+    raw[16:24] = (200).to_bytes(8, "little")
+    path.write_bytes(bytes(raw))
+    back, header = io_formats.read_events(path)
+    assert header["duration_ps"] == 200
+    assert np.array_equal(back["timestamp_ps"], s["timestamp_ps"])
+    raw[16:24] = (184).to_bytes(8, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: record 18 "
+                       "has timestamp 190 ps, after the header duration_ps 184"):
         io_formats.read_events(path)
 
 

@@ -23,6 +23,12 @@ TWO_PI = 2.0 * pi
 # numerics and pinned here as regressions)
 # ---------------------------------------------------------------------------
 
+def test_default_params_is_the_default_config():
+    """The suite's reference parameters are the ones the CLI runs."""
+    from triphoton.config import default_config
+    assert default_params() == default_config().experiment_params()
+
+
 def test_thermal_velocity_reference(params):
     assert params.sigma_v == pytest.approx(1.859570724773e2, rel=1e-9)
 

@@ -69,9 +69,13 @@ def test_chi5_map_pointwise(params):
                                 max(2, susceptibility._CHI5_BLOCK - 3)])
 def test_chi5_map_pointwise_partial_blocks(params, n3, monkeypatch):
     """Map points equal scalar chi5 exactly when delta3 ends in a partial
-    block, or fits in less than one block (of delta3 columns for the
-    midpoint rule, of delta2 rows for the exact scheme)."""
+    block of columns, or fits in less than one, and delta2 ends in a partial
+    block of two rows (the midpoint rule blocks both axes, the exact scheme
+    delta2 rows)."""
     monkeypatch.setattr(susceptibility, "_EXACT_BLOCK", 2 * n3)
+    monkeypatch.setattr(susceptibility, "_CHI5_PAIRS",
+                        2 * min(n3, susceptibility._CHI5_BLOCK)
+                        * MIDPOINT.node_count, raising=False)
     spec = GridSpec2D(-2e9, 2e9, 3, -1e9, 1.5e9, n3)
     a2, a3 = spec.axes()
     for quad in (MIDPOINT, EXACT):
@@ -115,11 +119,18 @@ def test_chi5_map_matches_direct_integral(params):
 
 def test_chi5_map_independent_of_block_size(params, monkeypatch):
     spec = GridSpec2D(-2e9, 2e9, 4, -1e9, 1.5e9, 13)
+    refs = {quad: chi5_map(spec, params, quad).values for quad in (MIDPOINT, EXACT)}
     for quad, name in ((MIDPOINT, "_CHI5_BLOCK"), (EXACT, "_EXACT_BLOCK")):
-        ref = chi5_map(spec, params, quad).values
         for block in (1, 5, 64):
             monkeypatch.setattr(susceptibility, name, block)
-            assert np.array_equal(chi5_map(spec, params, quad).values, ref)
+            assert np.array_equal(chi5_map(spec, params, quad).values, refs[quad])
+    # the midpoint rule's delta2 row blocks: one row each, and the whole grid
+    for pairs in (1, spec.n1 * spec.n2 * MIDPOINT.node_count):
+        monkeypatch.setattr(susceptibility, "_CHI5_PAIRS", pairs, raising=False)
+        for cols in (5, 64):
+            monkeypatch.setattr(susceptibility, "_CHI5_BLOCK", cols)
+            assert np.array_equal(chi5_map(spec, params, MIDPOINT).values,
+                                  refs[MIDPOINT])
 
 
 class _NaNWeightQuadrature(VelocityQuadrature):
@@ -132,13 +143,33 @@ class _NaNWeightQuadrature(VelocityQuadrature):
         return v, w
 
 
-def test_chi5_map_non_finite_integrand_raises(params):
+def test_chi5_map_non_finite_integrand_raises(params, monkeypatch):
+    """The poisoned node is named whether a row block holds one delta2 row
+    or the whole grid."""
     quad = _NaNWeightQuadrature(scheme="uniform-riemann")
     spec = GridSpec2D(-2e9, 2e9, 3, -1e9, 1.5e9, susceptibility._CHI5_BLOCK + 2)
-    with pytest.raises(NumericalDomainError) as err:
-        chi5_map(spec, params, quad)
     v, _ = MIDPOINT.nodes_weights(params)
-    assert err.value.offending_value == v[1200]
+    for rows in (1, 3):
+        monkeypatch.setattr(susceptibility, "_CHI5_PAIRS", rows
+                            * susceptibility._CHI5_BLOCK * MIDPOINT.node_count,
+                            raising=False)
+        with pytest.raises(NumericalDomainError) as err:
+            chi5_map(spec, params, quad)
+        assert err.value.offending_value == v[1200]
+
+
+def test_chi5_map_non_finite_in_a_later_row_block_raises(params, monkeypatch):
+    """Row 0 is finite; rows 1 and 2, at |delta2| ~ 1e305 rad/s, overflow b2
+    to inf - inf at every node, so the first node is named."""
+    monkeypatch.setattr(susceptibility, "_CHI5_PAIRS", 1, raising=False)
+    spec = GridSpec2D(-2e9, 1e305, 3, -1e9, 1.5e9, 4)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalDomainError) as err:
+        chi5_map(spec, params, MIDPOINT)
+    v, _ = MIDPOINT.nodes_weights(params)
+    assert err.value.offending_value == v[0]
+    assert np.all(np.isfinite(chi5(np.full(4, -2e9), spec.axes()[1], params,
+                                   MIDPOINT)))
 
 
 # ---------------------------------------------------------------------------
