@@ -22,9 +22,13 @@ from .config import parse_config, default_config, dump_defaults, RunConfig
 from .susceptibility import GridSpec2D, chi5_map, dispersion_profile
 from .correlation import (default_spectral_window, spectral_kernel,
                           triphoton_amplitude_map, trace_map, diagonal_cut)
-from .eventsim import PS_PER_S, generate_stream
-from .coincidence import (reconstruct_triple_direct, reconstruct_triple_delayed,
-                          estimate_floor, rates_report)
+from .eventsim import PS_PER_S, stream_windows
+from .coincidence import estimate_floor, rates_report, triple_histogram
+# the library entry points that perfbench/tracer.py times under these names;
+# simulate and analyze go through stream_windows and triple_histogram instead
+from .eventsim import generate_stream  # noqa: F401
+from .coincidence import (reconstruct_triple_direct,  # noqa: F401
+                          reconstruct_triple_delayed)
 from . import io_formats
 
 
@@ -112,13 +116,17 @@ def cmd_correlation_map(args) -> int:
 def cmd_trace(args) -> int:
     cfg = _load(args)
     params = cfg.experiment_params()
-    cmap = _correlation_map(cfg, params)
     if args.kind == "diag":
+        # the delay grid spans [0, tau_max] on both axes
+        top = 2 * cfg["tau_max"]
         if args.line is None:
             raise ConfigError("trace --kind diag requires --line <seconds>")
-        trace = diagonal_cut(cmap, float(args.line))
-    else:
-        trace = trace_map(cmap, args.kind)
+        if not 0 <= args.line <= top:
+            raise ConfigError(f"trace --line {args.line!r} s is outside the "
+                              f"delay grid's tau21 + tau31 range [0, {top!r}] s")
+    cmap = _correlation_map(cfg, params)
+    trace = (diagonal_cut(cmap, args.line) if args.kind == "diag"
+             else trace_map(cmap, args.kind))
     io_formats.write_trace(args.out, trace.axis, trace.values,
                            header_lines=[f"kind: {trace.kind}",
                                          f"line_spec: {trace.line_spec}"])
@@ -131,11 +139,11 @@ def cmd_simulate(args) -> int:
     params = cfg.experiment_params()
     scfg = cfg.source_config(duration=args.duration, seed=args.seed)
     cmap = _correlation_map(cfg, params) if scfg.triplet_rate > 0 else None
-    stream = generate_stream(cmap, scfg)
-    io_formats.write_events(args.out, stream, seed=scfg.seed,
-                            duration_ps=int(round(scfg.duration * PS_PER_S)),
-                            keep_origin=args.keep_origin)
-    print(f"simulate: {stream.size} events over {scfg.duration:.0f} s "
+    events = io_formats.write_windows(
+        args.out, stream_windows(cmap, scfg), seed=scfg.seed,
+        duration_ps=int(round(scfg.duration * PS_PER_S)),
+        keep_origin=args.keep_origin)
+    print(f"simulate: {events} events over {scfg.duration:.0f} s "
           f"(seed {scfg.seed}), wrote {args.out}")
     return 0
 
@@ -170,15 +178,15 @@ def _strict_json(rep: dict) -> dict:
 
 def cmd_analyze(args) -> int:
     cfg = _load(args)
-    stream, header = io_formats.read_events(args.eventfile)
+    times, _, header = io_formats.read_channels(args.eventfile)
     duration = header["duration_ps"] / PS_PER_S
     method = args.method or cfg["method"]
-    if method == "delayed":
-        hist = reconstruct_triple_delayed(stream, cfg["window"], cfg["bin"],
-                                          cfg["delay_offset"], duration=duration)
-    else:
-        hist = reconstruct_triple_direct(stream, cfg["window"], cfg["bin"],
-                                         duration=duration)
+    # the delayed circuit's offset cancels (reconstruct_triple_delayed)
+    label = "delayed-pairwise" if method == "delayed" else "direct-3fold"
+    t1, t2, t3 = (times.get(c, np.empty(0, np.int64)) for c in (1, 2, 3))
+    hist = triple_histogram(t1, t2, t3, cfg["window"], cfg["bin"], duration,
+                            label)
+    del times, t1, t2, t3
     floor = estimate_floor(hist)
     hist = dataclasses.replace(hist, floor_estimate=floor)
     report = rates_report(hist, peak_rebin=cfg["peak_rebin"])

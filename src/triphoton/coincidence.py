@@ -24,7 +24,8 @@ from .correlation import (ConditionalTrace, cauchy_schwarz_factor,
                           oscillation_period, visibility)
 from .eventsim import PS_PER_S
 
-# (stop2, stop3) pairs expanded and binned at once by the three-fold matcher
+# starts searched, and (stop2, stop3) pairs expanded and binned, at once by
+# the three-fold matcher
 _TRIPLE_BLOCK = 1 << 16
 
 
@@ -87,9 +88,17 @@ class RatesReport:
 # matching primitives
 # ---------------------------------------------------------------------------
 
-def _channel_times(stream: np.ndarray, ch: int) -> np.ndarray:
-    # a view, not a second copy; stamps below 2^63 ps (106 days) keep their value
-    return stream["timestamp_ps"][stream["channel"] == ch].view(np.int64)
+def _split_channels(stream: np.ndarray) -> dict:
+    """{channel: int64 timestamps [ps] of its clicks, in stream order}.
+
+    One stable counting sort by channel splits the stream; the arrays are
+    slices of one gathered copy.  Stamps below 2^63 ps (106 days) keep their
+    value.
+    """
+    ch = stream["channel"]
+    ts = stream["timestamp_ps"][np.argsort(ch, kind="stable")].view(np.int64)
+    ends = np.cumsum(np.bincount(ch, minlength=256))
+    return {c: ts[lo:hi] for c, (lo, hi) in enumerate(zip([0, *ends], ends))}
 
 
 def _expand(n: np.ndarray):
@@ -140,8 +149,8 @@ def pairwise_histogram(stream: np.ndarray, start_ch: int, stop_ch: int,
     """
     w_ps, b_ps = _window_bin_ps(window, bin_width)
     nbins = w_ps // b_ps
-    starts = _channel_times(stream, start_ch)
-    stops = _channel_times(stream, stop_ch)
+    times = _split_channels(stream)
+    starts, stops = times[start_ch], times[stop_ch]
     counts = np.zeros(nbins, dtype=np.int64)
     if starts.size and stops.size:
         keep, lo, n = _stop_ranges(starts, stops, nbins * b_ps)
@@ -165,53 +174,69 @@ def _triple_match(t1: np.ndarray, t2: np.ndarray, t3: np.ndarray,
     nbins * b_ps; the rest of a window that is not a whole number of bins
     is dropped.
 
-    Channel 2 is searched for every start, channel 3 only for the starts
-    with a channel-2 stop.  The starts with stops on both channels are then
-    expanded, a block of whole starts at a time, into their n2 * n3
-    (stop2, stop3) pairs and binned with one bincount over the flat bin
-    index.  A block holds at most _TRIPLE_BLOCK pairs, or the one start that
-    alone has more, so the temporaries stay bounded however dense the stream.
+    The starts are taken _TRIPLE_BLOCK at a time.  Channel 2 is searched for
+    every start of a block, channel 3 only for the starts with a channel-2
+    stop.  The starts with stops on both channels are then expanded, a block
+    of whole starts at a time, into their n2 * n3 (stop2, stop3) pairs and
+    added into the histogram at their flat bin index.  A pair block holds at
+    most _TRIPLE_BLOCK pairs, or the one start that alone has more, so the
+    temporaries stay bounded however long or dense the stream.
     """
     nbins = w_ps // b_ps
     counts = np.zeros(nbins * nbins, dtype=np.int64)
     if not (t1.size and t2.size and t3.size):
         return counts.reshape(nbins, nbins)
     span = nbins * b_ps
-    keep, lo2, n2 = _stop_ranges(t1, t2, span)
-    t1 = t1[keep]
-    keep, lo3, n3 = _stop_ranges(t1, t3, span)
-    t1, lo2, n2 = t1[keep], lo2[keep], n2[keep]
-    ends = np.cumsum(n2 * n3)
-    i = 0
-    while i < ends.size:
-        base = ends[i - 1] if i else 0
-        j = max(int(np.searchsorted(ends, base + _TRIPLE_BLOCK, side="right")),
-                i + 1)
-        o2, k2 = _expand(n2[i:j])
-        o3, k3 = _expand(n3[i:j])
-        rows = (t2[lo2[i:j][o2] + k2] - t1[i:j][o2]) // b_ps * nbins
-        cols = (t3[lo3[i:j][o3] + k3] - t1[i:j][o3]) // b_ps
-        # each (start, stop2) pair meets every channel-3 stop of its start
-        b3 = n3[i:j]
-        first3 = (np.cumsum(b3) - b3)[o2]
-        pair, k = _expand(b3[o2])
-        counts += np.bincount(rows[pair] + cols[first3[pair] + k],
-                              minlength=counts.size)
-        i = j
+    for first in range(0, t1.size, _TRIPLE_BLOCK):
+        starts = t1[first:first + _TRIPLE_BLOCK]
+        keep, lo2, n2 = _stop_ranges(starts, t2, span)
+        starts = starts[keep]
+        keep, lo3, n3 = _stop_ranges(starts, t3, span)
+        starts, lo2, n2 = starts[keep], lo2[keep], n2[keep]
+        ends = np.cumsum(n2 * n3)
+        i = 0
+        while i < ends.size:
+            base = ends[i - 1] if i else 0
+            j = max(int(np.searchsorted(ends, base + _TRIPLE_BLOCK,
+                                        side="right")), i + 1)
+            o2, k2 = _expand(n2[i:j])
+            o3, k3 = _expand(n3[i:j])
+            rows = (t2[lo2[i:j][o2] + k2] - starts[i:j][o2]) // b_ps * nbins
+            cols = (t3[lo3[i:j][o3] + k3] - starts[i:j][o3]) // b_ps
+            # each (start, stop2) pair meets every channel-3 stop of its start
+            b3 = n3[i:j]
+            first3 = (np.cumsum(b3) - b3)[o2]
+            pair, k = _expand(b3[o2])
+            np.add.at(counts, rows[pair] + cols[first3[pair] + k], 1)
+            i = j
     return counts.reshape(nbins, nbins)
 
 
-def _reconstruct(stream, window, bin_width, duration, method):
+def triple_histogram(t1: np.ndarray, t2: np.ndarray, t3: np.ndarray,
+                     window: float, bin_width: float, duration: float,
+                     method: str = "direct-3fold") -> CoincidenceHistogram2D:
+    """Three-fold histogram of sorted int64 channel timestamps [ps].
+
+    For each channel-1 click, every (channel-2, channel-3) pair within the
+    window contributes one count at (tau21, tau31).  Both reconstructions
+    run this; it takes the per-channel arrays of io_formats.read_channels
+    as they are, so a file is matched without its stream.
+    """
     w_ps, b_ps = _window_bin_ps(window, bin_width)
-    counts = _triple_match(_channel_times(stream, 1), _channel_times(stream, 2),
-                           _channel_times(stream, 3), w_ps, b_ps)
+    counts = _triple_match(t1, t2, t3, w_ps, b_ps)
     axis = (np.arange(w_ps // b_ps) + 0.5) * b_ps / PS_PER_S
-    if duration is None:
-        duration = float(stream["timestamp_ps"].max()) / PS_PER_S if stream.size else 0.0
     return CoincidenceHistogram2D(tau21_axis=axis, tau31_axis=axis.copy(),
                                   counts=counts, window=window,
                                   bin_width=bin_width, duration=duration,
                                   method=method)
+
+
+def _reconstruct(stream, window, bin_width, duration, method):
+    if duration is None:
+        duration = float(stream["timestamp_ps"].max()) / PS_PER_S if stream.size else 0.0
+    times = _split_channels(stream)
+    return triple_histogram(times[1], times[2], times[3], window, bin_width,
+                            duration, method)
 
 
 def reconstruct_triple_direct(stream: np.ndarray, window: float = 195e-9,

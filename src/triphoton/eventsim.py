@@ -6,11 +6,13 @@ experiment suffers from are layered: uncorrelated singles, dual SFWM biphoton
 contamination, and dark counts.  Every click passes efficiency thinning and
 Gaussian timing jitter and is quantized to 1 ps (finer than the recording
 card's 813 fs resolution is pointless, and 1 ps keeps 64-bit integer
-arithmetic exact for over 100 days of stream).  Each source is sorted on its
-own, then the sources are merged one time window of about CHUNK events at a
-time, so no stream-sized sort temporary is ever built: generating the
-stream holds the sorted sources, the output and one window, 2.2-2.5 times
-the bytes of the stream itself.
+arithmetic exact for over 100 days of stream).  Each click series, one
+channel of one source, is sorted on its own, then the series are merged one
+time window of about CHUNK events at a time, so no stream-sized sort
+temporary is ever built.  stream_windows hands the windows out as they are
+merged: writing them to a file holds the sorted series (8 of the stream's
+10 bytes per event) and one window, about 0.9 times the bytes of the
+stream.  generate_stream collects them into the stream, which it adds.
 
 All randomness derives from a single 64-bit master seed through fixed
 per-source labels, so adding or removing one source never perturbs the
@@ -155,145 +157,169 @@ def _triplet_clicks(rng, cfg: SourceConfig, cmap: CorrelationMap):
     t21, t31 = _sample_triplet_delays(cmap, rng, t0.size)
     t21 += t0
     t31 += t0
-    times = np.concatenate([t0, t21, t31])
-    chans = np.repeat(np.array([1, 2, 3], dtype=np.uint8), t0.size)
-    return times, chans, np.full(times.size, ORIGIN_TRIPLET, dtype=np.uint8)
+    return [(t0, 1, ORIGIN_TRIPLET), (t21, 2, ORIGIN_TRIPLET),
+            (t31, 3, ORIGIN_TRIPLET)]
 
 
 def _channel_clicks(rng, cfg: SourceConfig, rate: float, ch: int, tag: int):
     """Poisson clicks on one channel: singles or darks."""
-    times = _poisson_times(rng, rate, cfg.duration)
-    return (times, np.full(times.size, ch, dtype=np.uint8),
-            np.full(times.size, tag, dtype=np.uint8))
+    return [(_poisson_times(rng, rate, cfg.duration), ch, tag)]
 
 
 def _dual_pair_clicks(rng, cfg: SourceConfig, pair_a, pair_b, rate: float,
                       mean: float):
     """Two independent biphoton streams, each pair split by an exponential
-    delay."""
-    times_list, chan_list = [], []
+    delay: the first and the second clicks of pair a, then of pair b."""
+    series = []
     for (ch_first, ch_second) in (pair_a, pair_b):
         t0 = _poisson_times(rng, rate, cfg.duration)
         dt = rng.exponential(mean, t0.size)
         dt += t0
-        times_list.extend([t0, dt])
-        chan_list.extend([np.full(t0.size, ch_first, dtype=np.uint8),
-                          np.full(t0.size, ch_second, dtype=np.uint8)])
-    times = np.concatenate(times_list)
-    return (times, np.concatenate(chan_list),
-            np.full(times.size, ORIGIN_DUAL_PAIR, dtype=np.uint8))
+        series += [(t0, ch_first, ORIGIN_DUAL_PAIR),
+                   (dt, ch_second, ORIGIN_DUAL_PAIR)]
+    return series
 
 
 def _finalize(cfg: SourceConfig, label: int, clicks, *args):
-    """One source's detected clicks as (timestamp_ps, channel, origin) arrays,
-    sorted stably by timestamp.
+    """One source's detected clicks as merge parts: one (timestamp_ps,
+    channel, origin) part per click series, each sorted by timestamp.
 
-    clicks(rng, cfg, *args) draws the source's raw (times [s], channels,
-    origins) with the generator of seed label `label`; only this frame holds
-    them, so each array dies as soon as its thinned or quantized successor
-    exists.  The clicks are thinned by efficiency, jittered, clipped to the
-    run and quantized to 1 ps.  The efficiency and jitter draws are taken
-    CHUNK at a time; PCG64 yields the same numbers as from one call.  A copy
-    is made only where a click is dropped, and the sort only where the
-    clicks are out of order: singles and darks without jitter never are.
+    clicks(rng, cfg, *args) draws the source's raw click series, each a
+    (times [s], channel, origin) with one channel and one origin, using the
+    generator of seed label `label`.  The clicks are thinned by efficiency,
+    jittered, clipped to the run and quantized to 1 ps.  Every efficiency
+    draw is taken, series after series, before the first jitter draw, each
+    CHUNK at a time: PCG64 yields the numbers one draw over the series
+    concatenated would.  A copy is made only where a click is dropped, and
+    the sort only where a series is out of order: a first click without
+    jitter never is.  A series has one channel and one origin, so it is
+    sorted in place, stamps alone.
     """
     rng = _rng(cfg.seed, label)
-    times_s, channels, origins = clicks(rng, cfg, *args)
-    n = times_s.size
+    series = clicks(rng, cfg, *args)
     eff = np.asarray(cfg.detector_efficiency) * cfg.fiber_coupling
-    keep = np.empty(n, dtype=bool)
-    for lo in range(0, n, CHUNK):
-        hi = min(lo + CHUNK, n)
-        keep[lo:hi] = rng.random(hi - lo) < eff[channels[lo:hi] - 1]
-    if not keep.all():
-        times_s, channels, origins = times_s[keep], channels[keep], origins[keep]
-    del keep
-    if cfg.jitter_sigma > 0:
+    for k in range(len(series)):
+        times_s, ch, tag = series[k]
+        keep = np.empty(times_s.size, dtype=bool)
         for lo in range(0, times_s.size, CHUNK):
-            seg = times_s[lo:lo + CHUNK]
-            seg += rng.normal(0.0, cfg.jitter_sigma, seg.size)
-    inside = (times_s >= 0) & (times_s < cfg.duration)
-    if not inside.all():
-        times_s, channels, origins = \
-            times_s[inside], channels[inside], origins[inside]
-    del inside
-    times_s *= PS_PER_S
-    np.rint(times_s, out=times_s)
-    ts = times_s.astype(np.uint64)
-    del times_s
-    if _first_out_of_order(ts) is not None:
-        order = np.argsort(ts, kind="stable")
-        ts, channels, origins = ts[order], channels[order], origins[order]
-    return ts, channels, origins
+            hi = min(lo + CHUNK, times_s.size)
+            keep[lo:hi] = rng.random(hi - lo) < eff[ch - 1]
+        if not keep.all():
+            series[k] = (times_s[keep], ch, tag)
+        del times_s, keep
+    parts = []
+    while series:
+        # each raw series dies as soon as its stamps exist
+        times_s, ch, tag = series.pop(0)
+        if cfg.jitter_sigma > 0:
+            for lo in range(0, times_s.size, CHUNK):
+                seg = times_s[lo:lo + CHUNK]
+                seg += rng.normal(0.0, cfg.jitter_sigma, seg.size)
+        inside = (times_s >= 0) & (times_s < cfg.duration)
+        if not inside.all():
+            times_s = times_s[inside]
+        del inside
+        times_s *= PS_PER_S
+        np.rint(times_s, out=times_s)
+        ts = times_s.astype(np.uint64)
+        del times_s
+        if _first_out_of_order(ts) is not None:
+            # nearly sorted: the stable sort's run detection is near linear
+            ts.sort(kind="stable")
+        parts.append((ts, ch, tag))
+    return parts
 
 
-def _merge(parts, window: int) -> np.ndarray:
-    """Stable merge of sorted (timestamp_ps, channel, origin) parts into one
-    EVENT_DTYPE stream.
+def _merge(parts, window: int):
+    """Stable merge of sorted (timestamp_ps, channel, origin) parts, each with
+    one channel and one origin, yielded one window at a time as
+    (timestamp_ps, channel, origin) arrays.
 
     The time axis up to the largest stamp is cut into about total / window
     equal windows.  Each window's slices of the parts are concatenated in
-    part order, stable-argsorted and gathered into the preallocated output.
-    Equal stamps always share a window, so ties break by part order, then by
-    position within the part: the order of one stable argsort of all parts
-    concatenated, without its stream-sized key, index and gather copies.
+    part order and stable-argsorted.  Equal stamps always share a window, so
+    ties break by part order, then by position within the part: the order of
+    one stable argsort of all parts concatenated, without its stream-sized
+    key, index and gather copies.
     """
     total = sum(ts.size for ts, _, _ in parts)
-    out = np.empty(total, dtype=EVENT_DTYPE)
     if total == 0:
-        return out
+        return
     end = max(int(ts[-1]) for ts, _, _ in parts if ts.size) + 1
     n_win = -(-total // window)
     edges = np.array([end * k // n_win for k in range(n_win + 1)],
                      dtype=np.uint64)
     cuts = [np.searchsorted(ts, edges) for ts, _, _ in parts]
-    pos = 0
+    tags = np.array([(ch, origin) for _, ch, origin in parts], dtype=np.uint8)
     for k in range(n_win):
         slices = [slice(c[k], c[k + 1]) for c in cuts]
         key = np.concatenate([p[0][s] for p, s in zip(parts, slices)])
         order = np.argsort(key, kind="stable")
-        stop = pos + key.size
-        out["timestamp_ps"][pos:stop] = key[order]
-        for field, col in (("channel", 1), ("origin", 2)):
-            out[field][pos:stop] = np.concatenate(
-                [p[col][s] for p, s in zip(parts, slices)])[order]
-        pos = stop
-    return out
+        sizes = [s.stop - s.start for s in slices]
+        yield (key[order], *(np.repeat(col, sizes)[order] for col in tags.T))
 
 
-def generate_stream(cmap: CorrelationMap | None, cfg: SourceConfig) -> np.ndarray:
-    """Synthesize the full detection stream for one run.
-
-    Returns a structured array (EVENT_DTYPE) sorted stably by timestamp, ties
-    in source order: triplets, singles, darks, dual pairs.  Triplet
-    emissions are a homogeneous Poisson process; each emission puts clicks at
-    (t, t + tau21, t + tau31) on channels 1, 2, 3 with the delays drawn from
-    the map.  Dual-pair entries place two independent biphoton streams with
-    exponential intra-pair delay.  Singles and darks are independent Poisson
-    per channel.  Each source is finalized and sorted on its own, then the
-    sources are merged window by window (_merge).  Deterministic given
-    cfg.seed.
-    """
+def _sources(cmap: CorrelationMap | None, cfg: SourceConfig):
+    """The merge parts of every source, in source order."""
     parts = []
     # triplets (label 0)
     if cfg.triplet_rate > 0:
         if cmap is None:
             raise InvalidParameterError("triplet_rate > 0 requires a correlation map")
-        parts.append(_finalize(cfg, 0, _triplet_clicks, cmap))
+        parts += _finalize(cfg, 0, _triplet_clicks, cmap)
     # singles (labels 10+ch) and darks (labels 200+ch)
     for base, rates, tag in ((10, cfg.singles_rate, ORIGIN_SINGLE),
                              (200, cfg.dark_rate, ORIGIN_DARK)):
         for ch in (1, 2, 3, 4):
             rate = rates[ch - 1]
             if rate > 0:
-                parts.append(_finalize(cfg, base + ch, _channel_clicks,
-                                       rate, ch, tag))
+                parts += _finalize(cfg, base + ch, _channel_clicks,
+                                   rate, ch, tag)
     # dual-pair SFWM contamination (labels 100+k)
     for k, (pair_a, pair_b, rate, mean) in enumerate(cfg.dual_pair_rates):
         if rate > 0:
-            parts.append(_finalize(cfg, 100 + k, _dual_pair_clicks,
-                                   pair_a, pair_b, rate, mean))
-    return _merge(parts, CHUNK)
+            parts += _finalize(cfg, 100 + k, _dual_pair_clicks,
+                               pair_a, pair_b, rate, mean)
+    return parts
+
+
+def _collect(parts) -> np.ndarray:
+    """The merged parts as one EVENT_DTYPE stream."""
+    out = np.empty(sum(ts.size for ts, _, _ in parts), dtype=EVENT_DTYPE)
+    pos = 0
+    for window in _merge(parts, CHUNK):
+        stop = pos + window[0].size
+        for field, col in zip(EVENT_DTYPE.names, window):
+            out[field][pos:stop] = col
+        pos = stop
+    return out
+
+
+def stream_windows(cmap: CorrelationMap | None, cfg: SourceConfig):
+    """The stream of generate_stream as an iterator of merge windows, each
+    (timestamp_ps, channel, origin) arrays of about CHUNK events.
+
+    Every source is finalized before this returns; the merge runs as the
+    windows are taken, so the sorted stream is never held whole.
+    """
+    return _merge(_sources(cmap, cfg), CHUNK)
+
+
+def generate_stream(cmap: CorrelationMap | None, cfg: SourceConfig) -> np.ndarray:
+    """Synthesize the full detection stream for one run.
+
+    Returns a structured array (EVENT_DTYPE) sorted stably by timestamp, ties
+    in source order: triplets, singles, darks, dual pairs, and within a
+    source in click-series order.  Triplet emissions are a homogeneous
+    Poisson process; each emission puts clicks at (t, t + tau21, t + tau31)
+    on channels 1, 2, 3 with the delays drawn from the map.  Dual-pair
+    entries place two independent biphoton streams with exponential
+    intra-pair delay.  Singles and darks are independent Poisson per
+    channel.  Each click series is finalized and sorted on its own, then the
+    series are merged window by window (_merge).  Deterministic given
+    cfg.seed.
+    """
+    return _collect(_sources(cmap, cfg))
 
 
 def diagnose_stream(cfg: SourceConfig) -> np.ndarray:
@@ -302,5 +328,5 @@ def diagnose_stream(cfg: SourceConfig) -> np.ndarray:
     Uses the channel-4 singles rate; statistically independent of channels
     1-3 by construction (its own seeded stream).
     """
-    return _merge([_finalize(cfg, 14, _channel_clicks, cfg.singles_rate[3],
-                             4, ORIGIN_SINGLE)], CHUNK)
+    return _collect(_finalize(cfg, 14, _channel_clicks, cfg.singles_rate[3],
+                              4, ORIGIN_SINGLE))

@@ -7,9 +7,11 @@ followed by fixed 16-byte records
   timestamp_ps (u64) | channel (u8) | flags (u8) | 6 reserved bytes.
 Records are sorted by timestamp.  The flags byte carries the simulation
 origin tag only when exported with keep_origin (debug); otherwise zero.
-Files are written and read RECORD_CHUNK records at a time, so beside the
-in-memory stream the I/O holds one 16 MB record buffer, never a file-sized
-copy.
+Files are written and read RECORD_CHUNK records at a time, so the I/O
+holds one 16 MB record buffer beside what it writes from or reads into,
+never a file-sized copy.  write_windows takes the stream as merge windows
+and read_channels returns it as per-channel arrays, so neither needs the
+whole stream in memory.
 
 Grid CSVs: '#'-prefixed comment lines with axis names, units, sizes,
 normalization scale and parameter hash, then rows "axis1,axis2,real,imag"
@@ -44,25 +46,135 @@ _STAMP_LIMIT = np.uint64(1 << 63)
 # event files
 # ---------------------------------------------------------------------------
 
-def write_events(path, stream: np.ndarray, seed: int, duration_ps: int,
-                 channel_count: int = 4, keep_origin: bool = False) -> None:
-    """Write a time-sorted event stream to a TPE1 file, RECORD_CHUNK records
-    at a time through one reused record buffer."""
-    if _first_out_of_order(stream["timestamp_ps"]) is not None:
-        raise InvalidParameterError("stream must be sorted by timestamp")
+def write_windows(path, windows, seed: int, duration_ps: int,
+                  channel_count: int = 4, keep_origin: bool = False) -> int:
+    """Write time-sorted (timestamp_ps, channel, origin) windows to a TPE1
+    file, RECORD_CHUNK records at a time through one reused record buffer;
+    returns the number of records written.
+
+    Raises InvalidParameterError, and leaves no file, for records out of time
+    order, stamped after duration_ps, or under a duration_ps of 0; the error
+    names the first such record's index.
+    """
     header = _HEADER_STRUCT.pack(MAGIC, VERSION, HEADER_LEN, seed,
                                  duration_ps, channel_count)
-    buf = np.zeros(min(stream.size, RECORD_CHUNK), dtype=_RECORD_DTYPE)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for start in range(0, stream.size, RECORD_CHUNK):
-            part = stream[start:start + RECORD_CHUNK]
-            rec = buf[:part.size]
-            rec["timestamp_ps"] = part["timestamp_ps"]
-            rec["channel"] = part["channel"]
-            if keep_origin:
-                rec["flags"] = part["origin"]
-            fh.write(rec.data)
+    buf = np.zeros(0, dtype=_RECORD_DTYPE)
+    count, last = 0, 0
+    fh = open(path, "wb")
+    try:
+        with fh:
+            fh.write(header)
+            for window in windows:
+                for lo in range(0, window[0].size, RECORD_CHUNK):
+                    ts, ch, origin = (col[lo:lo + RECORD_CHUNK] for col in window)
+                    k = 0 if ts[0] < last else _first_out_of_order(ts)
+                    if k is not None:
+                        raise InvalidParameterError(
+                            f"stream must be sorted by timestamp: record "
+                            f"{count + k} is earlier than record {count + k - 1}")
+                    if duration_ps == 0:
+                        raise InvalidParameterError(
+                            f"record {count} under a duration_ps of 0")
+                    last = ts[-1]
+                    if last > duration_ps:
+                        # the window is sorted, so the late records are a tail
+                        k = int(np.searchsorted(ts, duration_ps, side="right"))
+                        raise InvalidParameterError(
+                            f"record {count + k} has timestamp {ts[k]} ps, "
+                            f"after the duration_ps {duration_ps}")
+                    if buf.size < ts.size:
+                        buf = np.zeros(ts.size, dtype=_RECORD_DTYPE)
+                    rec = buf[:ts.size]
+                    rec["timestamp_ps"] = ts
+                    rec["channel"] = ch
+                    if keep_origin:
+                        rec["flags"] = origin
+                    fh.write(rec.data)
+                    count += ts.size
+    except BaseException:
+        os.unlink(path)
+        raise
+    return count
+
+
+def write_events(path, stream: np.ndarray, seed: int, duration_ps: int,
+                 channel_count: int = 4, keep_origin: bool = False) -> None:
+    """Write a time-sorted EVENT_DTYPE stream to a TPE1 file (write_windows)."""
+    write_windows(path, [tuple(stream[f] for f in EVENT_DTYPE.names)], seed,
+                  duration_ps, channel_count, keep_origin)
+
+
+def _open_events(fh, path):
+    """(header dict, record count) of an open TPE1 file, its header checked."""
+    raw = fh.read(HEADER_LEN)
+    if len(raw) < HEADER_LEN:
+        raise ConfigError(f"event file too short: {path}")
+    magic, version, header_len, seed, duration_ps, channel_count = \
+        _HEADER_STRUCT.unpack(raw)
+    if magic != MAGIC:
+        raise ConfigError(f"bad magic in event file {path}: {magic!r}")
+    if version != VERSION:
+        raise ConfigError(f"unsupported event file version {version}")
+    if header_len != HEADER_LEN:
+        raise ConfigError(f"event file {path}: header_len {header_len}, "
+                          f"version {VERSION} requires {HEADER_LEN}")
+    n, tail = divmod(os.fstat(fh.fileno()).st_size - HEADER_LEN,
+                     _RECORD_DTYPE.itemsize)
+    if tail:
+        raise ConfigError(f"truncated record section in {path}")
+    if n and duration_ps == 0:
+        raise ConfigError(f"event file {path} holds {n} records "
+                          "but a header duration_ps of 0")
+    header = {"version": version, "seed": seed, "duration_ps": duration_ps,
+              "channel_count": channel_count}
+    return header, n
+
+
+def _record_chunks(fh, path, n: int):
+    """(index of the first record, records) of the n records after the
+    header, RECORD_CHUNK at a time, read into one reused buffer."""
+    fh.seek(HEADER_LEN)
+    buf = np.empty(min(n, RECORD_CHUNK), dtype=_RECORD_DTYPE)
+    for start in range(0, n, RECORD_CHUNK):
+        rec = buf[:min(RECORD_CHUNK, n - start)]
+        if fh.readinto(rec.view(np.uint8)) != rec.nbytes:
+            raise ConfigError(f"truncated record section in {path}")
+        yield start, rec
+
+
+def _checked_chunks(fh, path, header, n: int):
+    """_record_chunks with every record check: a channel outside
+    1..channel_count, records out of time order, a timestamp at or above
+    2^63 ps, and, once every chunk has passed the others, a timestamp after
+    the header duration_ps.  A record error names the record's index."""
+    channel_count, duration_ps = header["channel_count"], header["duration_ps"]
+    last, late = 0, None
+    for start, rec in _record_chunks(fh, path, n):
+        ch, ts = rec["channel"], rec["timestamp_ps"]
+        if ch.min() < 1 or ch.max() > channel_count:
+            k = int(np.flatnonzero((ch < 1) | (ch > channel_count))[0])
+            raise ConfigError(f"event file {path}: record {start + k} has "
+                              f"channel {ch[k]}, outside 1..{channel_count}")
+        k = 0 if ts[0] < last else _first_out_of_order(ts)
+        if k is not None:
+            raise ConfigError(
+                f"event file {path}: record {start + k} is earlier than "
+                f"record {start + k - 1}; records must be sorted by timestamp")
+        last = ts[-1]
+        if last >= _STAMP_LIMIT:
+            # the chunk is sorted, so its stamps past the limit are a tail
+            k = int(np.searchsorted(ts, _STAMP_LIMIT))
+            raise ConfigError(f"event file {path}: record {start + k} has "
+                              f"timestamp {ts[k]} ps, at or above 2^63 ps")
+        if late is None and last > duration_ps:
+            # the late records are a tail too
+            k = int(np.searchsorted(ts, duration_ps, side="right"))
+            late = (start + k, ts[k])
+        yield start, rec
+    if late is not None:
+        raise ConfigError(f"event file {path}: record {late[0]} has timestamp "
+                          f"{late[1]} ps, after the header duration_ps "
+                          f"{duration_ps}")
 
 
 def read_events(path):
@@ -70,71 +182,50 @@ def read_events(path):
 
     The stream is an EVENT_DTYPE structured array with the flags byte mapped
     back onto the origin field (zero when origins were stripped on export).
-    The records are read RECORD_CHUNK at a time into one reused buffer and
-    checked chunk by chunk.  Raises ConfigError for a malformed file: bad
-    magic, version or header length, a truncated record section, records
-    out of time order, a channel outside 1..channel_count, a timestamp at or
-    above 2^63 ps, a timestamp after the header duration_ps, or records
-    under a header duration_ps of 0.  A record error names the record's
-    index in the file.
+    Raises ConfigError for a malformed file: bad magic, version or header
+    length, a truncated record section, records under a header duration_ps
+    of 0, or a record that fails a check of _checked_chunks.
     """
     with open(path, "rb") as fh:
-        raw = fh.read(HEADER_LEN)
-        if len(raw) < HEADER_LEN:
-            raise ConfigError(f"event file too short: {path}")
-        magic, version, header_len, seed, duration_ps, channel_count = \
-            _HEADER_STRUCT.unpack(raw)
-        if magic != MAGIC:
-            raise ConfigError(f"bad magic in event file {path}: {magic!r}")
-        if version != VERSION:
-            raise ConfigError(f"unsupported event file version {version}")
-        if header_len != HEADER_LEN:
-            raise ConfigError(f"event file {path}: header_len {header_len}, "
-                              f"version {VERSION} requires {HEADER_LEN}")
-        n, tail = divmod(os.fstat(fh.fileno()).st_size - HEADER_LEN,
-                         _RECORD_DTYPE.itemsize)
-        if tail:
-            raise ConfigError(f"truncated record section in {path}")
-        if n and duration_ps == 0:
-            raise ConfigError(f"event file {path} holds {n} records "
-                              "but a header duration_ps of 0")
+        header, n = _open_events(fh, path)
         stream = np.empty(n, dtype=EVENT_DTYPE)
-        buf = np.empty(min(n, RECORD_CHUNK), dtype=_RECORD_DTYPE)
-        last = 0
-        for start in range(0, n, RECORD_CHUNK):
-            rec = buf[:min(RECORD_CHUNK, n - start)]
-            if fh.readinto(rec.view(np.uint8)) != rec.nbytes:
-                raise ConfigError(f"truncated record section in {path}")
-            ch, ts = rec["channel"], rec["timestamp_ps"]
-            if ch.min() < 1 or ch.max() > channel_count:
-                k = int(np.flatnonzero((ch < 1) | (ch > channel_count))[0])
-                raise ConfigError(f"event file {path}: record {start + k} has "
-                                  f"channel {ch[k]}, outside 1..{channel_count}")
-            k = 0 if ts[0] < last else _first_out_of_order(ts)
-            if k is not None:
-                raise ConfigError(
-                    f"event file {path}: record {start + k} is earlier than "
-                    f"record {start + k - 1}; records must be sorted by timestamp")
-            last = ts[-1]
-            if last >= _STAMP_LIMIT:
-                # the chunk is sorted, so its stamps past the limit are a tail
-                k = int(np.searchsorted(ts, _STAMP_LIMIT))
-                raise ConfigError(f"event file {path}: record {start + k} has "
-                                  f"timestamp {ts[k]} ps, at or above 2^63 ps")
+        for start, rec in _checked_chunks(fh, path, header, n):
             out = stream[start:start + rec.size]
-            out["timestamp_ps"] = ts
-            out["channel"] = ch
+            out["timestamp_ps"] = rec["timestamp_ps"]
+            out["channel"] = rec["channel"]
             out["origin"] = rec["flags"]
-    if last > duration_ps:
-        # the records are sorted, so the late ones are a tail
-        ts = stream["timestamp_ps"]
-        k = int(np.searchsorted(ts, duration_ps, side="right"))
-        raise ConfigError(f"event file {path}: record {k} has timestamp "
-                          f"{ts[k]} ps, after the header duration_ps "
-                          f"{duration_ps}")
-    header = {"version": version, "seed": seed, "duration_ps": duration_ps,
-              "channel_count": channel_count}
     return stream, header
+
+
+def read_channels(path):
+    """Read a TPE1 file channel by channel; returns (times, counts, header).
+
+    times[c] holds the int64 timestamps [ps] of channel c (1..channel_count)
+    in file order, and counts[c] their number.  A first pass over the
+    records runs every check of read_events and counts each channel; a
+    second fills the preallocated arrays, so beside them the reader holds
+    one record chunk, never the stream.  Raises what read_events raises.
+    """
+    with open(path, "rb") as fh:
+        header, n = _open_events(fh, path)
+        channels = range(1, header["channel_count"] + 1)
+        tally = np.zeros(header["channel_count"] + 1, dtype=np.int64)
+        for _, rec in _checked_chunks(fh, path, header, n):
+            tally += np.bincount(rec["channel"], minlength=tally.size)
+        times = {c: np.empty(tally[c], dtype=np.int64) for c in channels}
+        filled = dict.fromkeys(channels, 0)
+        for _, rec in _record_chunks(fh, path, n):
+            # the chunk's stamps grouped by channel, each group in file order;
+            # every stamp is below 2^63, so the int64 view keeps its value
+            ch = rec["channel"]
+            ts = rec["timestamp_ps"].view(np.int64)[np.argsort(ch, kind="stable")]
+            ends = np.cumsum(np.bincount(ch, minlength=tally.size))
+            for c in channels:
+                group = ts[ends[c - 1]:ends[c]]
+                times[c][filled[c]:filled[c] + group.size] = group
+                filled[c] += group.size
+    counts = {c: int(tally[c]) for c in channels}
+    return times, counts, header
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Shared fixtures: the reference parameter set and the heavy spectral
 kernels, computed once per session."""
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -13,6 +15,22 @@ from triphoton.eventsim import SourceConfig, generate_stream
 settings.register_profile("suite", deadline=None,
                           suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("suite")
+
+
+@pytest.fixture(scope="session")
+def raw_event_file():
+    """write(path, stamps, channels, duration_ps): a TPE1 file written record
+    by record with no check, for the malformed files the writer refuses."""
+    def write(path, stamps, channels, duration_ps, seed=0, channel_count=4):
+        rec = np.zeros(len(stamps), dtype=[("timestamp_ps", "<u8"),
+                                           ("channel", "u1"), ("pad", "V7")])
+        rec["timestamp_ps"] = stamps
+        rec["channel"] = channels
+        path.write_bytes(struct.pack("<4sHHQQH6x", b"TPE1", 1, 32, seed,
+                                     duration_ps, channel_count)
+                         + rec.tobytes())
+        return path
+    return write
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import triphoton
+from triphoton import cli
 from triphoton.cli import main
 from triphoton.config import default_config, parse_config_text
 from triphoton.eventsim import EVENT_DTYPE
@@ -95,6 +96,30 @@ def test_trace_diag_requires_line(small_cfg, tmp_path):
     code = main(["trace", "--config", small_cfg, "--kind", "diag",
                  "--out", str(tmp_path / "d.csv")])
     assert code == 2
+
+
+@pytest.mark.parametrize("line", ["nan", "inf", "-inf", "-1e-12", "1.0001e-08"])
+def test_trace_diag_bad_line_exit_code(small_cfg, tmp_path, capsys,
+                                       monkeypatch, line):
+    """A line off the delay grid (tau21 + tau31 in [0, 2 tau_max], 10 ns
+    here) is a bad argument, refused before any map is computed."""
+    def no_map(*args, **kwargs):
+        raise AssertionError("the correlation map was computed")
+
+    monkeypatch.setattr(cli, "triphoton_amplitude_map", no_map)
+    code = main(["trace", "--config", small_cfg, "--kind", "diag",
+                 f"--line={line}", "--out", str(tmp_path / "d.csv")])
+    assert code == 2
+    assert "--line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["0", "1e-08"])
+def test_trace_diag_grid_corner_lines(small_cfg, tmp_path, line):
+    out = tmp_path / "d.csv"
+    assert main(["trace", "--config", small_cfg, "--kind", "diag",
+                 "--line", line, "--out", str(out)]) == 0
+    axis, _ = io_formats.read_trace(out)
+    assert axis.size == 1
 
 
 def test_simulate_analyze_round_trip(small_cfg, tmp_path):
@@ -227,27 +252,27 @@ def test_simulate_bad_seed_or_duration_exit_code(tmp_path, capsys, args,
     assert not out.exists()
 
 
-def test_timestamp_at_2_63_exit_code(tmp_path, capsys):
+def test_timestamp_at_2_63_exit_code(tmp_path, capsys, raw_event_file):
     """A stamp past the int64 range is a bad input, not a matcher crash."""
     s = np.zeros(3001, dtype=EVENT_DTYPE)
     s["timestamp_ps"][:3000] = np.arange(3000) * 10 ** 6
     s["channel"][:3000] = np.arange(3000) % 4 + 1
     s[3000] = (2 ** 63 + 5, 2, 0)
     path = tmp_path / "late.tpe1"
-    io_formats.write_events(path, s, seed=0, duration_ps=10 ** 12)
+    raw_event_file(path, s["timestamp_ps"], s["channel"], duration_ps=10 ** 12)
     assert main(["analyze", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert str(path) in err and "record 3000" in err
 
 
-def test_timestamp_after_duration_exit_code(tmp_path, capsys):
+def test_timestamp_after_duration_exit_code(tmp_path, capsys, raw_event_file):
     """Counts divided by a header duration shorter than the stream would
     give scaled rates, so analyze refuses the file."""
     s = np.zeros(3, dtype=EVENT_DTYPE)
     s["timestamp_ps"] = (10, 20, 10 ** 13)
     s["channel"] = (1, 2, 3)
     path = tmp_path / "short.tpe1"
-    io_formats.write_events(path, s, seed=0, duration_ps=10 ** 12)
+    raw_event_file(path, s["timestamp_ps"], s["channel"], duration_ps=10 ** 12)
     assert main(["analyze", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert str(path) in err and "record 2" in err and "duration_ps" in err

@@ -8,8 +8,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import norm, poisson
 
-from triphoton import coincidence
+from triphoton import coincidence, eventsim, io_formats
+from triphoton.config import default_config
+from triphoton.correlation import CorrelationMap
 from triphoton.errors import EstimationError, InvalidParameterError
+from triphoton.susceptibility import ComplexGrid2D
 from triphoton.eventsim import EVENT_DTYPE, PS_PER_S, SourceConfig, \
     generate_stream
 from triphoton.coincidence import (CoincidenceHistogram2D, diagnose_crosscheck,
@@ -211,6 +214,50 @@ def test_delayed_peak_memory_not_above_direct():
             tracemalloc.stop()
     direct, delayed = peaks
     assert delayed <= direct, f"delayed {delayed} B, direct {direct} B"
+
+
+def test_channel_read_and_match_peak_memory(tmp_path, monkeypatch):
+    """analyze's path, read_channels plus the start-blocked match, peaks at
+    <= 1.0x the bytes of the reference mix's stream (600 s, 4.8M events): the
+    per-channel arrays, one record chunk and one block of starts, never the
+    stream."""
+    monkeypatch.setattr(eventsim, "CHUNK", 1 << 16)
+    monkeypatch.setattr(io_formats, "RECORD_CHUNK", 1 << 16)
+    cfg = default_config().source_config(duration=600.0)
+    axis = np.linspace(0.0, 10e-9, 8)
+    cmap = CorrelationMap(grid=ComplexGrid2D(axis1=axis, axis2=axis,
+                                             values=np.ones((8, 8), complex)),
+                          r3=np.ones((8, 8)))
+    path = tmp_path / "run.tpe1"
+    n = io_formats.write_windows(path, eventsim.stream_windows(cmap, cfg),
+                                 seed=cfg.seed, duration_ps=600 * PS_PER_S)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        times, counts, _ = io_formats.read_channels(path)
+        hist = coincidence.triple_histogram(times[1], times[2], times[3],
+                                            195e-9, 0.25e-9, cfg.duration)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    stream_bytes = n * EVENT_DTYPE.itemsize
+    assert n > 4_500_000 and sum(counts.values()) == n
+    assert hist.counts.sum() > 0
+    assert peak <= 1.0 * stream_bytes, f"{peak / stream_bytes:.2f}x"
+
+
+def test_triple_histogram_takes_channel_arrays():
+    """The matcher analyze runs on read_channels' arrays counts what both
+    reconstructions count on the stream they come from."""
+    rng = np.random.default_rng(41)
+    s = _random_stream(rng, 30, 4000, channels=(1, 2, 3, 4))
+    t = {ch: s["timestamp_ps"][s["channel"] == ch].astype(np.int64)
+         for ch in (1, 2, 3)}
+    h = coincidence.triple_histogram(t[1], t[2], t[3], 1e-9, 0.1e-9, 1.0)
+    assert h.counts.sum() > 30
+    assert np.array_equal(h.counts, _brute_triple(s, 1000, 100))
+    for reconstruct in (reconstruct_triple_direct, reconstruct_triple_delayed):
+        assert np.array_equal(reconstruct(s, 1e-9, 0.1e-9).counts, h.counts)
 
 
 def test_delayed_rejects_negative_offset():

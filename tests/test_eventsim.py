@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triphoton.config import default_config, parse_config_text
-from triphoton import eventsim
+from triphoton import eventsim, io_formats
 from triphoton.errors import InvalidParameterError
 from triphoton.susceptibility import ComplexGrid2D
 from triphoton.correlation import CorrelationMap
 from triphoton.eventsim import (EVENT_DTYPE, ORIGIN_DARK, ORIGIN_DUAL_PAIR,
                                 ORIGIN_SINGLE, ORIGIN_TRIPLET, PS_PER_S,
                                 SourceConfig, _merge, diagnose_stream,
-                                generate_stream, sample_triplet_delays)
+                                generate_stream, sample_triplet_delays,
+                                stream_windows)
 
 
 def _toy_cmap(n=8, span=10e-9, seed=4):
@@ -198,15 +199,15 @@ def test_stream_bytes_pinned(name, chunk, monkeypatch):
 
 @st.composite
 def _sorted_parts(draw):
-    """Sorted (timestamp_ps, channel, origin) parts with many equal stamps
-    within and across parts; the channel numbers each event's position."""
+    """Sorted (timestamp_ps, channel, origin) parts, each with one channel
+    and one origin that number it, with many equal stamps within and across
+    parts."""
     high = draw(st.sampled_from([0, 3, 1000, 2 ** 63 - 2]))
     parts = []
     for k in range(draw(st.integers(0, 5))):
         ts = np.sort(np.array(draw(st.lists(st.integers(0, high), max_size=40)),
                               dtype=np.uint64))
-        parts.append((ts, np.arange(ts.size, dtype=np.uint8),
-                      np.full(ts.size, k, dtype=np.uint8)))
+        parts.append((ts, np.uint8(k + 1), np.uint8(k)))
     return parts
 
 
@@ -216,9 +217,14 @@ def test_windowed_merge_equals_global_stable_sort(parts, window):
     cat = np.empty(sum(p[0].size for p in parts), dtype=EVENT_DTYPE)
     if parts:
         for field, col in (("timestamp_ps", 0), ("channel", 1), ("origin", 2)):
-            cat[field] = np.concatenate([p[col] for p in parts])
+            cat[field] = np.concatenate([np.full(p[0].size, p[col]) for p in parts])
     expect = cat[np.argsort(cat["timestamp_ps"], kind="stable")]
-    assert _merge(parts, window).tobytes() == expect.tobytes()
+    got = np.empty(cat.size, dtype=EVENT_DTYPE)
+    windows = list(_merge(parts, window))
+    if windows:
+        for field, cols in zip(EVENT_DTYPE.names, zip(*windows)):
+            got[field] = np.concatenate(cols)
+    assert got.tobytes() == expect.tobytes()
 
 
 def test_generate_stream_peak_memory():
@@ -236,6 +242,44 @@ def test_generate_stream_peak_memory():
         tracemalloc.stop()
     assert stream.size > 4_500_000
     assert peak <= 3.2 * stream.nbytes, f"{peak / stream.nbytes:.2f}x"
+
+
+def test_window_path_peak_memory(tmp_path, monkeypatch):
+    """Simulating the reference mix (600 s, 4.8M events) into a TPE1 file
+    through the merge windows peaks at <= 1.2x the bytes of the stream it
+    writes: the sorted click series, one window and one record chunk, never
+    the sorted stream."""
+    monkeypatch.setattr(eventsim, "CHUNK", 1 << 16)
+    monkeypatch.setattr(io_formats, "RECORD_CHUNK", 1 << 16)
+    cmap = _toy_cmap()
+    cfg = default_config().source_config(duration=600.0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        n = io_formats.write_windows(tmp_path / "run.tpe1",
+                                     stream_windows(cmap, cfg), seed=cfg.seed,
+                                     duration_ps=600 * PS_PER_S)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    stream_bytes = n * EVENT_DTYPE.itemsize
+    assert n > 4_500_000
+    assert peak <= 1.2 * stream_bytes, f"{peak / stream_bytes:.2f}x"
+
+
+def test_window_path_writes_the_generated_stream(tmp_path, monkeypatch):
+    """The file simulate writes from the windows holds generate_stream's
+    stream, record for record, origins included."""
+    monkeypatch.setattr(eventsim, "CHUNK", 4096)
+    make_cfg, _ = _PINNED_STREAMS["jitter-thinned"]
+    cfg = make_cfg()
+    path = tmp_path / "run.tpe1"
+    n = io_formats.write_windows(path, stream_windows(_toy_cmap(), cfg),
+                                 seed=cfg.seed, duration_ps=20 * PS_PER_S,
+                                 keep_origin=True)
+    back, _ = io_formats.read_events(path)
+    assert n == back.size
+    assert back.tobytes() == generate_stream(_toy_cmap(), cfg).tobytes()
 
 
 # ---------------------------------------------------------------------------

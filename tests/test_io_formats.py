@@ -2,6 +2,7 @@
 import re
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ def test_event_round_trip_strips_origins_by_default(tmp_path):
 def test_event_file_layout(tmp_path):
     s = _stream(3, seed=2)
     path = tmp_path / "run.tpe1"
-    io_formats.write_events(path, s, seed=9, duration_ps=123)
+    io_formats.write_events(path, s, seed=9, duration_ps=10 ** 12)
     raw = path.read_bytes()
     assert raw[:4] == b"TPE1"
     assert len(raw) == 32 + 16 * 3
@@ -98,9 +99,10 @@ def test_channel_out_of_range_rejected(tmp_path, channel):
         io_formats.read_events(path)
 
 
-def test_zero_duration_with_records_rejected(tmp_path):
+def test_zero_duration_with_records_rejected(tmp_path, raw_event_file):
     path = tmp_path / "zero.tpe1"
-    io_formats.write_events(path, _stream(5, seed=7), seed=0, duration_ps=0)
+    s = _stream(5, seed=7)
+    raw_event_file(path, s["timestamp_ps"], s["channel"], duration_ps=0)
     with pytest.raises(ConfigError, match="duration_ps of 0"):
         io_formats.read_events(path)
 
@@ -136,7 +138,7 @@ def test_bad_header_len_rejected(tmp_path, header_len):
 def test_truncated_file_rejected(tmp_path):
     s = _stream(5, seed=4)
     path = tmp_path / "run.tpe1"
-    io_formats.write_events(path, s, seed=0, duration_ps=1)
+    io_formats.write_events(path, s, seed=0, duration_ps=10 ** 12)
     raw = path.read_bytes()
     (tmp_path / "cut.tpe1").write_bytes(raw[:-7])
     with pytest.raises(ConfigError):
@@ -248,6 +250,103 @@ def test_chunked_truncated_and_empty(tmp_path, record_chunk):
                             duration_ps=0)
     back, header = io_formats.read_events(empty)
     assert back.size == 0 and header["duration_ps"] == 0
+
+
+def test_writer_rejects_record_after_duration(tmp_path, record_chunk):
+    """The writer refuses, and leaves no file for, what the reader would
+    refuse: a record stamped after duration_ps, named by its index across
+    windows and chunks, or any record under a duration_ps of 0."""
+    s = _stream(20, seed=10)
+    s["timestamp_ps"] = 10 * np.arange(1, 21)
+    path = tmp_path / "late.tpe1"
+    with pytest.raises(InvalidParameterError, match="record 18 has timestamp "
+                       "190 ps, after the duration_ps 184"):
+        io_formats.write_events(path, s, seed=0, duration_ps=184)
+    assert not path.exists()
+    windows = [tuple(s[f][lo:hi] for f in EVENT_DTYPE.names)
+               for lo, hi in ((0, 5), (5, 5), (5, 17), (17, 20))]
+    with pytest.raises(InvalidParameterError, match="record 18 has timestamp"):
+        io_formats.write_windows(path, windows, seed=0, duration_ps=184)
+    assert not path.exists()
+    with pytest.raises(InvalidParameterError,
+                       match="record 0 under a duration_ps of 0"):
+        io_formats.write_events(path, s, seed=0, duration_ps=0)
+    assert not path.exists()
+    # a stamp equal to the duration is valid
+    assert io_formats.write_windows(path, windows, seed=0,
+                                    duration_ps=200) == 20
+    back, _ = io_formats.read_events(path)
+    assert np.array_equal(back["timestamp_ps"], s["timestamp_ps"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(1, 4)),
+                max_size=40),
+       st.integers(1, 8))
+def test_read_channels_equals_split_of_read_events(tmp_path_factory, records,
+                                                   chunk):
+    s = np.zeros(len(records), dtype=EVENT_DTYPE)
+    if records:
+        s["timestamp_ps"], s["channel"] = zip(*sorted(records))
+    path = tmp_path_factory.mktemp("parity") / "run.tpe1"
+    io_formats.write_events(path, s, seed=5, duration_ps=10 ** 6)
+    with mock.patch.object(io_formats, "RECORD_CHUNK", chunk):
+        stream, header = io_formats.read_events(path)
+        times, counts, header_c = io_formats.read_channels(path)
+    assert header_c == header
+    assert sorted(times) == sorted(counts) == [1, 2, 3, 4]
+    for c in (1, 2, 3, 4):
+        expect = stream["timestamp_ps"][stream["channel"] == c]
+        assert times[c].dtype == np.int64
+        assert np.array_equal(times[c], expect.astype(np.int64))
+        assert counts[c] == expect.size
+
+
+def _malformed(kind, path, raw_event_file):
+    """A malformed TPE1 file of each kind the readers refuse."""
+    if kind in ("magic", "version", "header_len-48", "header_len-4096"):
+        header = {"magic": (b"NOPE", 1, 32), "version": (b"TPE1", 9, 32),
+                  "header_len-48": (b"TPE1", 1, 48),
+                  "header_len-4096": (b"TPE1", 1, 4096)}[kind]
+        path.write_bytes(struct.pack("<4sHHQQH6x", *header, 0, 10 ** 12, 4)
+                         + bytes(16 * 5))
+        return path
+    s = _spaced_file(path)
+    if kind == "truncated":
+        path.write_bytes(path.read_bytes()[:-7])
+    elif kind == "too-short":
+        path.write_bytes(path.read_bytes()[:10])
+    elif kind == "reversed":
+        _reversed_on_disk(path)
+    elif kind == "back-at-chunk-start":
+        _patched_on_disk(path, 14, "timestamp_ps", s["timestamp_ps"][13] - 1)
+    elif kind.startswith("channel"):
+        _patched_on_disk(path, 19, "channel", int(kind.split("-")[1]))
+    elif kind == "zero-duration":
+        raw_event_file(path, s["timestamp_ps"], s["channel"], duration_ps=0)
+    elif kind == "2^63":
+        for k, stamp in ((17, 2 ** 63 - 1), (18, 2 ** 63), (19, 2 ** 63 + 5)):
+            _patched_on_disk(path, k, "timestamp_ps", stamp)
+    elif kind == "after-duration":
+        raw_event_file(path, s["timestamp_ps"], s["channel"], duration_ps=184)
+    return path
+
+
+@pytest.mark.parametrize("kind", [
+    "magic", "version", "header_len-48", "header_len-4096", "truncated",
+    "too-short", "reversed", "back-at-chunk-start", "channel-0", "channel-9",
+    "zero-duration", "2^63", "after-duration"])
+@pytest.mark.parametrize("chunk", [1, 3, 7, 1 << 20])
+def test_both_readers_refuse_malformed_files_alike(tmp_path, monkeypatch,
+                                                   raw_event_file, kind,
+                                                   chunk):
+    path = _malformed(kind, tmp_path / "bad.tpe1", raw_event_file)
+    monkeypatch.setattr(io_formats, "RECORD_CHUNK", chunk)
+    with pytest.raises(ConfigError) as events:
+        io_formats.read_events(path)
+    with pytest.raises(ConfigError) as channels:
+        io_formats.read_channels(path)
+    assert str(channels.value) == str(events.value)
 
 
 def test_event_file_io_peak_memory(tmp_path):
