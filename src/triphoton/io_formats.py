@@ -17,7 +17,10 @@ Grid CSVs: '#'-prefixed comment lines with axis names, units, sizes,
 normalization scale and parameter hash, then rows "axis1,axis2,real,imag"
 (complex) or "axis1,axis2,value" (real).  Traces and tables have the same
 comment lines and one row per sample.  Values are written with 17
-significant digits so a read-write-read round trip is bit-exact.
+significant digits so a read-write-read round trip is bit-exact.  Rows are
+joined ROW_BLOCK at a time, integer columns are formatted through a table of
+their distinct values, and the writers refuse grid cells not shaped like the
+axes and table columns of unequal length.
 """
 from __future__ import annotations
 
@@ -38,6 +41,8 @@ _RECORD_DTYPE = np.dtype([("timestamp_ps", "<u8"), ("channel", "u1"),
                           ("flags", "u1"), ("reserved", "V6")])
 # records per read or write: the memory the I/O needs beside the stream
 RECORD_CHUNK = 1 << 20
+# CSV rows joined per write: the row text the writers hold at once
+ROW_BLOCK = 1 << 12
 # first timestamp the reader rejects: the matcher reads stamps as int64
 _STAMP_LIMIT = np.uint64(1 << 63)
 
@@ -237,25 +242,50 @@ def _text(values) -> list[str]:
     return [f"{x:.17g}" for x in np.ravel(values).tolist()]
 
 
+def _column(values):
+    """A _write_rows column of the elements in C order: the text of integers,
+    through a table of their distinct values, or the floats themselves."""
+    flat = np.ravel(values)
+    if flat.dtype.kind not in "biu":
+        return flat
+    uniq, inverse = np.unique(flat, return_inverse=True)
+    return np.array(_text(uniq), dtype=object)[inverse].tolist()
+
+
 def _write_rows(path, header_lines, columns) -> None:
-    """'# ' header lines, then one row per index of the equal-length text
-    columns."""
+    """'# ' header lines, then ROW_BLOCK rows per join, one per index of the
+    equal-length columns: text lists, or floats formatted a block at a time."""
+    n, width = len(columns[0]), 2 * len(columns)
+    buf = ([","] * (width - 1) + ["\n"]) * min(n, ROW_BLOCK)
     with open(path, "w") as fh:
         fh.writelines(f"# {line}\n" for line in header_lines)
-        fh.writelines(",".join(row) + "\n" for row in zip(*columns, strict=True))
+        for lo in range(0, n, ROW_BLOCK):
+            hi = min(lo + ROW_BLOCK, n)
+            del buf[(hi - lo) * width:]  # the last block may be short
+            for k, col in enumerate(columns):
+                part = col[lo:hi]
+                buf[2 * k::width] = part if isinstance(part, list) else _text(part)
+            fh.write("".join(buf))
 
 
 def _write_grid(path, header_lines, axis1, axis2, cells) -> None:
     """One row per grid point, axis1 outer; each axis value formatted once."""
+    shape = (np.size(axis1), np.size(axis2))
+    if any(np.shape(c) != shape for c in cells):
+        raise InvalidParameterError(f"grid cells of shapes {list(map(np.shape, cells))}"
+                                    f" do not fit axes of sizes {shape}")
     a1, a2 = _text(axis1), _text(axis2)
     _write_rows(path, header_lines,
-                [[a for a in a1 for _ in a2], a2 * len(a1), *map(_text, cells)])
+                [[a for a in a1 for _ in a2], a2 * len(a1), *map(_column, cells)])
 
 
 def write_table(path, header_lines, columns) -> None:
     """'# ' header lines (the columns line among them), then one row per index
     of the equal-length numeric columns."""
-    _write_rows(path, header_lines, [_text(c) for c in columns])
+    lengths = [np.size(c) for c in columns]
+    if len(set(lengths)) > 1:
+        raise InvalidParameterError(f"table columns of unequal lengths {lengths}")
+    _write_rows(path, header_lines, [_column(c) for c in columns])
 
 
 def _read_rows(path, ncols: int, what: str):

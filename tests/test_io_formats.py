@@ -7,6 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from triphoton.errors import ConfigError, InvalidParameterError
 from triphoton.eventsim import EVENT_DTYPE
@@ -537,3 +538,118 @@ def test_trace_bytes_match_per_cell_format(tmp_path):
     io_formats.write_trace(path, axis, values, header_lines=["kind: demo"])
     assert path.read_text() == _per_cell_text(
         ["kind: demo", "columns: axis,value"], zip(axis, values))
+
+
+# ---------------------------------------------------------------------------
+# the blocked row writer against the per-cell reference
+# ---------------------------------------------------------------------------
+
+_INT_EDGES = st.sampled_from([0, -1, 1, 10 ** 17 - 1, 10 ** 17, 2 ** 62,
+                              -10 ** 18, 2 ** 63 - 1, -2 ** 63])
+_FLOAT_EDGES = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072e-308,
+                                float("nan"), float("inf"), float("-inf"),
+                                1e17, -1e300])
+
+
+def _cells(dtype, shape):
+    """Cell arrays of dtype whose values repeat, so the distinct-value table
+    of an integer column maps several cells to one text."""
+    if dtype == "int64":
+        elements = st.one_of(st.integers(-3, 3), _INT_EDGES)
+    elif dtype == "float64":
+        elements = st.one_of(_FLOAT_EDGES, st.floats())
+    else:
+        elements = None
+    return hnp.arrays(np.dtype(dtype), shape, elements=elements)
+
+
+_axis = st.integers(0, 5).flatmap(
+    lambda n: hnp.arrays(np.float64, n, elements=finite))
+
+
+def _blocked(block):
+    """ROW_BLOCK of 1 to 7 rows, so grids and tables cross block ends."""
+    return mock.patch.object(io_formats, "ROW_BLOCK", block)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(_axis, _axis), st.sampled_from(
+    ["int64", "int32", "uint8", "uint64", "bool", "float64"]),
+    st.integers(1, 7), st.data())
+def test_real_grid_writer_equals_per_cell_text(tmp_path_factory, axes, dtype,
+                                               block, data):
+    axis1, axis2 = axes
+    values = data.draw(_cells(dtype, (axis1.size, axis2.size)))
+    path = tmp_path_factory.mktemp("blocked") / "r.csv"
+    with _blocked(block):
+        io_formats.write_real_grid(path, axis1, axis2, values,
+                                   header_lines=["kind: demo"])
+    assert path.read_text() == _per_cell_text(
+        ["kind: demo", "columns: axis1,axis2,value"],
+        _grid_rows(axis1, axis2, values))
+
+
+# a ComplexGrid2D axis is uniform and increasing, with at least 2 points
+_uniform_axis = st.builds(lambda k0, n, step: step * np.arange(k0, k0 + n),
+                          st.integers(-1000, 1000), st.integers(2, 5),
+                          st.floats(1e-12, 1e12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(_uniform_axis, _uniform_axis), st.integers(1, 7), st.data())
+def test_complex_grid_writer_equals_per_cell_text(tmp_path_factory, axes,
+                                                  block, data):
+    axis1, axis2 = axes
+    shape = (axis1.size, axis2.size)
+    values = np.empty(shape, dtype=complex)
+    values.real = data.draw(_cells("float64", shape))
+    values.imag = data.draw(_cells("float64", shape))
+    grid = ComplexGrid2D(axis1=axis1, axis2=axis2, values=values,
+                         label1="delta2", label2="delta3", unit="rad/s",
+                         provenance="demo")
+    path = tmp_path_factory.mktemp("blocked") / "c.csv"
+    with _blocked(block):
+        io_formats.write_complex_grid(path, grid)
+    header = [f"axis1: delta2 [rad/s] n={shape[0]}",
+              f"axis2: delta3 [rad/s] n={shape[1]}", "provenance: demo",
+              "columns: axis1,axis2,real,imag"]
+    rows = ((a1, a2, v.real, v.imag) for a1, a2, v in
+            _grid_rows(axis1, axis2, values))
+    assert path.read_text() == _per_cell_text(header, rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 15), st.lists(st.sampled_from(
+    ["int64", "uint8", "bool", "float64"]), min_size=1, max_size=4),
+    st.integers(1, 7), st.data())
+def test_table_writer_equals_per_cell_text(tmp_path_factory, n, dtypes, block,
+                                           data):
+    columns = [data.draw(_cells(d, n)) for d in dtypes]
+    path = tmp_path_factory.mktemp("blocked") / "t.csv"
+    with _blocked(block):
+        io_formats.write_table(path, ["columns: demo"], columns)
+    assert path.read_text() == _per_cell_text(["columns: demo"], zip(*columns))
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (3, 5), (2, 4), (12,), (3, 4, 1)])
+def test_real_grid_writer_refuses_misshaped_cells(tmp_path, shape):
+    """Cells transposed against the axes used to be written without error,
+    every value at the wrong (axis1, axis2)."""
+    path = tmp_path / "bad.csv"
+    values = np.arange(int(np.prod(shape))).reshape(shape)
+    with pytest.raises(InvalidParameterError, match=re.escape(
+            f"grid cells of shapes [{shape}] do not fit axes of sizes (3, 4)")):
+        io_formats.write_real_grid(path, _AXIS1, _AXIS2, values)
+    assert not path.exists()
+
+
+def test_table_writers_refuse_unequal_columns(tmp_path):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(InvalidParameterError,
+                       match=re.escape("unequal lengths [3, 4, 3]")):
+        io_formats.write_table(path, ["columns: a,b,c"],
+                               [np.zeros(3), np.arange(4), np.ones(3)])
+    with pytest.raises(InvalidParameterError,
+                       match=re.escape("unequal lengths [7, 6]")):
+        io_formats.write_trace(path, np.linspace(0.0, 1.0, 7), np.zeros(6))
+    assert not path.exists()
