@@ -552,8 +552,9 @@ _FLOAT_EDGES = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072e-308,
 
 
 def _cells(dtype, shape):
-    """Cell arrays of dtype whose values repeat, so the distinct-value table
-    of an integer column maps several cells to one text."""
+    """Cell arrays of dtype.  int64 and float64 cells mix in edge values, and
+    int64 cells repeat small ones, so the distinct-value table maps several
+    cells to one text."""
     if dtype == "int64":
         elements = st.one_of(st.integers(-3, 3), _INT_EDGES)
     elif dtype == "float64":
