@@ -23,7 +23,7 @@ from .correlation import (CorrelationMap, ConditionalTrace,
                           trace_map, diagonal_cut, oscillation_period,
                           visibility, cauchy_schwarz_factor)
 from .eventsim import (SourceConfig, EVENT_DTYPE, sample_triplet_delays,
-                       generate_stream, diagnose_stream)
+                       generate_stream)
 from .coincidence import (CoincidenceHistogram2D, RatesReport,
                           pairwise_histogram, reconstruct_triple_direct,
                           reconstruct_triple_delayed, estimate_floor,

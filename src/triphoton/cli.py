@@ -19,11 +19,13 @@ import numpy as np
 from .errors import (ConfigError, InvalidParameterError, NumericalDomainError,
                      TriphotonError)
 from .config import parse_config, default_config, dump_defaults, RunConfig
-from .susceptibility import GridSpec2D, chi5_map, dispersion_profile
+from .susceptibility import (GridSpec2D, chi5_map, dispersion_profile,
+                             params_hash)
 from .correlation import (default_spectral_window, spectral_kernel,
                           triphoton_amplitude_map, trace_map, diagonal_cut)
 from .eventsim import PS_PER_S, stream_windows
-from .coincidence import estimate_floor, rates_report, triple_histogram
+from .coincidence import (METHOD_LABELS, estimate_floor, rates_report,
+                          triple_histogram)
 # the library entry points that perfbench/tracer.py times under these names;
 # simulate and analyze go through stream_windows and triple_histogram instead
 from .eventsim import generate_stream  # noqa: F401
@@ -54,16 +56,18 @@ def _profiles(cfg: RunConfig, params, spec):
                                     ("S3", spec.min2, spec.max2, cfg["spectral_n3"]))}
 
 
+def _tau_spec(cfg: RunConfig):
+    return GridSpec2D(0.0, cfg["tau_max"], cfg["tau_points"],
+                      0.0, cfg["tau_max"], cfg["tau_points"])
+
+
 def _correlation_map(cfg: RunConfig, params):
-    quad = cfg.quadrature()
     spec = _spectral_spec(cfg, params)
-    tau = GridSpec2D(0.0, cfg["tau_max"], cfg["tau_points"],
-                     0.0, cfg["tau_max"], cfg["tau_points"])
     kernel = spectral_kernel(
-        spec, params, quad,
+        spec, params, cfg.quadrature(),
         _profiles(cfg, params, spec) if cfg["dispersion"] == "on" else None,
         cfg["phase_convention"], cfg["group_delay_mode"])
-    return triphoton_amplitude_map(tau, params, quad, kernel)
+    return triphoton_amplitude_map(_tau_spec(cfg), kernel)
 
 
 def cmd_chi5_map(args) -> int:
@@ -107,7 +111,8 @@ def cmd_correlation_map(args) -> int:
         args.out, cmap.tau21_axis, cmap.tau31_axis, cmap.r3,
         header_lines=["r3 = |A3(tau21, tau31)|^2, peak-normalized",
                       f"provenance: {cmap.grid.provenance}",
-                      f"params_hash: {cmap.params_hash}"])
+                      "params_hash: "
+                      f"{params_hash(params, _tau_spec(cfg), cfg.quadrature())}"])
     print(f"correlation-map: {cmap.r3.shape[0]}x{cmap.r3.shape[1]} tau grid, "
           f"wrote {args.out}")
     return 0
@@ -181,11 +186,10 @@ def cmd_analyze(args) -> int:
     times, _, header = io_formats.read_channels(args.eventfile)
     duration = header["duration_ps"] / PS_PER_S
     method = args.method or cfg["method"]
-    # the delayed circuit's offset cancels (reconstruct_triple_delayed)
-    label = "delayed-pairwise" if method == "delayed" else "direct-3fold"
     t1, t2, t3 = (times.get(c, np.empty(0, np.int64)) for c in (1, 2, 3))
+    # the delayed circuit's offset cancels (reconstruct_triple_delayed)
     hist = triple_histogram(t1, t2, t3, cfg["window"], cfg["bin"], duration,
-                            label)
+                            METHOD_LABELS[method])
     del times, t1, t2, t3
     floor = estimate_floor(hist)
     hist = dataclasses.replace(hist, floor_estimate=floor)

@@ -22,11 +22,14 @@ import numpy as np
 from .errors import InvalidParameterError, EstimationError
 from .correlation import (ConditionalTrace, cauchy_schwarz_factor,
                           oscillation_period, visibility)
-from .eventsim import PS_PER_S
+from .eventsim import PS_PER_S, split_channels
 
 # starts searched, and (stop2, stop3) pairs expanded and binned, at once by
 # the three-fold matcher
 _TRIPLE_BLOCK = 1 << 16
+
+# the histogram label of each reconstruction method
+METHOD_LABELS = {"direct": "direct-3fold", "delayed": "delayed-pairwise"}
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,7 @@ class CoincidenceHistogram2D:
     bin_width: float
     duration: float
     floor_estimate: float | None = None
-    method: str = "direct-3fold"
+    method: str = METHOD_LABELS["direct"]
 
     def __post_init__(self):
         if np.any(self.counts < 0):
@@ -87,19 +90,6 @@ class RatesReport:
 # ---------------------------------------------------------------------------
 # matching primitives
 # ---------------------------------------------------------------------------
-
-def _split_channels(stream: np.ndarray) -> dict:
-    """{channel: int64 timestamps [ps] of its clicks, in stream order}.
-
-    One stable counting sort by channel splits the stream; the arrays are
-    slices of one gathered copy.  Stamps below 2^63 ps (106 days) keep their
-    value.
-    """
-    ch = stream["channel"]
-    ts = stream["timestamp_ps"][np.argsort(ch, kind="stable")].view(np.int64)
-    ends = np.cumsum(np.bincount(ch, minlength=256))
-    return {c: ts[lo:hi] for c, (lo, hi) in enumerate(zip([0, *ends], ends))}
-
 
 def _expand(n: np.ndarray):
     """(owner, offset) of the sum(n) items when owner i holds n[i] of them.
@@ -135,6 +125,8 @@ def _window_bin_ps(window: float, bin_width: float):
         raise InvalidParameterError("bin must not exceed window")
     w = int(round(window * PS_PER_S))
     b = int(round(bin_width * PS_PER_S))
+    if b == 0:
+        raise InvalidParameterError(f"bin {bin_width!r} s rounds to 0 ps")
     return w, b
 
 
@@ -149,7 +141,7 @@ def pairwise_histogram(stream: np.ndarray, start_ch: int, stop_ch: int,
     """
     w_ps, b_ps = _window_bin_ps(window, bin_width)
     nbins = w_ps // b_ps
-    times = _split_channels(stream)
+    times = split_channels(stream["channel"], stream["timestamp_ps"])
     starts, stops = times[start_ch], times[stop_ch]
     counts = np.zeros(nbins, dtype=np.int64)
     if starts.size and stops.size:
@@ -183,7 +175,11 @@ def _triple_match(t1: np.ndarray, t2: np.ndarray, t3: np.ndarray,
     temporaries stay bounded however long or dense the stream.
     """
     nbins = w_ps // b_ps
-    counts = np.zeros(nbins * nbins, dtype=np.int64)
+    try:
+        counts = np.zeros(nbins * nbins, dtype=np.int64)
+    except (MemoryError, ValueError):
+        raise InvalidParameterError(f"window {w_ps} ps and bin {b_ps} ps make a "
+                                    f"{nbins} x {nbins} histogram, too large") from None
     if not (t1.size and t2.size and t3.size):
         return counts.reshape(nbins, nbins)
     span = nbins * b_ps
@@ -214,7 +210,7 @@ def _triple_match(t1: np.ndarray, t2: np.ndarray, t3: np.ndarray,
 
 def triple_histogram(t1: np.ndarray, t2: np.ndarray, t3: np.ndarray,
                      window: float, bin_width: float, duration: float,
-                     method: str = "direct-3fold") -> CoincidenceHistogram2D:
+                     method: str = METHOD_LABELS["direct"]) -> CoincidenceHistogram2D:
     """Three-fold histogram of sorted int64 channel timestamps [ps].
 
     For each channel-1 click, every (channel-2, channel-3) pair within the
@@ -234,9 +230,9 @@ def triple_histogram(t1: np.ndarray, t2: np.ndarray, t3: np.ndarray,
 def _reconstruct(stream, window, bin_width, duration, method):
     if duration is None:
         duration = float(stream["timestamp_ps"].max()) / PS_PER_S if stream.size else 0.0
-    times = _split_channels(stream)
+    times = split_channels(stream["channel"], stream["timestamp_ps"])
     return triple_histogram(times[1], times[2], times[3], window, bin_width,
-                            duration, method)
+                            duration, METHOD_LABELS[method])
 
 
 def reconstruct_triple_direct(stream: np.ndarray, window: float = 195e-9,
@@ -247,7 +243,7 @@ def reconstruct_triple_direct(stream: np.ndarray, window: float = 195e-9,
     For each channel-1 click, every (channel-2, channel-3) pair within the
     window contributes one count at (tau21, tau31).
     """
-    return _reconstruct(stream, window, bin_width, duration, "direct-3fold")
+    return _reconstruct(stream, window, bin_width, duration, "direct")
 
 
 def reconstruct_triple_delayed(stream: np.ndarray, window: float = 195e-9,
@@ -266,7 +262,7 @@ def reconstruct_triple_delayed(stream: np.ndarray, window: float = 195e-9,
     """
     if round(delay_offset * PS_PER_S) < 0:
         raise InvalidParameterError("delay_offset must be >= 0")
-    return _reconstruct(stream, window, bin_width, duration, "delayed-pairwise")
+    return _reconstruct(stream, window, bin_width, duration, "delayed")
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +315,9 @@ def subtract_accidentals(hist: CoincidenceHistogram2D,
 
 def rebin2d(counts: np.ndarray, factor: int) -> np.ndarray:
     """Sum-rebin a 2-D array by an integer factor (trailing remainder dropped)."""
-    if factor < 1:
-        raise InvalidParameterError("rebin factor must be >= 1")
+    if not 1 <= factor <= min(counts.shape):
+        raise InvalidParameterError(f"rebin factor {factor} is outside "
+                                    f"1..{min(counts.shape)}, the shorter axis")
     n1 = (counts.shape[0] // factor) * factor
     n2 = (counts.shape[1] // factor) * factor
     c = counts[:n1, :n2]
@@ -355,7 +352,10 @@ def rates_report(hist: CoincidenceHistogram2D, g1=(1.6, 2.0, 2.0),
     acc_rate = acc_counts / minutes if minutes > 0 else 0.0
     triplet_err = np.sqrt(max(sig_counts, 0.0)) / minutes if minutes > 0 else 0.0
     acc_err = np.sqrt(max(acc_counts, 0.0)) / minutes if minutes > 0 else 0.0
-    coarse = rebin2d(hist.counts, peak_rebin).astype(float)
+    try:
+        coarse = rebin2d(hist.counts, peak_rebin).astype(float)
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"peak_rebin: {exc}") from None
     coarse_floor = floor * peak_rebin ** 2
     zero_floor = coarse_floor <= 0
     if zero_floor:

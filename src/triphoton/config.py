@@ -203,7 +203,6 @@ REGISTRY = {
     # analysis
     "window": (_positive(_parse_time), "195 ns"),
     "bin": (_positive(_parse_time), "0.25 ns"),
-    "delay_offset": (_nonnegative(_parse_time), "150 ns"),
     "method": (_choice("direct", "delayed"), "direct"),
     "peak_rebin": (_bounded(_parse_int, 1), "8"),
 }

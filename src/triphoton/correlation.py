@@ -9,6 +9,7 @@ quadrature and a chirp-z transform; they serve as mutual cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,15 +35,10 @@ class CorrelationMap:
     """
 
     grid: ComplexGrid2D
-    r3: np.ndarray
-    params_hash: str = ""
 
-    def __post_init__(self):
-        if np.any(self.r3 < 0):
-            raise InvalidParameterError("r3 must be non-negative")
-        if not np.allclose(self.r3, np.abs(self.grid.values) ** 2,
-                           rtol=1e-12, atol=1e-300):
-            raise InvalidParameterError("r3 must equal |A3|^2 pointwise")
+    @cached_property
+    def r3(self) -> np.ndarray:
+        return np.abs(self.grid.values) ** 2
 
     @property
     def tau21_axis(self):
@@ -223,8 +219,7 @@ def _nyquist_check(spec_axis: np.ndarray, tau_axis: np.ndarray, name: str):
 # correlation maps
 # ---------------------------------------------------------------------------
 
-def triphoton_amplitude_map(tau_spec: GridSpec2D, params: ExperimentParams,
-                            quad: VelocityQuadrature, kernel: ComplexGrid2D,
+def triphoton_amplitude_map(tau_spec: GridSpec2D, kernel: ComplexGrid2D,
                             method: str = "transform") -> CorrelationMap:
     """Triphoton amplitude A3(tau21, tau31), peak-normalized.
 
@@ -237,7 +232,7 @@ def triphoton_amplitude_map(tau_spec: GridSpec2D, params: ExperimentParams,
     Riemann double sum explicitly; 'transform' evaluates the identical sum
     with a chirp-z transform, so the two agree to machine precision by
     default.  kernel is the spectral kernel grid, as built by
-    spectral_kernel; params and quad only feed the map's params_hash.
+    spectral_kernel.
     """
     if method not in ("direct", "transform"):
         raise InvalidParameterError(f"unknown method '{method}'")
@@ -261,8 +256,7 @@ def triphoton_amplitude_map(tau_spec: GridSpec2D, params: ExperimentParams,
                          label1="tau21", label2="tau31", unit="s",
                          provenance=f"triphoton_amplitude_map method={method} "
                                     f"raw_scale={scale!r}")
-    return CorrelationMap(grid=grid, r3=np.abs(a3) ** 2,
-                          params_hash=params_hash(params, tau_spec, quad))
+    return CorrelationMap(grid=grid)
 
 
 def conditional_r2_closed(tau23_axis, kernel: ComplexGrid2D) -> ConditionalTrace:

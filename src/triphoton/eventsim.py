@@ -33,8 +33,6 @@ ORIGIN_TRIPLET = 0
 ORIGIN_SINGLE = 1
 ORIGIN_DUAL_PAIR = 2
 ORIGIN_DARK = 3
-ORIGIN_NAMES = {ORIGIN_TRIPLET: "triplet", ORIGIN_SINGLE: "single",
-                ORIGIN_DUAL_PAIR: "dual-pair", ORIGIN_DARK: "dark"}
 
 # in-memory event layout; timestamps in integer picoseconds
 EVENT_DTYPE = np.dtype([("timestamp_ps", "<u8"), ("channel", "u1"),
@@ -100,14 +98,6 @@ def _rng(seed: int, label: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, label))))
 
 
-def _flat_masses(cmap: CorrelationMap):
-    p = cmap.r3.ravel().astype(float)
-    total = p.sum()
-    if total <= 0:
-        raise InvalidParameterError("correlation map has zero total mass")
-    return p / total
-
-
 def sample_triplet_delays(cmap: CorrelationMap, rng: np.random.Generator):
     """One (tau21, tau31) draw distributed proportionally to r3.
 
@@ -120,8 +110,11 @@ def sample_triplet_delays(cmap: CorrelationMap, rng: np.random.Generator):
 
 def _sample_triplet_delays(cmap: CorrelationMap, rng: np.random.Generator,
                            n: int):
-    p = _flat_masses(cmap)
-    idx = rng.choice(p.size, size=n, p=p)
+    p = cmap.r3.ravel()
+    total = p.sum()
+    if total <= 0:
+        raise InvalidParameterError("correlation map has zero total mass")
+    idx = rng.choice(p.size, size=n, p=p / total)
     n2 = cmap.r3.shape[1]
     i, j = idx // n2, idx % n2
     d21 = cmap.tau21_axis[1] - cmap.tau21_axis[0]
@@ -149,6 +142,18 @@ def _first_out_of_order(ts, chunk=CHUNK):
         if back.any():
             return start + 1 + int(np.argmax(back))
     return None
+
+
+def split_channels(channel: np.ndarray, stamps: np.ndarray) -> dict:
+    """{c: int64 stamps [ps] of channel c, in input order} for c in 0..255.
+
+    One stable counting sort by channel splits the uint64 stamps; the arrays
+    are slices of one gathered copy.  Stamps below 2^63 ps (106 days) keep
+    their value.
+    """
+    ts = stamps[np.argsort(channel, kind="stable")].view(np.int64)
+    ends = np.cumsum(np.bincount(channel, minlength=256))
+    return {c: ts[lo:hi] for c, (lo, hi) in enumerate(zip([0, *ends], ends))}
 
 
 def _triplet_clicks(rng, cfg: SourceConfig, cmap: CorrelationMap):
@@ -283,18 +288,6 @@ def _sources(cmap: CorrelationMap | None, cfg: SourceConfig):
     return parts
 
 
-def _collect(parts) -> np.ndarray:
-    """The merged parts as one EVENT_DTYPE stream."""
-    out = np.empty(sum(ts.size for ts, _, _ in parts), dtype=EVENT_DTYPE)
-    pos = 0
-    for window in _merge(parts, CHUNK):
-        stop = pos + window[0].size
-        for field, col in zip(EVENT_DTYPE.names, window):
-            out[field][pos:stop] = col
-        pos = stop
-    return out
-
-
 def stream_windows(cmap: CorrelationMap | None, cfg: SourceConfig):
     """The stream of generate_stream as an iterator of merge windows, each
     (timestamp_ps, channel, origin) arrays of about CHUNK events.
@@ -319,14 +312,12 @@ def generate_stream(cmap: CorrelationMap | None, cfg: SourceConfig) -> np.ndarra
     series are merged window by window (_merge).  Deterministic given
     cfg.seed.
     """
-    return _collect(_sources(cmap, cfg))
-
-
-def diagnose_stream(cfg: SourceConfig) -> np.ndarray:
-    """Independent Poisson clicks on the diagnosis channel (channel 4).
-
-    Uses the channel-4 singles rate; statistically independent of channels
-    1-3 by construction (its own seeded stream).
-    """
-    return _collect(_finalize(cfg, 14, _channel_clicks, cfg.singles_rate[3],
-                              4, ORIGIN_SINGLE))
+    parts = _sources(cmap, cfg)
+    out = np.empty(sum(ts.size for ts, _, _ in parts), dtype=EVENT_DTYPE)
+    pos = 0
+    for window in _merge(parts, CHUNK):
+        stop = pos + window[0].size
+        for field, col in zip(EVENT_DTYPE.names, window):
+            out[field][pos:stop] = col
+        pos = stop
+    return out

@@ -30,7 +30,7 @@ import struct
 import numpy as np
 
 from .errors import ConfigError, InvalidParameterError
-from .eventsim import EVENT_DTYPE, _first_out_of_order
+from .eventsim import EVENT_DTYPE, _first_out_of_order, split_channels
 from .susceptibility import ComplexGrid2D
 
 MAGIC = b"TPE1"
@@ -220,15 +220,12 @@ def read_channels(path):
         times = {c: np.empty(tally[c], dtype=np.int64) for c in channels}
         filled = dict.fromkeys(channels, 0)
         for _, rec in _record_chunks(fh, path, n):
-            # the chunk's stamps grouped by channel, each group in file order;
-            # every stamp is below 2^63, so the int64 view keeps its value
-            ch = rec["channel"]
-            ts = rec["timestamp_ps"].view(np.int64)[np.argsort(ch, kind="stable")]
-            ends = np.cumsum(np.bincount(ch, minlength=tally.size))
-            for c in channels:
-                group = ts[ends[c - 1]:ends[c]]
-                times[c][filled[c]:filled[c] + group.size] = group
-                filled[c] += group.size
+            # the first pass kept channels in 1..channel_count, stamps below 2^63
+            for c, group in split_channels(rec["channel"],
+                                           rec["timestamp_ps"]).items():
+                if group.size:
+                    times[c][filled[c]:filled[c] + group.size] = group
+                    filled[c] += group.size
     counts = {c: int(tally[c]) for c in channels}
     return times, counts, header
 

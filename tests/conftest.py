@@ -59,7 +59,7 @@ def kernel1024(params, quad):
 
 
 @pytest.fixture(scope="session")
-def reference_run(params, quad, kernel512):
+def reference_run(kernel512):
     """One-hour synthetic stream at the reference operating point, plus both
     reconstructions and the simulation-truth counts.
 
@@ -73,7 +73,7 @@ def reference_run(params, quad, kernel512):
     centers = (np.arange(77) + 0.5) * 0.25e-9
     tau_spec = GridSpec2D(centers[0], centers[-1], 77,
                           centers[0], centers[-1], 77)
-    cmap = triphoton_amplitude_map(tau_spec, params, quad, method="transform",
+    cmap = triphoton_amplitude_map(tau_spec, method="transform",
                                    kernel=kernel512)
     cfg = SourceConfig(triplet_rate=102.0 / 60.0,
                        singles_rate=(800.0,) * 4,

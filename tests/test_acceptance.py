@@ -102,15 +102,13 @@ def test_criterion_02_resonance_maxima(params, quad):
             f"(budget 120 s)")
 
 
-def test_criterion_03_dual_transform_paths(params, quad, kernel512):
+def test_criterion_03_dual_transform_paths(kernel512):
     """Direct quadrature and chirp-z transform agree to 1e-4 on a 64x64 delay
     grid, and both match an analytic Gaussian-kernel oracle to 1e-6."""
     t0 = time.perf_counter()
     tau = GridSpec2D(0.0, 20e-9, 64, 0.0, 20e-9, 64)
-    m_t = triphoton_amplitude_map(tau, params, quad, method="transform",
-                                  kernel=kernel512)
-    m_d = triphoton_amplitude_map(tau, params, quad, method="direct",
-                                  kernel=kernel512)
+    m_t = triphoton_amplitude_map(tau, method="transform", kernel=kernel512)
+    m_d = triphoton_amplitude_map(tau, method="direct", kernel=kernel512)
     cross = float(np.max(np.abs(m_t.grid.values - m_d.grid.values))
                   / np.max(np.abs(m_d.grid.values)))
     # analytic oracle: separable Gaussian kernel, known transform
@@ -126,8 +124,7 @@ def test_criterion_03_dual_transform_paths(params, quad, kernel512):
                    - 0.5 * (s * t31[None, :]) ** 2)
     worst = 0.0
     for method in ("transform", "direct"):
-        m = triphoton_amplitude_map(tg, params, quad, method=method,
-                                    kernel=kern)
+        m = triphoton_amplitude_map(tg, method=method, kernel=kern)
         worst = max(worst, float(np.max(np.abs(m.grid.values - exact))))
     elapsed = time.perf_counter() - t0
     ok = cross < 1e-4 and worst < 1e-6 and elapsed < 300.0
@@ -135,14 +132,13 @@ def test_criterion_03_dual_transform_paths(params, quad, kernel512):
                    f"{worst:.2e} (tol 1e-6), {elapsed:.1f} s (budget 300 s)")
 
 
-def test_criterion_04_conditional_pair_rate(params, quad, kernel1024):
+def test_criterion_04_conditional_pair_rate(kernel1024):
     """The closed-form conditional pair rate matches the correlation map
     marginalized over the third photon's delay to 1e-3 relative."""
     tau23 = np.linspace(0.0, 50e-9, 128)
     closed = conditional_r2_closed(tau23, kernel=kernel1024)
     tau = GridSpec2D(0.0, 50e-9, 128, 0.0, 160e-9, 640)
-    cmap = triphoton_amplitude_map(tau, params, quad, method="transform",
-                                   kernel=kernel1024)
+    cmap = triphoton_amplitude_map(tau, method="transform", kernel=kernel1024)
     marginal = trace_map(cmap, "trace-out-S3")
     diff = float(np.max(np.abs(closed.values - marginal.values))
                  / np.max(marginal.values))
@@ -165,7 +161,7 @@ def _significant_spectral_peaks(trace):
     return [(1.0 / freqs[k], spec[k] / spec.max()) for k in order]
 
 
-def test_criterion_05_trace_structure(params, quad, kernel512):
+def test_criterion_05_trace_structure(kernel512):
     """The tau21 marginal carries at least two significant oscillation
     components while the tau31 marginal is dominated by a single one.
 
@@ -175,8 +171,7 @@ def test_criterion_05_trace_structure(params, quad, kernel512):
     reference pair with no hard tolerance, as required.
     """
     tau = GridSpec2D(0.0, 19e-9, 77, 0.0, 19e-9, 77)
-    cmap = triphoton_amplitude_map(tau, params, quad, method="transform",
-                                   kernel=kernel512)
+    cmap = triphoton_amplitude_map(tau, method="transform", kernel=kernel512)
     p21 = _significant_spectral_peaks(trace_map(cmap, "trace-out-S3"))
     p31 = _significant_spectral_peaks(trace_map(cmap, "trace-out-S2"))
     fmt = lambda ps: ", ".join(f"{p * 1e9:.2f} ns (h {h:.2f})" for p, h in ps)
@@ -272,7 +267,7 @@ def test_criterion_08_power_sweep(params, quad):
             f"{rel_dev:.1%}")
 
 
-def test_criterion_09_determinism_round_trips(params, quad, tmp_path):
+def test_criterion_09_determinism_round_trips(tmp_path):
     """Identical seeds give byte-identical outputs and every file format
     round-trips losslessly."""
     tau = GridSpec2D(0.0, 10e-9, 12, 0.0, 10e-9, 12)
@@ -281,8 +276,8 @@ def test_criterion_09_determinism_round_trips(params, quad, tmp_path):
                          axis2=np.linspace(-2e9, 2e9, 24),
                          values=rng.normal(size=(24, 24))
                          + 1j * rng.normal(size=(24, 24)))
-    m1 = triphoton_amplitude_map(tau, params, quad, kernel=kern)
-    m2 = triphoton_amplitude_map(tau, params, quad, kernel=kern)
+    m1 = triphoton_amplitude_map(tau, kernel=kern)
+    m2 = triphoton_amplitude_map(tau, kernel=kern)
     same_map = m1.grid.values.tobytes() == m2.grid.values.tobytes()
     cfg = SourceConfig(triplet_rate=5.0, singles_rate=(100.0,) * 4,
                        dark_rate=(20.0,) * 4, duration=30.0, seed=99)

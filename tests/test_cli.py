@@ -222,6 +222,7 @@ def _event_file(path, n):
     ("quad_range_sigmas = nan", "chi5-map"),
     ("quad_range_sigmas = 2", "chi5-map"),
     ("quad_scheme = gauss-hermite", "chi5-map"),   # the key is gone
+    ("delay_offset = 150 ns", "analyze"),          # so is this one
 ])
 def test_bad_config_value_exit_code(tmp_path, capsys, line, command):
     cfg = tmp_path / "bad.cfg"
@@ -231,6 +232,39 @@ def test_bad_config_value_exit_code(tmp_path, capsys, line, command):
         argv.append(_event_file(tmp_path / "run.tpe1", 40))
     assert main(argv) == 2
     assert line.split()[0] in capsys.readouterr().err
+
+
+def _dense_event_file(path):
+    """30k events on channels 1-3 over 1 ms: about one accidental
+    coincidence per 1 ns x 1 ns bin of a 50 ns window."""
+    rng = np.random.default_rng(12)
+    s = np.zeros(30_000, dtype=EVENT_DTYPE)
+    s["timestamp_ps"] = np.sort(rng.integers(0, 10 ** 9, s.size))
+    s["channel"] = rng.integers(1, 4, s.size)
+    io_formats.write_events(path, s, seed=12, duration_ps=10 ** 9)
+    return str(path)
+
+
+@pytest.mark.parametrize("config, names", [
+    ("bin = 0.4 ps", ["bin"]),
+    ("window = 0.4 ps\nbin = 0.3 ps", ["bin"]),
+    ("window = 1 ms\nbin = 1 ps", ["window", "bin", "1000000000 x 1000000000"]),
+    ("window = 1 s\nbin = 1 ps",
+     ["window", "bin", "1000000000000 x 1000000000000"]),
+    ("window = 50 ns\nbin = 1 ns\npeak_rebin = 60", ["peak_rebin"]),
+], ids=["bin-rounds-to-0", "window-and-bin-round-to-0", "grid-6.94-EiB",
+        "grid-beyond-max-dimension", "peak-rebin-above-bins"])
+def test_analyze_unusable_histogram_exit_code(tmp_path, capsys, config, names):
+    """Window, bin and peak_rebin values that pass their own range checks but
+    make no usable histogram exit 2 with a message, not with a traceback.
+    numpy refuses the two grid sizes before it touches any memory."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config + "\n")
+    events = _dense_event_file(tmp_path / "run.tpe1")
+    assert main(["analyze", events, "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in names), err
 
 
 @pytest.mark.parametrize("args, config, name", [

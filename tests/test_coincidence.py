@@ -226,8 +226,7 @@ def test_channel_read_and_match_peak_memory(tmp_path, monkeypatch):
     cfg = default_config().source_config(duration=600.0)
     axis = np.linspace(0.0, 10e-9, 8)
     cmap = CorrelationMap(grid=ComplexGrid2D(axis1=axis, axis2=axis,
-                                             values=np.ones((8, 8), complex)),
-                          r3=np.ones((8, 8)))
+                                             values=np.ones((8, 8), complex)))
     path = tmp_path / "run.tpe1"
     n = io_formats.write_windows(path, eventsim.stream_windows(cmap, cfg),
                                  seed=cfg.seed, duration_ps=600 * PS_PER_S)
@@ -344,8 +343,10 @@ def test_rebin2d_preserves_mass_and_drops_remainder():
     assert r.shape == (2, 3)
     assert r.sum() == a[:4, :6].sum()
     assert np.array_equal(rebin2d(a, 1), a)
-    with pytest.raises(InvalidParameterError):
-        rebin2d(a, 0)
+    assert rebin2d(a, 5).shape == (1, 1)
+    for factor in (0, 6, 8):  # 6 and 8 exceed an axis: a 0-sized result
+        with pytest.raises(InvalidParameterError, match=f"factor {factor}"):
+            rebin2d(a, factor)
 
 
 # ---------------------------------------------------------------------------

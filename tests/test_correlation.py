@@ -91,22 +91,20 @@ def test_kernel_metadata(kernel512):
 
 @settings(max_examples=25)
 @given(st.integers(min_value=0, max_value=10 ** 6))
-def test_transform_matches_direct_sum(params, quad, seed):
+def test_transform_matches_direct_sum(seed):
     """The chirp-z path evaluates the same finite Riemann sum as the direct
     double quadrature for arbitrary kernels and delay grids."""
     kern = _random_kernel(seed)
     rng = np.random.default_rng(seed + 1)
     t0 = float(rng.uniform(0.0, 2e-9))
     tau = GridSpec2D(t0, t0 + 8e-9, 11, 0.0, 9e-9, 13)
-    m_t = triphoton_amplitude_map(tau, params, quad, method="transform",
-                                  kernel=kern)
-    m_d = triphoton_amplitude_map(tau, params, quad, method="direct",
-                                  kernel=kern)
+    m_t = triphoton_amplitude_map(tau, method="transform", kernel=kern)
+    m_d = triphoton_amplitude_map(tau, method="direct", kernel=kern)
     num = np.max(np.abs(m_t.grid.values - m_d.grid.values))
     assert num / np.max(np.abs(m_d.grid.values)) < 1e-10
 
 
-def test_parseval_identity(params, quad):
+def test_parseval_identity():
     """Total |A3|^2 mass equals (2 pi)^2 times the kernel's spectral mass on
     exact discrete-transform grids."""
     n, dd = 64, 2e8
@@ -115,19 +113,18 @@ def test_parseval_identity(params, quad):
     tau_lo = -(n / 2) * dt
     tau = GridSpec2D(tau_lo, tau_lo + (n - 1) * dt, n,
                      tau_lo, tau_lo + (n - 1) * dt, n)
-    cmap = triphoton_amplitude_map(tau, params, quad, method="direct",
-                                   kernel=kern)
+    cmap = triphoton_amplitude_map(tau, method="direct", kernel=kern)
     a3 = _raw_values(cmap)
     lhs = float(np.sum(np.abs(a3) ** 2)) * dt * dt
     rhs = (2 * np.pi) ** 2 * float(np.sum(np.abs(kern.values) ** 2)) * dd * dd
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
-def test_nyquist_guard_and_required_size(params, quad):
+def test_nyquist_guard_and_required_size():
     kern = _random_kernel(3, n=16, dd=2e8)
     tau = GridSpec2D(0.0, 40e-9, 8, 0.0, 1e-9, 8)  # 2e8 * 40e-9 >> pi
     with pytest.raises(SamplingError) as exc:
-        triphoton_amplitude_map(tau, params, quad, kernel=kern)
+        triphoton_amplitude_map(tau, kernel=kern)
     need = exc.value.required_size
     assert need is not None
     span = kern.axis1[-1] - kern.axis1[0]
@@ -135,21 +132,20 @@ def test_nyquist_guard_and_required_size(params, quad):
     assert (ax[1] - ax[0]) * 40e-9 <= np.pi + 1e-9
 
 
-def test_invalid_method_rejected(params, quad):
+def test_invalid_method_rejected():
     tau = GridSpec2D(0.0, 1e-9, 4, 0.0, 1e-9, 4)
     with pytest.raises(InvalidParameterError):
-        triphoton_amplitude_map(tau, params, quad, method="fft",
-                                kernel=_random_kernel(0))
+        triphoton_amplitude_map(tau, method="fft", kernel=_random_kernel(0))
 
 
-def test_map_is_peak_normalized(params, quad, kernel512):
+def test_map_is_peak_normalized(kernel512):
     tau = GridSpec2D(0.0, 20e-9, 32, 0.0, 20e-9, 32)
-    cmap = triphoton_amplitude_map(tau, params, quad, kernel=kernel512)
+    cmap = triphoton_amplitude_map(tau, kernel=kernel512)
     assert float(np.max(np.abs(cmap.grid.values))) == pytest.approx(1.0)
     assert np.allclose(cmap.r3, np.abs(cmap.grid.values) ** 2)
 
 
-def test_conditional_r2_matches_brute_force(params, quad):
+def test_conditional_r2_matches_brute_force():
     kern = _random_kernel(11, n=12, dd=1.5e8)
     tau23 = np.linspace(0.0, 10e-9, 9)
     closed = conditional_r2_closed(tau23, kernel=kern)
@@ -175,7 +171,7 @@ def _toy_map():
     a3 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     a3 /= np.max(np.abs(a3))
     grid = ComplexGrid2D(axis1=ax, axis2=ax, values=a3)
-    return CorrelationMap(grid=grid, r3=np.abs(a3) ** 2)
+    return CorrelationMap(grid=grid)
 
 
 def test_trace_marginals_conserve_mass():
@@ -233,14 +229,6 @@ def test_conditional_trace_validation():
     with pytest.raises(InvalidParameterError):
         ConditionalTrace(axis=np.array([0.0, 1.0, 2.0]),
                          values=np.array([0.0, -1.0, 0.0]))
-
-
-def test_correlation_map_validation():
-    ax = np.linspace(0.0, 1e-9, 4)
-    a3 = np.full((4, 4), 0.5 + 0j)
-    grid = ComplexGrid2D(axis1=ax, axis2=ax, values=a3)
-    with pytest.raises(InvalidParameterError):
-        CorrelationMap(grid=grid, r3=np.full((4, 4), 0.5))
 
 
 # ---------------------------------------------------------------------------

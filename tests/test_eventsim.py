@@ -13,9 +13,8 @@ from triphoton.susceptibility import ComplexGrid2D
 from triphoton.correlation import CorrelationMap
 from triphoton.eventsim import (EVENT_DTYPE, ORIGIN_DARK, ORIGIN_DUAL_PAIR,
                                 ORIGIN_SINGLE, ORIGIN_TRIPLET, PS_PER_S,
-                                SourceConfig, _merge, diagnose_stream,
-                                generate_stream, sample_triplet_delays,
-                                stream_windows)
+                                SourceConfig, _merge, generate_stream,
+                                sample_triplet_delays, stream_windows)
 
 
 def _toy_cmap(n=8, span=10e-9, seed=4):
@@ -24,7 +23,7 @@ def _toy_cmap(n=8, span=10e-9, seed=4):
     a3 = rng.random((n, n)) + 1j * rng.random((n, n))
     a3 /= np.max(np.abs(a3))
     grid = ComplexGrid2D(axis1=ax, axis2=ax, values=a3)
-    return CorrelationMap(grid=grid, r3=np.abs(a3) ** 2)
+    return CorrelationMap(grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -304,30 +303,13 @@ def test_sampled_delays_follow_density():
     a3 = np.zeros((8, 8), dtype=complex)
     a3[2, 5] = 1.0
     grid = ComplexGrid2D(axis1=ax, axis2=ax, values=a3)
-    cmap = CorrelationMap(grid=grid, r3=np.abs(a3) ** 2)
+    cmap = CorrelationMap(grid=grid)
     rng = np.random.default_rng(1)
     d = ax[1] - ax[0]
     for _ in range(50):
         t21, t31 = sample_triplet_delays(cmap, rng)
         assert abs(t21 - ax[2]) <= d / 2
         assert abs(t31 - ax[5]) <= d / 2
-
-
-# ---------------------------------------------------------------------------
-# diagnosis channel
-# ---------------------------------------------------------------------------
-
-def test_diagnose_stream_matches_channel4_singles():
-    """The diagnosis stream is exactly the channel-4 singles source (same
-    seed label), so it is reproducible and independent of channels 1-3."""
-    cfg = SourceConfig(triplet_rate=0.0,
-                       singles_rate=(0.0, 0.0, 0.0, 400.0),
-                       duration=30.0, seed=31)
-    from_main = generate_stream(None, cfg)
-    from_diag = diagnose_stream(cfg)
-    assert np.array_equal(from_main["timestamp_ps"],
-                          from_diag["timestamp_ps"])
-    assert set(np.unique(from_diag["channel"])) == {4}
 
 
 # ---------------------------------------------------------------------------
