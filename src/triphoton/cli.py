@@ -24,8 +24,8 @@ from .susceptibility import (GridSpec2D, chi5_map, dispersion_profile,
 from .correlation import (default_spectral_window, spectral_kernel,
                           triphoton_amplitude_map, trace_map, diagonal_cut)
 from .eventsim import PS_PER_S, stream_windows
-from .coincidence import (METHOD_LABELS, estimate_floor, rates_report,
-                          triple_histogram)
+from .coincidence import (METHOD_LABELS, check_histogram, estimate_floor,
+                          rates_report, triple_histogram)
 # the library entry points that perfbench/tracer.py times under these names;
 # simulate and analyze go through stream_windows and triple_histogram instead
 from .eventsim import generate_stream  # noqa: F401
@@ -183,7 +183,9 @@ def _strict_json(rep: dict) -> dict:
 
 def cmd_analyze(args) -> int:
     cfg = _load(args)
-    times, _, header = io_formats.read_channels(args.eventfile)
+    # an unusable histogram is refused before the event file is read
+    check_histogram(cfg["window"], cfg["bin"], cfg["peak_rebin"])
+    times, header = io_formats.read_channels(args.eventfile)
     duration = header["duration_ps"] / PS_PER_S
     method = args.method or cfg["method"]
     t1, t2, t3 = (times.get(c, np.empty(0, np.int64)) for c in (1, 2, 3))
@@ -254,6 +256,11 @@ def cmd_sweep(args) -> int:
     hi = _parse_power_arg("--to", args.stop)
     if args.steps < 2 or not hi > lo > 0:
         raise ConfigError("sweep needs --steps >= 2 and 0 < from < to")
+    try:
+        np.empty(args.steps)  # refused before any memory is touched
+    except (MemoryError, ValueError):
+        raise ConfigError(f"sweep --steps {args.steps} is too many to "
+                          "allocate") from None
     powers = np.linspace(lo, hi, args.steps)
     quad = cfg.quadrature()
     # spectral window frozen at the largest Rabi frequency so every sweep

@@ -33,19 +33,6 @@ METHOD_LABELS = {"direct": "direct-3fold", "delayed": "delayed-pairwise"}
 
 
 @dataclass(frozen=True)
-class Histogram1D:
-    """Start-stop delay histogram; axis holds bin centers in seconds."""
-
-    axis: np.ndarray
-    counts: np.ndarray
-    window: float
-    bin_width: float
-    duration: float
-    start_ch: int = 0
-    stop_ch: int = 0
-
-
-@dataclass(frozen=True)
 class CoincidenceHistogram2D:
     """Binned three-fold coincidences over (tau21, tau31).
 
@@ -57,8 +44,6 @@ class CoincidenceHistogram2D:
     tau21_axis: np.ndarray
     tau31_axis: np.ndarray
     counts: np.ndarray
-    window: float
-    bin_width: float
     duration: float
     floor_estimate: float | None = None
     method: str = METHOD_LABELS["direct"]
@@ -130,19 +115,35 @@ def _window_bin_ps(window: float, bin_width: float):
     return w, b
 
 
-def pairwise_histogram(stream: np.ndarray, start_ch: int, stop_ch: int,
-                       window: float, bin_width: float,
-                       multiple_stops: bool = True) -> Histogram1D:
-    """Start-stop delay histogram between two channels.
+def check_histogram(window: float, bin_width: float,
+                    peak_rebin: int = 1) -> tuple[int, int]:
+    """(window, bin) in whole ps; InvalidParameterError for a bin that rounds
+    to 0 ps or exceeds the window, an nbins x nbins grid numpy refuses to
+    allocate (the trial grid is dropped untouched, so a caller can check
+    before reading events) or a peak_rebin outside 1..nbins."""
+    w_ps, b_ps = _window_bin_ps(window, bin_width)
+    nbins = w_ps // b_ps
+    try:
+        np.zeros(nbins * nbins, dtype=np.int64)
+    except (MemoryError, ValueError):
+        raise InvalidParameterError(f"window {w_ps} ps and bin {b_ps} ps make a "
+                                    f"{nbins} x {nbins} histogram, too large") from None
+    if not 1 <= peak_rebin <= nbins:
+        raise InvalidParameterError(f"peak_rebin {peak_rebin} is outside "
+                                    f"1..{nbins}, the bins per axis")
+    return w_ps, b_ps
 
-    Every stop-channel click with delay in [0, window) after a start click is
-    binned; with multiple_stops (default) all stops per start count, matching
-    the flat accidental floor of an all-stop histogrammer.
+
+def pairwise_histogram(starts: np.ndarray, stops: np.ndarray, window: float,
+                       bin_width: float, multiple_stops: bool = True) -> np.ndarray:
+    """Start-stop delay counts of two sorted int64 channels [ps].
+
+    Every stop with delay in [0, window) after a start is binned; with
+    multiple_stops (default) all stops per start count, matching the flat
+    accidental floor of an all-stop histogrammer.
     """
     w_ps, b_ps = _window_bin_ps(window, bin_width)
     nbins = w_ps // b_ps
-    times = split_channels(stream["channel"], stream["timestamp_ps"])
-    starts, stops = times[start_ch], times[stop_ch]
     counts = np.zeros(nbins, dtype=np.int64)
     if starts.size and stops.size:
         keep, lo, n = _stop_ranges(starts, stops, nbins * b_ps)
@@ -151,11 +152,7 @@ def pairwise_histogram(stream: np.ndarray, start_ch: int, stop_ch: int,
         rep, offs = _expand(n)
         delays = stops[lo[rep] + offs] - starts[keep][rep]
         counts += np.bincount(delays // b_ps, minlength=nbins)
-    axis = (np.arange(nbins) + 0.5) * b_ps / PS_PER_S
-    duration = float(stream["timestamp_ps"].max()) / PS_PER_S if stream.size else 0.0
-    return Histogram1D(axis=axis, counts=counts, window=window,
-                       bin_width=bin_width, duration=duration,
-                       start_ch=start_ch, stop_ch=stop_ch)
+    return counts
 
 
 def _triple_match(t1: np.ndarray, t2: np.ndarray, t3: np.ndarray,
@@ -175,11 +172,7 @@ def _triple_match(t1: np.ndarray, t2: np.ndarray, t3: np.ndarray,
     temporaries stay bounded however long or dense the stream.
     """
     nbins = w_ps // b_ps
-    try:
-        counts = np.zeros(nbins * nbins, dtype=np.int64)
-    except (MemoryError, ValueError):
-        raise InvalidParameterError(f"window {w_ps} ps and bin {b_ps} ps make a "
-                                    f"{nbins} x {nbins} histogram, too large") from None
+    counts = np.zeros(nbins * nbins, dtype=np.int64)
     if not (t1.size and t2.size and t3.size):
         return counts.reshape(nbins, nbins)
     span = nbins * b_ps
@@ -218,12 +211,11 @@ def triple_histogram(t1: np.ndarray, t2: np.ndarray, t3: np.ndarray,
     run this; it takes the per-channel arrays of io_formats.read_channels
     as they are, so a file is matched without its stream.
     """
-    w_ps, b_ps = _window_bin_ps(window, bin_width)
+    w_ps, b_ps = check_histogram(window, bin_width)
     counts = _triple_match(t1, t2, t3, w_ps, b_ps)
     axis = (np.arange(w_ps // b_ps) + 0.5) * b_ps / PS_PER_S
     return CoincidenceHistogram2D(tau21_axis=axis, tau31_axis=axis.copy(),
-                                  counts=counts, window=window,
-                                  bin_width=bin_width, duration=duration,
+                                  counts=counts, duration=duration,
                                   method=method)
 
 
@@ -238,30 +230,24 @@ def _reconstruct(stream, window, bin_width, duration, method):
 def reconstruct_triple_direct(stream: np.ndarray, window: float = 195e-9,
                               bin_width: float = 0.25e-9,
                               duration: float | None = None) -> CoincidenceHistogram2D:
-    """Direct three-fold matcher: the mathematical definition.
-
-    For each channel-1 click, every (channel-2, channel-3) pair within the
-    window contributes one count at (tau21, tau31).
-    """
+    """Direct three-fold matcher, the mathematical definition: the
+    triple_histogram of the stream's channels 1, 2 and 3."""
     return _reconstruct(stream, window, bin_width, duration, "direct")
 
 
 def reconstruct_triple_delayed(stream: np.ndarray, window: float = 195e-9,
                                bin_width: float = 0.25e-9,
-                               delay_offset: float = 150e-9,
                                duration: float | None = None) -> CoincidenceHistogram2D:
     """Delayed-start reconstruction emulating the experimental circuit.
 
     The channel-1 click fans out into an undelayed start (paired with
-    channel-2 stops, giving tau21) and a copy delayed by delay_offset paired
-    with equally delayed channel-3 stops (giving tau31); (tau21, tau31) pairs
-    sharing one start increment the histogram.  Delaying a start and its
-    channel-3 stops by the same whole number of picoseconds changes neither
-    their order nor their difference, so the offset cancels exactly and the
-    circuit counts what the direct matcher counts.
+    channel-2 stops, giving tau21) and a delayed copy paired with equally
+    delayed channel-3 stops (giving tau31); (tau21, tau31) pairs sharing one
+    start increment the histogram.  Delaying a start and its channel-3 stops
+    by the same whole number of picoseconds changes neither their order nor
+    their difference, so the offset cancels exactly and the circuit counts
+    what the direct matcher counts.
     """
-    if round(delay_offset * PS_PER_S) < 0:
-        raise InvalidParameterError("delay_offset must be >= 0")
     return _reconstruct(stream, window, bin_width, duration, "delayed")
 
 
@@ -270,14 +256,9 @@ def reconstruct_triple_delayed(stream: np.ndarray, window: float = 195e-9,
 # ---------------------------------------------------------------------------
 
 def _border_mask(shape, fraction=0.10):
-    n1, n2 = shape
-    m1 = max(int(round(fraction * n1)), 1)
-    m2 = max(int(round(fraction * n2)), 1)
-    mask = np.zeros(shape, dtype=bool)
-    mask[:m1, :] = True
-    mask[-m1:, :] = True
-    mask[:, :m2] = True
-    mask[:, -m2:] = True
+    m1, m2 = (max(int(round(fraction * n)), 1) for n in shape)
+    mask = np.ones(shape, dtype=bool)
+    mask[m1:-m1, m2:-m2] = False
     return mask
 
 
@@ -352,10 +333,7 @@ def rates_report(hist: CoincidenceHistogram2D, g1=(1.6, 2.0, 2.0),
     acc_rate = acc_counts / minutes if minutes > 0 else 0.0
     triplet_err = np.sqrt(max(sig_counts, 0.0)) / minutes if minutes > 0 else 0.0
     acc_err = np.sqrt(max(acc_counts, 0.0)) / minutes if minutes > 0 else 0.0
-    try:
-        coarse = rebin2d(hist.counts, peak_rebin).astype(float)
-    except InvalidParameterError as exc:
-        raise InvalidParameterError(f"peak_rebin: {exc}") from None
+    coarse = rebin2d(hist.counts, peak_rebin).astype(float)
     coarse_floor = floor * peak_rebin ** 2
     zero_floor = coarse_floor <= 0
     if zero_floor:
@@ -420,26 +398,26 @@ def _poisson_tails(k: int, mu: float) -> tuple[float, float]:
     return 1.0 - hi, hi
 
 
-def diagnose_crosscheck(stream: np.ndarray, window: float = 195e-9,
+def diagnose_crosscheck(t3: np.ndarray, t4: np.ndarray, window: float = 195e-9,
                         bin_width: float = 0.25e-9) -> dict:
     """Flatness test of the channel-3 / channel-4 pairwise histogram.
 
-    An independent diagnosis channel must produce a flat delay histogram.
+    t3 and t4 are the sorted int64 stamps [ps] of the two channels.  An
+    independent diagnosis channel must produce a flat delay histogram.
     The most extreme bin is scored with its exact Poisson tail probability
     (Gaussian z-scores misjudge the skew at the few-counts-per-bin means
     typical here), Bonferroni-corrected for the number of bins; structure is
-    flagged when the corrected two-sided p drops below 1%.  Returns
+    flagged when the corrected two-sided p drops below 1%.  An empty
+    histogram is flat.  Returns
     {'flat': bool, 'max_deviation_sigma': equivalent Gaussian z}.
     """
-    if not np.any(stream["channel"] == 4):
-        return {"flat": True, "max_deviation_sigma": 0.0}
-    h = pairwise_histogram(stream, 3, 4, window, bin_width)
-    mu = float(h.counts.mean())
+    counts = pairwise_histogram(t3, t4, window, bin_width)
+    mu = float(counts.mean())
     if mu == 0:
         return {"flat": True, "max_deviation_sigma": 0.0}
-    p_hi = _poisson_tails(int(h.counts.max()) - 1, mu)[1]
-    p_lo = _poisson_tails(int(h.counts.min()), mu)[0]
+    p_hi = _poisson_tails(int(counts.max()) - 1, mu)[1]
+    p_lo = _poisson_tails(int(counts.min()), mu)[0]
     p_extreme = min(p_hi, p_lo)
     z = -NormalDist().inv_cdf(max(p_extreme, 1e-300))
-    adjusted = p_extreme * 2 * h.counts.size
+    adjusted = p_extreme * 2 * counts.size
     return {"flat": adjusted >= 0.01, "max_deviation_sigma": z}

@@ -167,7 +167,6 @@ REGISTRY = {
     "power3": (_nonnegative(_parse_power), "none"),
     # numerics
     "quad_nodes": (_parse_quad_nodes, "exact"),
-    "quad_range_sigmas": (_bounded(_parse_float, 3), "6.0"),
     "spectral_n2": (_bounded(_parse_int, 2), "512"),
     "spectral_n3": (_bounded(_parse_int, 2), "512"),
     "spectral_linewidth_multiple": (_positive(_parse_float), "8.0"),
@@ -234,12 +233,10 @@ class RunConfig:
     def quadrature(self) -> VelocityQuadrature:
         """quad_nodes 'exact' is the closed-form scheme (its fallback keeps
         the default node count); a number selects the midpoint rule."""
-        v = self.values
-        if v["quad_nodes"] == "exact":
-            return VelocityQuadrature(range_sigmas=v["quad_range_sigmas"])
-        return VelocityQuadrature(scheme="uniform-riemann",
-                                  node_count=v["quad_nodes"],
-                                  range_sigmas=v["quad_range_sigmas"])
+        nodes = self.values["quad_nodes"]
+        if nodes == "exact":
+            return VelocityQuadrature()
+        return VelocityQuadrature(scheme="uniform-riemann", node_count=nodes)
 
     def source_config(self, duration=None, seed=None) -> SourceConfig:
         v = self.values

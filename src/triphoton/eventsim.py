@@ -88,10 +88,11 @@ class SourceConfig:
         if not 0 <= self.fiber_coupling <= 1:
             raise InvalidParameterError("fiber_coupling must be in [0, 1]")
         for entry in self.dual_pair_rates:
-            (_, _), (_, _), rate, mean = entry[0], entry[1], entry[2], entry[3]
-            if rate < 0 or mean <= 0:
+            if not (len(entry) == 4 and entry[2] >= 0 and entry[3] > 0 and all(
+                    len(pair) == 2 and set(pair) <= {1, 2, 3, 4} for pair in entry[:2])):
                 raise InvalidParameterError(
-                    "dual-pair entries need rate >= 0 and delay mean > 0")
+                    f"dual-pair entry {entry!r} needs two (first, second) channel "
+                    "pairs in 1..4, a rate >= 0 and a delay mean > 0")
 
 
 def _rng(seed: int, label: int) -> np.random.Generator:

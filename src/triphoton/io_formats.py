@@ -203,13 +203,13 @@ def read_events(path):
 
 
 def read_channels(path):
-    """Read a TPE1 file channel by channel; returns (times, counts, header).
+    """Read a TPE1 file channel by channel; returns (times, header).
 
     times[c] holds the int64 timestamps [ps] of channel c (1..channel_count)
-    in file order, and counts[c] their number.  A first pass over the
-    records runs every check of read_events and counts each channel; a
-    second fills the preallocated arrays, so beside them the reader holds
-    one record chunk, never the stream.  Raises what read_events raises.
+    in file order.  A first pass over the records runs every check of
+    read_events and counts each channel; a second fills the preallocated
+    arrays, so beside them the reader holds one record chunk, never the
+    stream.  Raises what read_events raises.
     """
     with open(path, "rb") as fh:
         header, n = _open_events(fh, path)
@@ -226,8 +226,7 @@ def read_channels(path):
                 if group.size:
                     times[c][filled[c]:filled[c] + group.size] = group
                     filled[c] += group.size
-    counts = {c: int(tally[c]) for c in channels}
-    return times, counts, header
+    return times, header
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from triphoton.correlation import (default_spectral_window,
                                    cauchy_schwarz_factor)
 from triphoton.config import default_config, parse_config_text, dump_defaults
 from triphoton.params import DetuningOffsets, effective_rabi
-from triphoton.eventsim import SourceConfig, generate_stream
+from triphoton.eventsim import SourceConfig, generate_stream, split_channels
 from triphoton.coincidence import (reconstruct_triple_direct, rates_report,
                                    subtract_accidentals, rebin2d,
                                    diagnose_crosscheck)
@@ -204,7 +204,8 @@ def test_criterion_06_stream_recovery(reference_run):
     sub = subtract_accidentals(hd)[:77, :77]
     r = float(np.corrcoef(rebin2d(sub, 4).ravel(),
                           rebin2d(run["cmap"].r3, 4).ravel())[0, 1])
-    diag = diagnose_crosscheck(run["stream"])
+    times = split_channels(run["stream"]["channel"], run["stream"]["timestamp_ps"])
+    diag = diagnose_crosscheck(times[3], times[4])
     ok = (z_trip <= 3.0 and z_acc <= 3.0 and p_agree > 0.01 and r >= 0.9
           and diag["flat"] and run["elapsed"] < 180.0)
     _report(6, ok,

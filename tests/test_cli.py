@@ -187,6 +187,17 @@ def test_sweep_rejects_bad_arguments(small_cfg, tmp_path, capsys):
         assert f"sweep {flag} " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("steps", [10 ** 18, 2 ** 63, 10 ** 30])
+def test_sweep_too_many_steps_exit_code(small_cfg, tmp_path, capsys, steps):
+    """numpy refuses these sizes (6.94 EiB and beyond the address space)
+    before it touches any memory; the refusal names --steps."""
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--config", small_cfg, "--from", "5mW",
+                 "--to", "40mW", "--steps", str(steps), "--out", str(out)]) == 2
+    assert "--steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_config_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("detuning2 = -150 MHz\n")
@@ -219,10 +230,9 @@ def _event_file(path, n):
     ("temperature = -300 C", "chi5-map"),
     ("bin = 0 ns", "analyze"),
     ("bin = 300 ns", "analyze"),   # valid alone, rejected against window
-    ("quad_range_sigmas = nan", "chi5-map"),
-    ("quad_range_sigmas = 2", "chi5-map"),
     ("quad_scheme = gauss-hermite", "chi5-map"),   # the key is gone
     ("delay_offset = 150 ns", "analyze"),          # so is this one
+    ("quad_range_sigmas = 6.0", "chi5-map"),       # and this one
 ])
 def test_bad_config_value_exit_code(tmp_path, capsys, line, command):
     cfg = tmp_path / "bad.cfg"
@@ -257,14 +267,19 @@ def _dense_event_file(path):
 def test_analyze_unusable_histogram_exit_code(tmp_path, capsys, config, names):
     """Window, bin and peak_rebin values that pass their own range checks but
     make no usable histogram exit 2 with a message, not with a traceback.
-    numpy refuses the two grid sizes before it touches any memory."""
+    numpy refuses the two grid sizes before it touches any memory.  They are
+    refused before the event file is read, so with a missing file the
+    message still names the setting."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config + "\n")
     events = _dense_event_file(tmp_path / "run.tpe1")
-    assert main(["analyze", events, "--config", str(cfg),
-                 "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert all(name in err for name in names), err
+    missing = tmp_path / "absent.tpe1"
+    for path in (events, str(missing)):
+        assert main(["analyze", path, "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in names), err
+        assert str(missing) not in err, err
 
 
 @pytest.mark.parametrize("args, config, name", [

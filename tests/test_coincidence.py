@@ -37,6 +37,11 @@ def _random_stream(rng, n_per_channel, span_ps, channels=(1, 2, 3)):
                     for ch in channels})
 
 
+def _times(s):
+    """{channel: sorted int64 stamps [ps]} of a stream."""
+    return eventsim.split_channels(s["channel"], s["timestamp_ps"])
+
+
 # ---------------------------------------------------------------------------
 # pairwise histogram
 # ---------------------------------------------------------------------------
@@ -47,7 +52,8 @@ def test_pairwise_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
     s = _random_stream(rng, 40, 4000, channels=(1, 2))
     window, bin_width = 800e-12, 50e-12
-    h = pairwise_histogram(s, 1, 2, window, bin_width)
+    t = _times(s)
+    counts = pairwise_histogram(t[1], t[2], window, bin_width)
     starts = np.sort(s["timestamp_ps"][s["channel"] == 1].astype(np.int64))
     stops = np.sort(s["timestamp_ps"][s["channel"] == 2].astype(np.int64))
     brute = np.zeros(16, dtype=int)
@@ -56,34 +62,34 @@ def test_pairwise_matches_brute_force(seed):
             d = u - t
             if 0 <= d < 800:
                 brute[d // 50] += 1
-    assert np.array_equal(h.counts, brute)
-    assert h.counts.sum() <= starts.size * stops.size
+    assert np.array_equal(counts, brute)
+    assert counts.sum() <= starts.size * stops.size
 
 
 def test_pairwise_single_stop_mode():
-    s = _stream({1: [0], 2: [10, 20, 30]})
-    all_stops = pairwise_histogram(s, 1, 2, 100e-12, 10e-12)
-    first_only = pairwise_histogram(s, 1, 2, 100e-12, 10e-12,
+    t = _times(_stream({1: [0], 2: [10, 20, 30]}))
+    all_stops = pairwise_histogram(t[1], t[2], 100e-12, 10e-12)
+    first_only = pairwise_histogram(t[1], t[2], 100e-12, 10e-12,
                                     multiple_stops=False)
-    assert all_stops.counts.sum() == 3
-    assert first_only.counts.sum() == 1
-    assert first_only.counts[1] == 1
+    assert all_stops.sum() == 3
+    assert first_only.sum() == 1
+    assert first_only[1] == 1
 
 
 def test_pairwise_window_edges():
-    s = _stream({1: [100], 2: [100, 199, 200]})
-    h = pairwise_histogram(s, 1, 2, 100e-12, 10e-12)
+    t = _times(_stream({1: [100], 2: [100, 199, 200]}))
+    counts = pairwise_histogram(t[1], t[2], 100e-12, 10e-12)
     # delay 0 is included, delay == window is not
-    assert h.counts.sum() == 2
-    assert h.counts[0] == 1 and h.counts[9] == 1
+    assert counts.sum() == 2
+    assert counts[0] == 1 and counts[9] == 1
 
 
 def test_window_bin_validation():
-    s = _stream({1: [0], 2: [1]})
+    t = _times(_stream({1: [0], 2: [1]}))
     with pytest.raises(InvalidParameterError):
-        pairwise_histogram(s, 1, 2, 0.0, 1e-12)
+        pairwise_histogram(t[1], t[2], 0.0, 1e-12)
     with pytest.raises(InvalidParameterError):
-        pairwise_histogram(s, 1, 2, 1e-12, 2e-12)
+        pairwise_histogram(t[1], t[2], 1e-12, 2e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -183,16 +189,14 @@ def test_matcher_empty_stop_channel(reconstruct, empty):
 
 
 @settings(max_examples=15)
-@given(st.integers(min_value=0, max_value=10 ** 6),
-       st.integers(min_value=0, max_value=300))
-def test_delayed_circuit_equals_direct(seed, delay_ns):
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_delayed_circuit_equals_direct(seed):
     """Delaying both the fanned-out start and the third channel by the same
     offset leaves the integer delay arithmetic unchanged."""
     rng = np.random.default_rng(seed)
     s = _random_stream(rng, 30, 5000)
     d = reconstruct_triple_direct(s, 600e-12, 60e-12)
-    y = reconstruct_triple_delayed(s, 600e-12, 60e-12,
-                                   delay_offset=delay_ns * 1e-9)
+    y = reconstruct_triple_delayed(s, 600e-12, 60e-12)
     assert np.array_equal(d.counts, y.counts)
 
 
@@ -233,14 +237,14 @@ def test_channel_read_and_match_peak_memory(tmp_path, monkeypatch):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        times, counts, _ = io_formats.read_channels(path)
+        times, _ = io_formats.read_channels(path)
         hist = coincidence.triple_histogram(times[1], times[2], times[3],
                                             195e-9, 0.25e-9, cfg.duration)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     stream_bytes = n * EVENT_DTYPE.itemsize
-    assert n > 4_500_000 and sum(counts.values()) == n
+    assert n > 4_500_000 and sum(t.size for t in times.values()) == n
     assert hist.counts.sum() > 0
     assert peak <= 1.0 * stream_bytes, f"{peak / stream_bytes:.2f}x"
 
@@ -257,12 +261,6 @@ def test_triple_histogram_takes_channel_arrays():
     assert np.array_equal(h.counts, _brute_triple(s, 1000, 100))
     for reconstruct in (reconstruct_triple_direct, reconstruct_triple_delayed):
         assert np.array_equal(reconstruct(s, 1e-9, 0.1e-9).counts, h.counts)
-
-
-def test_delayed_rejects_negative_offset():
-    s = _stream({1: [0], 2: [1], 3: [2]})
-    with pytest.raises(InvalidParameterError):
-        reconstruct_triple_delayed(s, 1e-9, 1e-10, delay_offset=-1e-9)
 
 
 def test_known_triple_lands_in_expected_bin():
@@ -282,8 +280,7 @@ def _flat_hist(mu, nbins=80, seed=0, duration=60.0):
     counts = rng.poisson(mu, size=(nbins, nbins))
     axis = (np.arange(nbins) + 0.5) * 0.25e-9
     return CoincidenceHistogram2D(tau21_axis=axis, tau31_axis=axis.copy(),
-                                  counts=counts, window=nbins * 0.25e-9,
-                                  bin_width=0.25e-9, duration=duration)
+                                  counts=counts, duration=duration)
 
 
 def test_floor_estimate_unbiased_on_flat_map():
@@ -374,8 +371,7 @@ def test_rates_report_zero_floor():
     counts = np.zeros((40, 40), dtype=int)
     counts[10, 10] = 5
     h = CoincidenceHistogram2D(tau21_axis=axis, tau31_axis=axis.copy(),
-                               counts=counts, window=10e-9,
-                               bin_width=0.25e-9, duration=60.0,
+                               counts=counts, duration=60.0,
                                floor_estimate=0.0)
     rep = rates_report(h)
     assert rep.zero_floor
@@ -387,8 +383,7 @@ def test_histogram_rejects_negative_counts():
     axis = (np.arange(4) + 0.5) * 1e-9
     with pytest.raises(InvalidParameterError):
         CoincidenceHistogram2D(tau21_axis=axis, tau31_axis=axis.copy(),
-                               counts=np.full((4, 4), -1), window=4e-9,
-                               bin_width=1e-9, duration=1.0)
+                               counts=np.full((4, 4), -1), duration=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +394,8 @@ def test_diagnose_flat_on_independent_channels():
     cfg = SourceConfig(triplet_rate=0.0,
                        singles_rate=(0.0, 0.0, 2000.0, 2000.0),
                        duration=300.0, seed=27)
-    s = generate_stream(None, cfg)
-    out = diagnose_crosscheck(s)
+    t = _times(generate_stream(None, cfg))
+    out = diagnose_crosscheck(t[3], t[4])
     assert out["flat"]
 
 
@@ -418,15 +413,17 @@ def test_diagnose_flags_correlated_channels():
     echo["origin"] = 0
     merged = np.concatenate([s, echo])
     merged = merged[np.argsort(merged["timestamp_ps"], kind="stable")]
-    out = diagnose_crosscheck(merged)
+    t = _times(merged)
+    out = diagnose_crosscheck(t[3], t[4])
     assert not out["flat"]
     assert out["max_deviation_sigma"] > 5.0
 
 
 def test_diagnose_trivial_cases():
-    assert diagnose_crosscheck(_stream({1: [0], 2: [5]}))["flat"]
-    assert diagnose_crosscheck(
-        np.empty(0, dtype=EVENT_DTYPE))["flat"]
+    t = _times(_stream({1: [0], 2: [5]}))
+    assert diagnose_crosscheck(t[3], t[4])["flat"]
+    t = _times(np.empty(0, dtype=EVENT_DTYPE))
+    assert diagnose_crosscheck(t[3], t[4])["flat"]
 
 
 @settings(max_examples=300)
@@ -443,13 +440,13 @@ def test_poisson_tails_match_scipy(mu, offset):
             assert ours < 1e-290
 
 
-def _scipy_crosscheck(stream):
+def _scipy_crosscheck(t3, t4):
     """The scipy.stats form of diagnose_crosscheck, kept as its oracle."""
-    h = pairwise_histogram(stream, 3, 4, 195e-9, 0.25e-9)
-    mu = float(h.counts.mean())
-    p = min(float(poisson.sf(h.counts.max() - 1, mu)),
-            float(poisson.cdf(h.counts.min(), mu)))
-    return {"flat": p * 2 * h.counts.size >= 0.01,
+    counts = pairwise_histogram(t3, t4, 195e-9, 0.25e-9)
+    mu = float(counts.mean())
+    p = min(float(poisson.sf(counts.max() - 1, mu)),
+            float(poisson.cdf(counts.min(), mu)))
+    return {"flat": p * 2 * counts.size >= 0.01,
             "max_deviation_sigma": float(norm.isf(max(p, 1e-300)))}
 
 
@@ -473,8 +470,9 @@ def test_diagnose_matches_scipy_oracle(seed, echo_fraction, rate):
     echo["origin"] = 0
     merged = np.concatenate([s, echo])
     merged = merged[np.argsort(merged["timestamp_ps"], kind="stable")]
-    assume(pairwise_histogram(merged, 3, 4, 195e-9, 0.25e-9).counts.any())
-    ours, ref = diagnose_crosscheck(merged), _scipy_crosscheck(merged)
+    t = _times(merged)
+    assume(pairwise_histogram(t[3], t[4], 195e-9, 0.25e-9).any())
+    ours, ref = diagnose_crosscheck(t[3], t[4]), _scipy_crosscheck(t[3], t[4])
     assert ours["flat"] == ref["flat"]
     assert ours["max_deviation_sigma"] == pytest.approx(
         ref["max_deviation_sigma"], rel=1e-9)

@@ -72,6 +72,10 @@ def test_unknown_key_rejected():
         parse_config_text("detuning2 = -150 MHz\n")
     assert exc.value.key == "detuning2"
     assert exc.value.line == 1
+    # the midpoint rule spans a fixed +-6 thermal widths; the key is gone
+    with pytest.raises(ConfigError, match="unknown key") as exc:
+        parse_config_text("quad_range_sigmas = 6.0\n")
+    assert exc.value.key == "quad_range_sigmas"
 
 
 def test_bad_unit_rejected():
@@ -120,18 +124,18 @@ def test_experiment_params_wiring():
 
 
 def test_quadrature_wiring():
-    cfg = parse_config_text("quad_nodes = 501\nquad_range_sigmas = 7\n")
+    cfg = parse_config_text("quad_nodes = 501\n")
     q = cfg.quadrature()
     assert q.node_count == 501
-    assert q.range_sigmas == 7.0
+    assert q.range_sigmas == 6.0
     assert q.scheme == "uniform-riemann"
     assert default_config().quadrature() == VelocityQuadrature()
-    q = parse_config_text("quad_nodes = exact\nquad_range_sigmas = 7\n").quadrature()
-    assert (q.scheme, q.range_sigmas) == ("faddeeva", 7.0)
+    q = parse_config_text("quad_nodes = exact\n").quadrature()
+    assert (q.scheme, q.range_sigmas) == ("faddeeva", 6.0)
 
 
 @pytest.mark.parametrize("line", ["quad_nodes = 2001.0", "quad_nodes = Exact",
-                                  "quad_range_sigmas = 2", "spectral_linewidth_multiple = 0",
+                                  "spectral_linewidth_multiple = 0",
                                   "spectral_pad_fraction = -0.1"])
 def test_numeric_bounds_name_the_key(line):
     key = line.split()[0]

@@ -340,6 +340,19 @@ def test_source_config_validation():
     SourceConfig(seed=2 ** 64 - 1)
 
 
+@pytest.mark.parametrize("pair_a, pair_b", [
+    ((0, 2), (2, 3)), ((1, 2), (2, 5)), ((1, 2, 3), (2, 3)), ((1,), (2, 3))],
+    ids=["channel-0", "channel-5", "three-channels", "one-channel"])
+def test_dual_pair_channels_outside_1_to_4_rejected(pair_a, pair_b):
+    """Channel 0 used to take channel 4's efficiency through eff[ch - 1],
+    channel 5 to raise a bare IndexError, a 3-channel pair a bare unpacking
+    ValueError; each is a bad entry, named."""
+    entry = (pair_a, pair_b, 10.0, 1e-6)
+    with pytest.raises(InvalidParameterError) as err:
+        SourceConfig(dual_pair_rates=(entry,))
+    assert repr(entry) in str(err.value)
+
+
 def test_triplets_require_map():
     cfg = SourceConfig(triplet_rate=5.0, duration=5.0, seed=0)
     with pytest.raises(InvalidParameterError):
