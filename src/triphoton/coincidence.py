@@ -24,9 +24,13 @@ from .correlation import (ConditionalTrace, cauchy_schwarz_factor,
                           oscillation_period, visibility)
 from .eventsim import PS_PER_S, split_channels
 
-# starts searched, and (stop2, stop3) pairs expanded and binned, at once by
-# the three-fold matcher
+# starts merged with their stops, and (stop2, stop3) pairs expanded and
+# binned, at once by the three-fold matcher
 _TRIPLE_BLOCK = 1 << 16
+# stops in reach per start above which _stop_ranges searches, not merges
+_MERGE_RATIO = 8
+# forward steps _stop_ranges takes from each first stop before it searches
+_SCAN_STEPS = 2
 
 # the histogram label of each reconstruction method
 METHOD_LABELS = {"direct": "direct-3fold", "delayed": "delayed-pairwise"}
@@ -90,16 +94,38 @@ def _expand(n: np.ndarray):
 def _stop_ranges(starts: np.ndarray, stops: np.ndarray, span: int):
     """(keep, lo, n) of the starts with a stop in [start, start + span).
 
-    keep indexes those starts; their stops are stops[lo:lo + n].  stops must
-    be non-empty.  One full search finds each start's first stop; the second
-    search, for the end of the range, runs on the kept starts only.
+    keep indexes those starts; their stops are stops[lo:lo + n].  Both are
+    sorted stamps in 0..2^63 - 1, stops non-empty.  The first stops come
+    from one sort-merge of the starts (keys stamp << 1) with the stops
+    between them (stamp << 1 | 1, so a tie puts the start first), or from a
+    search where those stops are over _MERGE_RATIO per start.  _SCAN_STEPS
+    steps test stop - start < span; only starts with stops left are
+    searched, for an end summed in uint64, which cannot wrap.
     """
-    lo = np.searchsorted(stops, starts, side="left")
-    # delay to the first stop; negative where no stop follows (lo clipped)
-    gap = stops.take(lo, mode="clip") - starts
-    keep = np.flatnonzero((gap >= 0) & (gap < span))
-    lo = lo[keep]
-    n = np.searchsorted(stops, starts[keep] + span, side="left") - lo
+    a, b = np.searchsorted(stops, starts[[0, -1]]) if starts.size else (0, 0)
+    if b - a > _MERGE_RATIO * starts.size:
+        lo = np.searchsorted(stops, starts)
+    else:
+        keys = np.empty(starts.size + b - a, dtype=np.uint64)
+        np.left_shift(starts, 1, out=keys[:starts.size], casting="unsafe")
+        np.left_shift(stops[a:b], 1, out=keys[starts.size:], casting="unsafe")
+        keys[starts.size:] |= 1
+        keys.sort(kind="stable")
+        # start k is the k-th even key, after the stops below it
+        lo = a + np.flatnonzero((keys & 1) == 0) - np.arange(starts.size)
+    keep = np.flatnonzero((lo < stops.size)
+                          & (stops.take(lo, mode="clip") - starts < span))
+    lo, starts = lo[keep], starts[keep]
+    n = np.ones_like(lo)
+    more = np.arange(lo.size)   # the ranges whose next stop may still count
+    for _ in range(_SCAN_STEPS):
+        nxt = lo[more] + n[more]
+        more = more[(nxt < stops.size)
+                    & (stops.take(nxt, mode="clip") - starts[more] < span)]
+        n[more] += 1
+    if more.size:
+        end = starts[more].view(np.uint64) + np.uint64(min(span, 1 << 63))
+        n[more] = np.searchsorted(stops.view(np.uint64), end) - lo[more]
     return keep, lo, n
 
 
@@ -163,9 +189,9 @@ def _triple_match(t1: np.ndarray, t2: np.ndarray, t3: np.ndarray,
     nbins * b_ps; the rest of a window that is not a whole number of bins
     is dropped.
 
-    The starts are taken _TRIPLE_BLOCK at a time.  Channel 2 is searched for
-    every start of a block, channel 3 only for the starts with a channel-2
-    stop.  The starts with stops on both channels are then expanded, a block
+    The starts are taken _TRIPLE_BLOCK at a time.  Channel 2's ranges are
+    found for every start of a block, channel 3's only for the starts with a
+    channel-2 stop (_stop_ranges).  The starts with stops on both channels are then expanded, a block
     of whole starts at a time, into their n2 * n3 (stop2, stop3) pairs and
     added into the histogram at their flat bin index.  A pair block holds at
     most _TRIPLE_BLOCK pairs, or the one start that alone has more, so the

@@ -21,7 +21,7 @@ timestamps of another.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
+from math import inf, isfinite
 
 import numpy as np
 
@@ -76,23 +76,27 @@ class SourceConfig:
                 and 0 <= self.seed < 2 ** 64):
             raise InvalidParameterError(
                 f"seed {self.seed!r} must be an integer in [0, 2^64)")
-        if self.triplet_rate < 0:
-            raise InvalidParameterError("triplet_rate must be >= 0")
+        # NaN fails every comparison, so 0 <= x < inf also refuses it
+        for name in ("triplet_rate", "jitter_sigma"):
+            if not 0 <= (value := getattr(self, name)) < inf:
+                raise InvalidParameterError(f"{name} {value!r} must be finite and >= 0")
         for name in ("singles_rate", "dark_rate"):
             vals = getattr(self, name)
-            if len(vals) != 4 or any(r < 0 for r in vals):
-                raise InvalidParameterError(f"{name} needs 4 non-negative entries")
+            if len(vals) != 4 or not all(0 <= r < inf for r in vals):
+                raise InvalidParameterError(f"{name} {vals!r} needs 4 finite, "
+                                            "non-negative entries")
         if len(self.detector_efficiency) != 4 or \
                 any(not 0 <= e <= 1 for e in self.detector_efficiency):
             raise InvalidParameterError("efficiencies must be 4 values in [0, 1]")
         if not 0 <= self.fiber_coupling <= 1:
             raise InvalidParameterError("fiber_coupling must be in [0, 1]")
         for entry in self.dual_pair_rates:
-            if not (len(entry) == 4 and entry[2] >= 0 and entry[3] > 0 and all(
-                    len(pair) == 2 and set(pair) <= {1, 2, 3, 4} for pair in entry[:2])):
+            if not (len(entry) == 4 and 0 <= entry[2] < inf and 0 < entry[3] < inf
+                    and all(len(pair) == 2 and set(pair) <= {1, 2, 3, 4}
+                            for pair in entry[:2])):
                 raise InvalidParameterError(
                     f"dual-pair entry {entry!r} needs two (first, second) channel "
-                    "pairs in 1..4, a rate >= 0 and a delay mean > 0")
+                    "pairs in 1..4, a finite rate >= 0 and a finite delay mean > 0")
 
 
 def _rng(seed: int, label: int) -> np.random.Generator:
@@ -145,16 +149,21 @@ def _first_out_of_order(ts, chunk=CHUNK):
     return None
 
 
-def split_channels(channel: np.ndarray, stamps: np.ndarray) -> dict:
+def split_channels(channel: np.ndarray, stamps: np.ndarray, out=None) -> dict:
     """{c: int64 stamps [ps] of channel c, in input order} for c in 0..255.
 
-    One stable counting sort by channel splits the uint64 stamps; the arrays
-    are slices of one gathered copy.  Stamps below 2^63 ps (106 days) keep
-    their value.
+    Each channel present is taken by index (flatnonzero) from the uint64
+    stamps; given out, a dict of arrays for every channel present, into the
+    head of out[c], with no copy in between.  Stamps below 2^63 ps (106
+    days) keep their value.
     """
-    ts = stamps[np.argsort(channel, kind="stable")].view(np.int64)
-    ends = np.cumsum(np.bincount(channel, minlength=256))
-    return {c: ts[lo:hi] for c, (lo, hi) in enumerate(zip([0, *ends], ends))}
+    ts = stamps.view(np.int64)
+    channel = np.ascontiguousarray(channel)  # compared once per channel
+    times = dict.fromkeys(range(256), ts[:0])
+    for c in out or np.flatnonzero(np.bincount(channel, minlength=256)).tolist():
+        index = np.flatnonzero(channel == c)
+        times[c] = ts.take(index, mode="clip", out=out[c][:index.size] if out else None)
+    return times
 
 
 def _triplet_clicks(rng, cfg: SourceConfig, cmap: CorrelationMap):

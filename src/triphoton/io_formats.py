@@ -18,9 +18,9 @@ normalization scale and parameter hash, then rows "axis1,axis2,real,imag"
 (complex) or "axis1,axis2,value" (real).  Traces and tables have the same
 comment lines and one row per sample.  Values are written with 17
 significant digits so a read-write-read round trip is bit-exact.  Rows are
-joined ROW_BLOCK at a time, integer columns are formatted through a table of
-their distinct values, and the writers refuse grid cells not shaped like the
-axes and table columns of unequal length.
+joined ROW_BLOCK at a time (a grid's in whole axis1 rows, axis2 text set
+once), integers are formatted through a table of their distinct values, and
+the writers refuse grid cells not shaped like the axes and unequal columns.
 """
 from __future__ import annotations
 
@@ -221,11 +221,9 @@ def read_channels(path):
         filled = dict.fromkeys(channels, 0)
         for _, rec in _record_chunks(fh, path, n):
             # the first pass kept channels in 1..channel_count, stamps below 2^63
-            for c, group in split_channels(rec["channel"],
-                                           rec["timestamp_ps"]).items():
-                if group.size:
-                    times[c][filled[c]:filled[c] + group.size] = group
-                    filled[c] += group.size
+            split = split_channels(rec["channel"], rec["timestamp_ps"],
+                                   {c: times[c][filled[c]:] for c in channels})
+            filled = {c: filled[c] + split[c].size for c in channels}
     return times, header
 
 
@@ -240,25 +238,42 @@ def _text(values) -> list[str]:
 
 def _column(values):
     """A _write_rows column of the elements in C order: the text of integers,
-    through a table of their distinct values, or the floats themselves."""
+    through a table of their distinct values (by bincount for counts in
+    0..size, as a histogram's are), or the floats themselves."""
     flat = np.ravel(values)
     if flat.dtype.kind not in "biu":
         return flat
+    if flat.size and 0 <= flat.min() and flat.max() <= flat.size:
+        flat = flat.astype(np.intp, copy=False)
+        uniq = np.flatnonzero(np.bincount(flat))
+        table = np.empty(uniq[-1] + 1, dtype=object)
+        table[uniq] = _text(uniq)
+        return table[flat].tolist()
     uniq, inverse = np.unique(flat, return_inverse=True)
     return np.array(_text(uniq), dtype=object)[inverse].tolist()
 
 
-def _write_rows(path, header_lines, columns) -> None:
+def _write_rows(path, header_lines, columns, axes=None) -> None:
     """'# ' header lines, then ROW_BLOCK rows per join, one per index of the
-    equal-length columns: text lists, or floats formatted a block at a time."""
-    n, width = len(columns[0]), 2 * len(columns)
-    buf = ([","] * (width - 1) + ["\n"]) * min(n, ROW_BLOCK)
+    equal-length columns: text lists, or floats formatted a block at a time.
+    With axes, the (axis1, axis2) texts of a grid, rows start with their grid
+    point, axis1 outer; a block holds whole axis1 rows, so the axis2 texts,
+    commas and newlines are set once and a block sets its axis1 texts."""
+    n, width = len(columns[0]), 2 * len(columns) + (4 if axes else 0)
+    n2 = max(len(axes[1]), 1) if axes else 1
+    block = max(ROW_BLOCK // n2, 1) * n2  # whole axis1 rows, at least one
+    buf = ([","] * (width - 1) + ["\n"]) * min(n, block)
+    if axes:
+        buf[2::width] = axes[1] * (len(buf) // width // n2)
     with open(path, "w") as fh:
         fh.writelines(f"# {line}\n" for line in header_lines)
-        for lo in range(0, n, ROW_BLOCK):
-            hi = min(lo + ROW_BLOCK, n)
+        for lo in range(0, n, block):
+            hi = min(lo + block, n)
             del buf[(hi - lo) * width:]  # the last block may be short
-            for k, col in enumerate(columns):
+            for i in range(lo // n2, hi // n2) if axes else ():
+                row = (i * n2 - lo) * width
+                buf[row:row + n2 * width:width] = [axes[0][i]] * n2
+            for k, col in enumerate(columns, start=width // 2 - len(columns)):
                 part = col[lo:hi]
                 buf[2 * k::width] = part if isinstance(part, list) else _text(part)
             fh.write("".join(buf))
@@ -270,9 +285,8 @@ def _write_grid(path, header_lines, axis1, axis2, cells) -> None:
     if any(np.shape(c) != shape for c in cells):
         raise InvalidParameterError(f"grid cells of shapes {list(map(np.shape, cells))}"
                                     f" do not fit axes of sizes {shape}")
-    a1, a2 = _text(axis1), _text(axis2)
-    _write_rows(path, header_lines,
-                [[a for a in a1 for _ in a2], a2 * len(a1), *map(_column, cells)])
+    _write_rows(path, header_lines, [_column(c) for c in cells],
+                (_text(axis1), _text(axis2)))
 
 
 def write_table(path, header_lines, columns) -> None:

@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -90,6 +91,98 @@ def test_window_bin_validation():
         pairwise_histogram(t[1], t[2], 0.0, 1e-12)
     with pytest.raises(InvalidParameterError):
         pairwise_histogram(t[1], t[2], 1e-12, 2e-12)
+
+
+# ---------------------------------------------------------------------------
+# stop ranges: the merge search and the forward scan
+# ---------------------------------------------------------------------------
+
+# the largest stamp a TPE1 file may carry
+_TOP = 2 ** 63 - 1
+
+
+@st.composite
+def _sorted_stamps(draw, min_size=0):
+    """Sorted int64 stamps from a few values, so ties within and across
+    arrays are common, at an offset that puts some of them at 2^63 - 1."""
+    base = draw(st.sampled_from([0, _TOP - 40, _TOP - 3000]))
+    values = draw(st.lists(st.integers(0, min(40, _TOP - base)),
+                           min_size=min_size, max_size=40))
+    return np.sort(np.array(values, dtype=np.int64) + base)
+
+
+def _two_searches(starts, stops, span):
+    """(keep, lo, n) by two binary searches, the range end summed in
+    uint64 so it cannot wrap."""
+    lo = np.searchsorted(stops, starts, side="left")
+    hi = np.searchsorted(stops.astype(np.uint64),
+                         starts.astype(np.uint64) + np.uint64(span), side="left")
+    keep = np.flatnonzero(hi > lo)
+    return keep, lo[keep], (hi - lo)[keep]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sorted_stamps(), _sorted_stamps(min_size=1), st.integers(1, 3000),
+       st.sampled_from([0, 1, 8, 10 ** 6]), st.sampled_from([0, 1, 2]))
+def test_stop_ranges_equal_two_searches(starts, stops, span, ratio, steps):
+    """Merged or searched first stops (ratio 0 searches whenever stops lie
+    between the starts, 10^6 always merges), with 0-2 forward steps before
+    the search for the rest of each range."""
+    with mock.patch.object(coincidence, "_MERGE_RATIO", ratio), \
+            mock.patch.object(coincidence, "_SCAN_STEPS", steps):
+        got = coincidence._stop_ranges(starts, stops, span)
+    for a, b in zip(got, _two_searches(starts, stops, span)):
+        assert a.dtype.kind == "i" and np.array_equal(a, b)
+
+
+def _brute_pairs(starts, stops, span):
+    """Every (start, stop) delay in [0, span), in Python integers."""
+    return [int(u) - int(t) for t in starts for u in stops
+            if 0 <= int(u) - int(t) < span]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sorted_stamps(), _sorted_stamps(), _sorted_stamps(),
+       st.sampled_from([1, 3, 1 << 16]))
+def test_matchers_near_2_63_equal_brute_force(t1, t2, t3, block):
+    """The pairwise and three-fold matchers count every delay below the
+    window with empty channels, ties, starts a stamp apart from 2^63 - 1
+    and starts taken 1 or 3 at a time."""
+    w_ps, b_ps = 30, 4
+    nbins = w_ps // b_ps
+    expect = np.bincount(np.array(_brute_pairs(t1, t2, nbins * b_ps), dtype=int)
+                         // b_ps, minlength=nbins)
+    assert np.array_equal(pairwise_histogram(t1, t2, w_ps * 1e-12, b_ps * 1e-12),
+                          expect)
+    brute = np.zeros((nbins, nbins), dtype=int)
+    for start in t1:
+        for d2 in _brute_pairs([start], t2, nbins * b_ps):
+            for d3 in _brute_pairs([start], t3, nbins * b_ps):
+                brute[d2 // b_ps, d3 // b_ps] += 1
+    with mock.patch.object(coincidence, "_TRIPLE_BLOCK", block):
+        got = coincidence._triple_match(t1, t2, t3, w_ps, b_ps)
+    assert np.array_equal(got, brute)
+
+
+def test_coincidence_one_window_below_2_63_counts():
+    """start + window used to wrap in int64 for a start within a window of
+    2^63, and the coincidence was dropped."""
+    t1 = np.array([2 ** 63 - 1000], dtype=np.int64)
+    t2, t3 = t1 + 50, t1 + 60
+    assert pairwise_histogram(t1, t2, 195e-9, 0.25e-9).sum() == 1
+    counts = coincidence._triple_match(t1, t2, t3, 195_000, 250)
+    assert counts.sum() == 1 and counts[0, 0] == 1
+
+
+def test_analyze_counts_coincidence_one_window_below_2_63(tmp_path,
+                                                          raw_event_file):
+    from triphoton.cli import main
+    t1 = 2 ** 63 - 1000
+    path = raw_event_file(tmp_path / "late.tpe1", [t1, t1 + 50, t1 + 60],
+                          [1, 2, 3], duration_ps=2 ** 63 - 1)
+    assert main(["analyze", str(path), "--out", str(tmp_path / "o")]) == 0
+    _, _, counts = io_formats.read_real_grid(tmp_path / "o" / "histogram2d.csv")
+    assert counts.sum() == 1 and counts[0, 0] == 1
 
 
 # ---------------------------------------------------------------------------
