@@ -110,14 +110,13 @@ def _stop_ranges(starts: np.ndarray, stops: np.ndarray, span: int):
         np.left_shift(starts, 1, out=keys[:starts.size], casting="unsafe")
         np.left_shift(stops[a:b], 1, out=keys[starts.size:], casting="unsafe")
         keys[starts.size:] |= 1
-        keys.sort(kind="stable")
+        keys.sort(kind="stable")  # timsort: one merge of the two sorted runs
         # start k is the k-th even key, after the stops below it
         lo = a + np.flatnonzero((keys & 1) == 0) - np.arange(starts.size)
     keep = np.flatnonzero((lo < stops.size)
                           & (stops.take(lo, mode="clip") - starts < span))
     lo, starts = lo[keep], starts[keep]
-    n = np.ones_like(lo)
-    more = np.arange(lo.size)   # the ranges whose next stop may still count
+    n, more = np.ones_like(lo), np.arange(lo.size)  # more: next stop may count
     for _ in range(_SCAN_STEPS):
         nxt = lo[more] + n[more]
         more = more[(nxt < stops.size)
@@ -189,13 +188,14 @@ def _triple_match(t1: np.ndarray, t2: np.ndarray, t3: np.ndarray,
     nbins * b_ps; the rest of a window that is not a whole number of bins
     is dropped.
 
-    The starts are taken _TRIPLE_BLOCK at a time.  Channel 2's ranges are
-    found for every start of a block, channel 3's only for the starts with a
-    channel-2 stop (_stop_ranges).  The starts with stops on both channels are then expanded, a block
-    of whole starts at a time, into their n2 * n3 (stop2, stop3) pairs and
-    added into the histogram at their flat bin index.  A pair block holds at
-    most _TRIPLE_BLOCK pairs, or the one start that alone has more, so the
-    temporaries stay bounded however long or dense the stream.
+    The starts are taken _TRIPLE_BLOCK at a time.  _stop_ranges finds
+    channel 2's stops for every start of a block, channel 3's only for the
+    starts with a channel-2 stop.  The starts with stops on both channels
+    are then expanded, a block of whole starts at a time, into their n2 * n3
+    (stop2, stop3) pairs and added into the histogram at their flat bin
+    index.  A pair block holds at most _TRIPLE_BLOCK pairs, or the one start
+    that alone has more, so the temporaries stay bounded however long or
+    dense the stream.
     """
     nbins = w_ps // b_ps
     counts = np.zeros(nbins * nbins, dtype=np.int64)
