@@ -27,10 +27,10 @@ from .eventsim import PS_PER_S, split_channels
 # starts merged with their stops, and (stop2, stop3) pairs expanded and
 # binned, at once by the three-fold matcher
 _TRIPLE_BLOCK = 1 << 16
-# stops in reach per start above which _stop_ranges searches, not merges
-_MERGE_RATIO = 8
-# forward steps _stop_ranges takes from each first stop before it searches
-_SCAN_STEPS = 2
+# stops in reach per start above which _stop_ranges searches, not merges:
+# on the workload files the merge costs less below 4-5 per start, more
+# above 6 (scripts/matcher_paths.py), and it holds at most 5 keys per start
+_MERGE_RATIO = 4
 
 # the histogram label of each reconstruction method
 METHOD_LABELS = {"direct": "direct-3fold", "delayed": "delayed-pairwise"}
@@ -98,17 +98,17 @@ def _stop_ranges(starts: np.ndarray, stops: np.ndarray, span: int):
     sorted stamps in 0..2^63 - 1, stops non-empty.  The first stops come
     from one sort-merge of the starts (keys stamp << 1) with the stops
     between them (stamp << 1 | 1, so a tie puts the start first), or from a
-    search where those stops are over _MERGE_RATIO per start.  _SCAN_STEPS
-    steps test stop - start < span; only starts with stops left are
-    searched, for an end summed in uint64, which cannot wrap.
+    search where those stops are over _MERGE_RATIO per start.  Where the
+    next stop is in reach too, the range end is searched, summed in uint64,
+    which cannot wrap; the reach tests compare stop - start < span.
     """
     a, b = np.searchsorted(stops, starts[[0, -1]]) if starts.size else (0, 0)
     if b - a > _MERGE_RATIO * starts.size:
         lo = np.searchsorted(stops, starts)
     else:
         keys = np.empty(starts.size + b - a, dtype=np.uint64)
-        np.left_shift(starts, 1, out=keys[:starts.size], casting="unsafe")
-        np.left_shift(stops[a:b], 1, out=keys[starts.size:], casting="unsafe")
+        np.left_shift(starts.view(np.uint64), 1, out=keys[:starts.size])
+        np.left_shift(stops[a:b].view(np.uint64), 1, out=keys[starts.size:])
         keys[starts.size:] |= 1
         keys.sort(kind="stable")  # timsort: one merge of the two sorted runs
         # start k is the k-th even key, after the stops below it
@@ -116,15 +116,11 @@ def _stop_ranges(starts: np.ndarray, stops: np.ndarray, span: int):
     keep = np.flatnonzero((lo < stops.size)
                           & (stops.take(lo, mode="clip") - starts < span))
     lo, starts = lo[keep], starts[keep]
-    n, more = np.ones_like(lo), np.arange(lo.size)  # more: next stop may count
-    for _ in range(_SCAN_STEPS):
-        nxt = lo[more] + n[more]
-        more = more[(nxt < stops.size)
-                    & (stops.take(nxt, mode="clip") - starts[more] < span)]
-        n[more] += 1
-    if more.size:
-        end = starts[more].view(np.uint64) + np.uint64(min(span, 1 << 63))
-        n[more] = np.searchsorted(stops.view(np.uint64), end) - lo[more]
+    more = np.flatnonzero((lo + 1 < stops.size)
+                          & (stops.take(lo + 1, mode="clip") - starts < span))
+    n = np.ones_like(lo)
+    end = starts[more].view(np.uint64) + np.uint64(min(span, 1 << 63))
+    n[more] = np.searchsorted(stops.view(np.uint64), end) - lo[more]
     return keep, lo, n
 
 

@@ -149,21 +149,16 @@ def _first_out_of_order(ts, chunk=CHUNK):
     return None
 
 
-def split_channels(channel: np.ndarray, stamps: np.ndarray, out=None) -> dict:
+def split_channels(channel: np.ndarray, stamps: np.ndarray) -> dict:
     """{c: int64 stamps [ps] of channel c, in input order} for c in 0..255.
 
-    Each channel present is taken by index (flatnonzero) from the uint64
-    stamps; given out, a dict of arrays for every channel present, into the
-    head of out[c], with no copy in between.  Stamps below 2^63 ps (106
-    days) keep their value.
+    One stable counting sort by channel splits the uint64 stamps; the arrays
+    are slices of one gathered copy.  Stamps below 2^63 ps (106 days) keep
+    their value.
     """
-    ts = stamps.view(np.int64)
-    channel = np.ascontiguousarray(channel)  # compared once per channel
-    times = dict.fromkeys(range(256), ts[:0])
-    for c in out or np.flatnonzero(np.bincount(channel, minlength=256)).tolist():
-        index = np.flatnonzero(channel == c)
-        times[c] = ts.take(index, mode="clip", out=out[c][:index.size] if out else None)
-    return times
+    ts = stamps[np.argsort(channel, kind="stable")].view(np.int64)
+    ends = np.cumsum(np.bincount(channel, minlength=256))
+    return {c: ts[lo:hi] for c, (lo, hi) in enumerate(zip([0, *ends], ends))}
 
 
 def _triplet_clicks(rng, cfg: SourceConfig, cmap: CorrelationMap):

@@ -30,7 +30,7 @@ import struct
 import numpy as np
 
 from .errors import ConfigError, InvalidParameterError
-from .eventsim import EVENT_DTYPE, _first_out_of_order, split_channels
+from .eventsim import EVENT_DTYPE, _first_out_of_order
 from .susceptibility import ComplexGrid2D
 
 MAGIC = b"TPE1"
@@ -207,7 +207,8 @@ def read_channels(path):
 
     times[c] holds the int64 timestamps [ps] of channel c (1..channel_count)
     in file order.  A first pass over the records runs every check of
-    read_events and counts each channel; a second fills the preallocated
+    read_events and counts each channel; a second takes each channel present
+    in a record chunk by index (flatnonzero) straight into the preallocated
     arrays, so beside them the reader holds one record chunk, never the
     stream.  Raises what read_events raises.
     """
@@ -221,9 +222,13 @@ def read_channels(path):
         filled = dict.fromkeys(channels, 0)
         for _, rec in _record_chunks(fh, path, n):
             # the first pass kept channels in 1..channel_count, stamps below 2^63
-            split = split_channels(rec["channel"], rec["timestamp_ps"],
-                                   {c: times[c][filled[c]:] for c in channels})
-            filled = {c: filled[c] + split[c].size for c in channels}
+            channel = np.ascontiguousarray(rec["channel"])  # compared once per channel
+            ts = rec["timestamp_ps"].view(np.int64)
+            for c in np.flatnonzero(np.bincount(channel)).tolist():
+                index = np.flatnonzero(channel == c)
+                # mode="clip" takes into out without a buffered copy
+                ts.take(index, mode="clip", out=times[c][filled[c]:filled[c] + index.size])
+                filled[c] += index.size
     return times, header
 
 
@@ -253,40 +258,45 @@ def _column(values):
     return np.array(_text(uniq), dtype=object)[inverse].tolist()
 
 
-def _write_rows(path, header_lines, columns, axes=None) -> None:
+def _fill(buf, width, parts, first=0) -> str:
+    """The text of the row template buf (width // 2 fields a row), cut to the
+    rows of the equal-length parts, its fields from first on set to them:
+    text lists, or floats formatted here a block at a time."""
+    del buf[len(parts[0]) * width:]  # the last block may be short
+    for k, part in enumerate(parts, start=first):
+        buf[2 * k::width] = part if isinstance(part, list) else _text(part)
+    return "".join(buf)
+
+
+def _write_rows(path, header_lines, columns) -> None:
     """'# ' header lines, then ROW_BLOCK rows per join, one per index of the
-    equal-length columns: text lists, or floats formatted a block at a time.
-    With axes, the (axis1, axis2) texts of a grid, rows start with their grid
-    point, axis1 outer; a block holds whole axis1 rows, so the axis2 texts,
-    commas and newlines are set once and a block sets its axis1 texts."""
-    n, width = len(columns[0]), 2 * len(columns) + (4 if axes else 0)
-    n2 = max(len(axes[1]), 1) if axes else 1
-    block = max(ROW_BLOCK // n2, 1) * n2  # whole axis1 rows, at least one
-    buf = ([","] * (width - 1) + ["\n"]) * min(n, block)
-    if axes:
-        buf[2::width] = axes[1] * (len(buf) // width // n2)
+    equal-length columns."""
+    n, width = len(columns[0]), 2 * len(columns)
+    buf = ([","] * (width - 1) + ["\n"]) * min(n, ROW_BLOCK)
     with open(path, "w") as fh:
         fh.writelines(f"# {line}\n" for line in header_lines)
-        for lo in range(0, n, block):
-            hi = min(lo + block, n)
-            del buf[(hi - lo) * width:]  # the last block may be short
-            for i in range(lo // n2, hi // n2) if axes else ():
-                row = (i * n2 - lo) * width
-                buf[row:row + n2 * width:width] = [axes[0][i]] * n2
-            for k, col in enumerate(columns, start=width // 2 - len(columns)):
-                part = col[lo:hi]
-                buf[2 * k::width] = part if isinstance(part, list) else _text(part)
-            fh.write("".join(buf))
+        for lo in range(0, n, ROW_BLOCK):
+            fh.write(_fill(buf, width, [c[lo:lo + ROW_BLOCK] for c in columns]))
 
 
 def _write_grid(path, header_lines, axis1, axis2, cells) -> None:
-    """One row per grid point, axis1 outer; each axis value formatted once."""
+    """One row per grid point, axis1 outer; each axis value formatted once.
+    A block is whole axis1 rows: its template's axis2 texts are set once."""
     shape = (np.size(axis1), np.size(axis2))
     if any(np.shape(c) != shape for c in cells):
         raise InvalidParameterError(f"grid cells of shapes {list(map(np.shape, cells))}"
                                     f" do not fit axes of sizes {shape}")
-    _write_rows(path, header_lines, [_column(c) for c in cells],
-                (_text(axis1), _text(axis2)))
+    a1, a2 = _text(axis1), _text(axis2)
+    columns, n2, width = [_column(c) for c in cells], len(a2), 2 * len(cells) + 4
+    rows = max(ROW_BLOCK // max(n2, 1), 1)  # axis1 rows per block
+    buf = ([","] * (width - 1) + ["\n"]) * (min(len(a1), rows) * n2)
+    buf[2::width] = a2 * min(len(a1), rows)
+    with open(path, "w") as fh:
+        fh.writelines(f"# {line}\n" for line in header_lines)
+        for i in range(0, len(a1), rows):
+            for r, a in enumerate(a1[i:i + rows]):
+                buf[r * n2 * width:(r + 1) * n2 * width:width] = [a] * n2
+            fh.write(_fill(buf, width, [c[i * n2:(i + rows) * n2] for c in columns], 2))
 
 
 def write_table(path, header_lines, columns) -> None:

@@ -123,13 +123,12 @@ def _two_searches(starts, stops, span):
 
 @settings(max_examples=300, deadline=None)
 @given(_sorted_stamps(), _sorted_stamps(min_size=1), st.integers(1, 3000),
-       st.sampled_from([0, 1, 8, 10 ** 6]), st.sampled_from([0, 1, 2]))
-def test_stop_ranges_equal_two_searches(starts, stops, span, ratio, steps):
+       st.sampled_from([0, 1, 4, 10 ** 6]))
+def test_stop_ranges_equal_two_searches(starts, stops, span, ratio):
     """Merged or searched first stops (ratio 0 searches whenever stops lie
-    between the starts, 10^6 always merges), with 0-2 forward steps before
-    the search for the rest of each range."""
-    with mock.patch.object(coincidence, "_MERGE_RATIO", ratio), \
-            mock.patch.object(coincidence, "_SCAN_STEPS", steps):
+    between the starts, 10^6 always merges), ranges of one stop and ranges
+    whose end is searched."""
+    with mock.patch.object(coincidence, "_MERGE_RATIO", ratio):
         got = coincidence._stop_ranges(starts, stops, span)
     for a, b in zip(got, _two_searches(starts, stops, span)):
         assert a.dtype.kind == "i" and np.array_equal(a, b)

@@ -196,39 +196,6 @@ def test_stream_bytes_pinned(name, chunk, monkeypatch):
     assert hashlib.sha256(stream.tobytes()).hexdigest() == digest
 
 
-def _split_by_stable_sort(channel, stamps):
-    """The channel split as one stable argsort by channel and a gather."""
-    ts = stamps[np.argsort(channel, kind="stable")].view(np.int64)
-    ends = np.cumsum(np.bincount(channel, minlength=256))
-    return {c: ts[lo:hi] for c, (lo, hi) in enumerate(zip([0, *ends], ends))}
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from([1, 2, 3, 4, 0, 255]),
-                          st.integers(0, 2 ** 63 - 1)), max_size=60),
-       st.sampled_from([None, (1, 2, 3, 4), (3,)]))
-def test_split_channels_equals_stable_sort_split(records, only):
-    """The flatnonzero/take split returns what the stable-sort split
-    returned, with absent channels, one channel alone (only = (3,)) and
-    interleaved channels, and fills the heads of given arrays in place."""
-    channel = np.array([c for c, _ in records], dtype=np.uint8)
-    stamps = np.array([t for _, t in records], dtype=np.uint64)
-    if only:
-        channel = np.array([only[k % len(only)] for k in range(channel.size)],
-                           dtype=np.uint8)
-    expect = _split_by_stable_sort(channel, stamps)
-    got = eventsim.split_channels(channel, stamps)
-    assert sorted(got) == list(range(256))
-    for c in range(256):
-        assert got[c].dtype == np.int64 and np.array_equal(got[c], expect[c])
-    present = {int(c) for c in channel}
-    out = {c: np.full(expect[c].size + 2, -1, np.int64) for c in present | {7}}
-    got = eventsim.split_channels(channel, stamps, out)
-    for c in out:
-        assert np.array_equal(out[c][:-2], expect[c]) and (out[c][-2:] == -1).all()
-        assert np.array_equal(got[c], expect[c])
-
-
 @st.composite
 def _sorted_parts(draw):
     """Sorted (timestamp_ps, channel, origin) parts, each with one channel

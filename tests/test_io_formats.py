@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from triphoton.errors import ConfigError, InvalidParameterError
-from triphoton.eventsim import EVENT_DTYPE
+from triphoton.eventsim import EVENT_DTYPE, split_channels
 from triphoton.susceptibility import ComplexGrid2D
 from triphoton import io_formats
 
@@ -301,6 +301,49 @@ def test_read_channels_equals_split_of_read_events(tmp_path_factory, records,
         assert times[c].dtype == np.int64
         assert np.array_equal(times[c], expect.astype(np.int64))
         assert times[c].size == expect.size
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 63 - 1), max_size=40),
+       st.sampled_from([(1, 2, 3, 4), (3,), (2, 4), (4, 1, 1, 3)]),
+       st.integers(1, 8))
+def test_read_channels_equals_stable_sort_split(tmp_path_factory,
+                                                raw_event_file, stamps,
+                                                pattern, chunk):
+    """read_channels, which takes each channel of a record chunk by index,
+    returns what the stable-sort split_channels gives for the records: with
+    channels absent (pattern (3,) or (2, 4)), a chunk of one record and so
+    one channel, interleaved channels and stamps up to 2^63 - 1."""
+    stamps = np.sort(np.array(stamps, dtype=np.uint64))
+    channel = np.array([pattern[k % len(pattern)] for k in range(stamps.size)],
+                       dtype=np.uint8)
+    path = raw_event_file(tmp_path_factory.mktemp("split") / "run.tpe1",
+                          stamps, channel, duration_ps=2 ** 63 - 1)
+    with mock.patch.object(io_formats, "RECORD_CHUNK", chunk):
+        times, _ = io_formats.read_channels(path)
+    expect = split_channels(channel, stamps)
+    for c in (1, 2, 3, 4):
+        assert times[c].dtype == np.int64 and np.array_equal(times[c], expect[c])
+
+
+def test_read_channels_splits_over_channels_present(tmp_path, raw_event_file,
+                                                    monkeypatch):
+    """A header may declare 65535 channels while its records use 4: each
+    record chunk is split over the channels it holds (one index pass per
+    channel and one to find them), not over every channel declared."""
+    channel = 1 + np.arange(400) % 4
+    path = raw_event_file(tmp_path / "wide.tpe1", 10 * np.arange(400), channel,
+                          duration_ps=10 ** 6, channel_count=65535)
+    calls, flatnonzero = [], np.flatnonzero
+    monkeypatch.setattr(io_formats, "RECORD_CHUNK", 64)
+    monkeypatch.setattr(np, "flatnonzero", lambda a: calls.append(1) or flatnonzero(a))
+    times, header = io_formats.read_channels(path)
+    monkeypatch.undo()
+    assert header["channel_count"] == 65535 and len(times) == 65535
+    for c in (1, 2, 3, 4):
+        assert np.array_equal(times[c], 10 * np.flatnonzero(channel == c))
+    assert all(times[c].size == 0 for c in range(5, 65536))
+    assert len(calls) <= 7 * (1 + 4)  # 7 chunks of at most 4 channels
 
 
 def _malformed(kind, path, raw_event_file):
