@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from triphoton.errors import ConfigError, InvalidParameterError
-from triphoton.eventsim import EVENT_DTYPE, split_channels
+from triphoton.eventsim import EVENT_DTYPE
 from triphoton.susceptibility import ComplexGrid2D
 from triphoton import io_formats
 
@@ -280,17 +280,23 @@ def test_writer_rejects_record_after_duration(tmp_path, record_chunk):
     assert np.array_equal(back["timestamp_ps"], s["timestamp_ps"])
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(1, 4)),
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2 ** 63 - 1), st.integers(1, 4)),
                 max_size=40),
-       st.integers(1, 8))
+       st.integers(1, 8), st.sampled_from([None, (3,), (2, 4)]))
 def test_read_channels_equals_split_of_read_events(tmp_path_factory, records,
-                                                   chunk):
+                                                   chunk, only):
+    """read_channels, which takes each channel of a record chunk by index,
+    returns each channel's stamps in file order: with channels absent from
+    the file (only (3,) or (2, 4)) or from a chunk, chunks of one record,
+    interleaved channels and stamps up to 2^63 - 1."""
     s = np.zeros(len(records), dtype=EVENT_DTYPE)
     if records:
         s["timestamp_ps"], s["channel"] = zip(*sorted(records))
+    if only:
+        s["channel"] = [only[k % len(only)] for k in range(s.size)]
     path = tmp_path_factory.mktemp("parity") / "run.tpe1"
-    io_formats.write_events(path, s, seed=5, duration_ps=10 ** 6)
+    io_formats.write_events(path, s, seed=5, duration_ps=2 ** 63 - 1)
     with mock.patch.object(io_formats, "RECORD_CHUNK", chunk):
         stream, header = io_formats.read_events(path)
         times, header_c = io_formats.read_channels(path)
@@ -301,29 +307,6 @@ def test_read_channels_equals_split_of_read_events(tmp_path_factory, records,
         assert times[c].dtype == np.int64
         assert np.array_equal(times[c], expect.astype(np.int64))
         assert times[c].size == expect.size
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(0, 2 ** 63 - 1), max_size=40),
-       st.sampled_from([(1, 2, 3, 4), (3,), (2, 4), (4, 1, 1, 3)]),
-       st.integers(1, 8))
-def test_read_channels_equals_stable_sort_split(tmp_path_factory,
-                                                raw_event_file, stamps,
-                                                pattern, chunk):
-    """read_channels, which takes each channel of a record chunk by index,
-    returns what the stable-sort split_channels gives for the records: with
-    channels absent (pattern (3,) or (2, 4)), a chunk of one record and so
-    one channel, interleaved channels and stamps up to 2^63 - 1."""
-    stamps = np.sort(np.array(stamps, dtype=np.uint64))
-    channel = np.array([pattern[k % len(pattern)] for k in range(stamps.size)],
-                       dtype=np.uint8)
-    path = raw_event_file(tmp_path_factory.mktemp("split") / "run.tpe1",
-                          stamps, channel, duration_ps=2 ** 63 - 1)
-    with mock.patch.object(io_formats, "RECORD_CHUNK", chunk):
-        times, _ = io_formats.read_channels(path)
-    expect = split_channels(channel, stamps)
-    for c in (1, 2, 3, 4):
-        assert times[c].dtype == np.int64 and np.array_equal(times[c], expect[c])
 
 
 def test_read_channels_splits_over_channels_present(tmp_path, raw_event_file,
