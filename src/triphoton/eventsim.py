@@ -8,11 +8,13 @@ Gaussian timing jitter and is quantized to 1 ps (finer than the recording
 card's 813 fs resolution is pointless, and 1 ps keeps 64-bit integer
 arithmetic exact for over 100 days of stream).  Each click series, one
 channel of one source, is sorted on its own, then the series are merged one
-time window of about CHUNK events at a time, so no stream-sized sort
-temporary is ever built.  stream_windows hands the windows out as they are
-merged: writing them to a file holds the sorted series (8 of the stream's
-10 bytes per event) and one window, about 0.9 times the bytes of the
-stream.  generate_stream collects them into the stream, which it adds.
+time window of about CHUNK events at a time, each window by one plain sort
+of keys that pack the stamp and the series number, so no stream-sized sort
+temporary, index or gather is ever built.  stream_windows hands the windows
+out as they are merged: writing them to a file holds the sorted series (8 of
+the stream's 10 bytes per event) and one window, about 0.9 times the bytes
+of the stream.  generate_stream collects them into the stream, which it
+adds.
 
 All randomness derives from a single 64-bit master seed through fixed
 per-source labels, so adding or removing one source never perturbs the
@@ -42,6 +44,9 @@ PS_PER_S = 1_000_000_000_000
 
 # events per efficiency or jitter draw, per order check and per merge window
 CHUNK = 1 << 20
+
+# Generator.poisson refuses a larger mean ("lam value too large")
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
 
 @dataclass(frozen=True)
@@ -97,6 +102,19 @@ class SourceConfig:
                 raise InvalidParameterError(
                     f"dual-pair entry {entry!r} needs two (first, second) channel "
                     "pairs in 1..4, a finite rate >= 0 and a finite delay mean > 0")
+        # each click series draws its count as one Poisson number
+        rates = [("triplet_rate", self.triplet_rate)]
+        for name in ("singles_rate", "dark_rate"):
+            rates += [(f"{name} channel {ch}", r)
+                      for ch, r in enumerate(getattr(self, name), 1)]
+        rates += [(f"dual-pair entry {entry!r} rate", entry[2])
+                  for entry in self.dual_pair_rates]
+        for name, rate in rates:
+            if rate * self.duration >= _POISSON_LAM_MAX:
+                raise InvalidParameterError(
+                    f"{name}: {rate!r} /s over {self.duration!r} s expects "
+                    f"{rate * self.duration:.3g} clicks, at or above numpy's "
+                    f"Poisson limit of {_POISSON_LAM_MAX:.3g}")
 
 
 def _rng(seed: int, label: int) -> np.random.Generator:
@@ -131,8 +149,10 @@ def _sample_triplet_delays(cmap: CorrelationMap, rng: np.random.Generator,
 
 def _poisson_times(rng: np.random.Generator, rate: float, duration: float):
     """Arrival times of a homogeneous Poisson process on [0, duration)."""
-    n = rng.poisson(rate * duration)
-    return np.sort(rng.random(n)) * duration
+    times = rng.random(rng.poisson(rate * duration))
+    times.sort()
+    times *= duration
+    return times
 
 
 def _first_out_of_order(ts, chunk=CHUNK):
@@ -246,27 +266,42 @@ def _merge(parts, window: int):
     (timestamp_ps, channel, origin) arrays.
 
     The time axis up to the largest stamp is cut into about total / window
-    equal windows.  Each window's slices of the parts are concatenated in
-    part order and stable-argsorted.  Equal stamps always share a window, so
-    ties break by part order, then by position within the part: the order of
-    one stable argsort of all parts concatenated, without its stream-sized
-    key, index and gather copies.
+    equal windows, and into more where needed so that each spans less than
+    2^(64 - b) ps, b the bits of the largest part number.  Each window's
+    slices of the parts are concatenated in part order into one key
+    (stamp - window start) << b | part, built in place, and sorted with one
+    plain sort; the part number in the low bits then gives the channel and
+    origin.  Equal stamps always share a window, and equal keys are
+    identical records, so ties break by part order, then by position within
+    the part: the order of one stable argsort of all parts concatenated,
+    without its index and gather copies.
     """
     total = sum(ts.size for ts, _, _ in parts)
     if total == 0:
         return
     end = max(int(ts[-1]) for ts, _, _ in parts if ts.size) + 1
-    n_win = -(-total // window)
+    bits = max(1, (len(parts) - 1).bit_length())
+    n_win = max(-(-total // window), (end >> (64 - bits)) + 1)
     edges = np.array([end * k // n_win for k in range(n_win + 1)],
                      dtype=np.uint64)
     cuts = [np.searchsorted(ts, edges) for ts, _, _ in parts]
     tags = np.array([(ch, origin) for _, ch, origin in parts], dtype=np.uint8)
     for k in range(n_win):
-        slices = [slice(c[k], c[k + 1]) for c in cuts]
-        key = np.concatenate([p[0][s] for p, s in zip(parts, slices)])
-        order = np.argsort(key, kind="stable")
-        sizes = [s.stop - s.start for s in slices]
-        yield (key[order], *(np.repeat(col, sizes)[order] for col in tags.T))
+        key = np.concatenate([ts[c[k]:c[k + 1]] for (ts, _, _), c in zip(parts, cuts)])
+        key -= edges[k]
+        key <<= bits
+        pos = 0
+        for j, c in enumerate(cuts):
+            stop = pos + int(c[k + 1] - c[k])
+            key[pos:stop] |= j
+            pos = stop
+        key.sort()
+        part = np.empty(key.size, dtype=np.min_scalar_type(len(parts) - 1))
+        np.bitwise_and(key, (1 << bits) - 1, out=part, casting="unsafe")
+        key >>= bits
+        key += edges[k]
+        # take on axis 0 copies whole rows; tags[part] goes element by element
+        yield (key, *np.take(tags, part, axis=0).T)
 
 
 def _sources(cmap: CorrelationMap | None, cfg: SourceConfig):

@@ -331,6 +331,28 @@ def test_simulate_bad_seed_or_duration_exit_code(tmp_path, capsys, args,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line, names", [
+    ("triplet_rate = 1e30 /s", ["triplet_rate"]),
+    ("singles_rate_ch1 = 1e30 /s", ["singles_rate", "channel 1"]),
+    ("dual_pair_rate = 1e30 /s", ["dual-pair entry"]),
+])
+def test_simulate_rate_beyond_poisson_limit_exit_code(tmp_path, capsys,
+                                                      monkeypatch, line, names):
+    """An expected count past numpy's Poisson limit used to exit 1 with
+    'lam value too large'; it is refused before any click is drawn."""
+    def unreached(*args):
+        raise AssertionError("a click series was drawn")
+    monkeypatch.setattr(triphoton.eventsim, "_poisson_times", unreached)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "run.tpe1"
+    assert main(["simulate", "--config", str(cfg), "--duration", "1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in names) and "Poisson limit" in err, err
+    assert not out.exists()
+
+
 def test_timestamp_at_2_63_exit_code(tmp_path, capsys, raw_event_file):
     """A stamp past the int64 range is a bad input, not a matcher crash."""
     s = np.zeros(3001, dtype=EVENT_DTYPE)

@@ -200,19 +200,17 @@ def test_stream_bytes_pinned(name, chunk, monkeypatch):
 def _sorted_parts(draw):
     """Sorted (timestamp_ps, channel, origin) parts, each with one channel
     and one origin that number it, with many equal stamps within and across
-    parts."""
+    parts, and up to 40 parts, past the merge key's 5-bit part budget."""
     high = draw(st.sampled_from([0, 3, 1000, 2 ** 63 - 2]))
     parts = []
-    for k in range(draw(st.integers(0, 5))):
+    for k in range(draw(st.integers(0, 40))):
         ts = np.sort(np.array(draw(st.lists(st.integers(0, high), max_size=40)),
                               dtype=np.uint64))
         parts.append((ts, np.uint8(k + 1), np.uint8(k)))
     return parts
 
 
-@settings(max_examples=200, deadline=None)
-@given(_sorted_parts(), st.integers(1, 250))
-def test_windowed_merge_equals_global_stable_sort(parts, window):
+def _check_merge(parts, window):
     cat = np.empty(sum(p[0].size for p in parts), dtype=EVENT_DTYPE)
     if parts:
         for field, col in (("timestamp_ps", 0), ("channel", 1), ("origin", 2)):
@@ -224,6 +222,30 @@ def test_windowed_merge_equals_global_stable_sort(parts, window):
         for field, cols in zip(EVENT_DTYPE.names, zip(*windows)):
             got[field] = np.concatenate(cols)
     assert got.tobytes() == expect.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sorted_parts(), st.integers(1, 250))
+def test_windowed_merge_equals_global_stable_sort(parts, window):
+    _check_merge(parts, window)
+
+
+_TIE = [5]
+_TOP = [2 ** 63 - 1]
+
+
+@pytest.mark.parametrize("stamps", [
+    [_TIE] * 33, [_TIE] * 32 + [_TIE + _TOP], [[]] * 32 + [[2 ** 59]],
+    [_TIE] * 300],
+    ids=["33-parts-one-stamp", "and-2^63-1", "one-stamp-2^59", "300-parts"])
+def test_merge_beyond_32_parts(stamps):
+    """33 parts take a 6-bit part number in the merge key: ties across all
+    of them keep part order, and a window holding a stamp at 2^59 or more
+    is narrowed until its keys fit in 64 bits.  300 parts (75 dual-pair
+    entries) number past a byte."""
+    parts = [(np.array(ts, dtype=np.uint64), np.uint8(k % 4 + 1),
+              np.uint8(k % 251)) for k, ts in enumerate(stamps)]
+    _check_merge(parts, 1)
 
 
 def test_generate_stream_peak_memory():

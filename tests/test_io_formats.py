@@ -329,6 +329,19 @@ def test_read_channels_splits_over_channels_present(tmp_path, raw_event_file,
     assert len(calls) <= 7 * (1 + 4)  # 7 chunks of at most 4 channels
 
 
+def test_read_channels_arrays_own_exactly_their_data(tmp_path, raw_event_file):
+    """Each channel's array is allocated at its exact size: with every record
+    on channel 2 of 4, channels 1, 3 and 4 hold no bytes, so a reader that
+    reserves the file's record count per channel and returns views fails."""
+    path = raw_event_file(tmp_path / "one.tpe1", 10 * np.arange(300),
+                          np.full(300, 2), duration_ps=10 ** 6)
+    times, _ = io_formats.read_channels(path)
+    assert [times[c].size for c in (1, 2, 3, 4)] == [0, 300, 0, 0]
+    for c, t in times.items():
+        owner = t if t.base is None else t.base
+        assert owner.nbytes == 8 * t.size, c
+
+
 def _malformed(kind, path, raw_event_file):
     """A malformed TPE1 file of each kind the readers refuse."""
     if kind in ("magic", "version", "header_len-48", "header_len-4096"):
