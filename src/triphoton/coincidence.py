@@ -24,8 +24,8 @@ from .correlation import (ConditionalTrace, cauchy_schwarz_factor,
                           oscillation_period, visibility)
 from .eventsim import PS_PER_S, split_channels
 
-# starts merged with their stops, and (stop2, stop3) pairs expanded and
-# binned, at once by the three-fold matcher
+# starts merged with their stops, and (stop2, stop3) pair numbers expanded
+# and binned, at once by the three-fold matcher
 _TRIPLE_BLOCK = 1 << 16
 # stops in reach per start above which _stop_ranges searches, not merges:
 # on the workload files the merge costs less below 4-5 per start, more
@@ -80,15 +80,17 @@ class RatesReport:
 # matching primitives
 # ---------------------------------------------------------------------------
 
-def _expand(n: np.ndarray):
-    """(owner, offset) of the sum(n) items when owner i holds n[i] of them.
+def _expand(edges: np.ndarray, lo: int, hi: int):
+    """(owner, offset) of items lo..hi - 1 when owner i holds the items
+    edges[i]..edges[i + 1] - 1 (edges: 0, then the cumulative counts).
 
-    Item k is number offset[k] (counting from 0) of owner[k], in owner order:
-    the repeat/cumsum expansion of variable-length ranges without a loop.
+    Item k is number offset (counting from 0) of its owner, found by one
+    search of the item numbers over the edges: the temporaries are the size
+    of the range, however many items its owners hold.
     """
-    owner = np.repeat(np.arange(n.size), n)
-    offset = np.arange(owner.size) - np.repeat(np.cumsum(n) - n, n)
-    return owner, offset
+    k = np.arange(lo, hi)
+    owner = np.searchsorted(edges, k, side="right") - 1
+    return owner, k - edges[owner]
 
 
 def _stop_ranges(starts: np.ndarray, stops: np.ndarray, span: int):
@@ -170,7 +172,8 @@ def pairwise_histogram(starts: np.ndarray, stops: np.ndarray, window: float,
         keep, lo, n = _stop_ranges(starts, stops, nbins * b_ps)
         if not multiple_stops:
             n = np.minimum(n, 1)
-        rep, offs = _expand(n)
+        edges = np.concatenate(([0], np.cumsum(n)))
+        rep, offs = _expand(edges, 0, edges[-1])
         delays = stops[lo[rep] + offs] - starts[keep][rep]
         counts += np.bincount(delays // b_ps, minlength=nbins)
     return counts
@@ -186,12 +189,12 @@ def _triple_match(t1: np.ndarray, t2: np.ndarray, t3: np.ndarray,
 
     The starts are taken _TRIPLE_BLOCK at a time.  _stop_ranges finds
     channel 2's stops for every start of a block, channel 3's only for the
-    starts with a channel-2 stop.  The starts with stops on both channels
-    are then expanded, a block of whole starts at a time, into their n2 * n3
-    (stop2, stop3) pairs and added into the histogram at their flat bin
-    index.  A pair block holds at most _TRIPLE_BLOCK pairs, or the one start
-    that alone has more, so the temporaries stay bounded however long or
-    dense the stream.
+    starts with a channel-2 stop.  Pair number k of a start with n3
+    channel-3 stops is its stop2 k // n3 with stop3 k % n3.  The block's
+    pairs, numbered in start order, are taken _TRIPLE_BLOCK pair numbers at
+    a time and added into the histogram at their flat bin index: a pair
+    block holds at most _TRIPLE_BLOCK pairs, however long or dense the
+    stream and however many pairs one start has.
     """
     nbins = w_ps // b_ps
     counts = np.zeros(nbins * nbins, dtype=np.int64)
@@ -204,22 +207,13 @@ def _triple_match(t1: np.ndarray, t2: np.ndarray, t3: np.ndarray,
         starts = starts[keep]
         keep, lo3, n3 = _stop_ranges(starts, t3, span)
         starts, lo2, n2 = starts[keep], lo2[keep], n2[keep]
-        ends = np.cumsum(n2 * n3)
-        i = 0
-        while i < ends.size:
-            base = ends[i - 1] if i else 0
-            j = max(int(np.searchsorted(ends, base + _TRIPLE_BLOCK,
-                                        side="right")), i + 1)
-            o2, k2 = _expand(n2[i:j])
-            o3, k3 = _expand(n3[i:j])
-            rows = (t2[lo2[i:j][o2] + k2] - starts[i:j][o2]) // b_ps * nbins
-            cols = (t3[lo3[i:j][o3] + k3] - starts[i:j][o3]) // b_ps
-            # each (start, stop2) pair meets every channel-3 stop of its start
-            b3 = n3[i:j]
-            first3 = (np.cumsum(b3) - b3)[o2]
-            pair, k = _expand(b3[o2])
-            np.add.at(counts, rows[pair] + cols[first3[pair] + k], 1)
-            i = j
+        edges = np.concatenate(([0], np.cumsum(n2 * n3)))
+        for lo in range(0, edges[-1], _TRIPLE_BLOCK):
+            owner, k = _expand(edges, lo, min(lo + _TRIPLE_BLOCK, edges[-1]))
+            k2, k3 = np.divmod(k, n3[owner])
+            at = starts[owner]
+            rows = (t2[lo2[owner] + k2] - at) // b_ps * nbins
+            np.add.at(counts, rows + (t3[lo3[owner] + k3] - at) // b_ps, 1)
     return counts.reshape(nbins, nbins)
 
 
@@ -277,18 +271,18 @@ def reconstruct_triple_delayed(stream: np.ndarray, window: float = 195e-9,
 # floor estimation and subtraction
 # ---------------------------------------------------------------------------
 
-def _border_mask(shape, fraction=0.10):
-    m1, m2 = (max(int(round(fraction * n)), 1) for n in shape)
+def _border_mask(shape):
+    m1, m2 = (max(int(round(0.10 * n)), 1) for n in shape)
     mask = np.ones(shape, dtype=bool)
     mask[m1:-m1, m2:-m2] = False
     return mask
 
 
-def estimate_floor(hist: CoincidenceHistogram2D, segments: int = 32) -> float:
+def estimate_floor(hist: CoincidenceHistogram2D) -> float:
     """Accidental floor in counts per bin, from the outer-10% border frame.
 
-    The border bins are split into contiguous segments and the floor is the
-    median of the segment means.  A plain per-bin median is useless in the
+    The border bins are split into 32 contiguous segments and the floor is
+    the median of the segment means.  A plain per-bin median is useless in the
     sparse regime (sub-unity mean counts put the median at 0); averaging
     within segments restores an unbiased Poisson estimate while the median
     across segments keeps robustness against a feature leaking into one edge.
@@ -299,8 +293,7 @@ def estimate_floor(hist: CoincidenceHistogram2D, segments: int = 32) -> float:
     if interior < 0.2 * hist.counts.size:
         raise EstimationError("correlation feature fills the grid; "
                               "no background region available")
-    segments = min(segments, border.size)
-    chunks = np.array_split(border, segments)
+    chunks = np.array_split(border, min(32, border.size))
     return float(np.median([c.mean() for c in chunks]))
 
 

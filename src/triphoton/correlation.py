@@ -78,14 +78,13 @@ class ConditionalTrace:
 
 def default_spectral_window(params: ExperimentParams, n2: int = 512,
                             n3: int = 512, linewidth_multiple: float = 8.0,
-                            pad_fraction: float = 0.25,
-                            clip: float = 2 * np.pi * 5e9) -> GridSpec2D:
+                            pad_fraction: float = 0.25) -> GridSpec2D:
     """Spectral integration window derived from the resonance structure.
 
     Union of all resonance centers +- linewidth_multiple effective linewidths,
-    padded by pad_fraction of the span on each side, clipped to +-clip.  The
-    centers are swept over the +-3 sigma thermal velocity range since Doppler
-    shifts move each resonance by ~1 MHz per m/s.
+    padded by pad_fraction of the span on each side, clipped to +-2 pi 5 GHz.
+    The centers are swept over the +-3 sigma thermal velocity range since
+    Doppler shifts move each resonance by ~1 MHz per m/s.
     """
     sig = params.sigma_v
     sets = [resonance_set(params, v) for v in (-3 * sig, 0.0, 3 * sig)]
@@ -96,14 +95,14 @@ def default_spectral_window(params: ExperimentParams, n2: int = 512,
     hi3 = max(max(s.centers_d3) for s in sets) + linewidth_multiple * rs.linewidth_d3
     pad2 = pad_fraction * (hi2 - lo2)
     pad3 = pad_fraction * (hi3 - lo3)
+    clip = 2 * np.pi * 5e9
     lo2, hi2 = max(lo2 - pad2, -clip), min(hi2 + pad2, clip)
     lo3, hi3 = max(lo3 - pad3, -clip), min(hi3 + pad3, clip)
     return GridSpec2D(lo2, hi2, n2, lo3, hi3, n3)
 
 
-def _check_coverage(spec: GridSpec2D, params: ExperimentParams,
-                    multiple: float = 5.0):
-    rs = resonance_set(params, 0.0)
+def _check_coverage(spec: GridSpec2D, params: ExperimentParams):
+    rs, multiple = resonance_set(params, 0.0), 5.0  # linewidths to cover
     need2 = (min(rs.centers_d2) - multiple * rs.linewidth_d2,
              max(rs.centers_d2) + multiple * rs.linewidth_d2)
     need3 = (min(rs.centers_d3) - multiple * rs.linewidth_d3,

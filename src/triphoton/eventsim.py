@@ -110,11 +110,18 @@ class SourceConfig:
         rates += [(f"dual-pair entry {entry!r} rate", entry[2])
                   for entry in self.dual_pair_rates]
         for name, rate in rates:
+            expect = f"{name}: {rate!r} /s over {self.duration!r} s expects " \
+                     f"{rate * self.duration:.3g} clicks"
             if rate * self.duration >= _POISSON_LAM_MAX:
-                raise InvalidParameterError(
-                    f"{name}: {rate!r} /s over {self.duration!r} s expects "
-                    f"{rate * self.duration:.3g} clicks, at or above numpy's "
-                    f"Poisson limit of {_POISSON_LAM_MAX:.3g}")
+                raise InvalidParameterError(f"{expect}, at or above numpy's "
+                                            f"Poisson limit of {_POISSON_LAM_MAX:.3g}")
+            # a trial array of the series' uniform draws (8 bytes a click),
+            # dropped untouched as coincidence.check_histogram's is
+            try:
+                np.zeros(int(rate * self.duration))
+            except (MemoryError, ValueError):
+                raise InvalidParameterError(f"{expect}, too many to hold in "
+                                            "memory") from None
 
 
 def _rng(seed: int, label: int) -> np.random.Generator:
@@ -155,14 +162,14 @@ def _poisson_times(rng: np.random.Generator, rate: float, duration: float):
     return times
 
 
-def _first_out_of_order(ts, chunk=CHUNK):
+def _first_out_of_order(ts):
     """Index of the first timestamp earlier than its predecessor, or None.
 
-    Compares chunk by chunk, so the check needs a chunk-sized boolean
-    temporary, not a stream-sized one.
+    Compares CHUNK stamps at a time, so the check needs a chunk-sized
+    boolean temporary, not a stream-sized one.
     """
-    for start in range(0, ts.size - 1, chunk):
-        seg = ts[start:start + chunk + 1]
+    for start in range(0, ts.size - 1, CHUNK):
+        seg = ts[start:start + CHUNK + 1]
         back = seg[1:] < seg[:-1]
         if back.any():
             return start + 1 + int(np.argmax(back))

@@ -207,29 +207,27 @@ def read_channels(path):
 
     times[c] holds the int64 timestamps [ps] of channel c (1..channel_count)
     in file order.  A first pass over the records runs every check of
-    read_events, counts each channel and keeps the channels each record
-    chunk holds.  A second copies each chunk's stamps once into one reused
-    contiguous buffer and takes each channel it holds from there by index
-    (flatnonzero) straight into arrays allocated at their exact size, so
-    beside them the reader holds one record chunk and one stamp chunk, never
-    the stream.  Two passes, not one: a single pass would have to reserve
-    each channel's array at the file's record count before knowing the
-    channel's size, and tracemalloc, like a strict overcommit policy, counts
-    every byte reserved.  Raises what read_events raises.
+    read_events and counts each channel.  A second copies each chunk's
+    stamps once into one reused contiguous buffer and takes each channel the
+    file holds from there by index (flatnonzero) straight into arrays
+    allocated at their exact size, so beside them the reader holds one
+    record chunk and one stamp chunk, never the stream, and searches only
+    the channels the file holds, however many the header declares.
+    Two passes, not one: a single pass would have to reserve each channel's
+    array at the file's record count before knowing the channel's size, and
+    tracemalloc, like a strict overcommit policy, counts every byte
+    reserved.  Raises what read_events raises.
     """
     with open(path, "rb") as fh:
         header, n = _open_events(fh, path)
-        channels = range(1, header["channel_count"] + 1)
         tally = np.zeros(header["channel_count"] + 1, dtype=np.int64)
-        present = []
         for _, rec in _checked_chunks(fh, path, header, n):
-            counts = np.bincount(rec["channel"], minlength=tally.size)
-            tally += counts
-            present.append(np.flatnonzero(counts).tolist())
-        times = {c: np.empty(tally[c], dtype=np.int64) for c in channels}
-        filled = dict.fromkeys(channels, 0)
+            tally += np.bincount(rec["channel"], minlength=tally.size)
+        times = {c: np.empty(tally[c], dtype=np.int64) for c in range(1, tally.size)}
+        held = np.flatnonzero(tally).tolist()
+        filled = dict.fromkeys(held, 0)
         stamps = np.empty(min(n, RECORD_CHUNK), dtype=np.int64)
-        for held, (_, rec) in zip(present, _record_chunks(fh, path, n)):
+        for _, rec in _record_chunks(fh, path, n):
             # the first pass kept channels in 1..channel_count, stamps below 2^63
             channel = np.ascontiguousarray(rec["channel"])  # compared once per channel
             ts = stamps[:rec.size]

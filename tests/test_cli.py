@@ -186,6 +186,28 @@ def test_analyze_bytes_pinned(tmp_path):
         assert got == digests, method
 
 
+def test_matcher_paths_script_runs(tmp_path):
+    """scripts/matcher_paths.py patches coincidence._stop_ranges and reads
+    _TRIPLE_BLOCK and _MERGE_RATIO; it still runs on a 0.5 s dense file and
+    times triple_histogram with each of its seven stop-search variants."""
+    cfg = tmp_path / "dense.cfg"
+    cfg.write_text(SMALL + "triplet_rate = 20000 /s\n" + "".join(
+        f"singles_rate_ch{c} = 20000 /s\n" for c in (1, 2, 3)))
+    events = tmp_path / "run.tpe1"
+    assert main(["simulate", "--config", str(cfg), "--out", str(events),
+                 "--duration", "0.5"]) == 0
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run([sys.executable, str(root / "scripts" / "matcher_paths.py"),
+                          str(events), "--repeat", "1"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    timed = [line for line in run.stdout.splitlines()
+             if line.startswith("  triple_histogram, ")]
+    assert len(timed) == 7 and timed[0].startswith("  triple_histogram, library: "), \
+        run.stdout
+
+
 def test_sweep_command(small_cfg, tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", small_cfg, "--param", "power2",
@@ -350,6 +372,25 @@ def test_simulate_rate_beyond_poisson_limit_exit_code(tmp_path, capsys,
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert all(name in err for name in names) and "Poisson limit" in err, err
+    assert not out.exists()
+
+
+def test_simulate_rate_beyond_memory_exit_code(tmp_path, capsys, monkeypatch):
+    """An expected count below numpy's Poisson limit but far past memory
+    (7.11 PiB of uniform draws) used to exit 1 with numpy's
+    _ArrayMemoryError; a trial allocation refuses it before any click is
+    drawn."""
+    def unreached(*args):
+        raise AssertionError("a click series was drawn")
+    monkeypatch.setattr(triphoton.eventsim, "_poisson_times", unreached)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("triplet_rate = 0 /s\nsingles_rate_ch1 = 1e15 /s\n")
+    out = tmp_path / "run.tpe1"
+    assert main(["simulate", "--config", str(cfg), "--duration", "1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "singles_rate channel 1" in err and "1e+15" in err \
+        and "memory" in err, err
     assert not out.exists()
 
 

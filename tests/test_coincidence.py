@@ -268,6 +268,27 @@ def test_triple_match_independent_of_block_size(monkeypatch):
             reconstruct_triple_delayed(s, 700e-12, 50e-12).counts, ref)
 
 
+def test_triple_match_pair_blocks_bounded(monkeypatch):
+    """One start with 300 x 300 (stop2, stop3) pairs in the window is
+    expanded _TRIPLE_BLOCK pair numbers at a time: the match peaks at a
+    small multiple of a block's int64 bytes, not at the start's 90,000
+    pairs (once about 440 blocks)."""
+    block = 1024
+    monkeypatch.setattr(coincidence, "_TRIPLE_BLOCK", block)
+    t1 = np.array([5], dtype=np.int64)
+    t2 = np.arange(300, dtype=np.int64) + 10
+    t3 = np.arange(300, dtype=np.int64) + 15
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        counts = coincidence._triple_match(t1, t2, t3, 320, 10)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert counts.shape == (32, 32) and counts.sum() == 300 * 300
+    assert peak <= 16 * block * 8, f"{peak / (block * 8):.1f} blocks"
+
+
 @pytest.mark.parametrize("empty", [2, 3])
 @pytest.mark.parametrize("reconstruct", [reconstruct_triple_direct,
                                          reconstruct_triple_delayed])
