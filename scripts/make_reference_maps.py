@@ -4,11 +4,11 @@
 Runs the documented command-line surface end to end with the default
 configuration (optionally overridden with --config) and collects every
 output in one directory.  With the full-resolution defaults the
-correlation map takes a few minutes; pass --fast for a reduced grid.
+correlation map takes a few minutes; pass --fast for a reduced grid (its
+overrides are written to fast.cfg in the output directory).
 """
 import argparse
 import sys
-import tempfile
 from pathlib import Path
 
 from triphoton.cli import main as cli
@@ -43,10 +43,10 @@ def main():
 
     cfg = ["--config", args.config] if args.config else []
     if args.fast and not args.config:
-        tmp = tempfile.NamedTemporaryFile("w", suffix=".cfg", delete=False)
-        tmp.write(FAST_OVERRIDES)
-        tmp.close()
-        cfg = ["--config", tmp.name]
+        # kept beside the maps as the record of the grids they were made on
+        fast = out / "fast.cfg"
+        fast.write_text(FAST_OVERRIDES)
+        cfg = ["--config", str(fast)]
 
     run(["chi5-map", *cfg, "--out", str(out / "chi5_map.csv")])
     run(["linear-response", *cfg, "--out", str(out)])

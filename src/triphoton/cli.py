@@ -25,7 +25,7 @@ from .correlation import (default_spectral_window, spectral_kernel,
                           triphoton_amplitude_map, trace_map, diagonal_cut)
 from .eventsim import PS_PER_S, stream_windows
 from .coincidence import (METHOD_LABELS, check_histogram, estimate_floor,
-                          rates_report, triple_histogram)
+                          floor_frame, rates_report, triple_histogram)
 # the library entry points that perfbench/tracer.py times under these names;
 # simulate and analyze go through stream_windows and triple_histogram instead
 from .eventsim import generate_stream  # noqa: F401
@@ -184,7 +184,10 @@ def _strict_json(rep: dict) -> dict:
 def cmd_analyze(args) -> int:
     cfg = _load(args)
     # an unusable histogram is refused before the event file is read
-    check_histogram(cfg["window"], cfg["bin"], cfg["peak_rebin"])
+    w_ps, b_ps = check_histogram(cfg["window"], cfg["bin"], cfg["peak_rebin"])
+    if floor_frame((w_ps // b_ps,) * 2) is None:
+        raise ConfigError(f"window {w_ps} ps and bin {b_ps} ps make {w_ps // b_ps} bins "
+                          "per axis, too few for the accidental floor's border frame")
     times, header = io_formats.read_channels(args.eventfile)
     duration = header["duration_ps"] / PS_PER_S
     method = args.method or cfg["method"]

@@ -271,11 +271,12 @@ def reconstruct_triple_delayed(stream: np.ndarray, window: float = 195e-9,
 # floor estimation and subtraction
 # ---------------------------------------------------------------------------
 
-def _border_mask(shape):
-    m1, m2 = (max(int(round(0.10 * n)), 1) for n in shape)
-    mask = np.ones(shape, dtype=bool)
-    mask[m1:-m1, m2:-m2] = False
-    return mask
+def floor_frame(shape):
+    """Widths of the outer-10% border frame estimate_floor averages, or None
+    when it leaves under 20% of the bins inside (3 bins per axis or fewer)."""
+    widths = [max(int(round(0.10 * n)), 1) for n in shape]
+    interior = np.prod([max(n - 2 * m, 0) for n, m in zip(shape, widths)])
+    return widths if interior >= 0.2 * np.prod(shape) else None
 
 
 def estimate_floor(hist: CoincidenceHistogram2D) -> float:
@@ -287,12 +288,14 @@ def estimate_floor(hist: CoincidenceHistogram2D) -> float:
     within segments restores an unbiased Poisson estimate while the median
     across segments keeps robustness against a feature leaking into one edge.
     """
-    mask = _border_mask(hist.counts.shape)
-    border = hist.counts[mask].astype(float)
-    interior = hist.counts.size - border.size
-    if interior < 0.2 * hist.counts.size:
+    widths = floor_frame(hist.counts.shape)
+    if widths is None:
         raise EstimationError("correlation feature fills the grid; "
                               "no background region available")
+    m1, m2 = widths
+    mask = np.ones(hist.counts.shape, dtype=bool)
+    mask[m1:-m1, m2:-m2] = False
+    border = hist.counts[mask].astype(float)
     chunks = np.array_split(border, min(32, border.size))
     return float(np.median([c.mean() for c in chunks]))
 

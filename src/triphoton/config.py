@@ -159,10 +159,8 @@ REGISTRY = {
     "delta1": (_parse_freq, "-2 GHz"),
     "delta2": (_parse_freq, "-150 MHz"),
     "delta3": (_parse_freq, "50 MHz"),
-    "omega1": (_nonnegative(_parse_freq), "300 MHz"),
     "omega2": (_nonnegative(_parse_freq), "870 MHz"),
     "omega3": (_nonnegative(_parse_freq), "533 MHz"),
-    "power1": (_nonnegative(_parse_power), "none"),
     "power2": (_nonnegative(_parse_power), "none"),
     "power3": (_nonnegative(_parse_power), "none"),
     # numerics
@@ -222,9 +220,8 @@ class RunConfig:
                            gamma21=v["gamma21"], gamma11=v["gamma11"],
                            gamma22=v["gamma22"], gamma42=v["gamma42"])
         drive = DriveFields(delta1=v["delta1"], delta2=v["delta2"],
-                            delta3=v["delta3"], omega1=v["omega1"],
-                            omega2=v["omega2"], omega3=v["omega3"],
-                            power1=v["power1"], power2=v["power2"],
+                            delta3=v["delta3"], omega2=v["omega2"],
+                            omega3=v["omega3"], power2=v["power2"],
                             power3=v["power3"])
         cell = VaporCell(temperature=v["temperature"], length_L=v["cell_length"],
                          density_N=v["density"])

@@ -130,7 +130,7 @@ def spectral_kernel(spectral_spec: GridSpec2D, params: ExperimentParams,
     d2 = grid.axis1[:, None]
     d3 = grid.axis2[None, :]
     L = params.cell.length_L
-    dk = phase_mismatch(d2, d3, params, profiles,
+    dk = phase_mismatch(d2, d3, profiles,
                         phase_convention=phase_convention,
                         group_delay_mode=group_delay_mode)
     kern = grid.values * np.sinc(dk * L / (2 * np.pi))
@@ -210,7 +210,8 @@ def _nyquist_check(spec_axis: np.ndarray, tau_axis: np.ndarray, name: str):
         need = int(np.ceil(span * tmax / np.pi)) + 1
         raise SamplingError(
             f"spectral axis {name} too coarse for requested delays "
-            f"(spacing {ddel:.3e} rad/s, max |tau| {tmax:.3e} s)",
+            f"(spacing {ddel:.3e} rad/s, max |tau| {tmax:.3e} s): "
+            f"{name} needs at least {need} points over its span",
             required_size=need)
 
 

@@ -135,27 +135,28 @@ def _open_events(fh, path):
     return header, n
 
 
-def _record_chunks(fh, path, n: int):
-    """(index of the first record, records) of the n records after the
-    header, RECORD_CHUNK at a time, read into one reused buffer."""
+def _checked_chunks(fh, path, header, n: int):
+    """(index of the first record, records, their channel bytes) of the n
+    records after the header, RECORD_CHUNK at a time, read into one reused
+    record buffer with each chunk's channel byte copied once into one reused
+    contiguous buffer.
+
+    Runs every record check: a channel outside 1..channel_count, records out
+    of time order, a timestamp at or above 2^63 ps, and, once every chunk
+    has passed the others, a timestamp after the header duration_ps.  A
+    record error names the record's index.
+    """
+    channel_count, duration_ps = header["channel_count"], header["duration_ps"]
     fh.seek(HEADER_LEN)
     buf = np.empty(min(n, RECORD_CHUNK), dtype=_RECORD_DTYPE)
+    channels = np.empty(buf.size, dtype=np.uint8)
+    last, late = 0, None
     for start in range(0, n, RECORD_CHUNK):
         rec = buf[:min(RECORD_CHUNK, n - start)]
         if fh.readinto(rec.view(np.uint8)) != rec.nbytes:
             raise ConfigError(f"truncated record section in {path}")
-        yield start, rec
-
-
-def _checked_chunks(fh, path, header, n: int):
-    """_record_chunks with every record check: a channel outside
-    1..channel_count, records out of time order, a timestamp at or above
-    2^63 ps, and, once every chunk has passed the others, a timestamp after
-    the header duration_ps.  A record error names the record's index."""
-    channel_count, duration_ps = header["channel_count"], header["duration_ps"]
-    last, late = 0, None
-    for start, rec in _record_chunks(fh, path, n):
-        ch, ts = rec["channel"], rec["timestamp_ps"]
+        ch, ts = channels[:rec.size], rec["timestamp_ps"]
+        ch[:] = rec["channel"]
         if ch.min() < 1 or ch.max() > channel_count:
             k = int(np.flatnonzero((ch < 1) | (ch > channel_count))[0])
             raise ConfigError(f"event file {path}: record {start + k} has "
@@ -175,7 +176,7 @@ def _checked_chunks(fh, path, header, n: int):
             # the late records are a tail too
             k = int(np.searchsorted(ts, duration_ps, side="right"))
             late = (start + k, ts[k])
-        yield start, rec
+        yield start, rec, ch
     if late is not None:
         raise ConfigError(f"event file {path}: record {late[0]} has timestamp "
                           f"{late[1]} ps, after the header duration_ps "
@@ -194,10 +195,10 @@ def read_events(path):
     with open(path, "rb") as fh:
         header, n = _open_events(fh, path)
         stream = np.empty(n, dtype=EVENT_DTYPE)
-        for start, rec in _checked_chunks(fh, path, header, n):
+        for start, rec, channel in _checked_chunks(fh, path, header, n):
             out = stream[start:start + rec.size]
             out["timestamp_ps"] = rec["timestamp_ps"]
-            out["channel"] = rec["channel"]
+            out["channel"] = channel
             out["origin"] = rec["flags"]
     return stream, header
 
@@ -206,13 +207,14 @@ def read_channels(path):
     """Read a TPE1 file channel by channel; returns (times, header).
 
     times[c] holds the int64 timestamps [ps] of channel c (1..channel_count)
-    in file order.  A first pass over the records runs every check of
-    read_events and counts each channel.  A second copies each chunk's
-    stamps once into one reused contiguous buffer and takes each channel the
-    file holds from there by index (flatnonzero) straight into arrays
-    allocated at their exact size, so beside them the reader holds one
-    record chunk and one stamp chunk, never the stream, and searches only
-    the channels the file holds, however many the header declares.
+    in file order.  Both passes over the records take _checked_chunks'
+    contiguous channel bytes.  The first counts each channel.  The second
+    copies each chunk's stamps once into one reused contiguous buffer and
+    takes each channel the file holds from there by index (flatnonzero)
+    straight into arrays allocated at their exact size, so beside them the
+    reader holds one record chunk, one channel chunk and one stamp chunk,
+    never the stream, and searches only the channels the file holds,
+    however many the header declares.
     Two passes, not one: a single pass would have to reserve each channel's
     array at the file's record count before knowing the channel's size, and
     tracemalloc, like a strict overcommit policy, counts every byte
@@ -221,15 +223,13 @@ def read_channels(path):
     with open(path, "rb") as fh:
         header, n = _open_events(fh, path)
         tally = np.zeros(header["channel_count"] + 1, dtype=np.int64)
-        for _, rec in _checked_chunks(fh, path, header, n):
-            tally += np.bincount(rec["channel"], minlength=tally.size)
+        for _, _, channel in _checked_chunks(fh, path, header, n):
+            tally += np.bincount(channel, minlength=tally.size)
         times = {c: np.empty(tally[c], dtype=np.int64) for c in range(1, tally.size)}
         held = np.flatnonzero(tally).tolist()
         filled = dict.fromkeys(held, 0)
         stamps = np.empty(min(n, RECORD_CHUNK), dtype=np.int64)
-        for _, rec in _record_chunks(fh, path, n):
-            # the first pass kept channels in 1..channel_count, stamps below 2^63
-            channel = np.ascontiguousarray(rec["channel"])  # compared once per channel
+        for _, rec, channel in _checked_chunks(fh, path, header, n):
             ts = stamps[:rec.size]
             ts[:] = rec["timestamp_ps"].view(np.int64)
             for c in held:

@@ -14,7 +14,7 @@ from math import pi, sqrt, log
 
 import numpy as np
 
-from .constants import CONST, PhysicalConstants
+from .constants import CONST
 from .errors import InvalidParameterError
 
 TWO_PI = 2.0 * pi
@@ -77,7 +77,8 @@ class DecayRates:
 
 @dataclass(frozen=True)
 class DriveFields:
-    """Detunings, Rabi frequencies and input powers of the three drive fields.
+    """Detunings of the three drive fields; Rabi frequencies and input
+    powers of fields 2 and 3 (field 1 enters chi5 only through delta1).
 
     When a power is supplied (not None), the corresponding Rabi frequency is
     derived as omega_j = power_to_rabi_j * sqrt(power_j); otherwise the given
@@ -89,27 +90,24 @@ class DriveFields:
     delta1: float
     delta2: float
     delta3: float
-    omega1: float
     omega2: float
     omega3: float
-    power1: float | None = None
     power2: float | None = None
     power3: float | None = None
-    # rad/s per sqrt(W); defaults back-fitted from (4 mW, 300 MHz),
-    # (40 mW, 870 MHz), (15 mW, 533 MHz)
-    power_to_rabi: tuple[float, float, float] = (
-        TWO_PI * 300e6 / sqrt(4e-3),
+    # rad/s per sqrt(W) of fields 2 and 3; defaults back-fitted from
+    # (40 mW, 870 MHz) and (15 mW, 533 MHz)
+    power_to_rabi: tuple[float, float] = (
         TWO_PI * 870e6 / sqrt(40e-3),
         TWO_PI * 533e6 / sqrt(15e-3),
     )
 
     def __post_init__(self):
-        for j in (1, 2, 3):
+        for j in (2, 3):
             p = getattr(self, f"power{j}")
             if p is not None:
                 if p < 0:
                     raise InvalidParameterError(f"power{j} must be >= 0")
-                object.__setattr__(self, f"omega{j}", self.power_to_rabi[j - 1] * sqrt(p))
+                object.__setattr__(self, f"omega{j}", self.power_to_rabi[j - 2] * sqrt(p))
             if getattr(self, f"omega{j}") < 0:
                 raise InvalidParameterError(f"omega{j} must be >= 0")
 
@@ -120,29 +118,21 @@ class DriveFields:
 
 @dataclass(frozen=True)
 class SpectralFrame:
-    """Atomic transition frequencies and central wavenumbers of the six waves.
+    """Atomic transition frequencies [rad/s] and the S2 and S3 central
+    wavenumbers [rad/m].
 
     omega31 sits on the 795 nm line, omega41 and omega42 on the 780 nm line.
-    kbar maps field labels {1,2,3,S1,S2,S3} to central wavenumbers [rad/m];
-    propagation signs are +1 forward / -1 backward along z.  The kbar values
-    satisfy perfect phase matching at line center by construction, so the
-    phase mismatch is evaluated purely from the spectral offsets.
+    kbar['S2'] and kbar['S3'] scale the dispersion profiles to the cell's
+    optical depth.  The waves are phase matched at line center by
+    construction, so the phase mismatch is evaluated purely from the
+    spectral offsets.
     """
 
-    lambda1: float = 795e-9
-    lambda2: float = 780e-9
-    lambda3: float = 780e-9
     omega31: float = field(default=TWO_PI * CONST.c / 795e-9)
     omega41: float = field(default=TWO_PI * CONST.c / 780e-9)
     omega42: float = field(default=TWO_PI * CONST.c / 780e-9)
-    kbar: dict = field(default_factory=lambda: {
-        "1": TWO_PI / 795e-9, "S1": TWO_PI / 795e-9,
-        "2": TWO_PI / 780e-9, "3": TWO_PI / 780e-9,
-        "S2": TWO_PI / 780e-9, "S3": TWO_PI / 780e-9,
-    })
-    propagation_sign: dict = field(default_factory=lambda: {
-        "1": +1, "2": +1, "3": +1, "S1": +1, "S2": +1, "S3": +1,
-    })
+    kbar: dict = field(default_factory=lambda: {"S2": TWO_PI / 780e-9,
+                                                "S3": TWO_PI / 780e-9})
 
     def __post_init__(self):
         for lbl, k in self.kbar.items():
@@ -216,16 +206,15 @@ class ExperimentParams:
     drive: DriveFields
     frame: SpectralFrame = field(default_factory=SpectralFrame)
     dip: DipoleMoments = field(default_factory=DipoleMoments)
-    const: PhysicalConstants = CONST
 
     def __post_init__(self):
-        od = optical_depth(self.cell, self.rates, self.frame, self.dip)
+        od = optical_depth(self.cell, self.frame, self.dip)
         object.__setattr__(self, "cell", dataclasses.replace(self.cell, od=od))
 
     @property
     def sigma_v(self) -> float:
         """1-sigma thermal velocity sqrt(kB T / m) [m/s]."""
-        return sqrt(self.const.kB * self.cell.temperature / self.const.mRb)
+        return sqrt(CONST.kB * self.cell.temperature / CONST.mRb)
 
 
 def default_params(temperature_K: float = 353.15) -> ExperimentParams:
@@ -235,7 +224,7 @@ def default_params(temperature_K: float = 353.15) -> ExperimentParams:
     Gamma31 = Gamma41 = 2pi x 6 MHz, Gamma11 = Gamma22 = 0.4 Gamma41,
     Gamma21 = 0.2 Gamma41, Gamma42 = Gamma41 (not independently specified);
     Delta1 = -2 GHz, Delta2 = -150 MHz, Delta3 = 50 MHz;
-    Omega1 = 300 MHz, Omega2 = 870 MHz, Omega3 = 533 MHz.
+    Omega2 = 870 MHz, Omega3 = 533 MHz (field 1 enters only through Delta1).
     """
     from .config import default_config   # config imports this module
     params = default_config().experiment_params()
@@ -374,7 +363,7 @@ SIGMA41_CALIBRATION = _REF_OD / (
     _REF_N * _REF_L * _sigma41_raw(_REF_T, SpectralFrame(), DipoleMoments()))
 
 
-def optical_depth(cell: VaporCell, rates: DecayRates, frame: SpectralFrame,
+def optical_depth(cell: VaporCell, frame: SpectralFrame,
                   dip: DipoleMoments) -> float:
     """Optical depth OD = N sigma41 L of the S1/780 line for the given cell.
 

@@ -294,9 +294,9 @@ def params_hash(params: ExperimentParams, *extra) -> str:
 # ---------------------------------------------------------------------------
 
 def _chi5_prefactor(params: ExperimentParams) -> float:
-    d, cst = params.dip, params.const
+    d = params.dip
     return (2.0 * params.cell.density_N * d.mu13 * d.mu24 * d.mu23 * d.mu14 ** 3
-            * d.overall_scale_A / (cst.eps0 * cst.hbar ** 5))
+            * d.overall_scale_A / (CONST.eps0 * CONST.hbar ** 5))
 
 
 # delta3 columns per block of the midpoint-rule chi5 grid, which serves the
@@ -453,7 +453,7 @@ def _chi_linear(mode, delta, params: ExperimentParams, quad: VelocityQuadrature)
     Y = kin - DeltaD + i Gamma_opt are linear in v (kin = (1 -+ v/c) delta);
     the exact scheme splits den with _quadratic_factors.
     """
-    r, drv, cst = params.rates, params.drive, params.const
+    r, drv = params.rates, params.drive
     # DeltaD = delta0 + dslope v (doppler_detunings)
     if mode == "S2":
         sign, mu, omega = -1.0, params.dip.mu24, drv.omega2
@@ -472,7 +472,7 @@ def _chi_linear(mode, delta, params: ExperimentParams, quad: VelocityQuadrature)
         t, factors = _quadratic_factors(4.0 * x0, 4.0 * x1, d - delta0 + 1j * g_opt,
                                         x1 - dslope, np.abs(omega) ** 2)
         val, ok = _doppler_average(t * x0, t * x1, factors, params.sigma_v)
-        out[ok] = (-4j * params.cell.density_N * mu ** 2 / (cst.eps0 * cst.hbar)
+        out[ok] = (-4j * params.cell.density_N * mu ** 2 / (CONST.eps0 * CONST.hbar)
                    * val[ok])
     if not np.all(ok):
         v, w = quad.nodes_weights(params)
@@ -480,8 +480,8 @@ def _chi_linear(mode, delta, params: ExperimentParams, quad: VelocityQuadrature)
         dd = dd2 if mode == "S2" else dd3
         kin = (1.0 + sign * v / CONST.c) * d[~ok, None]
         num = -4j * params.cell.density_N * mu ** 2 * (kin + 1j * g_ground)
-        den = cst.eps0 * cst.hbar * (4.0 * (kin - dd + 1j * g_opt)
-                                     * (kin + 1j * g_ground) + np.abs(omega) ** 2)
+        den = CONST.eps0 * CONST.hbar * (4.0 * (kin - dd + 1j * g_opt)
+                                         * (kin + 1j * g_ground) + np.abs(omega) ** 2)
         summand = w * num / den
         if not np.all(np.isfinite(summand)):
             bad = np.argwhere(~np.isfinite(summand))
@@ -579,8 +579,7 @@ def group_velocity(profiles: dict | None, mode: str, offs,
     return prof.v_at(offs)
 
 
-def phase_mismatch(delta2, delta3, params: ExperimentParams,
-                   profiles: dict | None = None,
+def phase_mismatch(delta2, delta3, profiles: dict | None = None,
                    phase_convention: str = "si-eq-s8",
                    group_delay_mode: str = "local"):
     """Longitudinal wavenumber mismatch Delta_k(delta2, delta3) [rad/m].

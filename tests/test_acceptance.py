@@ -325,7 +325,7 @@ def test_criterion_10_basic_invariants(params):
                 params.cell.temperature),
             np.linspace(-8, 8, 20001) * params.sigma_v) - 1) < 1e-9,
         "vacuum mismatch null at center":
-            phase_mismatch(0.0, 0.0, params) == 0.0,
+            phase_mismatch(0.0, 0.0) == 0.0,
         "linear response of far-detuned photon vanishes":
             chi_linear_s1() == 0j,
         "resonance pair symmetry": abs(

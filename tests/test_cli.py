@@ -186,6 +186,13 @@ def test_analyze_bytes_pinned(tmp_path):
         assert got == digests, method
 
 
+def _run_script(name, *args, env=None):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), **(env or {}))
+    return subprocess.run([sys.executable, str(root / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def test_matcher_paths_script_runs(tmp_path):
     """scripts/matcher_paths.py patches coincidence._stop_ranges and reads
     _TRIPLE_BLOCK and _MERGE_RATIO; it still runs on a 0.5 s dense file and
@@ -196,16 +203,46 @@ def test_matcher_paths_script_runs(tmp_path):
     events = tmp_path / "run.tpe1"
     assert main(["simulate", "--config", str(cfg), "--out", str(events),
                  "--duration", "0.5"]) == 0
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    run = subprocess.run([sys.executable, str(root / "scripts" / "matcher_paths.py"),
-                          str(events), "--repeat", "1"],
-                         capture_output=True, text=True, env=env, timeout=120)
+    run = _run_script("matcher_paths.py", str(events), "--repeat", "1")
     assert run.returncode == 0, run.stderr
     timed = [line for line in run.stdout.splitlines()
              if line.startswith("  triple_histogram, ")]
     assert len(timed) == 7 and timed[0].startswith("  triple_histogram, library: "), \
         run.stdout
+
+
+def test_reference_maps_script_runs(tmp_path):
+    """scripts/make_reference_maps.py --fast drives five CLI commands with
+    config keys of its own; it writes every map and trace, and its overrides
+    go to the output directory, not to a temporary file left behind."""
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    out = tmp_path / "maps"
+    run = _run_script("make_reference_maps.py", "--fast", "--out", str(out),
+                      env={"TMPDIR": str(tmp)})
+    assert run.returncode == 0, run.stderr
+    assert sorted(p.name for p in out.iterdir()) == sorted([
+        "chi5_map.csv", "correlation_map.csv", "diag_10ns.csv",
+        "dispersion_s2.csv", "dispersion_s3.csv", "fast.cfg",
+        "trace-out-S1.csv", "trace-out-S2.csv", "trace-out-S3.csv"])
+    assert list(tmp.iterdir()) == []
+
+
+def test_stream_study_script_runs(tmp_path):
+    """scripts/run_stream_study.py simulates 2 s on the quick-look grids and
+    analyzes the file with both circuits."""
+    cfg = tmp_path / "quick.cfg"
+    cfg.write_text("quad_nodes = 201\nspectral_n2 = 256\nspectral_n3 = 256\n"
+                   "tau_max = 10 ns\ntau_points = 64\n")
+    out = tmp_path / "stream"
+    run = _run_script("run_stream_study.py", "--config", str(cfg),
+                      "--duration", "2", "--out", str(out))
+    assert run.returncode == 0, run.stderr
+    for method in ("direct", "delayed"):
+        assert (out / method / "histogram2d.csv").is_file()
+        assert (out / method / "report.json").is_file()
+        assert any(line.startswith(method) for line in run.stdout.splitlines())
+    assert (out / "stream.tpe1").is_file()
 
 
 def test_sweep_command(small_cfg, tmp_path):
@@ -257,13 +294,21 @@ def test_bad_config_exit_code(tmp_path):
     assert main(["chi5-map", "--config", str(bad), "--out", out]) == 2
 
 
-def test_undersampled_delay_grid_exit_code(tmp_path):
+def test_undersampled_delay_grid_exit_code(tmp_path, capsys):
+    """A delay grid too fine for the spectral sampling exits 3, and the
+    message names the axis and the spectral size that would suffice."""
+    text = ("quad_nodes = 201\nspectral_n2 = 64\nspectral_n3 = 64\n"
+            "tau_max = 100 ns\ntau_points = 16\n")
     cfg = tmp_path / "coarse.cfg"
-    cfg.write_text("quad_nodes = 201\nspectral_n2 = 64\nspectral_n3 = 64\n"
-                   "tau_max = 100 ns\ntau_points = 16\n")
+    cfg.write_text(text)
     code = main(["correlation-map", "--config", str(cfg),
                  "--out", str(tmp_path / "m.csv")])
     assert code == 3
+    run = parse_config_text(text)
+    spec = cli._spectral_spec(run, run.experiment_params())
+    need = int(np.ceil((spec.max1 - spec.min1) * 100e-9 / np.pi)) + 1
+    assert need > 64
+    assert f"delta2 needs at least {need} points" in capsys.readouterr().err
 
 
 def _event_file(path, n):
@@ -285,6 +330,8 @@ def _event_file(path, n):
     ("quad_scheme = gauss-hermite", "chi5-map"),   # the key is gone
     ("delay_offset = 150 ns", "analyze"),          # so is this one
     ("quad_range_sigmas = 6.0", "chi5-map"),       # and this one
+    ("omega1 = 300 MHz", "chi5-map"),              # field 1 enters only
+    ("power1 = 4 mW", "chi5-map"),                 # through delta1
 ])
 def test_bad_config_value_exit_code(tmp_path, capsys, line, command):
     cfg = tmp_path / "bad.cfg"
@@ -314,12 +361,14 @@ def _dense_event_file(path):
     ("window = 1 s\nbin = 1 ps",
      ["window", "bin", "1000000000000 x 1000000000000"]),
     ("window = 50 ns\nbin = 1 ns\npeak_rebin = 60", ["peak_rebin"]),
+    ("window = 3 ns\nbin = 1 ns\npeak_rebin = 1", ["window", "bin", "3 bins"]),
 ], ids=["bin-rounds-to-0", "window-and-bin-round-to-0", "grid-6.94-EiB",
-        "grid-beyond-max-dimension", "peak-rebin-above-bins"])
+        "grid-beyond-max-dimension", "peak-rebin-above-bins", "grid-without-floor-frame"])
 def test_analyze_unusable_histogram_exit_code(tmp_path, capsys, config, names):
     """Window, bin and peak_rebin values that pass their own range checks but
     make no usable histogram exit 2 with a message, not with a traceback.
-    numpy refuses the two grid sizes before it touches any memory.  They are
+    numpy refuses the two grid sizes before it touches any memory, and a grid
+    of 3 x 3 bins leaves no border frame for the floor estimate.  They are
     refused before the event file is read, so with a missing file the
     message still names the setting."""
     cfg = tmp_path / "run.cfg"

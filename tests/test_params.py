@@ -137,7 +137,7 @@ def test_optical_depth_linear_in_density_and_length(params):
                         density_N=2 * cell.density_N)
     longer = VaporCell(temperature=cell.temperature,
                        length_L=2 * cell.length_L, density_N=cell.density_N)
-    args = (params.rates, params.frame, params.dip)
+    args = (params.frame, params.dip)
     base = optical_depth(cell, *args)
     assert optical_depth(doubled, *args) == pytest.approx(2 * base, rel=1e-12)
     assert optical_depth(longer, *args) == pytest.approx(2 * base, rel=1e-12)
@@ -146,7 +146,7 @@ def test_optical_depth_linear_in_density_and_length(params):
 def test_density_back_solve_inverts_od(params):
     n = density_for_od(10.0, 353.15)
     cell = VaporCell(temperature=353.15, length_L=0.07, density_N=n)
-    od = optical_depth(cell, params.rates, SpectralFrame(), DipoleMoments())
+    od = optical_depth(cell, SpectralFrame(), DipoleMoments())
     assert od == pytest.approx(10.0, rel=1e-12)
 
 

@@ -349,31 +349,31 @@ def test_phi_requires_positive_length():
 
 @given(st.floats(min_value=-5e9, max_value=5e9),
        st.floats(min_value=-5e9, max_value=5e9))
-def test_vacuum_mismatch_alternating_signs(params, d2, d3):
+def test_vacuum_mismatch_alternating_signs(d2, d3):
     """With all modes at c the energy-conservation offset cancels everything
     except -2 delta2 / c."""
-    dk = phase_mismatch(d2, d3, params)
+    dk = phase_mismatch(d2, d3)
     assert dk == pytest.approx(-2.0 * d2 / CONST.c, rel=1e-12, abs=1e-13)
 
 
-def test_vacuum_mismatch_frozen_value(params):
-    assert phase_mismatch(1e8, -3e7, params) == pytest.approx(
+def test_vacuum_mismatch_frozen_value():
+    assert phase_mismatch(1e8, -3e7) == pytest.approx(
         -0.667128190396304, rel=1e-12)
 
 
 @given(st.floats(min_value=-5e9, max_value=5e9),
        st.floats(min_value=-5e9, max_value=5e9))
-def test_vacuum_mismatch_all_plus_convention(params, d2, d3):
+def test_vacuum_mismatch_all_plus_convention(d2, d3):
     """Summing all three emitted waves cancels identically in vacuum."""
-    dk = phase_mismatch(d2, d3, params, phase_convention="main-text")
+    dk = phase_mismatch(d2, d3, phase_convention="main-text")
     assert abs(dk) < 1e-12
 
 
-def test_mismatch_validation(params):
+def test_mismatch_validation():
     with pytest.raises(InvalidParameterError):
-        phase_mismatch(0.0, 0.0, params, phase_convention="other")
+        phase_mismatch(0.0, 0.0, phase_convention="other")
     with pytest.raises(InvalidParameterError):
-        phase_mismatch(0.0, 0.0, params, group_delay_mode="frozen")
+        phase_mismatch(0.0, 0.0, group_delay_mode="frozen")
 
 
 # ---------------------------------------------------------------------------
