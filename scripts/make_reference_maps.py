@@ -5,7 +5,8 @@ Runs the documented command-line surface end to end with the default
 configuration (optionally overridden with --config) and collects every
 output in one directory.  With the full-resolution defaults the
 correlation map takes a few minutes; pass --fast for a reduced grid (its
-overrides are written to fast.cfg in the output directory).
+overrides, after the lines of any --config file, are written to fast.cfg in
+the output directory).
 """
 import argparse
 import sys
@@ -42,10 +43,15 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
 
     cfg = ["--config", args.config] if args.config else []
-    if args.fast and not args.config:
-        # kept beside the maps as the record of the grids they were made on
+    if args.fast:
+        # kept beside the maps as the record of the grids they were made on;
+        # the overrides follow the given config's lines, and a later line wins
+        try:
+            base = Path(args.config).read_text() + "\n" if args.config else ""
+        except OSError as exc:
+            ap.error(f"cannot read --config: {exc}")
         fast = out / "fast.cfg"
-        fast.write_text(FAST_OVERRIDES)
+        fast.write_text(base + FAST_OVERRIDES)
         cfg = ["--config", str(fast)]
 
     run(["chi5-map", *cfg, "--out", str(out / "chi5_map.csv")])

@@ -24,6 +24,7 @@ from .susceptibility import (GridSpec2D, chi5_map, dispersion_profile,
 from .correlation import (default_spectral_window, spectral_kernel,
                           triphoton_amplitude_map, trace_map, diagonal_cut)
 from .eventsim import PS_PER_S, stream_windows
+from .params import rabi_from_power
 from .coincidence import (METHOD_LABELS, check_histogram, estimate_floor,
                           floor_frame, rates_report, triple_histogram)
 # the library entry points that perfbench/tracer.py times under these names;
@@ -107,12 +108,14 @@ def cmd_correlation_map(args) -> int:
     cfg = _load(args)
     params = cfg.experiment_params()
     cmap = _correlation_map(cfg, params)
+    digest = params_hash(params, _tau_spec(cfg), cfg.quadrature(), {k: cfg[k] for k in (
+        "spectral_n2", "spectral_n3", "spectral_linewidth_multiple",
+        "spectral_pad_fraction", "dispersion", "phase_convention", "group_delay_mode")})
     io_formats.write_real_grid(
         args.out, cmap.tau21_axis, cmap.tau31_axis, cmap.r3,
         header_lines=["r3 = |A3(tau21, tau31)|^2, peak-normalized",
                       f"provenance: {cmap.grid.provenance}",
-                      "params_hash: "
-                      f"{params_hash(params, _tau_spec(cfg), cfg.quadrature())}"])
+                      f"params_hash: {digest}"])
     print(f"correlation-map: {cmap.r3.shape[0]}x{cmap.r3.shape[1]} tau grid, "
           f"wrote {args.out}")
     return 0
@@ -219,19 +222,18 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def sweep_rate(params, spec, quad) -> float:
+def sweep_rate(params, spec, quad, power2) -> float:
     """Integrated triplet generation rate, arbitrary units.
 
     The emitted amplitude is proportional to the field-2 amplitude times the
     susceptibility, so the rate integrates P2 |chi5 sinc|^2 over the fixed
-    spectral window (fixed so sweep points are mutually comparable).
+    spectral window (fixed so sweep points are mutually comparable); params
+    carries the Rabi frequency of the field-2 power power2 [W].
     """
     kern = spectral_kernel(spec, params, quad)
     dd2 = kern.axis1[1] - kern.axis1[0]
     dd3 = kern.axis2[1] - kern.axis2[0]
-    p2 = params.drive.power2
-    scale = p2 if p2 is not None else 1.0
-    return float(scale * np.sum(np.abs(kern.values) ** 2) * dd2 * dd3)
+    return float(power2 * np.sum(np.abs(kern.values) ** 2) * dd2 * dd3)
 
 
 def _parse_power_arg(flag: str, text: str) -> float:
@@ -266,16 +268,14 @@ def cmd_sweep(args) -> int:
                           "allocate") from None
     powers = np.linspace(lo, hi, args.steps)
     quad = cfg.quadrature()
-    # spectral window frozen at the largest Rabi frequency so every sweep
-    # point is integrated over the same region
     base = cfg.experiment_params()
-    top = dataclasses.replace(base, drive=base.drive.with_power2(hi))
-    spec = _spectral_spec(cfg, top)
-    rates = []
-    for p in powers:
-        params = dataclasses.replace(base, drive=base.drive.with_power2(float(p)))
-        rates.append(sweep_rate(params, spec, quad))
-    rates = np.asarray(rates)
+    steps = [dataclasses.replace(base, drive=dataclasses.replace(
+        base.drive, omega2=rabi_from_power(2, float(p)))) for p in powers]
+    # spectral window frozen at the largest Rabi frequency (powers[-1] is hi)
+    # so every sweep point is integrated over the same region
+    spec = _spectral_spec(cfg, steps[-1])
+    rates = np.asarray([sweep_rate(params, spec, quad, float(p))
+                        for params, p in zip(steps, powers)])
     coeff = np.polyfit(powers, rates, 1)
     resid = rates - np.polyval(coeff, powers)
     rel_dev = float(np.max(np.abs(resid)) / np.max(rates))

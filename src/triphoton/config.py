@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from math import isfinite, pi
 
 from .errors import ConfigError
-from .params import (DecayRates, DriveFields, VaporCell, ExperimentParams)
+from .params import (DecayRates, DriveFields, VaporCell, ExperimentParams,
+                     rabi_from_power)
 from .susceptibility import VelocityQuadrature
 from .eventsim import SourceConfig
 
@@ -215,14 +216,15 @@ class RunConfig:
         return self.values[key]
 
     def experiment_params(self) -> ExperimentParams:
+        """A power2 or power3 that is set gives its field's Rabi frequency."""
         v = self.values
         rates = DecayRates(gamma31=v["gamma31"], gamma41=v["gamma41"],
                            gamma21=v["gamma21"], gamma11=v["gamma11"],
                            gamma22=v["gamma22"], gamma42=v["gamma42"])
+        omega2, omega3 = (v[f"omega{j}"] if v[f"power{j}"] is None
+                          else rabi_from_power(j, v[f"power{j}"]) for j in (2, 3))
         drive = DriveFields(delta1=v["delta1"], delta2=v["delta2"],
-                            delta3=v["delta3"], omega2=v["omega2"],
-                            omega3=v["omega3"], power2=v["power2"],
-                            power3=v["power3"])
+                            delta3=v["delta3"], omega2=omega2, omega3=omega3)
         cell = VaporCell(temperature=v["temperature"], length_L=v["cell_length"],
                          density_N=v["density"])
         return ExperimentParams(cell=cell, rates=rates, drive=drive)
@@ -254,12 +256,14 @@ class RunConfig:
 
 
 def default_config() -> RunConfig:
-    values = {k: parser(text, k) for k, (parser, text) in REGISTRY.items()}
-    return RunConfig(values=values)
+    return parse_config_text("")
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
+    """The defaults overridden by text's lines (a later line wins); a Rabi
+    frequency and its field's power may not both be set."""
     values = {k: parser(default, k) for k, (parser, default) in REGISTRY.items()}
+    keys = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -278,6 +282,10 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         except ConfigError as exc:
             raise ConfigError(f"{exc.message} in {source}", key=key,
                               line=lineno) from None
+        keys.add(key)
+    for j in (2, 3):
+        if f"omega{j}" in keys and values[f"power{j}"] is not None:
+            raise ConfigError(f"omega{j} and power{j} both set in {source}; give one")
     return RunConfig(values=values)
 
 

@@ -32,15 +32,13 @@ NOMINAL_DIPOLE = 1.0e-29
 class VaporCell:
     """Vapor cell geometry and thermodynamic state.
 
-    temperature [K], length_L [m], density_N [atoms/m^3].  ``od`` is the
-    derived optical depth; it is filled in by ExperimentParams so that it is
-    always consistent with optical_depth().
+    temperature [K], length_L [m], density_N [atoms/m^3].  The optical depth
+    is derived from these, the frame and the dipoles: ExperimentParams.od.
     """
 
     temperature: float
     length_L: float
     density_N: float
-    od: float | None = None
 
     def __post_init__(self):
         if self.temperature <= 0:
@@ -75,45 +73,34 @@ class DecayRates:
             raise InvalidParameterError("gamma31 and gamma41 must be > 0")
 
 
+# rad/s per sqrt(W), back-fitted from (40 mW, 870 MHz) and (15 mW, 533 MHz)
+POWER_TO_RABI = {2: TWO_PI * 870e6 / sqrt(40e-3), 3: TWO_PI * 533e6 / sqrt(15e-3)}
+
+
+def rabi_from_power(field: int, power: float) -> float:
+    """Rabi frequency [rad/s] of drive field 2 or 3 at input power [W]:
+    omega_j = POWER_TO_RABI[j] * sqrt(power_j)."""
+    if power < 0:
+        raise InvalidParameterError(f"power{field} must be >= 0")
+    return POWER_TO_RABI[field] * sqrt(power)
+
+
 @dataclass(frozen=True)
 class DriveFields:
-    """Detunings of the three drive fields; Rabi frequencies and input
-    powers of fields 2 and 3 (field 1 enters chi5 only through delta1).
-
-    When a power is supplied (not None), the corresponding Rabi frequency is
-    derived as omega_j = power_to_rabi_j * sqrt(power_j); otherwise the given
-    Rabi frequency is authoritative.  power_to_rabi coefficients default to
-    values back-fitted from the (P, Omega) pairs quoted for the reference
-    configuration, assuming Omega proportional to sqrt(P).
-    """
+    """Detunings of the three drive fields and Rabi frequencies of fields 2
+    and 3 [rad/s] (field 1 enters chi5 only through delta1).  A drive power
+    becomes a Rabi frequency before it gets here: rabi_from_power."""
 
     delta1: float
     delta2: float
     delta3: float
     omega2: float
     omega3: float
-    power2: float | None = None
-    power3: float | None = None
-    # rad/s per sqrt(W) of fields 2 and 3; defaults back-fitted from
-    # (40 mW, 870 MHz) and (15 mW, 533 MHz)
-    power_to_rabi: tuple[float, float] = (
-        TWO_PI * 870e6 / sqrt(40e-3),
-        TWO_PI * 533e6 / sqrt(15e-3),
-    )
 
     def __post_init__(self):
-        for j in (2, 3):
-            p = getattr(self, f"power{j}")
-            if p is not None:
-                if p < 0:
-                    raise InvalidParameterError(f"power{j} must be >= 0")
-                object.__setattr__(self, f"omega{j}", self.power_to_rabi[j - 2] * sqrt(p))
-            if getattr(self, f"omega{j}") < 0:
-                raise InvalidParameterError(f"omega{j} must be >= 0")
-
-    def with_power2(self, power2: float) -> "DriveFields":
-        """Convenience for power sweeps: new record with field-2 power set."""
-        return dataclasses.replace(self, power2=power2)
+        for name in ("omega2", "omega3"):
+            if getattr(self, name) < 0:
+                raise InvalidParameterError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -199,7 +186,8 @@ class ResonanceSet:
 
 @dataclass(frozen=True)
 class ExperimentParams:
-    """Complete physical configuration of one simulated experiment."""
+    """Complete physical configuration of one simulated experiment: the
+    records it is given, and the optical depth derived from them."""
 
     cell: VaporCell
     rates: DecayRates
@@ -207,9 +195,10 @@ class ExperimentParams:
     frame: SpectralFrame = field(default_factory=SpectralFrame)
     dip: DipoleMoments = field(default_factory=DipoleMoments)
 
-    def __post_init__(self):
-        od = optical_depth(self.cell, self.frame, self.dip)
-        object.__setattr__(self, "cell", dataclasses.replace(self.cell, od=od))
+    @property
+    def od(self) -> float:
+        """Optical depth of the cell, optical_depth(cell, frame, dip)."""
+        return optical_depth(self.cell, self.frame, self.dip)
 
     @property
     def sigma_v(self) -> float:

@@ -78,7 +78,7 @@ def _checks():
         return abs(cauchy_schwarz_factor(g3, (1.6, 2.0, 2.0)) - 250.0) < 1e-9
 
     def od_reference():
-        return abs(params.cell.od - 4.6) < 1e-9
+        return abs(params.od - 4.6) < 1e-9
 
     def doppler_width_scale():
         w80 = doppler_width(353.15, params.frame)

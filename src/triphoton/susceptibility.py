@@ -550,7 +550,7 @@ def dispersion_profile(which: str, delta_axis, params: ExperimentParams,
     if peak_abs == 0.0:
         chi = chi_raw.astype(complex)
     else:
-        chi = chi_raw * (params.cell.od / (kbar * params.cell.length_L * peak_abs))
+        chi = chi_raw * (params.od / (kbar * params.cell.length_L * peak_abs))
     if np.any(1.0 + np.real(chi) <= 0.0):
         raise DispersionDomainError("1 + Re(chi) <= 0 on the requested axis")
     n = np.sqrt(1.0 + np.real(chi))

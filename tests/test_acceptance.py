@@ -23,7 +23,7 @@ from triphoton.correlation import (default_spectral_window,
                                    conditional_r2_closed, trace_map,
                                    cauchy_schwarz_factor)
 from triphoton.config import default_config, parse_config_text, dump_defaults
-from triphoton.params import DetuningOffsets, effective_rabi
+from triphoton.params import DetuningOffsets, effective_rabi, rabi_from_power
 from triphoton.eventsim import SourceConfig, generate_stream, split_channels
 from triphoton.coincidence import (reconstruct_triple_direct, rates_report,
                                    subtract_accidentals, rebin2d,
@@ -85,8 +85,7 @@ def test_criterion_02_resonance_maxima(params, quad):
     hot = dataclasses.replace(
         hot,
         cell=dataclasses.replace(hot.cell,
-                                 density_N=density_for_od(45.7, 388.15),
-                                 od=None),
+                                 density_N=density_for_od(45.7, 388.15)),
         drive=dataclasses.replace(hot.drive, omega2=2 * np.pi * 533e6))
     t0 = time.perf_counter()
     peaks_c, _ = _resonance_profile(hot, quad)
@@ -248,15 +247,14 @@ def test_criterion_08_power_sweep(params, quad):
     monotonicity assertion fails; the deviation is still reported.
     """
     powers = np.linspace(5e-3, 40e-3, 8)
-    top = dataclasses.replace(params,
-                              drive=params.drive.with_power2(float(powers[-1])))
-    spec = default_spectral_window(top, n2=256, n3=256)
-    rates = []
-    for p in powers:
-        pp = dataclasses.replace(params,
-                                 drive=params.drive.with_power2(float(p)))
-        rates.append(sweep_rate(pp, spec, quad))
-    rates = np.asarray(rates)
+
+    def at_power(p):
+        return dataclasses.replace(params, drive=dataclasses.replace(
+            params.drive, omega2=rabi_from_power(2, p)))
+
+    spec = default_spectral_window(at_power(float(powers[-1])), n2=256, n3=256)
+    rates = np.asarray([sweep_rate(at_power(float(p)), spec, quad, float(p))
+                        for p in powers])
     coeff = np.polyfit(powers, rates, 1)
     rel_dev = float(np.max(np.abs(rates - np.polyval(coeff, powers)))
                     / rates.max())

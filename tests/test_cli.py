@@ -77,6 +77,26 @@ def test_correlation_map_command(small_cfg, tmp_path):
     assert float(vals.max()) == pytest.approx(1.0)
 
 
+def test_correlation_map_hash_covers_map_settings(small_cfg, tmp_path):
+    """Settings that change the map's rows change its params_hash line."""
+    def digest(extra):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(Path(small_cfg).read_text() + extra)
+        out = tmp_path / "map.csv"
+        assert main(["correlation-map", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        return ([l for l in lines if l.startswith("# params_hash: ")],
+                [l for l in lines if not l.startswith("#")])
+
+    for a, b in (("dispersion = on\ngroup_delay_mode = local\n",
+                  "dispersion = on\ngroup_delay_mode = central\n"),
+                 ("", "phase_convention = main-text\n")):
+        (hash_a, rows_a), (hash_b, rows_b) = digest(a), digest(b)
+        assert rows_a != rows_b
+        assert len(hash_a) == len(hash_b) == 1 and hash_a != hash_b
+
+
 def test_trace_commands(small_cfg, tmp_path):
     for kind in ("trace-out-S3", "trace-out-S2", "trace-out-S1"):
         out = tmp_path / f"{kind}.csv"
@@ -214,18 +234,29 @@ def test_matcher_paths_script_runs(tmp_path):
 def test_reference_maps_script_runs(tmp_path):
     """scripts/make_reference_maps.py --fast drives five CLI commands with
     config keys of its own; it writes every map and trace, and its overrides
-    go to the output directory, not to a temporary file left behind."""
-    tmp = tmp_path / "tmp"
-    tmp.mkdir()
-    out = tmp_path / "maps"
-    run = _run_script("make_reference_maps.py", "--fast", "--out", str(out),
-                      env={"TMPDIR": str(tmp)})
-    assert run.returncode == 0, run.stderr
-    assert sorted(p.name for p in out.iterdir()) == sorted([
-        "chi5_map.csv", "correlation_map.csv", "diag_10ns.csv",
-        "dispersion_s2.csv", "dispersion_s3.csv", "fast.cfg",
-        "trace-out-S1.csv", "trace-out-S2.csv", "trace-out-S3.csv"])
-    assert list(tmp.iterdir()) == []
+    go to the output directory, not to a temporary file left behind.  With
+    --config the overrides follow the config's lines in fast.cfg, so the
+    reduced grids win."""
+    user = tmp_path / "user.cfg"
+    user.write_text(SMALL + "delta2 = -100 MHz")
+    for case, extra in (("plain", []), ("config", ["--config", str(user)])):
+        tmp = tmp_path / case / "tmp"
+        tmp.mkdir(parents=True)
+        out = tmp_path / case / "maps"
+        run = _run_script("make_reference_maps.py", "--fast", "--out", str(out),
+                          *extra, env={"TMPDIR": str(tmp)})
+        assert run.returncode == 0, run.stderr
+        assert sorted(p.name for p in out.iterdir()) == sorted([
+            "chi5_map.csv", "correlation_map.csv", "diag_10ns.csv",
+            "dispersion_s2.csv", "dispersion_s3.csv", "fast.cfg",
+            "trace-out-S1.csv", "trace-out-S2.csv", "trace-out-S3.csv"])
+        assert list(tmp.iterdir()) == []
+        fast = (out / "fast.cfg").read_text()
+        assert fast.endswith("map_n2 = 64\nmap_n3 = 64\n")
+        if extra:
+            assert fast.startswith(SMALL + "delta2 = -100 MHz\n")
+        grid = io_formats.read_complex_grid(out / "chi5_map.csv")
+        assert grid.values.shape == (64, 64)
 
 
 def test_stream_study_script_runs(tmp_path):
@@ -332,15 +363,20 @@ def _event_file(path, n):
     ("quad_range_sigmas = 6.0", "chi5-map"),       # and this one
     ("omega1 = 300 MHz", "chi5-map"),              # field 1 enters only
     ("power1 = 4 mW", "chi5-map"),                 # through delta1
+    ("omega2 = 500 MHz\npower2 = 40 mW", "chi5-map"),   # a power sets its
+    ("power3 = 10 mW\nomega3 = 400 MHz", "chi5-map"),   # field's Rabi frequency
 ])
 def test_bad_config_value_exit_code(tmp_path, capsys, line, command):
+    """The message names every key the config sets."""
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
     argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
     if command == "analyze":
         argv.append(_event_file(tmp_path / "run.tpe1", 40))
     assert main(argv) == 2
-    assert line.split()[0] in capsys.readouterr().err
+    err = capsys.readouterr().err
+    for row in line.splitlines():
+        assert row.split()[0] in err
 
 
 def _dense_event_file(path):

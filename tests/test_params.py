@@ -8,12 +8,12 @@ from hypothesis import given, strategies as st
 
 from triphoton.errors import InvalidParameterError
 from triphoton.params import (DecayRates, DetuningOffsets, DipoleMoments,
-                              DriveFields, SpectralFrame, VaporCell,
-                              default_params, density_for_od,
+                              DriveFields, ExperimentParams, SpectralFrame,
+                              VaporCell, default_params, density_for_od,
                               doppler_detunings, doppler_width,
                               effective_rabi, maxwell_boltzmann_pdf,
-                              optical_depth, resonance_channels,
-                              resonance_set)
+                              optical_depth, rabi_from_power,
+                              resonance_channels, resonance_set)
 
 TWO_PI = 2.0 * pi
 
@@ -59,7 +59,7 @@ def test_resonance_set_reference(params):
 
 
 def test_reference_optical_depth(params):
-    assert params.cell.od == pytest.approx(4.6, abs=1e-9)
+    assert params.od == pytest.approx(4.6, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -154,17 +154,33 @@ def test_density_back_solve_inverts_od(params):
 # power-derived Rabi frequencies
 # ---------------------------------------------------------------------------
 
-def test_power_overrides_rabi(params):
-    drv = dataclasses.replace(params.drive, power2=40e-3)
-    assert drv.omega2 == pytest.approx(TWO_PI * 870e6, rel=1e-12)
-    drv = drv.with_power2(10e-3)
-    assert drv.omega2 == pytest.approx(TWO_PI * 870e6 / 2.0, rel=1e-12)
+def test_rabi_from_power():
+    """The square-root law through the reference (power, Rabi) pairs; a
+    negative power is refused."""
+    assert rabi_from_power(2, 40e-3) == pytest.approx(TWO_PI * 870e6, rel=1e-12)
+    assert rabi_from_power(2, 10e-3) == pytest.approx(TWO_PI * 870e6 / 2.0,
+                                                      rel=1e-12)
+    assert rabi_from_power(3, 15e-3) == pytest.approx(TWO_PI * 533e6, rel=1e-12)
+    assert rabi_from_power(2, 20e-3) == pytest.approx(
+        2 * rabi_from_power(2, 5e-3), rel=1e-12)
+    with pytest.raises(InvalidParameterError, match="power2"):
+        rabi_from_power(2, -1.0)
 
 
-def test_power_scaling_is_square_root(params):
-    lo = params.drive.with_power2(5e-3)
-    hi = params.drive.with_power2(20e-3)
-    assert hi.omega2 == pytest.approx(2 * lo.omega2, rel=1e-12)
+# ---------------------------------------------------------------------------
+# records hold their inputs
+# ---------------------------------------------------------------------------
+
+def test_experiment_params_keeps_its_records(params):
+    """ExperimentParams keeps the records it is given, and its optical depth
+    follows a replaced cell."""
+    c, r, d = params.cell, params.rates, params.drive
+    p = ExperimentParams(cell=c, rates=r, drive=d)
+    assert p.cell is c and p.rates is r and p.drive is d
+    dense = dataclasses.replace(
+        p, cell=dataclasses.replace(c, density_N=3 * c.density_N))
+    assert dense.od == optical_depth(dense.cell, dense.frame, dense.dip)
+    assert dense.od == pytest.approx(3 * p.od, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +207,7 @@ def test_invalid_rates_rejected():
 
 def test_invalid_drive_rejected(params):
     with pytest.raises(InvalidParameterError):
-        dataclasses.replace(params.drive, power2=-1.0)
+        dataclasses.replace(params.drive, omega2=-1.0)
     with pytest.raises(InvalidParameterError):
         dataclasses.replace(params.drive, omega3=-1.0)
 

@@ -399,7 +399,7 @@ def test_dispersion_absorption_calibrated_to_od(params, quad):
     kbar = params.frame.kbar["S2"]
     peak = float(np.max(np.abs(np.imag(prof.chi))))
     assert kbar * params.cell.length_L * peak == pytest.approx(
-        params.cell.od, rel=1e-12)
+        params.od, rel=1e-12)
 
 
 def test_slow_light_regimes(params, quad):
@@ -410,8 +410,7 @@ def test_slow_light_regimes(params, quad):
     hot = default_params(temperature_K=388.15)
     hot = dataclasses.replace(
         hot, cell=dataclasses.replace(hot.cell,
-                                      density_N=density_for_od(45.7, 388.15),
-                                      od=None))
+                                      density_N=density_for_od(45.7, 388.15)))
     prof_hi = dispersion_profile("S2", axis, hot, quad)
     min_lo = float(np.min(prof_lo.v_group[prof_lo.v_group > 0])) / CONST.c
     min_hi = float(np.min(prof_hi.v_group[prof_hi.v_group > 0])) / CONST.c
