@@ -154,15 +154,25 @@ def test_density_back_solve_inverts_od(params):
 # power-derived Rabi frequencies
 # ---------------------------------------------------------------------------
 
-def test_rabi_from_power():
-    """The square-root law through the reference (power, Rabi) pairs; a
-    negative power is refused."""
-    assert rabi_from_power(2, 40e-3) == pytest.approx(TWO_PI * 870e6, rel=1e-12)
-    assert rabi_from_power(2, 10e-3) == pytest.approx(TWO_PI * 870e6 / 2.0,
-                                                      rel=1e-12)
-    assert rabi_from_power(3, 15e-3) == pytest.approx(TWO_PI * 533e6, rel=1e-12)
+def test_power_overrides_rabi():
+    """A power2 config key gives field 2's Rabi frequency, whatever the
+    default omega2 is."""
+    from triphoton.config import parse_config_text
+    for text, omega2 in (("power2 = 40 mW", TWO_PI * 870e6),
+                         ("power2 = 10 mW", TWO_PI * 870e6 / 2.0)):
+        drv = parse_config_text(text).experiment_params().drive
+        assert drv.omega2 == pytest.approx(omega2, rel=1e-12)
+
+
+def test_power_scaling_is_square_root():
     assert rabi_from_power(2, 20e-3) == pytest.approx(
         2 * rabi_from_power(2, 5e-3), rel=1e-12)
+
+
+def test_rabi_from_power():
+    """The reference (power, Rabi) pairs; a negative power is refused."""
+    assert rabi_from_power(2, 40e-3) == pytest.approx(TWO_PI * 870e6, rel=1e-12)
+    assert rabi_from_power(3, 15e-3) == pytest.approx(TWO_PI * 533e6, rel=1e-12)
     with pytest.raises(InvalidParameterError, match="power2"):
         rabi_from_power(2, -1.0)
 
