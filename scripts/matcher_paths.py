@@ -74,12 +74,14 @@ def shares(times, window, bin_width):
     def record(starts, stops, span):
         keep, lo, n = library(starts, stops, span)
         a, b = np.searchsorted(stops, starts[[0, -1]]) if starts.size else (0, 0)
-        calls[2 if stops is times[2] else 3].append((starts.size, b - a, n))
+        # each block of starts searches channel 2's stops, then channel 3's
+        ch = 2 if len(calls[2]) == len(calls[3]) else 3
+        calls[ch].append((starts.size, b - a, n))
         return keep, lo, n
 
     coincidence._stop_ranges = record
     try:
-        coincidence.triple_histogram(times[1], times[2], times[3], window,
+        coincidence.triple_histogram([(times[1], times[2], times[3])], window,
                                      bin_width, 1.0)
     finally:
         coincidence._stop_ranges = library
@@ -136,7 +138,7 @@ def timings(times, window, bin_width, repeat):
             for name, fn in variants.items():
                 coincidence._stop_ranges = fn
                 t = time.perf_counter()
-                h = coincidence.triple_histogram(times[1], times[2], times[3],
+                h = coincidence.triple_histogram([(times[1], times[2], times[3])],
                                                  window, bin_width, 1.0)
                 runs[name].append(time.perf_counter() - t)
                 expect = h.counts if expect is None else expect
@@ -157,7 +159,8 @@ def main():
     ap.add_argument("--repeat", type=int, default=7, help="timed runs per variant")
     args = ap.parse_args()
     for path in args.files:
-        times, _ = io_formats.read_channels(path)
+        _, chunks = io_formats.read_channel_chunks(path, (1, 2, 3))
+        times = dict(zip((1, 2, 3), map(np.concatenate, zip(*chunks))))
         print(f"{path}: channel sizes {[times[c].size for c in (1, 2, 3)]}")
         shares(times, args.window, args.bin)
         crossover(times, args.repeat)

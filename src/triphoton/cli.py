@@ -191,14 +191,12 @@ def cmd_analyze(args) -> int:
     if floor_frame((w_ps // b_ps,) * 2) is None:
         raise ConfigError(f"window {w_ps} ps and bin {b_ps} ps make {w_ps // b_ps} bins "
                           "per axis, too few for the accidental floor's border frame")
-    times, header = io_formats.read_channels(args.eventfile)
+    header, chunks = io_formats.read_channel_chunks(args.eventfile, (1, 2, 3))
     duration = header["duration_ps"] / PS_PER_S
     method = args.method or cfg["method"]
-    t1, t2, t3 = (times.get(c, np.empty(0, np.int64)) for c in (1, 2, 3))
     # the delayed circuit's offset cancels (reconstruct_triple_delayed)
-    hist = triple_histogram(t1, t2, t3, cfg["window"], cfg["bin"], duration,
+    hist = triple_histogram(chunks, cfg["window"], cfg["bin"], duration,
                             METHOD_LABELS[method])
-    del times, t1, t2, t3
     floor = estimate_floor(hist)
     hist = dataclasses.replace(hist, floor_estimate=floor)
     report = rates_report(hist, peak_rebin=cfg["peak_rebin"])

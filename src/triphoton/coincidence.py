@@ -3,7 +3,9 @@
 Implements the same logic as the experiment's counting electronics: pairwise
 start-stop histograms, the delayed-start three-fold reconstruction circuit,
 a direct three-fold matcher as the mathematical reference, flat-background
-estimation and subtraction, and the rate / nonclassicality report.
+estimation and subtraction, and the rate / nonclassicality report.  The
+three-fold matcher takes stamps chunk by chunk, carrying the starts whose
+window is open, so an event file is matched as it is read.
 
 Floor formula for independent Poisson channels with the all-stop matcher:
 each of the r1*T starts contributes on average (r2*bin) stops in a given
@@ -141,10 +143,13 @@ def _window_bin_ps(window: float, bin_width: float):
 def check_histogram(window: float, bin_width: float,
                     peak_rebin: int = 1) -> tuple[int, int]:
     """(window, bin) in whole ps; InvalidParameterError for a bin that rounds
-    to 0 ps or exceeds the window, an nbins x nbins grid numpy refuses to
+    to 0 ps or exceeds the window, a window of 2^63 ps or more (the reader
+    refuses such stamps), an nbins x nbins grid numpy refuses to
     allocate (the trial grid is dropped untouched, so a caller can check
     before reading events) or a peak_rebin outside 1..nbins."""
     w_ps, b_ps = _window_bin_ps(window, bin_width)
+    if w_ps >= 1 << 63:
+        raise InvalidParameterError(f"window {w_ps} ps is at or above 2^63 ps")
     nbins = w_ps // b_ps
     try:
         np.zeros(nbins * nbins, dtype=np.int64)
@@ -179,28 +184,21 @@ def pairwise_histogram(starts: np.ndarray, stops: np.ndarray, window: float,
     return counts
 
 
-def _triple_match(t1: np.ndarray, t2: np.ndarray, t3: np.ndarray,
-                  w_ps: int, b_ps: int) -> np.ndarray:
-    """2-D all-stop histogram of (t2 - t1, t3 - t1) delays within the window.
-
-    A delay counts when its bin lies inside the grid, i.e. it is below
-    nbins * b_ps; the rest of a window that is not a whole number of bins
-    is dropped.
+def _add_triples(counts, t1, t2, t3, span: int, b_ps: int) -> None:
+    """Add into the flat nbins x nbins counts each (t2 - t1, t3 - t1) pair of
+    delays below span = nbins * b_ps, at its flat bin index.
 
     The starts are taken _TRIPLE_BLOCK at a time.  _stop_ranges finds
     channel 2's stops for every start of a block, channel 3's only for the
     starts with a channel-2 stop.  Pair number k of a start with n3
     channel-3 stops is its stop2 k // n3 with stop3 k % n3.  The block's
     pairs, numbered in start order, are taken _TRIPLE_BLOCK pair numbers at
-    a time and added into the histogram at their flat bin index: a pair
-    block holds at most _TRIPLE_BLOCK pairs, however long or dense the
-    stream and however many pairs one start has.
+    a time: a pair block holds at most _TRIPLE_BLOCK pairs, however long or
+    dense the stream and however many pairs one start has.
     """
-    nbins = w_ps // b_ps
-    counts = np.zeros(nbins * nbins, dtype=np.int64)
     if not (t1.size and t2.size and t3.size):
-        return counts.reshape(nbins, nbins)
-    span = nbins * b_ps
+        return
+    nbins = span // b_ps
     for first in range(0, t1.size, _TRIPLE_BLOCK):
         starts = t1[first:first + _TRIPLE_BLOCK]
         keep, lo2, n2 = _stop_ranges(starts, t2, span)
@@ -214,21 +212,44 @@ def _triple_match(t1: np.ndarray, t2: np.ndarray, t3: np.ndarray,
             at = starts[owner]
             rows = (t2[lo2[owner] + k2] - at) // b_ps * nbins
             np.add.at(counts, rows + (t3[lo3[owner] + k3] - at) // b_ps, 1)
+
+
+def _triple_match(chunks, w_ps: int, b_ps: int) -> np.ndarray:
+    """2-D all-stop histogram of (t2 - t1, t3 - t1) delays below span =
+    nbins * b_ps (a window's last partial bin is dropped) over (t1, t2, t3)
+    chunks of sorted int64 stamps [ps], each at or after every stamp before.
+
+    Each chunk joins the carry.  With seen the largest stamp held, a start at
+    or below seen - span (a Python int: nothing wraps) needs only stops below
+    seen, all read, so it is matched now.  The other starts are carried, with
+    the stops at or after the earliest of them (or seen), to the next chunk
+    or the last match: beside a chunk it holds about a window of stamps.
+    """
+    nbins = w_ps // b_ps
+    span = nbins * b_ps
+    counts = np.zeros(nbins * nbins, dtype=np.int64)
+    held = [np.empty(0, dtype=np.int64)] * 3
+    for chunk in chunks:
+        t1, t2, t3 = (np.concatenate(pair) for pair in zip(held, chunk))
+        seen = max(int(t[-1]) if t.size else 0 for t in (t1, t2, t3))
+        ready = np.searchsorted(t1, seen - span, side="right")
+        _add_triples(counts, t1[:ready], t2, t3, span, b_ps)
+        first = t1[ready] if ready < t1.size else seen
+        held = [t1[ready:], *(t[np.searchsorted(t, first):] for t in (t2, t3))]
+    _add_triples(counts, *held, span, b_ps)
     return counts.reshape(nbins, nbins)
 
 
-def triple_histogram(t1: np.ndarray, t2: np.ndarray, t3: np.ndarray,
-                     window: float, bin_width: float, duration: float,
+def triple_histogram(chunks, window: float, bin_width: float, duration: float,
                      method: str = METHOD_LABELS["direct"]) -> CoincidenceHistogram2D:
-    """Three-fold histogram of sorted int64 channel timestamps [ps].
-
-    For each channel-1 click, every (channel-2, channel-3) pair within the
-    window contributes one count at (tau21, tau31).  Both reconstructions
-    run this; it takes the per-channel arrays of io_formats.read_channels
-    as they are, so a file is matched without its stream.
+    """Three-fold histogram of (t1, t2, t3) chunks of sorted int64 stamps
+    [ps] in time order (_triple_match): read_channel_chunks' chunks as the
+    file is read, or [(t1, t2, t3)].  For each channel-1 click, every
+    (channel-2, channel-3) pair within the window counts once at (tau21,
+    tau31).  Both reconstructions run this.
     """
     w_ps, b_ps = check_histogram(window, bin_width)
-    counts = _triple_match(t1, t2, t3, w_ps, b_ps)
+    counts = _triple_match(chunks, w_ps, b_ps)
     axis = (np.arange(w_ps // b_ps) + 0.5) * b_ps / PS_PER_S
     return CoincidenceHistogram2D(tau21_axis=axis, tau31_axis=axis.copy(),
                                   counts=counts, duration=duration,
@@ -238,9 +259,9 @@ def triple_histogram(t1: np.ndarray, t2: np.ndarray, t3: np.ndarray,
 def _reconstruct(stream, window, bin_width, duration, method):
     if duration is None:
         duration = float(stream["timestamp_ps"].max()) / PS_PER_S if stream.size else 0.0
-    times = split_channels(stream["channel"], stream["timestamp_ps"])
-    return triple_histogram(times[1], times[2], times[3], window, bin_width,
-                            duration, METHOD_LABELS[method])
+    chunk = split_channels(stream["channel"], stream["timestamp_ps"], (1, 2, 3))
+    return triple_histogram([chunk], window, bin_width, duration,
+                            METHOD_LABELS[method])
 
 
 def reconstruct_triple_direct(stream: np.ndarray, window: float = 195e-9,

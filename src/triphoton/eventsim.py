@@ -176,16 +176,14 @@ def _first_out_of_order(ts):
     return None
 
 
-def split_channels(channel: np.ndarray, stamps: np.ndarray) -> dict:
-    """{c: int64 stamps [ps] of channel c, in input order} for c in 0..255.
+def split_channels(channel: np.ndarray, stamps: np.ndarray, channels) -> tuple:
+    """(int64 stamps [ps] of channel c, in input order) for c in channels.
 
-    One stable counting sort by channel splits the uint64 stamps; the arrays
-    are slices of one gathered copy.  Stamps below 2^63 ps (106 days) keep
-    their value.
+    Each channel's uint64 stamps are taken by index (flatnonzero), which
+    gathers faster than a boolean mask; no other channel is copied.  Stamps
+    below 2^63 ps (106 days) keep their value.
     """
-    ts = stamps[np.argsort(channel, kind="stable")].view(np.int64)
-    ends = np.cumsum(np.bincount(channel, minlength=256))
-    return {c: ts[lo:hi] for c, (lo, hi) in enumerate(zip([0, *ends], ends))}
+    return tuple(stamps.view(np.int64).take(np.flatnonzero(channel == c)) for c in channels)
 
 
 def _triplet_clicks(rng, cfg: SourceConfig, cmap: CorrelationMap):

@@ -10,8 +10,8 @@ origin tag only when exported with keep_origin (debug); otherwise zero.
 Files are written and read RECORD_CHUNK records at a time, so the I/O
 holds one 16 MB record buffer beside what it writes from or reads into,
 never a file-sized copy.  write_windows takes the stream as merge windows
-and read_channels returns it as per-channel arrays, so neither needs the
-whole stream in memory.
+and read_channel_chunks hands it on as per-channel stamps one record chunk
+at a time, so neither needs the whole stream in memory.
 
 Grid CSVs: '#'-prefixed comment lines with axis names, units, sizes,
 normalization scale and parameter hash, then rows "axis1,axis2,real,imag"
@@ -30,7 +30,7 @@ import struct
 import numpy as np
 
 from .errors import ConfigError, InvalidParameterError
-from .eventsim import EVENT_DTYPE, _first_out_of_order
+from .eventsim import EVENT_DTYPE, _first_out_of_order, split_channels
 from .susceptibility import ComplexGrid2D
 
 MAGIC = b"TPE1"
@@ -203,41 +203,24 @@ def read_events(path):
     return stream, header
 
 
-def read_channels(path):
-    """Read a TPE1 file channel by channel; returns (times, header).
+def read_channel_chunks(path, channels):
+    """(header, chunks) of a TPE1 file, its header checked at the call.
 
-    times[c] holds the int64 timestamps [ps] of channel c (1..channel_count)
-    in file order.  Both passes over the records take _checked_chunks'
-    contiguous channel bytes.  The first counts each channel.  The second
-    copies each chunk's stamps once into one reused contiguous buffer and
-    takes each channel the file holds from there by index (flatnonzero)
-    straight into arrays allocated at their exact size, so beside them the
-    reader holds one record chunk, one channel chunk and one stamp chunk,
-    never the stream, and searches only the channels the file holds,
-    however many the header declares.
-    Two passes, not one: a single pass would have to reserve each channel's
-    array at the file's record count before knowing the channel's size, and
-    tracemalloc, like a strict overcommit policy, counts every byte
-    reserved.  Raises what read_events raises.
+    chunks yields, per record chunk of _checked_chunks, the tuple of the
+    int64 stamps [ps] of each of the channels, in file order
+    (eventsim.split_channels): the file is read once, and beside what the
+    consumer keeps the reader holds one record chunk and its stamps of the
+    channels asked for.  Raises what read_events raises, a record's error
+    once chunks reaches it.
     """
-    with open(path, "rb") as fh:
-        header, n = _open_events(fh, path)
-        tally = np.zeros(header["channel_count"] + 1, dtype=np.int64)
-        for _, _, channel in _checked_chunks(fh, path, header, n):
-            tally += np.bincount(channel, minlength=tally.size)
-        times = {c: np.empty(tally[c], dtype=np.int64) for c in range(1, tally.size)}
-        held = np.flatnonzero(tally).tolist()
-        filled = dict.fromkeys(held, 0)
-        stamps = np.empty(min(n, RECORD_CHUNK), dtype=np.int64)
-        for _, rec, channel in _checked_chunks(fh, path, header, n):
-            ts = stamps[:rec.size]
-            ts[:] = rec["timestamp_ps"].view(np.int64)
-            for c in held:
-                index = np.flatnonzero(channel == c)
-                # mode="clip" takes into out without a buffered copy
-                ts.take(index, mode="clip", out=times[c][filled[c]:filled[c] + index.size])
-                filled[c] += index.size
-    return times, header
+    def read():
+        with open(path, "rb") as fh:
+            header, n = _open_events(fh, path)
+            yield header
+            for _, rec, channel in _checked_chunks(fh, path, header, n):
+                yield split_channels(channel, rec["timestamp_ps"], channels)
+    chunks = read()
+    return next(chunks), chunks
 
 
 # ---------------------------------------------------------------------------

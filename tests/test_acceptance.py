@@ -203,8 +203,9 @@ def test_criterion_06_stream_recovery(reference_run):
     sub = subtract_accidentals(hd)[:77, :77]
     r = float(np.corrcoef(rebin2d(sub, 4).ravel(),
                           rebin2d(run["cmap"].r3, 4).ravel())[0, 1])
-    times = split_channels(run["stream"]["channel"], run["stream"]["timestamp_ps"])
-    diag = diagnose_crosscheck(times[3], times[4])
+    t3, t4 = split_channels(run["stream"]["channel"], run["stream"]["timestamp_ps"],
+                            (3, 4))
+    diag = diagnose_crosscheck(t3, t4)
     ok = (z_trip <= 3.0 and z_acc <= 3.0 and p_agree > 0.01 and r >= 0.9
           and diag["flat"] and run["elapsed"] < 180.0)
     _report(6, ok,

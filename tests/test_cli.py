@@ -398,13 +398,16 @@ def _dense_event_file(path):
      ["window", "bin", "1000000000000 x 1000000000000"]),
     ("window = 50 ns\nbin = 1 ns\npeak_rebin = 60", ["peak_rebin"]),
     ("window = 3 ns\nbin = 1 ns\npeak_rebin = 1", ["window", "bin", "3 bins"]),
+    ("window = 100000000 s\nbin = 10000000 s\npeak_rebin = 1", ["window", "2^63"]),
 ], ids=["bin-rounds-to-0", "window-and-bin-round-to-0", "grid-6.94-EiB",
-        "grid-beyond-max-dimension", "peak-rebin-above-bins", "grid-without-floor-frame"])
+        "grid-beyond-max-dimension", "peak-rebin-above-bins", "grid-without-floor-frame",
+        "window-2^63-ps"])
 def test_analyze_unusable_histogram_exit_code(tmp_path, capsys, config, names):
     """Window, bin and peak_rebin values that pass their own range checks but
     make no usable histogram exit 2 with a message, not with a traceback.
-    numpy refuses the two grid sizes before it touches any memory, and a grid
-    of 3 x 3 bins leaves no border frame for the floor estimate.  They are
+    numpy refuses the two grid sizes before it touches any memory, a grid
+    of 3 x 3 bins leaves no border frame for the floor estimate, and a
+    window of 2^63 ps or more is longer than any delay between stamps.  They are
     refused before the event file is read, so with a missing file the
     message still names the setting."""
     cfg = tmp_path / "run.cfg"

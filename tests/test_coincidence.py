@@ -39,8 +39,10 @@ def _random_stream(rng, n_per_channel, span_ps, channels=(1, 2, 3)):
 
 
 def _times(s):
-    """{channel: sorted int64 stamps [ps]} of a stream."""
-    return eventsim.split_channels(s["channel"], s["timestamp_ps"])
+    """{channel: sorted int64 stamps [ps]} of a stream's channels 1-4."""
+    channels = (1, 2, 3, 4)
+    return dict(zip(channels, eventsim.split_channels(s["channel"], s["timestamp_ps"],
+                                                      channels)))
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +161,7 @@ def test_matchers_near_2_63_equal_brute_force(t1, t2, t3, block):
             for d3 in _brute_pairs([start], t3, nbins * b_ps):
                 brute[d2 // b_ps, d3 // b_ps] += 1
     with mock.patch.object(coincidence, "_TRIPLE_BLOCK", block):
-        got = coincidence._triple_match(t1, t2, t3, w_ps, b_ps)
+        got = coincidence._triple_match([(t1, t2, t3)], w_ps, b_ps)
     assert np.array_equal(got, brute)
 
 
@@ -169,8 +171,55 @@ def test_coincidence_one_window_below_2_63_counts():
     t1 = np.array([2 ** 63 - 1000], dtype=np.int64)
     t2, t3 = t1 + 50, t1 + 60
     assert pairwise_histogram(t1, t2, 195e-9, 0.25e-9).sum() == 1
-    counts = coincidence._triple_match(t1, t2, t3, 195_000, 250)
+    counts = coincidence._triple_match([(t1, t2, t3)], 195_000, 250)
     assert counts.sum() == 1 and counts[0, 0] == 1
+
+
+def _brute_grid(t1, t2, t3, w_ps, b_ps):
+    """The three-fold histogram by brute force over Python integers."""
+    nbins = w_ps // b_ps
+    brute = np.zeros((nbins, nbins), dtype=int)
+    for start in t1:
+        for d2 in _brute_pairs([start], t2, nbins * b_ps):
+            for d3 in _brute_pairs([start], t3, nbins * b_ps):
+                brute[d2 // b_ps, d3 // b_ps] += 1
+    return brute
+
+
+@st.composite
+def _cut_records(draw):
+    """A (window, bin) pair [ps], (stamp, channel) records sorted by stamp
+    alone within three windows of 2^63 - 1, so ties in any channel order and
+    delays of about a window are common, and the sorted indices that cut the
+    records into chunks."""
+    w_ps, b_ps = draw(st.sampled_from([(30, 4), (12, 3), (50, 50), (7, 1)]))
+    records = draw(st.lists(st.tuples(st.integers(_TOP - 3 * w_ps, _TOP),
+                                      st.integers(1, 4)), min_size=20, max_size=60))
+    records.sort(key=lambda r: r[0])
+    cuts = sorted(draw(st.lists(st.integers(0, len(records)), max_size=8)))
+    return w_ps, b_ps, records, cuts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cut_records(), st.sampled_from([1, 3, 1 << 16]))
+def test_chunked_match_equals_one_chunk_and_brute_force(cut_records, block):
+    """Matching record chunks as they come, with the carry, counts what one
+    chunk of whole arrays and brute force count: stamps within a few windows
+    of 2^63 - 1, chunks cut at any record (ties across a cut, empty chunks,
+    chunks with no channel-1 record) and starts taken 1, 3 or 2^16 at a
+    time."""
+    w_ps, b_ps, records, cuts = cut_records
+    stamps = np.array([t for t, _ in records], dtype=np.uint64)
+    channel = np.array([c for _, c in records], dtype=np.uint8)
+    edges = [0, *cuts, len(records)]
+    chunks = [eventsim.split_channels(channel[a:b], stamps[a:b], (1, 2, 3))
+              for a, b in zip(edges, edges[1:])]
+    whole = eventsim.split_channels(channel, stamps, (1, 2, 3))
+    with mock.patch.object(coincidence, "_TRIPLE_BLOCK", block):
+        got = coincidence._triple_match(chunks, w_ps, b_ps)
+        one = coincidence._triple_match([whole], w_ps, b_ps)
+    assert np.array_equal(got, one)
+    assert np.array_equal(got, _brute_grid(*whole, w_ps, b_ps))
 
 
 def test_analyze_counts_coincidence_one_window_below_2_63(tmp_path,
@@ -281,7 +330,7 @@ def test_triple_match_pair_blocks_bounded(monkeypatch):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        counts = coincidence._triple_match(t1, t2, t3, 320, 10)
+        counts = coincidence._triple_match([(t1, t2, t3)], 320, 10)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -334,10 +383,10 @@ def test_delayed_peak_memory_not_above_direct():
 
 
 def test_channel_read_and_match_peak_memory(tmp_path, monkeypatch):
-    """analyze's path, read_channels plus the start-blocked match, peaks at
-    <= 1.0x the bytes of the reference mix's stream (600 s, 4.8M events): the
-    per-channel arrays, one record chunk and one block of starts, never the
-    stream."""
+    """analyze's path, read_channel_chunks plus the start-blocked match,
+    peaks at <= 1.0x the bytes of the reference mix's stream (600 s, 4.8M
+    events): one record chunk, its channel stamps and one block of starts,
+    never the stream."""
     monkeypatch.setattr(eventsim, "CHUNK", 1 << 16)
     monkeypatch.setattr(io_formats, "RECORD_CHUNK", 1 << 16)
     cfg = default_config().source_config(duration=600.0)
@@ -350,26 +399,57 @@ def test_channel_read_and_match_peak_memory(tmp_path, monkeypatch):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        times, _ = io_formats.read_channels(path)
-        hist = coincidence.triple_histogram(times[1], times[2], times[3],
-                                            195e-9, 0.25e-9, cfg.duration)
+        _, chunks = io_formats.read_channel_chunks(path, (1, 2, 3))
+        hist = coincidence.triple_histogram(chunks, 195e-9, 0.25e-9, cfg.duration)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     stream_bytes = n * EVENT_DTYPE.itemsize
-    assert n > 4_500_000 and sum(t.size for t in times.values()) == n
+    assert n > 4_500_000
     assert hist.counts.sum() > 0
     assert peak <= 1.0 * stream_bytes, f"{peak / stream_bytes:.2f}x"
 
 
+def test_channel_chunk_match_peak_memory_independent_of_length(tmp_path,
+                                                              monkeypatch):
+    """analyze's one pass holds a record chunk and about a window of stamps
+    however long the file: on the reference mix over 60 s and 600 s (0.48M
+    and 4.8M events) the tracemalloc peaks of read_channel_chunks plus
+    triple_histogram differ by less than one record chunk."""
+    monkeypatch.setattr(eventsim, "CHUNK", 1 << 16)
+    monkeypatch.setattr(io_formats, "RECORD_CHUNK", 1 << 16)
+    axis = np.linspace(0.0, 10e-9, 8)
+    cmap = CorrelationMap(grid=ComplexGrid2D(axis1=axis, axis2=axis,
+                                             values=np.ones((8, 8), complex)))
+    peaks = []
+    for seconds in (60, 600):
+        cfg = default_config().source_config(duration=float(seconds))
+        path = tmp_path / f"run-{seconds}.tpe1"
+        io_formats.write_windows(path, eventsim.stream_windows(cmap, cfg),
+                                 seed=cfg.seed, duration_ps=seconds * PS_PER_S)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, chunks = io_formats.read_channel_chunks(path, (1, 2, 3))
+            hist = coincidence.triple_histogram(chunks, 195e-9, 0.25e-9, cfg.duration)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        path.unlink()
+        assert hist.counts.sum() > 0
+    record_chunk = (1 << 16) * 16
+    assert abs(peaks[1] - peaks[0]) < record_chunk, \
+        f"{peaks[0] / 1e6:.1f} MB over 60 s, {peaks[1] / 1e6:.1f} MB over 600 s"
+
+
 def test_triple_histogram_takes_channel_arrays():
-    """The matcher analyze runs on read_channels' arrays counts what both
-    reconstructions count on the stream they come from."""
+    """The matcher analyze runs, given whole channel arrays as one chunk,
+    counts what both reconstructions count on the stream they come from."""
     rng = np.random.default_rng(41)
     s = _random_stream(rng, 30, 4000, channels=(1, 2, 3, 4))
     t = {ch: s["timestamp_ps"][s["channel"] == ch].astype(np.int64)
          for ch in (1, 2, 3)}
-    h = coincidence.triple_histogram(t[1], t[2], t[3], 1e-9, 0.1e-9, 1.0)
+    h = coincidence.triple_histogram([(t[1], t[2], t[3])], 1e-9, 0.1e-9, 1.0)
     assert h.counts.sum() > 30
     assert np.array_equal(h.counts, _brute_triple(s, 1000, 100))
     for reconstruct in (reconstruct_triple_direct, reconstruct_triple_delayed):

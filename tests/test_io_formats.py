@@ -280,16 +280,28 @@ def test_writer_rejects_record_after_duration(tmp_path, record_chunk):
     assert np.array_equal(back["timestamp_ps"], s["timestamp_ps"])
 
 
+def _read_whole(path, channels):
+    """(header, {c: channel c's stamps over every chunk}) of
+    read_channel_chunks, each chunk's arrays checked to be int64."""
+    header, chunks = io_formats.read_channel_chunks(path, channels)
+    parts = {c: [np.empty(0, dtype=np.int64)] for c in channels}
+    for chunk in chunks:
+        for c, t in zip(channels, chunk):
+            assert t.dtype == np.int64
+            parts[c].append(t)
+    return header, {c: np.concatenate(p) for c, p in parts.items()}
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 2 ** 63 - 1), st.integers(1, 4)),
                 max_size=40),
        st.integers(1, 8), st.sampled_from([None, (3,), (2, 4)]))
-def test_read_channels_equals_split_of_read_events(tmp_path_factory, records,
-                                                   chunk, only):
-    """read_channels, which takes each channel of a record chunk by index,
-    returns each channel's stamps in file order: with channels absent from
-    the file (only (3,) or (2, 4)) or from a chunk, chunks of one record,
-    interleaved channels and stamps up to 2^63 - 1."""
+def test_read_channel_chunks_equals_split_of_read_events(tmp_path_factory, records,
+                                                         chunk, only):
+    """read_channel_chunks, which takes each channel of a record chunk by
+    index, yields each channel's stamps in file order: with channels absent
+    from the file (only (3,) or (2, 4)) or from a chunk, chunks of one
+    record, interleaved channels and stamps up to 2^63 - 1."""
     s = np.zeros(len(records), dtype=EVENT_DTYPE)
     if records:
         s["timestamp_ps"], s["channel"] = zip(*sorted(records))
@@ -299,47 +311,31 @@ def test_read_channels_equals_split_of_read_events(tmp_path_factory, records,
     io_formats.write_events(path, s, seed=5, duration_ps=2 ** 63 - 1)
     with mock.patch.object(io_formats, "RECORD_CHUNK", chunk):
         stream, header = io_formats.read_events(path)
-        times, header_c = io_formats.read_channels(path)
+        header_c, times = _read_whole(path, (1, 2, 3, 4))
     assert header_c == header
-    assert sorted(times) == [1, 2, 3, 4]
     for c in (1, 2, 3, 4):
         expect = stream["timestamp_ps"][stream["channel"] == c]
-        assert times[c].dtype == np.int64
         assert np.array_equal(times[c], expect.astype(np.int64))
         assert times[c].size == expect.size
 
 
-def test_read_channels_splits_over_channels_present(tmp_path, raw_event_file,
-                                                    monkeypatch):
+def test_read_channel_chunks_splits_over_channels_requested(tmp_path, raw_event_file,
+                                                            monkeypatch):
     """A header may declare 65535 channels while its records use 4: each
-    record chunk is split over the channels it holds (one index pass per
-    channel and one to find them), not over every channel declared."""
+    record chunk is split over the channels asked for (one index pass per
+    channel), not over every channel declared."""
     channel = 1 + np.arange(400) % 4
     path = raw_event_file(tmp_path / "wide.tpe1", 10 * np.arange(400), channel,
                           duration_ps=10 ** 6, channel_count=65535)
     calls, flatnonzero = [], np.flatnonzero
     monkeypatch.setattr(io_formats, "RECORD_CHUNK", 64)
     monkeypatch.setattr(np, "flatnonzero", lambda a: calls.append(1) or flatnonzero(a))
-    times, header = io_formats.read_channels(path)
+    header, times = _read_whole(path, (1, 2, 3, 4))
     monkeypatch.undo()
-    assert header["channel_count"] == 65535 and len(times) == 65535
+    assert header["channel_count"] == 65535
     for c in (1, 2, 3, 4):
         assert np.array_equal(times[c], 10 * np.flatnonzero(channel == c))
-    assert all(times[c].size == 0 for c in range(5, 65536))
     assert len(calls) <= 7 * (1 + 4)  # 7 chunks of at most 4 channels
-
-
-def test_read_channels_arrays_own_exactly_their_data(tmp_path, raw_event_file):
-    """Each channel's array is allocated at its exact size: with every record
-    on channel 2 of 4, channels 1, 3 and 4 hold no bytes, so a reader that
-    reserves the file's record count per channel and returns views fails."""
-    path = raw_event_file(tmp_path / "one.tpe1", 10 * np.arange(300),
-                          np.full(300, 2), duration_ps=10 ** 6)
-    times, _ = io_formats.read_channels(path)
-    assert [times[c].size for c in (1, 2, 3, 4)] == [0, 300, 0, 0]
-    for c, t in times.items():
-        owner = t if t.base is None else t.base
-        assert owner.nbytes == 8 * t.size, c
 
 
 def _malformed(kind, path, raw_event_file):
@@ -385,7 +381,7 @@ def test_both_readers_refuse_malformed_files_alike(tmp_path, monkeypatch,
     with pytest.raises(ConfigError) as events:
         io_formats.read_events(path)
     with pytest.raises(ConfigError) as channels:
-        io_formats.read_channels(path)
+        _read_whole(path, (1, 2, 3))
     assert str(channels.value) == str(events.value)
 
 
