@@ -151,7 +151,7 @@ def cmd_simulate(args) -> int:
         args.out, stream_windows(cmap, scfg), seed=scfg.seed,
         duration_ps=int(round(scfg.duration * PS_PER_S)),
         keep_origin=args.keep_origin)
-    print(f"simulate: {events} events over {scfg.duration:.0f} s "
+    print(f"simulate: {events} events over {scfg.duration:g} s "
           f"(seed {scfg.seed}), wrote {args.out}")
     return 0
 

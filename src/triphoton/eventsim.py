@@ -12,9 +12,8 @@ time window of about CHUNK events at a time, each window by one plain sort
 of keys that pack the stamp and the series number, so no stream-sized sort
 temporary, index or gather is ever built.  stream_windows hands the windows
 out as they are merged: writing them to a file holds the sorted series (8 of
-the stream's 10 bytes per event) and one window, about 0.9 times the bytes
-of the stream.  generate_stream collects them into the stream, which it
-adds.
+the stream's 10 bytes per event) plus one window of 64k events.
+generate_stream collects them into the stream, which it adds.
 
 All randomness derives from a single 64-bit master seed through fixed
 per-source labels, so adding or removing one source never perturbs the
@@ -42,8 +41,9 @@ EVENT_DTYPE = np.dtype([("timestamp_ps", "<u8"), ("channel", "u1"),
 
 PS_PER_S = 1_000_000_000_000
 
-# events per efficiency or jitter draw, per order check and per merge window
-CHUNK = 1 << 20
+# events per efficiency or jitter draw, stamp conversion, order check and
+# merge window: 64k keeps each temporary near 0.5 MB
+CHUNK = 1 << 16
 
 # Generator.poisson refuses a larger mean ("lam value too large")
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
@@ -227,8 +227,9 @@ def _finalize(cfg: SourceConfig, label: int, clicks, *args):
     CHUNK at a time: PCG64 yields the numbers one draw over the series
     concatenated would.  A copy is made only where a click is dropped, and
     the sort only where a series is out of order: a first click without
-    jitter never is.  A series has one channel and one origin, so it is
-    sorted in place, stamps alone.
+    jitter never is.  The stamps take the place of the float times they
+    come from, CHUNK at a time.  A series has one channel and one origin, so
+    it is sorted in place, stamps alone.
     """
     rng = _rng(cfg.seed, label)
     series = clicks(rng, cfg, *args)
@@ -256,7 +257,10 @@ def _finalize(cfg: SourceConfig, label: int, clicks, *args):
         del inside
         times_s *= PS_PER_S
         np.rint(times_s, out=times_s)
-        ts = times_s.astype(np.uint64)
+        # exact: every value is whole and in [0, 2^63)
+        ts = times_s.view(np.uint64)
+        for lo in range(0, ts.size, CHUNK):
+            ts[lo:lo + CHUNK] = times_s[lo:lo + CHUNK].astype(np.uint64)
         del times_s
         if _first_out_of_order(ts) is not None:
             # nearly sorted: the stable sort's run detection is near linear

@@ -8,7 +8,7 @@ followed by fixed 16-byte records
 Records are sorted by timestamp.  The flags byte carries the simulation
 origin tag only when exported with keep_origin (debug); otherwise zero.
 Files are written and read RECORD_CHUNK records at a time, so the I/O
-holds one 16 MB record buffer beside what it writes from or reads into,
+holds one 1 MB record buffer beside what it writes from or reads into,
 never a file-sized copy.  write_windows takes the stream as merge windows
 and read_channel_chunks hands it on as per-channel stamps one record chunk
 at a time, so neither needs the whole stream in memory.
@@ -39,8 +39,8 @@ HEADER_LEN = 32
 _HEADER_STRUCT = struct.Struct("<4sHHQQH6x")
 _RECORD_DTYPE = np.dtype([("timestamp_ps", "<u8"), ("channel", "u1"),
                           ("flags", "u1"), ("reserved", "V6")])
-# records per read or write: the memory the I/O needs beside the stream
-RECORD_CHUNK = 1 << 20
+# records per read or write: the 1 MB buffer the I/O needs beside the stream
+RECORD_CHUNK = 1 << 16
 # CSV rows joined per write: the row text the writers hold at once
 ROW_BLOCK = 1 << 12
 # first timestamp the reader rejects: the matcher reads stamps as int64

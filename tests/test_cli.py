@@ -177,6 +177,16 @@ def test_simulate_analyze_round_trip(small_cfg, tmp_path):
         (outdir / "histogram2d.csv").read_text().splitlines()[3:]
 
 
+@pytest.mark.parametrize("duration", ["0.5", "2"])
+def test_simulate_summary_names_the_duration(small_cfg, tmp_path, capsys,
+                                             duration):
+    """The summary line gives the run's duration as set: a sub-second run is
+    not rounded to 0 s, and a whole-second run prints no decimals."""
+    assert main(["simulate", "--config", small_cfg, "--out",
+                 str(tmp_path / "run.tpe1"), "--duration", duration]) == 0
+    assert f" events over {duration} s (seed " in capsys.readouterr().out
+
+
 # sha256 of analyze's outputs for a seeded 0.2 s run of SMALL with 1 MHz
 # singles on channels 1-3: ~600k events, ~0.2 stops per start and channel
 # in the 780-bin window, and an accidental floor that is not zero

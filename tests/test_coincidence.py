@@ -382,13 +382,11 @@ def test_delayed_peak_memory_not_above_direct():
     assert delayed <= direct, f"delayed {delayed} B, direct {direct} B"
 
 
-def test_channel_read_and_match_peak_memory(tmp_path, monkeypatch):
+def test_channel_read_and_match_peak_memory(tmp_path):
     """analyze's path, read_channel_chunks plus the start-blocked match,
-    peaks at <= 1.0x the bytes of the reference mix's stream (600 s, 4.8M
+    peaks at <= 0.25x the bytes of the reference mix's stream (600 s, 4.8M
     events): one record chunk, its channel stamps and one block of starts,
     never the stream."""
-    monkeypatch.setattr(eventsim, "CHUNK", 1 << 16)
-    monkeypatch.setattr(io_formats, "RECORD_CHUNK", 1 << 16)
     cfg = default_config().source_config(duration=600.0)
     axis = np.linspace(0.0, 10e-9, 8)
     cmap = CorrelationMap(grid=ComplexGrid2D(axis1=axis, axis2=axis,
@@ -407,17 +405,14 @@ def test_channel_read_and_match_peak_memory(tmp_path, monkeypatch):
     stream_bytes = n * EVENT_DTYPE.itemsize
     assert n > 4_500_000
     assert hist.counts.sum() > 0
-    assert peak <= 1.0 * stream_bytes, f"{peak / stream_bytes:.2f}x"
+    assert peak <= 0.25 * stream_bytes, f"{peak / stream_bytes:.2f}x"
 
 
-def test_channel_chunk_match_peak_memory_independent_of_length(tmp_path,
-                                                              monkeypatch):
+def test_channel_chunk_match_peak_memory_independent_of_length(tmp_path):
     """analyze's one pass holds a record chunk and about a window of stamps
     however long the file: on the reference mix over 60 s and 600 s (0.48M
     and 4.8M events) the tracemalloc peaks of read_channel_chunks plus
     triple_histogram differ by less than one record chunk."""
-    monkeypatch.setattr(eventsim, "CHUNK", 1 << 16)
-    monkeypatch.setattr(io_formats, "RECORD_CHUNK", 1 << 16)
     axis = np.linspace(0.0, 10e-9, 8)
     cmap = CorrelationMap(grid=ComplexGrid2D(axis1=axis, axis2=axis,
                                              values=np.ones((8, 8), complex)))
@@ -437,7 +432,7 @@ def test_channel_chunk_match_peak_memory_independent_of_length(tmp_path,
             tracemalloc.stop()
         path.unlink()
         assert hist.counts.sum() > 0
-    record_chunk = (1 << 16) * 16
+    record_chunk = io_formats.RECORD_CHUNK * 16
     assert abs(peaks[1] - peaks[0]) < record_chunk, \
         f"{peaks[0] / 1e6:.1f} MB over 60 s, {peaks[1] / 1e6:.1f} MB over 600 s"
 

@@ -187,9 +187,9 @@ _PINNED_STREAMS = {
 @pytest.mark.parametrize("name", sorted(_PINNED_STREAMS))
 def test_stream_bytes_pinned(name, chunk, monkeypatch):
     """Per-source sorting and the windowed merge reproduce, byte for byte,
-    the stream of one global stable sort.  The streams are 55k-480k events:
-    one merge window at the default chunk, 14-118 windows (and chunked
-    efficiency and jitter draws) at 4096."""
+    the stream of one global stable sort, whatever the chunk.  The streams
+    are 55k-480k events: one merge window at a chunk of 2^20, 14-118 windows
+    (and chunked efficiency and jitter draws) at 4096."""
     monkeypatch.setattr(eventsim, "CHUNK", chunk)
     make_cfg, digest = _PINNED_STREAMS[name]
     stream = generate_stream(_toy_cmap(), make_cfg())
@@ -248,10 +248,28 @@ def test_merge_beyond_32_parts(stamps):
     _check_merge(parts, 1)
 
 
+def test_finalize_converts_stamps_in_place():
+    """Finalizing the reference mix's sources (600 s, 4.8M clicks) peaks at
+    <= 1.05x the bytes of the stamps it returns: each series' stamps take
+    its float times' place, with no series-sized copy beside them."""
+    cmap = _toy_cmap()
+    cfg = default_config().source_config(duration=600.0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        parts = eventsim._sources(cmap, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    stamp_bytes = sum(ts.nbytes for ts, _, _ in parts)
+    assert stamp_bytes > 8 * 4_500_000
+    assert peak <= 1.05 * stamp_bytes, f"{peak / stamp_bytes:.3f}x"
+
+
 def test_generate_stream_peak_memory():
-    """The reference mix (600 s, 4.8M events) peaks at <= 3.2x the stream's
+    """The reference mix (600 s, 4.8M events) peaks at <= 2.0x the stream's
     own bytes: the sorted sources plus the output and one merge window, with
-    no stream-sized sort key, index or gather copy."""
+    no stream-sized sort key, index, gather or stamp copy."""
     cmap = _toy_cmap()
     cfg = default_config().source_config(duration=600.0)
     tracemalloc.start()
@@ -262,16 +280,14 @@ def test_generate_stream_peak_memory():
     finally:
         tracemalloc.stop()
     assert stream.size > 4_500_000
-    assert peak <= 3.2 * stream.nbytes, f"{peak / stream.nbytes:.2f}x"
+    assert peak <= 2.0 * stream.nbytes, f"{peak / stream.nbytes:.2f}x"
 
 
-def test_window_path_peak_memory(tmp_path, monkeypatch):
+def test_window_path_peak_memory(tmp_path):
     """Simulating the reference mix (600 s, 4.8M events) into a TPE1 file
-    through the merge windows peaks at <= 1.2x the bytes of the stream it
-    writes: the sorted click series, one window and one record chunk, never
-    the sorted stream."""
-    monkeypatch.setattr(eventsim, "CHUNK", 1 << 16)
-    monkeypatch.setattr(io_formats, "RECORD_CHUNK", 1 << 16)
+    through the merge windows peaks at <= 0.9x the bytes of the stream it
+    writes: the sorted click series (8 of its 10 bytes per event), one
+    window and one record chunk, never the sorted stream."""
     cmap = _toy_cmap()
     cfg = default_config().source_config(duration=600.0)
     tracemalloc.start()
@@ -285,7 +301,7 @@ def test_window_path_peak_memory(tmp_path, monkeypatch):
         tracemalloc.stop()
     stream_bytes = n * EVENT_DTYPE.itemsize
     assert n > 4_500_000
-    assert peak <= 1.2 * stream_bytes, f"{peak / stream_bytes:.2f}x"
+    assert peak <= 0.9 * stream_bytes, f"{peak / stream_bytes:.3f}x"
 
 
 def test_window_path_writes_the_generated_stream(tmp_path, monkeypatch):

@@ -387,7 +387,8 @@ def test_both_readers_refuse_malformed_files_alike(tmp_path, monkeypatch,
 
 def test_event_file_io_peak_memory(tmp_path):
     """Writing and reading 4.8M events (the 600 s reference mix) takes at
-    most 24 MB beside the stream: one record chunk, no file-sized copy."""
+    most 4 MB beside the stream: one 1 MB record chunk and its channel
+    bytes, no file-sized copy."""
     s = _stream(4_800_000, seed=12)
     path = tmp_path / "big.tpe1"
     tracemalloc.start()
@@ -403,8 +404,8 @@ def test_event_file_io_peak_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert back.size == 4_800_000
-    assert write_peak <= 24e6, f"write: {write_peak / 1e6:.1f} MB"
-    assert read_peak <= 24e6, f"read: {read_peak / 1e6:.1f} MB"
+    assert write_peak <= 4e6, f"write: {write_peak / 1e6:.1f} MB"
+    assert read_peak <= 4e6, f"read: {read_peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
