@@ -3,26 +3,13 @@
 
 Runs the documented command-line surface end to end with the default
 configuration (optionally overridden with --config) and collects every
-output in one directory.  With the full-resolution defaults the
-correlation map takes a few minutes; pass --fast for a reduced grid (its
-overrides, after the lines of any --config file, are written to fast.cfg in
-the output directory).
+output in one directory.
 """
 import argparse
 import sys
 from pathlib import Path
 
 from triphoton.cli import main as cli
-
-FAST_OVERRIDES = """\
-quad_nodes = 201
-spectral_n2 = 256
-spectral_n3 = 256
-tau_max = 10 ns
-tau_points = 64
-map_n2 = 64
-map_n3 = 64
-"""
 
 
 def run(argv):
@@ -35,24 +22,12 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="results/reference", help="output directory")
     ap.add_argument("--config", default=None, help="flat key=value config file")
-    ap.add_argument("--fast", action="store_true",
-                    help="reduced grids for a quick look")
     args = ap.parse_args()
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     cfg = ["--config", args.config] if args.config else []
-    if args.fast:
-        # kept beside the maps as the record of the grids they were made on;
-        # the overrides follow the given config's lines, and a later line wins
-        try:
-            base = Path(args.config).read_text() + "\n" if args.config else ""
-        except OSError as exc:
-            ap.error(f"cannot read --config: {exc}")
-        fast = out / "fast.cfg"
-        fast.write_text(base + FAST_OVERRIDES)
-        cfg = ["--config", str(fast)]
 
     run(["chi5-map", *cfg, "--out", str(out / "chi5_map.csv")])
     run(["linear-response", *cfg, "--out", str(out)])

@@ -8,8 +8,8 @@ and configuration / file formats / CLI (config, io_formats, cli).
 """
 
 from .constants import CONST, PhysicalConstants
-from .params import (VaporCell, DecayRates, DriveFields, SpectralFrame,
-                     DipoleMoments, DetuningOffsets, ResonanceSet,
+from .params import (VaporCell, DecayRates, DriveFields, DetuningOffsets,
+                     ResonanceSet, OMEGA31, OMEGA41, OMEGA42, KBAR, NOMINAL_DIPOLE,
                      ExperimentParams, default_params, maxwell_boltzmann_pdf,
                      doppler_detunings, effective_rabi, resonance_set,
                      resonance_channels, optical_depth, doppler_width)

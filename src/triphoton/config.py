@@ -9,15 +9,13 @@ reference triphoton configuration).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, pi
+from math import isfinite
 
 from .errors import ConfigError
-from .params import (DecayRates, DriveFields, VaporCell, ExperimentParams,
+from .params import (TWO_PI, DecayRates, DriveFields, VaporCell, ExperimentParams,
                      rabi_from_power)
 from .susceptibility import VelocityQuadrature
 from .eventsim import SourceConfig
-
-TWO_PI = 2.0 * pi
 
 _FREQ = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9}
 _TIME = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12,

@@ -24,10 +24,5 @@ class PhysicalConstants:
     # 84.911789738 u (AME) times the 2018 CODATA atomic mass constant
     mRb: float = 84.911789738 * 1.66053906660e-27
 
-    def __post_init__(self):
-        for name in ("c", "hbar", "kB", "eps0", "mRb"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"constant {name} must be positive")
-
 
 CONST = PhysicalConstants()

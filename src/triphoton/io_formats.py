@@ -210,12 +210,18 @@ def read_channel_chunks(path, channels):
     int64 stamps [ps] of each of the channels, in file order
     (eventsim.split_channels): the file is read once, and beside what the
     consumer keeps the reader holds one record chunk and its stamps of the
-    channels asked for.  Raises what read_events raises, a record's error
-    once chunks reaches it.
+    channels asked for.  Raises what read_events raises: a file whose last
+    record is stamped after the header duration_ps at the call, before any
+    chunk is consumed, and any other record's error once chunks reaches it.
     """
     def read():
         with open(path, "rb") as fh:
             header, n = _open_events(fh, path)
+            fh.seek(HEADER_LEN + (n - 1) * _RECORD_DTYPE.itemsize)
+            if n and int.from_bytes(fh.read(8), "little") > header["duration_ps"]:
+                # one pass with no split raises the first bad record's error
+                for _ in _checked_chunks(fh, path, header, n):
+                    pass
             yield header
             for _, rec, channel in _checked_chunks(fh, path, header, n):
                 yield split_channels(channel, rec["timestamp_ps"], channels)

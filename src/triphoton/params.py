@@ -1,4 +1,5 @@
-"""Physical parameter records, Doppler kinematics and dressed-state analysis.
+"""Physical parameter records, the fixed Rb transition constants, Doppler
+kinematics and dressed-state analysis.
 
 Everything internal is in SI with angular frequencies (rad/s).  Human-unit
 conversion (MHz, degC, mW, ...) happens once, in the config layer; see
@@ -19,9 +20,18 @@ from .errors import InvalidParameterError
 
 TWO_PI = 2.0 * pi
 
-# Nominal dipole moment used when no absolute value is configured [C m].
-# Absolute susceptibility scales are arbitrary by design; only ratios matter.
+# Dipole moment of every transition [C m].  Absolute dipole values are not
+# known for this model, so susceptibility scales are arbitrary by design and
+# only shapes and ratios matter.
 NOMINAL_DIPOLE = 1.0e-29
+
+# Transition frequencies [rad/s]: omega31 on the 795 nm line, omega41 and
+# omega42 on the 780 nm line.  KBAR [rad/m], the S2 and S3 central wavenumber,
+# scales the dispersion profiles to the optical depth; the waves are phase
+# matched at line center, so the mismatch comes from the spectral offsets.
+OMEGA31 = TWO_PI * CONST.c / 795e-9
+OMEGA41 = OMEGA42 = TWO_PI * CONST.c / 780e-9
+KBAR = TWO_PI / 780e-9
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +43,7 @@ class VaporCell:
     """Vapor cell geometry and thermodynamic state.
 
     temperature [K], length_L [m], density_N [atoms/m^3].  The optical depth
-    is derived from these, the frame and the dipoles: ExperimentParams.od.
+    is derived from these and the transition constants: ExperimentParams.od.
     """
 
     temperature: float
@@ -104,54 +114,6 @@ class DriveFields:
 
 
 @dataclass(frozen=True)
-class SpectralFrame:
-    """Atomic transition frequencies [rad/s] and the S2 and S3 central
-    wavenumbers [rad/m].
-
-    omega31 sits on the 795 nm line, omega41 and omega42 on the 780 nm line.
-    kbar['S2'] and kbar['S3'] scale the dispersion profiles to the cell's
-    optical depth.  The waves are phase matched at line center by
-    construction, so the phase mismatch is evaluated purely from the
-    spectral offsets.
-    """
-
-    omega31: float = field(default=TWO_PI * CONST.c / 795e-9)
-    omega41: float = field(default=TWO_PI * CONST.c / 780e-9)
-    omega42: float = field(default=TWO_PI * CONST.c / 780e-9)
-    kbar: dict = field(default_factory=lambda: {"S2": TWO_PI / 780e-9,
-                                                "S3": TWO_PI / 780e-9})
-
-    def __post_init__(self):
-        for lbl, k in self.kbar.items():
-            if k <= 0:
-                raise InvalidParameterError(f"kbar[{lbl}] must be > 0")
-        for w in (self.omega31, self.omega41, self.omega42):
-            if w <= 0:
-                raise InvalidParameterError("transition frequencies must be > 0")
-
-
-@dataclass(frozen=True)
-class DipoleMoments:
-    """Electric dipole matrix elements [C m] and the free overall amplitude.
-
-    Absolute dipole values are not known for this model; all default to the
-    same nominal value and overall_scale_A absorbs every unknown prefactor,
-    so only shapes and ratios of susceptibilities are meaningful.
-    """
-
-    mu13: float = NOMINAL_DIPOLE
-    mu24: float = NOMINAL_DIPOLE
-    mu23: float = NOMINAL_DIPOLE
-    mu14: float = NOMINAL_DIPOLE
-    overall_scale_A: float = 1.0
-
-    def __post_init__(self):
-        for name in ("mu13", "mu24", "mu23", "mu14"):
-            if getattr(self, name) <= 0:
-                raise InvalidParameterError(f"{name} must be > 0")
-
-
-@dataclass(frozen=True)
 class DetuningOffsets:
     """Spectral offsets of the three emitted photons from their line centers.
 
@@ -186,19 +148,18 @@ class ResonanceSet:
 
 @dataclass(frozen=True)
 class ExperimentParams:
-    """Complete physical configuration of one simulated experiment: the
-    records it is given, and the optical depth derived from them."""
+    """Physical configuration of one simulated experiment: the config's three
+    records and the optical depth derived from them.  The transitions and
+    dipoles are fixed atomic data, the module constants."""
 
     cell: VaporCell
     rates: DecayRates
     drive: DriveFields
-    frame: SpectralFrame = field(default_factory=SpectralFrame)
-    dip: DipoleMoments = field(default_factory=DipoleMoments)
 
     @property
     def od(self) -> float:
-        """Optical depth of the cell, optical_depth(cell, frame, dip)."""
-        return optical_depth(self.cell, self.frame, self.dip)
+        """Optical depth of the cell, optical_depth(cell)."""
+        return optical_depth(self.cell)
 
     @property
     def sigma_v(self) -> float:
@@ -237,7 +198,7 @@ def maxwell_boltzmann_pdf(v, T: float):
     return np.sqrt(a / pi) * np.exp(-a * np.square(v))
 
 
-def doppler_detunings(v, drive: DriveFields, frame: SpectralFrame):
+def doppler_detunings(v, drive: DriveFields):
     """Velocity-shifted detunings (DeltaD1, DeltaD2, DeltaD3) [rad/s].
 
     DeltaD1 = Delta1 + v omega31/c  (counter-propagating shift on the 795 line)
@@ -246,9 +207,9 @@ def doppler_detunings(v, drive: DriveFields, frame: SpectralFrame):
     Accepts scalar or array v.
     """
     v = np.asarray(v, dtype=float)
-    dd1 = drive.delta1 + v * frame.omega31 / CONST.c
-    dd2 = drive.delta2 - v * frame.omega42 / CONST.c
-    dd3 = drive.delta3 + v * frame.omega42 / CONST.c
+    dd1 = drive.delta1 + v * OMEGA31 / CONST.c
+    dd2 = drive.delta2 - v * OMEGA42 / CONST.c
+    dd3 = drive.delta3 + v * OMEGA42 / CONST.c
     if dd1.ndim == 0:
         return float(dd1), float(dd2), float(dd3)
     return dd1, dd2, dd3
@@ -282,7 +243,7 @@ def resonance_set(params: ExperimentParams, v: float = 0.0) -> ResonanceSet:
     if abs(v) >= CONST.c:
         raise InvalidParameterError(f"|v| must be < c, got {v}")
     r, d = params.rates, params.drive
-    _, dd2, dd3 = doppler_detunings(v, d, params.frame)
+    _, dd2, dd3 = doppler_detunings(v, d)
     oe2 = float(effective_rabi(dd2, d.omega2, r.gamma21, r.gamma41))
     oe3 = float(effective_rabi(dd3, d.omega3, r.gamma11, r.gamma41))
     wm = 1.0 - v / CONST.c
@@ -309,7 +270,7 @@ def resonance_channels(params: ExperimentParams, v: float = 0.0):
     Returns a list of four (delta2, delta3) tuples keyed by (s2, s3).
     """
     r, d = params.rates, params.drive
-    _, dd2, dd3 = doppler_detunings(v, d, params.frame)
+    _, dd2, dd3 = doppler_detunings(v, d)
     oe2 = float(effective_rabi(dd2, d.omega2, r.gamma21, r.gamma41))
     oe3 = float(effective_rabi(dd3, d.omega3, r.gamma11, r.gamma41))
     out = {}
@@ -321,17 +282,17 @@ def resonance_channels(params: ExperimentParams, v: float = 0.0):
     return out
 
 
-def doppler_width(T: float, frame: SpectralFrame) -> float:
+def doppler_width(T: float) -> float:
     """FWHM Doppler width of the 780 nm line at temperature T [rad/s].
 
     DeltaD = (omega42/c) sqrt(8 ln2 kB T / m); scales as sqrt(T).
     """
     if T <= 0:
         raise InvalidParameterError(f"temperature must be > 0 K, got {T}")
-    return frame.omega42 / CONST.c * sqrt(8.0 * log(2.0) * CONST.kB * T / CONST.mRb)
+    return OMEGA42 / CONST.c * sqrt(8.0 * log(2.0) * CONST.kB * T / CONST.mRb)
 
 
-def _sigma41_raw(T: float, frame: SpectralFrame, dip: DipoleMoments) -> float:
+def _sigma41_raw(T: float) -> float:
     """Uncalibrated on-resonance absorption cross-section of the S1/780 line.
 
     omega41 |mu14|^2 / (2 eps0 hbar c) divided by the Doppler FWHM: the
@@ -339,33 +300,30 @@ def _sigma41_raw(T: float, frame: SpectralFrame, dip: DipoleMoments) -> float:
     width.  An overall dimensionless constant is left free and fixed once by
     calibration (see SIGMA41_CALIBRATION).
     """
-    return (frame.omega41 * dip.mu14 ** 2
+    return (OMEGA41 * NOMINAL_DIPOLE ** 2
             / (2.0 * CONST.eps0 * CONST.hbar * CONST.c)
-            / doppler_width(T, frame))
+            / doppler_width(T))
 
 
 # One-time calibration: the reference cell (N = 1.2e17 m^-3, T = 353.15 K,
 # L = 0.07 m, nominal dipole) must come out at OD = 4.6.  Frozen here; all
 # other optical depths follow from the same constant.
 _REF_N, _REF_T, _REF_L, _REF_OD = 1.2e17, 353.15, 0.07, 4.6
-SIGMA41_CALIBRATION = _REF_OD / (
-    _REF_N * _REF_L * _sigma41_raw(_REF_T, SpectralFrame(), DipoleMoments()))
+SIGMA41_CALIBRATION = _REF_OD / (_REF_N * _REF_L * _sigma41_raw(_REF_T))
 
 
-def optical_depth(cell: VaporCell, frame: SpectralFrame,
-                  dip: DipoleMoments) -> float:
+def optical_depth(cell: VaporCell) -> float:
     """Optical depth OD = N sigma41 L of the S1/780 line for the given cell.
 
     Linear in density and length; the cross-section carries the calibrated
     prefactor and the 1/sqrt(T) Doppler dilution.
     """
-    sigma41 = SIGMA41_CALIBRATION * _sigma41_raw(cell.temperature, frame, dip)
+    sigma41 = SIGMA41_CALIBRATION * _sigma41_raw(cell.temperature)
     return cell.density_N * sigma41 * cell.length_L
 
 
 def density_for_od(od_target: float, temperature_K: float,
                    length_L: float = _REF_L) -> float:
     """Back-solve the atomic density that yields a given OD at temperature T."""
-    sigma41 = SIGMA41_CALIBRATION * _sigma41_raw(temperature_K, SpectralFrame(),
-                                                 DipoleMoments())
+    sigma41 = SIGMA41_CALIBRATION * _sigma41_raw(temperature_K)
     return od_target / (sigma41 * length_L)

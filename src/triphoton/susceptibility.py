@@ -23,7 +23,8 @@ import numpy as np
 from .constants import CONST
 from .errors import (InvalidParameterError, NumericalDomainError,
                      DispersionDomainError, RangeError)
-from .params import ExperimentParams, maxwell_boltzmann_pdf, doppler_detunings
+from .params import (ExperimentParams, KBAR, NOMINAL_DIPOLE, OMEGA31, OMEGA41,
+                     OMEGA42, maxwell_boltzmann_pdf, doppler_detunings)
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +295,9 @@ def params_hash(params: ExperimentParams, *extra) -> str:
 # ---------------------------------------------------------------------------
 
 def _chi5_prefactor(params: ExperimentParams) -> float:
-    d = params.dip
-    return (2.0 * params.cell.density_N * d.mu13 * d.mu24 * d.mu23 * d.mu14 ** 3
-            * d.overall_scale_A / (CONST.eps0 * CONST.hbar ** 5))
+    mu = NOMINAL_DIPOLE
+    return (2.0 * params.cell.density_N * mu * mu * mu * mu ** 3
+            / (CONST.eps0 * CONST.hbar ** 5))
 
 
 # delta3 columns per block of the midpoint-rule chi5 grid, which serves the
@@ -321,7 +322,7 @@ def _chi5_grid(d2_axis, d3_axis, params: ExperimentParams,
     """
     r, drv = params.rates, params.drive
     v, w = quad.nodes_weights(params)
-    dd1, dd2, dd3 = doppler_detunings(v, drv, params.frame)
+    dd1, dd2, dd3 = doppler_detunings(v, drv)
     wm, wp = 1.0 - v / CONST.c, 1.0 + v / CONST.c
     b1 = r.gamma31 + 1j * dd1
     jdd2 = 1j * dd2
@@ -371,7 +372,7 @@ def _chi5_exact(d2, d3, params: ExperimentParams, quad: VelocityQuadrature):
     s = W- d2 + W+ d3 = (d2 + d3) + v (d3 - d2) / c.
     """
     r, drv, c = params.rates, params.drive, CONST.c
-    k1, k2 = params.frame.omega31 / c, params.frame.omega42 / c
+    k1, k2 = OMEGA31 / c, OMEGA42 / c
     b1 = (1j * k1, -(r.gamma31 + 1j * drv.delta1))
     t3, b3 = _quadratic_factors(r.gamma11 + 1j * d3, 1j * d3 / c,
                                 r.gamma41 + 1j * (d3 + drv.delta3),
@@ -456,13 +457,13 @@ def _chi_linear(mode, delta, params: ExperimentParams, quad: VelocityQuadrature)
     r, drv = params.rates, params.drive
     # DeltaD = delta0 + dslope v (doppler_detunings)
     if mode == "S2":
-        sign, mu, omega = -1.0, params.dip.mu24, drv.omega2
+        sign, omega = -1.0, drv.omega2
         g_ground, g_opt = r.gamma22, r.gamma42
-        delta0, dslope = drv.delta2, -params.frame.omega42 / CONST.c
+        delta0, dslope = drv.delta2, -OMEGA42 / CONST.c
     else:
-        sign, mu, omega = 1.0, params.dip.mu14, drv.omega3
+        sign, omega = 1.0, drv.omega3
         g_ground, g_opt = r.gamma11, r.gamma41
-        delta0, dslope = drv.delta3, params.frame.omega42 / CONST.c
+        delta0, dslope = drv.delta3, OMEGA42 / CONST.c
     scalar = np.isscalar(delta)
     d = np.atleast_1d(np.asarray(delta, dtype=float))
     out = np.empty(d.size, dtype=complex)
@@ -472,14 +473,14 @@ def _chi_linear(mode, delta, params: ExperimentParams, quad: VelocityQuadrature)
         t, factors = _quadratic_factors(4.0 * x0, 4.0 * x1, d - delta0 + 1j * g_opt,
                                         x1 - dslope, np.abs(omega) ** 2)
         val, ok = _doppler_average(t * x0, t * x1, factors, params.sigma_v)
-        out[ok] = (-4j * params.cell.density_N * mu ** 2 / (CONST.eps0 * CONST.hbar)
-                   * val[ok])
+        out[ok] = (-4j * params.cell.density_N * NOMINAL_DIPOLE ** 2
+                   / (CONST.eps0 * CONST.hbar) * val[ok])
     if not np.all(ok):
         v, w = quad.nodes_weights(params)
-        _, dd2, dd3 = doppler_detunings(v, drv, params.frame)
+        _, dd2, dd3 = doppler_detunings(v, drv)
         dd = dd2 if mode == "S2" else dd3
         kin = (1.0 + sign * v / CONST.c) * d[~ok, None]
-        num = -4j * params.cell.density_N * mu ** 2 * (kin + 1j * g_ground)
+        num = -4j * params.cell.density_N * NOMINAL_DIPOLE ** 2 * (kin + 1j * g_ground)
         den = CONST.eps0 * CONST.hbar * (4.0 * (kin - dd + 1j * g_opt)
                                          * (kin + 1j * g_ground) + np.abs(omega) ** 2)
         summand = w * num / den
@@ -534,7 +535,7 @@ def dispersion_profile(which: str, delta_axis, params: ExperimentParams,
 
     The raw susceptibility carries an arbitrary absolute scale (unknown
     dipoles), so it is rescaled such that the peak absorption coefficient
-    kbar * L * max|Im chi| over the sampled axis equals the cell's optical
+    KBAR * L * max|Im chi| over the sampled axis equals the cell's optical
     depth.  That ties the dispersion strength to OD, which is the quantity
     that controls the group-delay regime.
     """
@@ -544,13 +545,12 @@ def dispersion_profile(which: str, delta_axis, params: ExperimentParams,
     if which not in ("S2", "S3"):
         raise InvalidParameterError(f"which must be 'S2' or 'S3', got '{which}'")
     chi_raw = _chi_linear(which, axis, params, quad)
-    kbar = params.frame.kbar[which]
-    omega_c = params.frame.omega42 if which == "S2" else params.frame.omega41
+    omega_c = OMEGA42 if which == "S2" else OMEGA41
     peak_abs = float(np.max(np.abs(np.imag(chi_raw))))
     if peak_abs == 0.0:
         chi = chi_raw.astype(complex)
     else:
-        chi = chi_raw * (params.od / (kbar * params.cell.length_L * peak_abs))
+        chi = chi_raw * (params.od / (KBAR * params.cell.length_L * peak_abs))
     if np.any(1.0 + np.real(chi) <= 0.0):
         raise DispersionDomainError("1 + Re(chi) <= 0 on the requested axis")
     n = np.sqrt(1.0 + np.real(chi))

@@ -216,6 +216,57 @@ def test_analyze_bytes_pinned(tmp_path):
         assert got == digests, method
 
 
+# sha256 of the data rows (the lines not starting with '#') the map commands
+# write on SMALL, under the midpoint rule of SMALL and under the exact scheme
+_PINNED_MAPS = {
+    "201": {
+        "chi5_map.csv":
+            "f5d6348065650b9399299b05c1676932e243d01715562280b87adf7794d53364",
+        "correlation_map.csv":
+            "f0f659c24fabaed31f34eebd0f0ba85802c5d12d8ddd8e7826f9b520673782d2",
+        "dispersion_s2.csv":
+            "219ba3f9fb35c1d17b4d4ea3adf704b190207180e2e72c2951456a98e1fbad3c",
+        "dispersion_s3.csv":
+            "b90ce02a5e706b6c0e56f446125a4a67fd85f583fee8dea5d12a4a8891b80250",
+        "sweep.csv":
+            "dcb029e4aa16c889c27c35a75bb5cac4f3bb618eee4755413c72debd1607c1ff",
+    },
+    "exact": {
+        "chi5_map.csv":
+            "8903e4dbc9018a5d57729b84e163a04bfa6318d7e66da141d136dbf738a9c22f",
+        "correlation_map.csv":
+            "d3adcae6e4a18b3a08e63d7b38531fd72efc6786cc975c47527965fac37c95f3",
+        "dispersion_s2.csv":
+            "89fd277f4a62de21b7a339bd261084abf3d42b915426c252ecaeed6d2bcdbc20",
+        "dispersion_s3.csv":
+            "ee0a8380c710a5ff5b0b4511f2a3598097824c95f299888602cc9d8044a0bc7d",
+        "sweep.csv":
+            "950468c2f6da38d6f0043b45765c806bb95bdc6f37a13cafb677f8610707a6f9",
+    },
+}
+
+
+@pytest.mark.parametrize("nodes", sorted(_PINNED_MAPS))
+def test_map_bytes_pinned(tmp_path, nodes):
+    """chi5-map, correlation-map, linear-response and sweep write the same
+    data rows, byte for byte, under both velocity quadratures."""
+    cfg = tmp_path / "maps.cfg"
+    cfg.write_text(SMALL + f"quad_nodes = {nodes}\n")
+    c = ["--config", str(cfg)]
+    for argv in (["chi5-map", *c, "--out", str(tmp_path / "chi5_map.csv")],
+                 ["correlation-map", *c, "--out", str(tmp_path / "correlation_map.csv")],
+                 ["linear-response", *c, "--out", str(tmp_path)],
+                 ["sweep", *c, "--param", "power2", "--from", "5mW", "--to", "40mW",
+                  "--steps", "3", "--out", str(tmp_path / "sweep.csv")]):
+        assert main(argv) == 0, argv[0]
+    got = {}
+    for name in _PINNED_MAPS[nodes]:
+        lines = (tmp_path / name).read_bytes().splitlines(keepends=True)
+        rows = b"".join(line for line in lines if not line.startswith(b"#"))
+        got[name] = hashlib.sha256(rows).hexdigest()
+    assert got == _PINNED_MAPS[nodes]
+
+
 def _run_script(name, *args, env=None):
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"), **(env or {}))
@@ -242,31 +293,26 @@ def test_matcher_paths_script_runs(tmp_path):
 
 
 def test_reference_maps_script_runs(tmp_path):
-    """scripts/make_reference_maps.py --fast drives five CLI commands with
-    config keys of its own; it writes every map and trace, and its overrides
-    go to the output directory, not to a temporary file left behind.  With
-    --config the overrides follow the config's lines in fast.cfg, so the
-    reduced grids win."""
+    """scripts/make_reference_maps.py drives five CLI commands, at the
+    defaults or with --config; it writes every map and trace to the output
+    directory and leaves no temporary file behind."""
     user = tmp_path / "user.cfg"
     user.write_text(SMALL + "delta2 = -100 MHz")
-    for case, extra in (("plain", []), ("config", ["--config", str(user)])):
+    for case, extra, shape in (("plain", [], (256, 256)),
+                               ("config", ["--config", str(user)], (16, 16))):
         tmp = tmp_path / case / "tmp"
         tmp.mkdir(parents=True)
         out = tmp_path / case / "maps"
-        run = _run_script("make_reference_maps.py", "--fast", "--out", str(out),
+        run = _run_script("make_reference_maps.py", "--out", str(out),
                           *extra, env={"TMPDIR": str(tmp)})
         assert run.returncode == 0, run.stderr
         assert sorted(p.name for p in out.iterdir()) == sorted([
             "chi5_map.csv", "correlation_map.csv", "diag_10ns.csv",
-            "dispersion_s2.csv", "dispersion_s3.csv", "fast.cfg",
+            "dispersion_s2.csv", "dispersion_s3.csv",
             "trace-out-S1.csv", "trace-out-S2.csv", "trace-out-S3.csv"])
         assert list(tmp.iterdir()) == []
-        fast = (out / "fast.cfg").read_text()
-        assert fast.endswith("map_n2 = 64\nmap_n3 = 64\n")
-        if extra:
-            assert fast.startswith(SMALL + "delta2 = -100 MHz\n")
         grid = io_formats.read_complex_grid(out / "chi5_map.csv")
-        assert grid.values.shape == (64, 64)
+        assert grid.values.shape == shape
 
 
 def test_stream_study_script_runs(tmp_path):
@@ -505,14 +551,21 @@ def test_timestamp_at_2_63_exit_code(tmp_path, capsys, raw_event_file):
     assert str(path) in err and "record 3000" in err
 
 
-def test_timestamp_after_duration_exit_code(tmp_path, capsys, raw_event_file):
+def test_timestamp_after_duration_exit_code(tmp_path, capsys, monkeypatch,
+                                            raw_event_file):
     """Counts divided by a header duration shorter than the stream would
-    give scaled rates, so analyze refuses the file."""
+    give scaled rates, so analyze refuses the file, before the matcher sees
+    its first record chunk."""
+    def no_match(*args, **kwargs):
+        raise AssertionError("the file was matched")
+
     s = np.zeros(3, dtype=EVENT_DTYPE)
     s["timestamp_ps"] = (10, 20, 10 ** 13)
     s["channel"] = (1, 2, 3)
     path = tmp_path / "short.tpe1"
     raw_event_file(path, s["timestamp_ps"], s["channel"], duration_ps=10 ** 12)
+    monkeypatch.setattr(io_formats, "RECORD_CHUNK", 1)
+    monkeypatch.setattr(cli, "triple_histogram", no_match)
     assert main(["analyze", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert str(path) in err and "record 2" in err and "duration_ps" in err

@@ -385,6 +385,23 @@ def test_both_readers_refuse_malformed_files_alike(tmp_path, monkeypatch,
     assert str(channels.value) == str(events.value)
 
 
+@pytest.mark.parametrize("patch, message", [
+    (None, "record 18 has timestamp 190 ps, after the header duration_ps 184"),
+    ((4, "channel", 0), "record 4 has channel 0, outside 1..4")],
+    ids=["late", "channel-before-late"])
+def test_read_channel_chunks_refuses_a_late_tail_at_the_call(
+        tmp_path, monkeypatch, raw_event_file, patch, message):
+    """A file whose last record is stamped after the header duration_ps is
+    refused when read_channel_chunks is called, before any chunk is handed
+    on, and a bad record before the late tail keeps its precedence."""
+    path = _malformed("after-duration", tmp_path / "late.tpe1", raw_event_file)
+    if patch:
+        _patched_on_disk(path, *patch)
+    monkeypatch.setattr(io_formats, "RECORD_CHUNK", 3)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        io_formats.read_channel_chunks(path, (1, 2, 3))
+
+
 def test_event_file_io_peak_memory(tmp_path):
     """Writing and reading 4.8M events (the 600 s reference mix) takes at
     most 4 MB beside the stream: one 1 MB record chunk and its channel

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from triphoton.errors import InvalidParameterError
-from triphoton.params import (DecayRates, DetuningOffsets, DipoleMoments,
-                              DriveFields, ExperimentParams, SpectralFrame,
+from triphoton.params import (OMEGA31, OMEGA42, DecayRates, DetuningOffsets,
+                              DriveFields, ExperimentParams,
                               VaporCell, default_params, density_for_od,
                               doppler_detunings, doppler_width,
                               effective_rabi, maxwell_boltzmann_pdf,
@@ -33,10 +33,10 @@ def test_thermal_velocity_reference(params):
     assert params.sigma_v == pytest.approx(1.859570724773e2, rel=1e-9)
 
 
-def test_doppler_width_reference(params):
-    assert doppler_width(353.15, params.frame) == pytest.approx(
+def test_doppler_width_reference():
+    assert doppler_width(353.15) == pytest.approx(
         3.527407956287e9, rel=1e-9)
-    assert doppler_width(388.15, params.frame) == pytest.approx(
+    assert doppler_width(388.15) == pytest.approx(
         3.698076407948e9, rel=1e-9)
 
 
@@ -77,9 +77,8 @@ def test_velocity_pdf_even_and_normalized(T):
 
 @given(st.floats(min_value=1.0, max_value=2000.0))
 def test_doppler_width_sqrt_scaling(T):
-    frame = SpectralFrame()
-    assert doppler_width(4 * T, frame) == pytest.approx(
-        2 * doppler_width(T, frame), rel=1e-12)
+    assert doppler_width(4 * T) == pytest.approx(
+        2 * doppler_width(T), rel=1e-12)
 
 
 @given(st.floats(min_value=-1e10, max_value=1e10))
@@ -100,12 +99,11 @@ def test_offsets_sum_rule(d2, d3):
 @given(st.floats(min_value=-400.0, max_value=400.0))
 def test_doppler_detunings_affine(params, v):
     d = params.drive
-    f = params.frame
-    dd1, dd2, dd3 = doppler_detunings(v, d, f)
+    dd1, dd2, dd3 = doppler_detunings(v, d)
     c = 299792458.0
-    assert dd1 == pytest.approx(d.delta1 + v * f.omega31 / c, rel=1e-12)
-    assert dd2 == pytest.approx(d.delta2 - v * f.omega42 / c, rel=1e-12)
-    assert dd3 == pytest.approx(d.delta3 + v * f.omega42 / c, rel=1e-12)
+    assert dd1 == pytest.approx(d.delta1 + v * OMEGA31 / c, rel=1e-12)
+    assert dd2 == pytest.approx(d.delta2 - v * OMEGA42 / c, rel=1e-12)
+    assert dd3 == pytest.approx(d.delta3 + v * OMEGA42 / c, rel=1e-12)
 
 
 @given(st.floats(min_value=-300.0, max_value=300.0))
@@ -114,7 +112,7 @@ def test_resonance_centers_sorted_and_paired(params, v):
     for centers in (rs.centers_d1, rs.centers_d2, rs.centers_d3):
         assert list(centers) == sorted(centers)
     # the two delta3 poles are symmetric about -DeltaD3/2
-    _, _, dd3 = doppler_detunings(v, params.drive, params.frame)
+    _, _, dd3 = doppler_detunings(v, params.drive)
     assert sum(rs.centers_d3) * (1 - v / 299792458.0) == pytest.approx(
         -dd3, rel=1e-9, abs=1e-3)
 
@@ -137,16 +135,15 @@ def test_optical_depth_linear_in_density_and_length(params):
                         density_N=2 * cell.density_N)
     longer = VaporCell(temperature=cell.temperature,
                        length_L=2 * cell.length_L, density_N=cell.density_N)
-    args = (params.frame, params.dip)
-    base = optical_depth(cell, *args)
-    assert optical_depth(doubled, *args) == pytest.approx(2 * base, rel=1e-12)
-    assert optical_depth(longer, *args) == pytest.approx(2 * base, rel=1e-12)
+    base = optical_depth(cell)
+    assert optical_depth(doubled) == pytest.approx(2 * base, rel=1e-12)
+    assert optical_depth(longer) == pytest.approx(2 * base, rel=1e-12)
 
 
 def test_density_back_solve_inverts_od(params):
     n = density_for_od(10.0, 353.15)
     cell = VaporCell(temperature=353.15, length_L=0.07, density_N=n)
-    od = optical_depth(cell, SpectralFrame(), DipoleMoments())
+    od = optical_depth(cell)
     assert od == pytest.approx(10.0, rel=1e-12)
 
 
@@ -189,7 +186,7 @@ def test_experiment_params_keeps_its_records(params):
     assert p.cell is c and p.rates is r and p.drive is d
     dense = dataclasses.replace(
         p, cell=dataclasses.replace(c, density_N=3 * c.density_N))
-    assert dense.od == optical_depth(dense.cell, dense.frame, dense.dip)
+    assert dense.od == optical_depth(dense.cell)
     assert dense.od == pytest.approx(3 * p.od, rel=1e-12)
 
 
@@ -231,4 +228,4 @@ def test_pdf_rejects_nonpositive_temperature():
     with pytest.raises(InvalidParameterError):
         maxwell_boltzmann_pdf(0.0, 0.0)
     with pytest.raises(InvalidParameterError):
-        doppler_width(-5.0, SpectralFrame())
+        doppler_width(-5.0)

@@ -9,7 +9,8 @@ from triphoton.constants import CONST
 from triphoton import susceptibility
 from triphoton.errors import (InvalidParameterError, NumericalDomainError,
                               RangeError)
-from triphoton.params import default_params, density_for_od, doppler_detunings
+from triphoton.params import (KBAR, OMEGA31, OMEGA42, default_params,
+                              density_for_od, doppler_detunings)
 from triphoton.susceptibility import (ComplexGrid2D, GridSpec2D,
                                       VelocityQuadrature, chi5, chi5_map,
                                       chi_linear_s1, chi_linear_s2,
@@ -105,7 +106,7 @@ def test_chi5_map_matches_direct_integral(params):
     d2, d3 = (a[..., None] for a in np.meshgrid(*spec.axes(), indexing="ij"))
     r, drv = params.rates, params.drive
     v, w = MIDPOINT.nodes_weights(params)
-    dd1, dd2, dd3 = doppler_detunings(v, drv, params.frame)
+    dd1, dd2, dd3 = doppler_detunings(v, drv)
     wm, wp = 1.0 - v / CONST.c, 1.0 + v / CONST.c
     s = wm * d2 + wp * d3
     b1 = r.gamma31 + 1j * dd1
@@ -235,7 +236,7 @@ def _coincident_pole_params(params):
     delta3 = 0: with Omega3 = 0, b3 = Gamma11 (Gamma41 + i DeltaD3) there,
     whose root equals that of b1 = Gamma31 + i DeltaD1 once
     Gamma31 / omega31 = Gamma41 / omega42 and Delta1 / omega31 = Delta3 / omega42."""
-    ratio = params.frame.omega31 / params.frame.omega42
+    ratio = OMEGA31 / OMEGA42
     return dataclasses.replace(
         params,
         rates=dataclasses.replace(params.rates, gamma31=params.rates.gamma41 * ratio),
@@ -246,9 +247,9 @@ def _coincident_pole_params(params):
 def test_chi5_coincident_poles_fall_back(params):
     coincident = _coincident_pole_params(params)
     _, ok = susceptibility._doppler_average(
-        1.0, 0.0, ((1j * coincident.frame.omega31 / CONST.c,
+        1.0, 0.0, ((1j * OMEGA31 / CONST.c,
                     -(coincident.rates.gamma31 + 1j * coincident.drive.delta1)),
-                   (1j * coincident.frame.omega42 / CONST.c,
+                   (1j * OMEGA42 / CONST.c,
                     -(coincident.rates.gamma41 + 1j * coincident.drive.delta3))),
         coincident.sigma_v)
     assert not ok
@@ -396,9 +397,8 @@ def test_dispersion_absorption_calibrated_to_od(params, quad):
     """The rescaled profile's peak absorption coefficient equals the OD."""
     axis = np.linspace(-2 * np.pi * 2e9, 2 * np.pi * 2e9, 512)
     prof = dispersion_profile("S2", axis, params, quad)
-    kbar = params.frame.kbar["S2"]
     peak = float(np.max(np.abs(np.imag(prof.chi))))
-    assert kbar * params.cell.length_L * peak == pytest.approx(
+    assert KBAR * params.cell.length_L * peak == pytest.approx(
         params.od, rel=1e-12)
 
 
