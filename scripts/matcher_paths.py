@@ -1,11 +1,18 @@
 #!/usr/bin/env python3
-"""Measure the paths of the three-fold matcher's stop search on event files.
+"""Measure what the three-fold matcher is handed, and the paths of its stop
+search, on event files.
+
+coincidence.triple_histogram matches only the records that lie in a
+three-record cluster (coincidence._clusters): three consecutive records
+within one span.  That share decides what the matcher costs, so for each
+TPE1 file, read through io_formats.read_channel_chunks, this prints first
+the channel 1-3 records the clusters keep, of all of them.
 
 coincidence._stop_ranges finds each start's stops in two steps: the first
 stop, by a sort-merge of a block of starts with the stops between them or,
 when those stops are over _MERGE_RATIO per start, by a binary search; then
 the range end, by a test of the next stop and a search for the starts whose
-next stop is in the window too.  For each TPE1 file this prints
+next stop is in the window too.  On the kept records this then prints
 
 * per stop channel, the share of _stop_ranges calls and of starts whose
   stops in reach (between a block's first and last start, per start) are
@@ -17,7 +24,8 @@ next stop is in the window too.  For each TPE1 file this prints
 * the time of triple_histogram, median of --repeat runs in this process
   with the variants alternating: the library's _stop_ranges, search only,
   merge only, and 0 to 3 forward steps from the first stop before the end
-  search at the library's merge ratio.
+  search at the library's merge ratio; each run filters and matches the
+  file's records.
 
 Usage: PYTHONPATH=src python scripts/matcher_paths.py FILE.tpe1 [...]
 """
@@ -29,6 +37,7 @@ from functools import partial
 import numpy as np
 
 from triphoton import coincidence, io_formats
+from triphoton.eventsim import split_channels
 
 RATIOS = (1, 2, 4, 8, 16, 64)
 
@@ -65,7 +74,7 @@ def ranges(starts, stops, span, ratio, steps):
     return keep, lo, n
 
 
-def shares(times, window, bin_width):
+def shares(records, window, bin_width):
     """Per stop channel: calls and starts above each ratio, kept starts with
     more than k stops."""
     calls = {2: [], 3: []}
@@ -81,8 +90,7 @@ def shares(times, window, bin_width):
 
     coincidence._stop_ranges = record
     try:
-        coincidence.triple_histogram([(times[1], times[2], times[3])], window,
-                                     bin_width, 1.0)
+        coincidence.triple_histogram([records], window, bin_width, 1.0)
     finally:
         coincidence._stop_ranges = library
     for ch, rows in calls.items():
@@ -123,7 +131,7 @@ def crossover(times, repeat):
               f"{statistics.median(search) / m * 1e9:.1f} ns per start")
 
 
-def timings(times, window, bin_width, repeat):
+def timings(records, window, bin_width, repeat):
     ratio = coincidence._MERGE_RATIO
     variants = {"library": coincidence._stop_ranges,
                 "search only, 1 step": partial(ranges, ratio=-1, steps=1),
@@ -138,8 +146,7 @@ def timings(times, window, bin_width, repeat):
             for name, fn in variants.items():
                 coincidence._stop_ranges = fn
                 t = time.perf_counter()
-                h = coincidence.triple_histogram([(times[1], times[2], times[3])],
-                                                 window, bin_width, 1.0)
+                h = coincidence.triple_histogram([records], window, bin_width, 1.0)
                 runs[name].append(time.perf_counter() - t)
                 expect = h.counts if expect is None else expect
                 assert np.array_equal(h.counts, expect), name
@@ -158,13 +165,26 @@ def main():
     ap.add_argument("--bin", type=float, default=0.25e-9, help="bin [s]")
     ap.add_argument("--repeat", type=int, default=7, help="timed runs per variant")
     args = ap.parse_args()
+    w_ps, b_ps = coincidence.check_histogram(args.window, args.bin)
     for path in args.files:
-        _, chunks = io_formats.read_channel_chunks(path, (1, 2, 3))
-        times = dict(zip((1, 2, 3), map(np.concatenate, zip(*chunks))))
-        print(f"{path}: channel sizes {[times[c].size for c in (1, 2, 3)]}")
-        shares(times, args.window, args.bin)
+        _, chunks = io_formats.read_channel_chunks(path)
+        # the reader's buffers are reused, so each chunk is copied
+        records = tuple(map(np.concatenate,
+                            zip(*[(t.copy(), c.copy()) for t, c in chunks])))
+        stamps, channel = map(np.concatenate, zip(
+            *coincidence._clusters([records], w_ps // b_ps * b_ps)))
+        times = dict(zip((1, 2, 3), split_channels(channel, stamps, (1, 2, 3))))
+        kept = sum(t.size for t in times.values())
+        total = np.count_nonzero(records[1] <= 3)
+        print(f"{path}: three-record clusters keep {kept} of {total} channel 1-3 "
+              f"records ({kept / max(total, 1):.3%}); kept channel sizes "
+              f"{[times[c].size for c in (1, 2, 3)]}")
+        if not all(times[c].size for c in (1, 2, 3)):
+            print("  a channel has no record in a cluster: nothing to match")
+            continue
+        shares(records, args.window, args.bin)
         crossover(times, args.repeat)
-        timings(times, args.window, args.bin, args.repeat)
+        timings(records, args.window, args.bin, args.repeat)
 
 
 if __name__ == "__main__":

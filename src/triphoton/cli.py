@@ -191,7 +191,7 @@ def cmd_analyze(args) -> int:
     if floor_frame((w_ps // b_ps,) * 2) is None:
         raise ConfigError(f"window {w_ps} ps and bin {b_ps} ps make {w_ps // b_ps} bins "
                           "per axis, too few for the accidental floor's border frame")
-    header, chunks = io_formats.read_channel_chunks(args.eventfile, (1, 2, 3))
+    header, chunks = io_formats.read_channel_chunks(args.eventfile)
     duration = header["duration_ps"] / PS_PER_S
     method = args.method or cfg["method"]
     # the delayed circuit's offset cancels (reconstruct_triple_delayed)

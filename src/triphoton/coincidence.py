@@ -4,8 +4,13 @@ Implements the same logic as the experiment's counting electronics: pairwise
 start-stop histograms, the delayed-start three-fold reconstruction circuit,
 a direct three-fold matcher as the mathematical reference, flat-background
 estimation and subtraction, and the rate / nonclassicality report.  The
-three-fold matcher takes stamps chunk by chunk, carrying the starts whose
-window is open, so an event file is matched as it is read.
+three-fold histogram takes time-ordered record chunks, so an event file is
+matched as it is read.  A coincidence's clicks lie within one window, among
+consecutive records that all do, so each of them is one of three
+consecutive records within a window.  Only the records in such a
+three-record cluster (about 0.1% of them at the paper's operating point)
+reach the matcher, which takes their channel stamps chunk by chunk,
+carrying the starts whose window is open.
 
 Floor formula for independent Poisson channels with the all-stop matcher:
 each of the r1*T starts contributes on average (r2*bin) stops in a given
@@ -17,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from statistics import NormalDist
+from statistics import NormalDist, median
 
 import numpy as np
 
@@ -240,16 +245,59 @@ def _triple_match(chunks, w_ps: int, b_ps: int) -> np.ndarray:
     return counts.reshape(nbins, nbins)
 
 
+def _clusters(chunks, span: int):
+    """(stamps, channel bytes) of the records of time-ordered (stamps [ps],
+    channel bytes) record chunks that lie in a three-record cluster: three
+    consecutive records k, k + 1, k + 2, of any channels, with
+    t[k + 2] - t[k] < span.
+
+    A three-fold coincidence puts its start and two stops in one interval
+    [T, T + span).  The records stamped there are consecutive, so each is in
+    such a cluster, and a record in none adds to no count.  Each chunk joins
+    the last two records before it, with their marks; those two are marked
+    in full by the next chunk, or the end.  The stamps are sorted and below
+    2^63, so no difference wraps.  The records kept are handed on once they
+    reach _TRIPLE_BLOCK, and at the end, so the matcher runs once per block
+    of starts, not once per sparse chunk.
+    """
+    t = np.empty(0, dtype=np.int64)
+    channel = np.empty(0, dtype=np.uint8)
+    mark = np.empty(0, dtype=bool)
+    kept, size = [], 0
+    for stamps, ch in chunks:
+        t = np.concatenate((t[-2:], stamps.view(np.int64)))
+        channel = np.concatenate((channel[-2:], ch))
+        carried, mark = mark[-2:], np.zeros(t.size, dtype=bool)
+        mark[:carried.size] = carried
+        close = t[2:] - t[:-2] < span
+        mark[:-2] |= close
+        mark[1:-1] |= close
+        mark[2:] |= close
+        keep = np.flatnonzero(mark[:-2])
+        kept.append((t[keep], channel[keep]))
+        size += keep.size
+        if size >= _TRIPLE_BLOCK:
+            yield tuple(map(np.concatenate, zip(*kept)))
+            kept, size = [], 0
+    keep = np.flatnonzero(mark[-2:])
+    kept.append((t[-2:][keep], channel[-2:][keep]))
+    yield tuple(map(np.concatenate, zip(*kept)))
+
+
 def triple_histogram(chunks, window: float, bin_width: float, duration: float,
                      method: str = METHOD_LABELS["direct"]) -> CoincidenceHistogram2D:
-    """Three-fold histogram of (t1, t2, t3) chunks of sorted int64 stamps
-    [ps] in time order (_triple_match): read_channel_chunks' chunks as the
-    file is read, or [(t1, t2, t3)].  For each channel-1 click, every
-    (channel-2, channel-3) pair within the window counts once at (tau21,
-    tau31).  Both reconstructions run this.
+    """Three-fold histogram of time-ordered record chunks of (sorted stamps
+    [ps] below 2^63, channel bytes): read_channel_chunks' chunks as the file
+    is read, or [(stamps, channels)] of a stream.  For each channel-1 click,
+    every (channel-2, channel-3) pair within the window counts once at
+    (tau21, tau31).  Channels 1, 2 and 3 of the records in three-record
+    clusters (_clusters) are matched (_triple_match).  Both reconstructions
+    run this.
     """
     w_ps, b_ps = check_histogram(window, bin_width)
-    counts = _triple_match(chunks, w_ps, b_ps)
+    kept = (split_channels(channel, stamps, (1, 2, 3))
+            for stamps, channel in _clusters(chunks, w_ps // b_ps * b_ps))
+    counts = _triple_match(kept, w_ps, b_ps)
     axis = (np.arange(w_ps // b_ps) + 0.5) * b_ps / PS_PER_S
     return CoincidenceHistogram2D(tau21_axis=axis, tau31_axis=axis.copy(),
                                   counts=counts, duration=duration,
@@ -259,8 +307,11 @@ def triple_histogram(chunks, window: float, bin_width: float, duration: float,
 def _reconstruct(stream, window, bin_width, duration, method):
     if duration is None:
         duration = float(stream["timestamp_ps"].max()) / PS_PER_S if stream.size else 0.0
-    chunk = split_channels(stream["channel"], stream["timestamp_ps"], (1, 2, 3))
-    return triple_histogram([chunk], window, bin_width, duration,
+    # record chunks of _TRIPLE_BLOCK bound the filter's temporaries
+    stamps, channel = stream["timestamp_ps"], stream["channel"]
+    chunks = ((stamps[k:k + _TRIPLE_BLOCK], channel[k:k + _TRIPLE_BLOCK])
+              for k in range(0, stream.size, _TRIPLE_BLOCK))
+    return triple_histogram(chunks, window, bin_width, duration,
                             METHOD_LABELS[method])
 
 
@@ -318,7 +369,7 @@ def estimate_floor(hist: CoincidenceHistogram2D) -> float:
     mask[m1:-m1, m2:-m2] = False
     border = hist.counts[mask].astype(float)
     chunks = np.array_split(border, min(32, border.size))
-    return float(np.median([c.mean() for c in chunks]))
+    return float(median([c.mean() for c in chunks]))
 
 
 def subtract_accidentals(hist: CoincidenceHistogram2D,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from statistics import median
 
 import numpy as np
 
@@ -355,7 +356,7 @@ def _trace_floor(values: np.ndarray) -> float:
     """Background floor: median over the outer 10% of the trace samples."""
     m = max(int(round(0.05 * values.size)), 1)
     border = np.concatenate([values[:m], values[-m:]])
-    return float(np.median(border))
+    return float(median(border.tolist()))
 
 
 def _find_peaks(v: np.ndarray, height: float | None = None) -> np.ndarray:
@@ -400,7 +401,7 @@ def oscillation_period(trace: ConditionalTrace) -> PeriodEstimate:
         period = spectral_periods[0] if spectral_periods else float("nan")
         return PeriodEstimate(period=period, confidence=0.0,
                               spectral_periods=spectral_periods)
-    p_peaks = float(np.median(np.diff(trace.axis[peaks])))
+    p_peaks = float(median(np.diff(trace.axis[peaks]).tolist()))
     p_fft = spectral_periods[0]
     agree = abs(p_peaks - p_fft) / p_fft
     confidence = float(max(0.0, 1.0 - agree))

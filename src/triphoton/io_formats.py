@@ -10,8 +10,9 @@ origin tag only when exported with keep_origin (debug); otherwise zero.
 Files are written and read RECORD_CHUNK records at a time, so the I/O
 holds one 1 MB record buffer beside what it writes from or reads into,
 never a file-sized copy.  write_windows takes the stream as merge windows
-and read_channel_chunks hands it on as per-channel stamps one record chunk
-at a time, so neither needs the whole stream in memory.
+and read_channel_chunks hands it on as checked record chunks, the stamps
+and channel bytes of one chunk at a time, so neither needs the whole stream
+in memory.
 
 Grid CSVs: '#'-prefixed comment lines with axis names, units, sizes,
 normalization scale and parameter hash, then rows "axis1,axis2,real,imag"
@@ -30,7 +31,7 @@ import struct
 import numpy as np
 
 from .errors import ConfigError, InvalidParameterError
-from .eventsim import EVENT_DTYPE, _first_out_of_order, split_channels
+from .eventsim import EVENT_DTYPE, _first_out_of_order
 from .susceptibility import ComplexGrid2D
 
 MAGIC = b"TPE1"
@@ -203,28 +204,28 @@ def read_events(path):
     return stream, header
 
 
-def read_channel_chunks(path, channels):
+def read_channel_chunks(path):
     """(header, chunks) of a TPE1 file, its header checked at the call.
 
-    chunks yields, per record chunk of _checked_chunks, the tuple of the
-    int64 stamps [ps] of each of the channels, in file order
-    (eventsim.split_channels): the file is read once, and beside what the
-    consumer keeps the reader holds one record chunk and its stamps of the
-    channels asked for.  Raises what read_events raises: a file whose last
-    record is stamped after the header duration_ps at the call, before any
-    chunk is consumed, and any other record's error once chunks reaches it.
+    chunks yields, per record chunk of _checked_chunks, the records' int64
+    stamps [ps] and channel bytes, in file order: views of the reader's
+    reused buffers, which the next chunk overwrites.  The file is read once,
+    and beside what the consumer copies the reader holds one record chunk.
+    Raises what read_events raises: a file whose last record is stamped
+    after the header duration_ps at the call, before any chunk is consumed,
+    and any other record's error once chunks reaches it.
     """
     def read():
         with open(path, "rb") as fh:
             header, n = _open_events(fh, path)
             fh.seek(HEADER_LEN + (n - 1) * _RECORD_DTYPE.itemsize)
             if n and int.from_bytes(fh.read(8), "little") > header["duration_ps"]:
-                # one pass with no split raises the first bad record's error
+                # one pass of the checks alone raises the first bad record's error
                 for _ in _checked_chunks(fh, path, header, n):
                     pass
             yield header
             for _, rec, channel in _checked_chunks(fh, path, header, n):
-                yield split_channels(channel, rec["timestamp_ps"], channels)
+                yield rec["timestamp_ps"].view(np.int64), channel
     chunks = read()
     return next(chunks), chunks
 

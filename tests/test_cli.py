@@ -216,6 +216,52 @@ def test_analyze_bytes_pinned(tmp_path):
         assert got == digests, method
 
 
+# sha256 of analyze's outputs for a seeded 60 s run of SMALL at the default
+# source mix (singles, darks, dual pairs and triplets): ~480k events, of
+# which about 0.1% lie in a three-record cluster, and a zero accidental floor
+_PINNED_ANALYZE_SPARSE = {
+    "direct": ("e0b1ae87f04dc0b360004a6323d1822770b55747f5168e2f18ef1d1f64649682",
+               "cec46974fe473931922a1cb7b5d23ad7808154c260be0ca27dabb490e855c633"),
+    "delayed": ("28816fb0be7bde4646956df537b8136e8c2f131dffacdcd99ec3a88de61199f1",
+                "65421d417bae578a4174fadace5af63925be4d41e025a576fedb7559782c5112"),
+}
+
+
+def test_analyze_bytes_pinned_sparse(small_cfg, tmp_path):
+    """analyze writes the same histogram2d.csv and report.json, byte for
+    byte, for both methods on a sparse file, where the matcher sees only the
+    few records that lie in a three-record cluster."""
+    events = tmp_path / "run.tpe1"
+    assert main(["simulate", "--config", small_cfg, "--out", str(events),
+                 "--duration", "60", "--seed", "11"]) == 0
+    for method, digests in _PINNED_ANALYZE_SPARSE.items():
+        out = tmp_path / method
+        assert main(["analyze", "--config", small_cfg, str(events),
+                     "--out", str(out), "--method", method]) == 0
+        got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in ("histogram2d.csv", "report.json"))
+        assert got == digests, method
+
+
+def test_analyze_leaves_numpy_ma_unimported(small_cfg, tmp_path):
+    """No median on analyze's path goes through np.median, whose NaN check
+    imports numpy.ma (about 10 ms) on first use."""
+    events = tmp_path / "run.tpe1"
+    assert main(["simulate", "--config", small_cfg, "--out", str(events),
+                 "--duration", "5"]) == 0
+    code = ("import sys\n"
+            "from triphoton.cli import main\n"
+            f"assert main(['analyze', {str(events)!r}, '--out', "
+            f"{str(tmp_path / 'o')!r}]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    root = Path(__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=str(root / "src")))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"
+
+
 # sha256 of the data rows (the lines not starting with '#') the map commands
 # write on SMALL, under the midpoint rule of SMALL and under the exact scheme
 _PINNED_MAPS = {
@@ -275,9 +321,11 @@ def _run_script(name, *args, env=None):
 
 
 def test_matcher_paths_script_runs(tmp_path):
-    """scripts/matcher_paths.py patches coincidence._stop_ranges and reads
-    _TRIPLE_BLOCK and _MERGE_RATIO; it still runs on a 0.5 s dense file and
-    times triple_histogram with each of its seven stop-search variants."""
+    """scripts/matcher_paths.py runs coincidence._clusters, patches
+    coincidence._stop_ranges and reads _TRIPLE_BLOCK and _MERGE_RATIO; it
+    still runs on a 0.5 s dense file, prints the share of records the
+    clusters keep and times triple_histogram with each of its seven
+    stop-search variants."""
     cfg = tmp_path / "dense.cfg"
     cfg.write_text(SMALL + "triplet_rate = 20000 /s\n" + "".join(
         f"singles_rate_ch{c} = 20000 /s\n" for c in (1, 2, 3)))
@@ -286,6 +334,7 @@ def test_matcher_paths_script_runs(tmp_path):
                  "--duration", "0.5"]) == 0
     run = _run_script("matcher_paths.py", str(events), "--repeat", "1")
     assert run.returncode == 0, run.stderr
+    assert ": three-record clusters keep " in run.stdout.splitlines()[0], run.stdout
     timed = [line for line in run.stdout.splitlines()
              if line.startswith("  triple_histogram, ")]
     assert len(timed) == 7 and timed[0].startswith("  triple_histogram, library: "), \

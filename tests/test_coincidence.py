@@ -222,6 +222,62 @@ def test_chunked_match_equals_one_chunk_and_brute_force(cut_records, block):
     assert np.array_equal(got, _brute_grid(*whole, w_ps, b_ps))
 
 
+@st.composite
+def _spread_records(draw):
+    """A (window, bin) pair [ps] and (stamp, channel) records sorted by stamp
+    alone, over a dozen windows below 2^63 - 1: ties, three-record clusters
+    and records in none of them are all common."""
+    w_ps, b_ps = draw(st.sampled_from([(30, 4), (12, 3), (50, 50), (7, 1)]))
+    records = draw(st.lists(st.tuples(st.integers(_TOP - 12 * w_ps, _TOP),
+                                      st.integers(1, 4)), max_size=60))
+    records.sort(key=lambda r: r[0])
+    return w_ps, b_ps, records
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spread_records(), st.sampled_from([1, 2, 3, 1 << 16]),
+       st.sampled_from([1, 3, 1 << 16]))
+def test_filtered_match_equals_unfiltered_and_brute_force(
+        tmp_path_factory, raw_event_file, spread_records, chunk, block):
+    """triple_histogram, which matches only the records in three-record
+    clusters, counts what _triple_match counts on every record and what
+    brute force counts: the file read 1, 2, 3 or 2^16 records at a time,
+    ties, stamps up to 2^63 - 1, a window that is not a whole number of bins
+    and kept records handed on 1, 3 or 2^16 at a time."""
+    w_ps, b_ps, records = spread_records
+    stamps = [t for t, _ in records]
+    path = raw_event_file(tmp_path_factory.mktemp("filter") / "run.tpe1",
+                          stamps, [c for _, c in records], duration_ps=_TOP)
+    whole = eventsim.split_channels(np.array([c for _, c in records], np.uint8),
+                                    np.array(stamps, np.uint64), (1, 2, 3))
+    with mock.patch.object(io_formats, "RECORD_CHUNK", chunk), \
+            mock.patch.object(coincidence, "_TRIPLE_BLOCK", block):
+        _, chunks = io_formats.read_channel_chunks(path)
+        got = coincidence.triple_histogram(chunks, w_ps * 1e-12, b_ps * 1e-12, 1.0)
+        every = coincidence._triple_match([whole], w_ps, b_ps)
+    assert np.array_equal(got.counts, every)
+    assert np.array_equal(got.counts, _brute_grid(*whole, w_ps, b_ps))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 7])
+def test_clusters_keep_a_triple_at_every_seam(size):
+    """_clusters keeps the three records of a cluster wherever the chunk
+    seams cut it, and drops a lone pair of close records, three records
+    spread over exactly the span and records far from any other."""
+    span = 100
+    for before in range(2 * size + 3):
+        groups = ([[0]] * before + [[0, 10, 99]] + [[0]] * 2 + [[0, 50]]
+                  + [[0]] * 2 + [[0, 40, 100]] + [[0]] * 3)
+        stamps = np.concatenate([1000 * k + np.array(g) for k, g in enumerate(groups)])
+        channel = (1 + np.arange(stamps.size) % 4).astype(np.uint8)
+        chunks = [(stamps[i:i + size], channel[i:i + size])
+                  for i in range(0, stamps.size, size)]
+        kept = [np.concatenate(k) for k in zip(*coincidence._clusters(chunks, span))]
+        triple = slice(before, before + 3)
+        assert np.array_equal(kept[0], stamps[triple]), (size, before)
+        assert np.array_equal(kept[1], channel[triple]), (size, before)
+
+
 def test_analyze_counts_coincidence_one_window_below_2_63(tmp_path,
                                                           raw_event_file):
     from triphoton.cli import main
@@ -383,7 +439,7 @@ def test_delayed_peak_memory_not_above_direct():
 
 
 def test_channel_read_and_match_peak_memory(tmp_path):
-    """analyze's path, read_channel_chunks plus the start-blocked match,
+    """analyze's path, read_channel_chunks plus the filtered match,
     peaks at <= 0.25x the bytes of the reference mix's stream (600 s, 4.8M
     events): one record chunk, its channel stamps and one block of starts,
     never the stream."""
@@ -397,7 +453,7 @@ def test_channel_read_and_match_peak_memory(tmp_path):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        _, chunks = io_formats.read_channel_chunks(path, (1, 2, 3))
+        _, chunks = io_formats.read_channel_chunks(path)
         hist = coincidence.triple_histogram(chunks, 195e-9, 0.25e-9, cfg.duration)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
@@ -425,7 +481,7 @@ def test_channel_chunk_match_peak_memory_independent_of_length(tmp_path):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            _, chunks = io_formats.read_channel_chunks(path, (1, 2, 3))
+            _, chunks = io_formats.read_channel_chunks(path)
             hist = coincidence.triple_histogram(chunks, 195e-9, 0.25e-9, cfg.duration)
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
         finally:
@@ -437,14 +493,44 @@ def test_channel_chunk_match_peak_memory_independent_of_length(tmp_path):
         f"{peaks[0] / 1e6:.1f} MB over 60 s, {peaks[1] / 1e6:.1f} MB over 600 s"
 
 
+def test_matcher_sees_under_one_percent_of_reference_records(tmp_path,
+                                                             monkeypatch):
+    """On the reference mix over 600 s (4.8M events) the three-record
+    clusters hold under 1% of the channel 1-3 records: only they reach the
+    matcher, which counts what it counts on every record."""
+    cfg = default_config().source_config(duration=600.0)
+    axis = np.linspace(0.0, 10e-9, 8)
+    cmap = CorrelationMap(grid=ComplexGrid2D(axis1=axis, axis2=axis,
+                                             values=np.ones((8, 8), complex)))
+    path = tmp_path / "run.tpe1"
+    io_formats.write_windows(path, eventsim.stream_windows(cmap, cfg),
+                             seed=cfg.seed, duration_ps=600 * PS_PER_S)
+    matched, match = [], coincidence._triple_match
+
+    def tally(chunks, w_ps, b_ps):
+        counted = (matched.append(sum(t.size for t in c)) or c for c in chunks)
+        return match(counted, w_ps, b_ps)
+
+    monkeypatch.setattr(coincidence, "_triple_match", tally)
+    _, chunks = io_formats.read_channel_chunks(path)
+    hist = coincidence.triple_histogram(chunks, 195e-9, 0.25e-9, cfg.duration)
+    monkeypatch.undo()
+    every, total = [], 0
+    for stamps, channel in io_formats.read_channel_chunks(path)[1]:
+        every.append(eventsim.split_channels(channel, stamps, (1, 2, 3)))
+        total += sum(t.size for t in every[-1])
+    assert total > 4_000_000 and hist.counts.sum() > 0
+    assert sum(matched) < 0.01 * total, f"{sum(matched)} of {total}"
+    assert np.array_equal(hist.counts, match(every, 195_000, 250))
+
+
 def test_triple_histogram_takes_channel_arrays():
-    """The matcher analyze runs, given whole channel arrays as one chunk,
-    counts what both reconstructions count on the stream they come from."""
+    """The matcher analyze runs, given a stream's stamp and channel arrays
+    as one record chunk, counts what both reconstructions count."""
     rng = np.random.default_rng(41)
     s = _random_stream(rng, 30, 4000, channels=(1, 2, 3, 4))
-    t = {ch: s["timestamp_ps"][s["channel"] == ch].astype(np.int64)
-         for ch in (1, 2, 3)}
-    h = coincidence.triple_histogram([(t[1], t[2], t[3])], 1e-9, 0.1e-9, 1.0)
+    h = coincidence.triple_histogram([(s["timestamp_ps"], s["channel"])],
+                                     1e-9, 0.1e-9, 1.0)
     assert h.counts.sum() > 30
     assert np.array_equal(h.counts, _brute_triple(s, 1000, 100))
     for reconstruct in (reconstruct_triple_direct, reconstruct_triple_delayed):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from triphoton.errors import ConfigError, InvalidParameterError
-from triphoton.eventsim import EVENT_DTYPE
+from triphoton.eventsim import EVENT_DTYPE, split_channels
 from triphoton.susceptibility import ComplexGrid2D
 from triphoton import io_formats
 
@@ -282,12 +282,13 @@ def test_writer_rejects_record_after_duration(tmp_path, record_chunk):
 
 def _read_whole(path, channels):
     """(header, {c: channel c's stamps over every chunk}) of
-    read_channel_chunks, each chunk's arrays checked to be int64."""
-    header, chunks = io_formats.read_channel_chunks(path, channels)
+    read_channel_chunks, each record chunk's stamps checked to be int64 and
+    split over the channels as it comes."""
+    header, chunks = io_formats.read_channel_chunks(path)
     parts = {c: [np.empty(0, dtype=np.int64)] for c in channels}
-    for chunk in chunks:
-        for c, t in zip(channels, chunk):
-            assert t.dtype == np.int64
+    for stamps, channel in chunks:
+        assert stamps.dtype == np.int64 and stamps.size == channel.size
+        for c, t in zip(channels, split_channels(channel, stamps, channels)):
             parts[c].append(t)
     return header, {c: np.concatenate(p) for c, p in parts.items()}
 
@@ -298,8 +299,8 @@ def _read_whole(path, channels):
        st.integers(1, 8), st.sampled_from([None, (3,), (2, 4)]))
 def test_read_channel_chunks_equals_split_of_read_events(tmp_path_factory, records,
                                                          chunk, only):
-    """read_channel_chunks, which takes each channel of a record chunk by
-    index, yields each channel's stamps in file order: with channels absent
+    """read_channel_chunks yields the records in file order, so the split
+    of its record chunks is each channel's stamps: with channels absent
     from the file (only (3,) or (2, 4)) or from a chunk, chunks of one
     record, interleaved channels and stamps up to 2^63 - 1."""
     s = np.zeros(len(records), dtype=EVENT_DTYPE)
@@ -321,9 +322,10 @@ def test_read_channel_chunks_equals_split_of_read_events(tmp_path_factory, recor
 
 def test_read_channel_chunks_splits_over_channels_requested(tmp_path, raw_event_file,
                                                             monkeypatch):
-    """A header may declare 65535 channels while its records use 4: each
-    record chunk is split over the channels asked for (one index pass per
-    channel), not over every channel declared."""
+    """A header may declare 65535 channels while its records use 4: the
+    reader hands on record chunks without a split, so each is split over the
+    channels asked for (one index pass per channel), not over every channel
+    declared."""
     channel = 1 + np.arange(400) % 4
     path = raw_event_file(tmp_path / "wide.tpe1", 10 * np.arange(400), channel,
                           duration_ps=10 ** 6, channel_count=65535)
@@ -399,7 +401,7 @@ def test_read_channel_chunks_refuses_a_late_tail_at_the_call(
         _patched_on_disk(path, *patch)
     monkeypatch.setattr(io_formats, "RECORD_CHUNK", 3)
     with pytest.raises(ConfigError, match=re.escape(message)):
-        io_formats.read_channel_chunks(path, (1, 2, 3))
+        io_formats.read_channel_chunks(path)
 
 
 def test_event_file_io_peak_memory(tmp_path):
