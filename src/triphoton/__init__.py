@@ -1,6 +1,6 @@
 """Simulation and analysis of six-wave-mixing triphoton correlations.
 
-Subpackages cover the physical parameter records and dressed-state analysis
+Its modules cover the physical parameter records and dressed-state analysis
 (params), Doppler-integrated susceptibilities and dispersion
 (susceptibility), temporal correlation maps (correlation), Monte Carlo
 event-stream synthesis (eventsim), coincidence reconstruction (coincidence),
@@ -12,18 +12,17 @@ from .params import (VaporCell, DecayRates, DriveFields, DetuningOffsets,
                      ResonanceSet, OMEGA31, OMEGA41, OMEGA42, KBAR, NOMINAL_DIPOLE,
                      ExperimentParams, default_params, maxwell_boltzmann_pdf,
                      doppler_detunings, effective_rabi, resonance_set,
-                     resonance_channels, optical_depth, doppler_width)
+                     optical_depth, doppler_width)
 from .susceptibility import (VelocityQuadrature, ComplexGrid2D, GridSpec2D,
-                             DispersionProfile, chi5, chi5_map, chi_linear_s2,
-                             chi_linear_s3, chi_linear_s1, dispersion_profile,
-                             phase_mismatch, longitudinal_phi)
+                             DispersionProfile, chi5, chi5_map, chi_linear_s1,
+                             dispersion_profile, phase_mismatch,
+                             longitudinal_phi)
 from .correlation import (CorrelationMap, ConditionalTrace,
                           default_spectral_window, spectral_kernel,
                           triphoton_amplitude_map, conditional_r2_closed,
                           trace_map, diagonal_cut, oscillation_period,
                           visibility, cauchy_schwarz_factor)
-from .eventsim import (SourceConfig, EVENT_DTYPE, sample_triplet_delays,
-                       generate_stream)
+from .eventsim import SourceConfig, EVENT_DTYPE, generate_stream
 from .coincidence import (CoincidenceHistogram2D, RatesReport,
                           pairwise_histogram, reconstruct_triple_direct,
                           reconstruct_triple_delayed, estimate_floor,

@@ -160,13 +160,14 @@ _UNDEFINED_REASONS = {
     "g3_peak": "zero accidental floor: the peak-to-floor ratio is unbounded",
     "cauchy_schwarz": "zero accidental floor: the peak-to-floor ratio is unbounded",
     "dominant_periods_s": "no oscillation period found in a marginal trace",
+    "visibility": "the tau21 marginal has no full oscillation after its peak",
 }
 
 
 def _nulled(val):
-    """(val with each non-finite float replaced by None, whether any was)."""
-    if isinstance(val, float):
-        return (val, False) if np.isfinite(val) else (None, True)
+    """(val with each None or non-finite float as None, whether any was)."""
+    if val is None or isinstance(val, float) and not np.isfinite(val):
+        return None, True
     if isinstance(val, (list, tuple)):
         items = [_nulled(v) for v in val]
         return [v for v, _ in items], any(hit for _, hit in items)
@@ -174,8 +175,8 @@ def _nulled(val):
 
 
 def _strict_json(rep: dict) -> dict:
-    """rep as strict JSON: a non-finite number becomes null plus a
-    '<key>_reason' string."""
+    """rep as strict JSON: an undefined value (None or a non-finite
+    number) becomes null plus a '<key>_reason' string."""
     out = {}
     for key, val in rep.items():
         out[key], hit = _nulled(val)

@@ -10,7 +10,8 @@ consecutive records that all do, so each of them is one of three
 consecutive records within a window.  Only the records in such a
 three-record cluster (about 0.1% of them at the paper's operating point)
 reach the matcher, which takes their channel stamps chunk by chunk,
-carrying the starts whose window is open.
+carrying the starts whose window is open, and finds each start's stops by
+one sort-merge of the starts with the stops between them.
 
 Floor formula for independent Poisson channels with the all-stop matcher:
 each of the r1*T starts contributes on average (r2*bin) stops in a given
@@ -34,10 +35,6 @@ from .eventsim import PS_PER_S, split_channels
 # starts merged with their stops, and (stop2, stop3) pair numbers expanded
 # and binned, at once by the three-fold matcher
 _TRIPLE_BLOCK = 1 << 16
-# stops in reach per start above which _stop_ranges searches, not merges:
-# on the workload files the merge costs less below 4-5 per start, more
-# above 6 (scripts/matcher_paths.py), and it holds at most 5 keys per start
-_MERGE_RATIO = 4
 
 # the histogram label of each reconstruction method
 METHOD_LABELS = {"direct": "direct-3fold", "delayed": "delayed-pairwise"}
@@ -106,22 +103,20 @@ def _stop_ranges(starts: np.ndarray, stops: np.ndarray, span: int):
     keep indexes those starts; their stops are stops[lo:lo + n].  Both are
     sorted stamps in 0..2^63 - 1, stops non-empty.  The first stops come
     from one sort-merge of the starts (keys stamp << 1) with the stops
-    between them (stamp << 1 | 1, so a tie puts the start first), or from a
-    search where those stops are over _MERGE_RATIO per start.  Where the
-    next stop is in reach too, the range end is searched, summed in uint64,
+    between the first and the last start (stamp << 1 | 1, so a tie puts the
+    start first).  The matcher's blocks of starts are disjoint in time, so
+    their merges cost time linear in the records matched.  Where the next
+    stop is in reach too, the range end is searched, summed in uint64,
     which cannot wrap; the reach tests compare stop - start < span.
     """
     a, b = np.searchsorted(stops, starts[[0, -1]]) if starts.size else (0, 0)
-    if b - a > _MERGE_RATIO * starts.size:
-        lo = np.searchsorted(stops, starts)
-    else:
-        keys = np.empty(starts.size + b - a, dtype=np.uint64)
-        np.left_shift(starts.view(np.uint64), 1, out=keys[:starts.size])
-        np.left_shift(stops[a:b].view(np.uint64), 1, out=keys[starts.size:])
-        keys[starts.size:] |= 1
-        keys.sort(kind="stable")  # timsort: one merge of the two sorted runs
-        # start k is the k-th even key, after the stops below it
-        lo = a + np.flatnonzero((keys & 1) == 0) - np.arange(starts.size)
+    keys = np.empty(starts.size + b - a, dtype=np.uint64)
+    np.left_shift(starts.view(np.uint64), 1, out=keys[:starts.size])
+    np.left_shift(stops[a:b].view(np.uint64), 1, out=keys[starts.size:])
+    keys[starts.size:] |= 1
+    keys.sort(kind="stable")  # timsort: one merge of the two sorted runs
+    # start k is the k-th even key, after the stops below it
+    lo = a + np.flatnonzero((keys & 1) == 0) - np.arange(starts.size)
     keep = np.flatnonzero((lo < stops.size)
                           & (stops.take(lo, mode="clip") - starts < span))
     lo, starts = lo[keep], starts[keep]

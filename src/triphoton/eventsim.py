@@ -71,12 +71,13 @@ class SourceConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # the stamps are viewed as int64 downstream, the seed feeds a u64
+        # the stamps are viewed as int64 downstream, the seed feeds a u64;
+        # an event file's header holds the duration in whole ps
         if not (isfinite(self.duration) and
-                0 < self.duration * PS_PER_S < 2 ** 63):
+                0 < round(self.duration * PS_PER_S) < 2 ** 63):
             raise InvalidParameterError(
-                f"duration {self.duration!r} s must be finite, > 0 and "
-                "below 2^63 ps")
+                f"duration {self.duration!r} s must be finite and, in whole "
+                "ps, at least 1 and below 2^63")
         if not (isinstance(self.seed, (int, np.integer))
                 and 0 <= self.seed < 2 ** 64):
             raise InvalidParameterError(
@@ -128,18 +129,13 @@ def _rng(seed: int, label: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, label))))
 
 
-def sample_triplet_delays(cmap: CorrelationMap, rng: np.random.Generator):
-    """One (tau21, tau31) draw distributed proportionally to r3.
+def _sample_triplet_delays(cmap: CorrelationMap, rng: np.random.Generator,
+                           n: int):
+    """n (tau21, tau31) draws distributed proportionally to r3, as two arrays.
 
     Inverse-CDF sampling on the flattened cell masses, with a uniform jitter
     inside the selected cell so the samples fill the grid continuously.
     """
-    t21, t31 = _sample_triplet_delays(cmap, rng, 1)
-    return float(t21[0]), float(t31[0])
-
-
-def _sample_triplet_delays(cmap: CorrelationMap, rng: np.random.Generator,
-                           n: int):
     p = cmap.r3.ravel()
     total = p.sum()
     if total <= 0:

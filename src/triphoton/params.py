@@ -259,29 +259,6 @@ def resonance_set(params: ExperimentParams, v: float = 0.0) -> ResonanceSet:
                         linewidth_d2=lw2, linewidth_d3=lw3)
 
 
-def resonance_channels(params: ExperimentParams, v: float = 0.0):
-    """The four (delta2, delta3) points where the 2-D resonances intersect.
-
-    The delta2 and delta3 denominators peak jointly when the dressed poles of
-    both factors are hit at once.  Writing the delta3 factor's poles as
-    delta3 = (-DeltaD3 + s3 OmegaE3)/2 and substituting into the delta2+delta3
-    combination gives delta2 = (DeltaD3 - DeltaD2 + s2 OmegaE2 - s3 OmegaE3)/2,
-    i.e. each s3 branch pairs with the opposite-sign OmegaE3 term in delta2.
-    Returns a list of four (delta2, delta3) tuples keyed by (s2, s3).
-    """
-    r, d = params.rates, params.drive
-    _, dd2, dd3 = doppler_detunings(v, d)
-    oe2 = float(effective_rabi(dd2, d.omega2, r.gamma21, r.gamma41))
-    oe3 = float(effective_rabi(dd3, d.omega3, r.gamma11, r.gamma41))
-    out = {}
-    for s2 in (-1, 1):
-        for s3 in (-1, 1):
-            d3 = (-dd3 + s3 * oe3) / 2.0
-            d2 = (dd3 - dd2 + s2 * oe2 - s3 * oe3) / 2.0
-            out[(s2, s3)] = (d2, d3)
-    return out
-
-
 def doppler_width(T: float) -> float:
     """FWHM Doppler width of the 780 nm line at temperature T [rad/s].
 

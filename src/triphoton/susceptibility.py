@@ -447,12 +447,16 @@ def chi5_map(grid_spec: GridSpec2D, params: ExperimentParams,
 # ---------------------------------------------------------------------------
 
 def _chi_linear(mode, delta, params: ExperimentParams, quad: VelocityQuadrature):
-    """Doppler-integrated linear susceptibility of the S2 or S3 photon.
+    """Doppler-integrated linear susceptibility of the S2 or S3 photon
+    [arbitrary units], at the detunings delta of that photon.
 
     The integrand is num / den with num = -4i N mu^2 X and
     den = eps0 hbar (4 X Y + |Omega|^2), where X = kin + i Gamma_ground and
     Y = kin - DeltaD + i Gamma_opt are linear in v (kin = (1 -+ v/c) delta);
-    the exact scheme splits den with _quadratic_factors.
+    the exact scheme splits den with _quadratic_factors.  S2 takes
+    (1 - v/c) d2, Gamma22, Gamma42 and the field-2 Rabi frequency (the
+    printed subscript '22' of its coupling term has no separate
+    definition); S3 takes (1 + v/c) d3, Gamma11, Gamma41 and field 3.
     """
     r, drv = params.rates, params.drive
     # DeltaD = delta0 + dslope v (doppler_detunings)
@@ -490,30 +494,6 @@ def _chi_linear(mode, delta, params: ExperimentParams, quad: VelocityQuadrature)
                                        offending_value=float(v[bad[0][-1]]))
         out[~ok] = summand.sum(axis=1)
     return complex(out[0]) if scalar else out
-
-
-def chi_linear_s2(delta2, params: ExperimentParams,
-                  quad: VelocityQuadrature = VelocityQuadrature()):
-    """Linear susceptibility of the S2 photon [arbitrary units].
-
-    Doppler integral of
-      -i 4 N mu24^2 ((1 - v/c) d2 + i Gamma22) /
-      (eps0 hbar [4((1-v/c) d2 - DeltaD2 + i Gamma42)((1-v/c) d2 + i Gamma22)
-                  + |Omega2|^2]).
-    The |Omega|^2 coupling term uses the field-2 Rabi frequency (the printed
-    subscript '22' has no separate definition).
-    """
-    return _chi_linear("S2", delta2, params, quad)
-
-
-def chi_linear_s3(delta3, params: ExperimentParams,
-                  quad: VelocityQuadrature = VelocityQuadrature()):
-    """Linear susceptibility of the S3 photon [arbitrary units].
-
-    Mirror of chi_linear_s2 with (1 + v/c) delta3 kinematics, Gamma11/Gamma41
-    and the field-3 Rabi frequency.
-    """
-    return _chi_linear("S3", delta3, params, quad)
 
 
 def chi_linear_s1() -> complex:

@@ -320,27 +320,6 @@ def _run_script(name, *args, env=None):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
-def test_matcher_paths_script_runs(tmp_path):
-    """scripts/matcher_paths.py runs coincidence._clusters, patches
-    coincidence._stop_ranges and reads _TRIPLE_BLOCK and _MERGE_RATIO; it
-    still runs on a 0.5 s dense file, prints the share of records the
-    clusters keep and times triple_histogram with each of its seven
-    stop-search variants."""
-    cfg = tmp_path / "dense.cfg"
-    cfg.write_text(SMALL + "triplet_rate = 20000 /s\n" + "".join(
-        f"singles_rate_ch{c} = 20000 /s\n" for c in (1, 2, 3)))
-    events = tmp_path / "run.tpe1"
-    assert main(["simulate", "--config", str(cfg), "--out", str(events),
-                 "--duration", "0.5"]) == 0
-    run = _run_script("matcher_paths.py", str(events), "--repeat", "1")
-    assert run.returncode == 0, run.stderr
-    assert ": three-record clusters keep " in run.stdout.splitlines()[0], run.stdout
-    timed = [line for line in run.stdout.splitlines()
-             if line.startswith("  triple_histogram, ")]
-    assert len(timed) == 7 and timed[0].startswith("  triple_histogram, library: "), \
-        run.stdout
-
-
 def test_reference_maps_script_runs(tmp_path):
     """scripts/make_reference_maps.py drives five CLI commands, at the
     defaults or with --config; it writes every map and trace to the output
@@ -533,8 +512,9 @@ def test_analyze_unusable_histogram_exit_code(tmp_path, capsys, config, names):
     ([], "seed = -1\n", "seed"),
     (["--duration", "nan"], "", "duration"),
     (["--duration", "inf"], "", "duration"),
+    (["--duration", "4e-13"], "", "duration 4e-13 s"),
 ], ids=["seed-negative", "seed-2^64", "config-seed-negative", "duration-nan",
-        "duration-inf"])
+        "duration-inf", "duration-rounds-to-0-ps"])
 def test_simulate_bad_seed_or_duration_exit_code(tmp_path, capsys, args,
                                                  config, name):
     cfg = tmp_path / "run.cfg"
@@ -640,6 +620,21 @@ def test_report_json_strict_on_empty_stream(tmp_path):
         assert report[key] is None
         assert report[f"{key}_reason"]
     assert report["triplet_rate_per_min"] == 0.0
+
+
+def test_report_json_null_visibility_has_a_reason(tmp_path, raw_event_file):
+    """One coincidence puts the tau21 marginal's only count in its first
+    bin, with no oscillation after it: visibility is null, and like every
+    null it carries a reason."""
+    path = raw_event_file(tmp_path / "one.tpe1", [10, 20, 30], [1, 2, 3],
+                          duration_ps=10 ** 12)
+    out = tmp_path / "analysis"
+    assert main(["analyze", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["visibility"] is None
+    assert "oscillation" in report["visibility_reason"]
+    assert all(report.get(f"{key}_reason") for key, val in report.items()
+               if val is None)
 
 
 def test_cli_import_loads_no_scipy():

@@ -123,15 +123,28 @@ def _two_searches(starts, stops, span):
     return keep, lo[keep], (hi - lo)[keep]
 
 
+@st.composite
+def _sparse_starts(draw):
+    """(starts, stops) with at least 100 stops per start, tied and spread
+    over a few thousand ps: a few starts facing a dense stop channel."""
+    base = draw(st.sampled_from([0, _TOP - 3000]))
+    starts = draw(st.lists(st.integers(0, 3000), min_size=1, max_size=3))
+    size = 100 * len(starts) + draw(st.integers(0, 100))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    stops = rng.integers(0, 3001, size)
+    return (np.sort(np.array(starts, dtype=np.int64) + base),
+            np.sort(stops.astype(np.int64) + base))
+
+
 @settings(max_examples=300, deadline=None)
-@given(_sorted_stamps(), _sorted_stamps(min_size=1), st.integers(1, 3000),
-       st.sampled_from([0, 1, 4, 10 ** 6]))
-def test_stop_ranges_equal_two_searches(starts, stops, span, ratio):
-    """Merged or searched first stops (ratio 0 searches whenever stops lie
-    between the starts, 10^6 always merges), ranges of one stop and ranges
-    whose end is searched."""
-    with mock.patch.object(coincidence, "_MERGE_RATIO", ratio):
-        got = coincidence._stop_ranges(starts, stops, span)
+@given(st.one_of(st.tuples(_sorted_stamps(), _sorted_stamps(min_size=1)),
+                 _sparse_starts()),
+       st.integers(1, 3000))
+def test_stop_ranges_equal_two_searches(channels, span):
+    """Merged first stops, ranges of one stop and ranges whose end is
+    searched, also where the starts are over 100x sparser than the stops."""
+    starts, stops = channels
+    got = coincidence._stop_ranges(starts, stops, span)
     for a, b in zip(got, _two_searches(starts, stops, span)):
         assert a.dtype.kind == "i" and np.array_equal(a, b)
 

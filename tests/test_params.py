@@ -13,7 +13,7 @@ from triphoton.params import (OMEGA31, OMEGA42, DecayRates, DetuningOffsets,
                               doppler_detunings, doppler_width,
                               effective_rabi, maxwell_boltzmann_pdf,
                               optical_depth, rabi_from_power,
-                              resonance_channels, resonance_set)
+                              resonance_set)
 
 TWO_PI = 2.0 * pi
 
@@ -115,18 +115,6 @@ def test_resonance_centers_sorted_and_paired(params, v):
     _, _, dd3 = doppler_detunings(v, params.drive)
     assert sum(rs.centers_d3) * (1 - v / 299792458.0) == pytest.approx(
         -dd3, rel=1e-9, abs=1e-3)
-
-
-def test_resonance_channels_match_center_set(params):
-    """The four 2-D intersection points reproduce the delta2 center set at
-    zero velocity, with each s3 branch paired to the opposite-sign term."""
-    rs = resonance_set(params)
-    ch = resonance_channels(params)
-    assert sorted(d2 for d2, _ in ch.values()) == pytest.approx(
-        list(rs.centers_d2), rel=1e-12)
-    for (s2, s3), (_, d3) in ch.items():
-        expect = rs.centers_d3[1] if s3 > 0 else rs.centers_d3[0]
-        assert d3 == pytest.approx(expect, rel=1e-12)
 
 
 def test_optical_depth_linear_in_density_and_length(params):

@@ -12,11 +12,10 @@ from triphoton.errors import (InvalidParameterError, NumericalDomainError,
 from triphoton.params import (KBAR, OMEGA31, OMEGA42, default_params,
                               density_for_od, doppler_detunings)
 from triphoton.susceptibility import (ComplexGrid2D, GridSpec2D,
-                                      VelocityQuadrature, chi5, chi5_map,
-                                      chi_linear_s1, chi_linear_s2,
-                                      chi_linear_s3, dispersion_profile,
-                                      longitudinal_phi, params_hash,
-                                      phase_mismatch)
+                                      VelocityQuadrature, _chi_linear, chi5,
+                                      chi5_map, chi_linear_s1,
+                                      dispersion_profile, longitudinal_phi,
+                                      params_hash, phase_mismatch)
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +209,8 @@ def test_chi5_exact_matches_oracle(params):
     assert np.all(np.abs(x - y) <= 1e-12 * np.abs(y))
 
 
-@pytest.mark.parametrize("fn", [chi_linear_s2, chi_linear_s3])
-def test_chi_linear_exact_matches_oracle(params, fn):
+@pytest.mark.parametrize("mode", ["S2", "S3"])
+def test_chi_linear_exact_matches_oracle(params, mode):
     """The S2 line has a velocity pole that crosses the real axis near
     delta = -1.74e9 rad/s: 0.16 m/s off it at -1.7593e9, 0.018 m/s at
     -1.7253e9.  A 20k-node rule over +-8 sigma (0.15 m/s steps) is 3e-5 off
@@ -221,13 +220,14 @@ def test_chi_linear_exact_matches_oracle(params, fn):
                                 range_sigmas=8.0)
     delta = np.concatenate([np.random.default_rng(7).uniform(
         -2 * np.pi * 3e9, 2 * np.pi * 3e9, 24), [0.0, -1.7592918860e9, 1.0053e9]])
-    x = fn(delta, params, EXACT)
-    y = fn(delta, params, oracle)
+    x = _chi_linear(mode, delta, params, EXACT)
+    y = _chi_linear(mode, delta, params, oracle)
     assert np.all(np.abs(x - y) <= 1e-12 * np.abs(y))
-    assert fn(0.0, params, EXACT) == x[24]
+    assert _chi_linear(mode, 0.0, params, EXACT) == x[24]
     fine = VelocityQuadrature(scheme="uniform-riemann", node_count=800000,
                               range_sigmas=8.0)
-    x, y = fn(-1.7253045e9, params, EXACT), fn(-1.7253045e9, params, fine)
+    x = _chi_linear(mode, -1.7253045e9, params, EXACT)
+    y = _chi_linear(mode, -1.7253045e9, params, fine)
     assert abs(x - y) <= 1e-12 * abs(y)
 
 
@@ -388,8 +388,8 @@ def test_linear_s1_vanishes():
 def test_linear_s2_s3_absorptive_on_resonance(params, quad):
     """Im chi > 0 (absorption) at the dressed line centers."""
     axis = np.linspace(-2 * np.pi * 2e9, 2 * np.pi * 2e9, 512)
-    for fn in (chi_linear_s2, chi_linear_s3):
-        chi = fn(axis, params, quad)
+    for mode in ("S2", "S3"):
+        chi = _chi_linear(mode, axis, params, quad)
         assert float(np.max(np.imag(chi))) > 0
 
 
