@@ -7,9 +7,9 @@ event-stream synthesis (eventsim), coincidence reconstruction (coincidence),
 and configuration / file formats / CLI (config, io_formats, cli).
 """
 
-from .constants import CONST, PhysicalConstants
 from .params import (VaporCell, DecayRates, DriveFields, DetuningOffsets,
-                     ResonanceSet, OMEGA31, OMEGA41, OMEGA42, KBAR, NOMINAL_DIPOLE,
+                     ResonanceSet, C_LIGHT, HBAR, K_B, EPS0, M_RB,
+                     OMEGA31, OMEGA41, OMEGA42, KBAR, NOMINAL_DIPOLE,
                      ExperimentParams, default_params, maxwell_boltzmann_pdf,
                      doppler_detunings, effective_rabi, resonance_set,
                      optical_depth, doppler_width)

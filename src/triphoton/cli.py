@@ -24,7 +24,7 @@ from .susceptibility import (GridSpec2D, chi5_map, dispersion_profile,
 from .correlation import (default_spectral_window, spectral_kernel,
                           triphoton_amplitude_map, trace_map, diagonal_cut)
 from .eventsim import PS_PER_S, stream_windows
-from .params import rabi_from_power
+from .params import C_LIGHT, rabi_from_power
 from .coincidence import (METHOD_LABELS, check_histogram, estimate_floor,
                           floor_frame, rates_report, triple_histogram)
 # the library entry points that perfbench/tracer.py times under these names;
@@ -100,7 +100,7 @@ def cmd_linear_response(args) -> int:
         written.append(str(path))
     min_vg = min(float(np.min(prof.v_group)) for prof in profiles.values())
     print(f"linear-response: wrote {written[0]} and {written[1]} "
-          f"(min v_g/c {min_vg / 299792458.0:.3e})")
+          f"(min v_g/c {min_vg / C_LIGHT:.3e})")
     return 0
 
 

@@ -95,9 +95,14 @@ def _parse_float(text, key):
     return _finite(val, text, key)
 
 
+# Largest grid axis (spectral, tau or map points: one complex128 grid of
+# _MAX_AXIS^2 points is 1 GiB) and largest midpoint node count
+_MAX_AXIS, _MAX_NODES = 2 ** 13, 2 ** 16
+
+
 def _parse_quad_nodes(text, key):
     """'exact' (closed-form Doppler integrals) or a midpoint node count."""
-    return text if text == "exact" else _bounded(_parse_int, 8)(text, key)
+    return text if text == "exact" else _bounded(_parse_int, 8, _MAX_NODES)(text, key)
 
 
 def _choice(*options):
@@ -164,15 +169,15 @@ REGISTRY = {
     "power3": (_nonnegative(_parse_power), "none"),
     # numerics
     "quad_nodes": (_parse_quad_nodes, "exact"),
-    "spectral_n2": (_bounded(_parse_int, 2), "512"),
-    "spectral_n3": (_bounded(_parse_int, 2), "512"),
+    "spectral_n2": (_bounded(_parse_int, 2, _MAX_AXIS), "512"),
+    "spectral_n3": (_bounded(_parse_int, 2, _MAX_AXIS), "512"),
     "spectral_linewidth_multiple": (_positive(_parse_float), "8.0"),
     "spectral_pad_fraction": (_nonnegative(_parse_float), "0.25"),
     "tau_max": (_positive(_parse_time), "20 ns"),
-    "tau_points": (_bounded(_parse_int, 2), "128"),
+    "tau_points": (_bounded(_parse_int, 2, _MAX_AXIS), "128"),
     "map_range": (_positive(_parse_freq), "3 GHz"),
-    "map_n2": (_bounded(_parse_int, 2), "256"),
-    "map_n3": (_bounded(_parse_int, 2), "256"),
+    "map_n2": (_bounded(_parse_int, 2, _MAX_AXIS), "256"),
+    "map_n3": (_bounded(_parse_int, 2, _MAX_AXIS), "256"),
     "phase_convention": (_choice("si-eq-s8", "main-text"), "si-eq-s8"),
     "group_delay_mode": (_choice("local", "central"), "local"),
     "dispersion": (_choice("on", "off"), "off"),

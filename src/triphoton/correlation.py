@@ -14,10 +14,9 @@ from statistics import median
 
 import numpy as np
 
-from .constants import CONST
 from .errors import (InvalidParameterError, SamplingError, RangeError,
                      EstimationError)
-from .params import ExperimentParams, resonance_set
+from .params import C_LIGHT, TWO_PI, ExperimentParams, resonance_set
 from .susceptibility import (ComplexGrid2D, GridSpec2D, VelocityQuadrature,
                              chi5_map, group_velocity, phase_mismatch,
                              params_hash)
@@ -65,7 +64,7 @@ class ConditionalTrace:
         if axis.ndim != 1 or axis.shape != values.shape:
             raise InvalidParameterError("axis and values must be matched 1-D arrays")
         d = np.diff(axis)
-        if axis.size > 1 and (np.any(d <= 0) or not np.allclose(d, d[0], rtol=1e-9)):
+        if axis.size > 1 and (np.any(d <= 0) or not np.allclose(d, d[0], rtol=1e-9, atol=0.0)):
             raise InvalidParameterError("axis must be strictly increasing and uniform")
         if np.any(values < 0):
             raise InvalidParameterError("trace values must be non-negative")
@@ -89,11 +88,11 @@ def default_spectral_window(params: ExperimentParams, n2: int = 512,
     """
     sig = params.sigma_v
     sets = [resonance_set(params, v) for v in (-3 * sig, 0.0, 3 * sig)]
-    rs = sets[1]
-    lo2 = min(min(s.centers_d2) for s in sets) - linewidth_multiple * rs.linewidth_d2
-    hi2 = max(max(s.centers_d2) for s in sets) + linewidth_multiple * rs.linewidth_d2
-    lo3 = min(min(s.centers_d3) for s in sets) - linewidth_multiple * rs.linewidth_d3
-    hi3 = max(max(s.centers_d3) for s in sets) + linewidth_multiple * rs.linewidth_d3
+    lw2, lw3 = _linewidths(params, sets[1])
+    lo2 = min(min(s.centers_d2) for s in sets) - linewidth_multiple * lw2
+    hi2 = max(max(s.centers_d2) for s in sets) + linewidth_multiple * lw2
+    lo3 = min(min(s.centers_d3) for s in sets) - linewidth_multiple * lw3
+    hi3 = max(max(s.centers_d3) for s in sets) + linewidth_multiple * lw3
     pad2 = pad_fraction * (hi2 - lo2)
     pad3 = pad_fraction * (hi3 - lo3)
     clip = 2 * np.pi * 5e9
@@ -102,12 +101,26 @@ def default_spectral_window(params: ExperimentParams, n2: int = 512,
     return GridSpec2D(lo2, hi2, n2, lo3, hi3, n3)
 
 
+def _linewidths(params: ExperimentParams, rs) -> tuple[float, float]:
+    """rs's effective linewidths (delta2, delta3), refused unless positive:
+    a weak field with a negative detuning turns its linewidth negative, and
+    a window built from it would miss the resonances."""
+    for j, lw in ((2, rs.linewidth_d2), (3, rs.linewidth_d3)):
+        if not lw > 0:
+            omega, delta = (getattr(params.drive, f"{k}{j}") / TWO_PI / 1e6
+                            for k in ("omega", "delta"))
+            raise InvalidParameterError(
+                f"effective linewidth of field {j} is {lw / TWO_PI / 1e6:.4g} MHz, "
+                f"not > 0: omega{j} = {omega:.4g} MHz is too weak for "
+                f"delta{j} = {delta:.4g} MHz")
+    return rs.linewidth_d2, rs.linewidth_d3
+
+
 def _check_coverage(spec: GridSpec2D, params: ExperimentParams):
     rs, multiple = resonance_set(params, 0.0), 5.0  # linewidths to cover
-    need2 = (min(rs.centers_d2) - multiple * rs.linewidth_d2,
-             max(rs.centers_d2) + multiple * rs.linewidth_d2)
-    need3 = (min(rs.centers_d3) - multiple * rs.linewidth_d3,
-             max(rs.centers_d3) + multiple * rs.linewidth_d3)
+    lw2, lw3 = _linewidths(params, rs)
+    need2 = (min(rs.centers_d2) - multiple * lw2, max(rs.centers_d2) + multiple * lw2)
+    need3 = (min(rs.centers_d3) - multiple * lw3, max(rs.centers_d3) + multiple * lw3)
     if spec.min1 > need2[0] or spec.max1 < need2[1] \
             or spec.min2 > need3[0] or spec.max2 < need3[1]:
         raise InvalidParameterError(
@@ -141,7 +154,7 @@ def spectral_kernel(spectral_spec: GridSpec2D, params: ExperimentParams,
         kern = kern * np.exp(-1j * d2 * (L / (2.0 * v2))[:, None])
         kern = kern * np.exp(-1j * d3 * (L / (2.0 * v3))[None, :])
     else:
-        kern = kern * np.exp(-1j * (d2 + d3) * (L / (2.0 * CONST.c)))
+        kern = kern * np.exp(-1j * (d2 + d3) * (L / (2.0 * C_LIGHT)))
     return ComplexGrid2D(axis1=grid.axis1, axis2=grid.axis2, values=kern,
                          label1="delta2", label2="delta3", unit="rad/s",
                          provenance="spectral_kernel "

@@ -1,5 +1,5 @@
-"""Physical parameter records, the fixed Rb transition constants, Doppler
-kinematics and dressed-state analysis.
+"""Physical parameter records, the SI constants and the fixed Rb transition
+constants, Doppler kinematics and dressed-state analysis.
 
 Everything internal is in SI with angular frequencies (rad/s).  Human-unit
 conversion (MHz, degC, mW, ...) happens once, in the config layer; see
@@ -15,10 +15,18 @@ from math import pi, sqrt, log
 
 import numpy as np
 
-from .constants import CONST
 from .errors import InvalidParameterError
 
 TWO_PI = 2.0 * pi
+
+# SI constants [m/s, J s, J/K, F/m], CODATA-2018 exact or recommended values,
+# and the mass of one Rb-85 atom [kg]: 84.911789738 u (AME) times the 2018
+# CODATA atomic mass constant.  Fixed data, never configurable.
+C_LIGHT = 299792458.0
+HBAR = 1.054571817e-34
+K_B = 1.380649e-23
+EPS0 = 8.8541878128e-12
+M_RB = 84.911789738 * 1.66053906660e-27
 
 # Dipole moment of every transition [C m].  Absolute dipole values are not
 # known for this model, so susceptibility scales are arbitrary by design and
@@ -29,8 +37,8 @@ NOMINAL_DIPOLE = 1.0e-29
 # omega42 on the 780 nm line.  KBAR [rad/m], the S2 and S3 central wavenumber,
 # scales the dispersion profiles to the optical depth; the waves are phase
 # matched at line center, so the mismatch comes from the spectral offsets.
-OMEGA31 = TWO_PI * CONST.c / 795e-9
-OMEGA41 = OMEGA42 = TWO_PI * CONST.c / 780e-9
+OMEGA31 = TWO_PI * C_LIGHT / 795e-9
+OMEGA41 = OMEGA42 = TWO_PI * C_LIGHT / 780e-9
 KBAR = TWO_PI / 780e-9
 
 
@@ -164,7 +172,7 @@ class ExperimentParams:
     @property
     def sigma_v(self) -> float:
         """1-sigma thermal velocity sqrt(kB T / m) [m/s]."""
-        return sqrt(CONST.kB * self.cell.temperature / CONST.mRb)
+        return sqrt(K_B * self.cell.temperature / M_RB)
 
 
 def default_params(temperature_K: float = 353.15) -> ExperimentParams:
@@ -194,7 +202,7 @@ def maxwell_boltzmann_pdf(v, T: float):
     """
     if T <= 0:
         raise InvalidParameterError(f"temperature must be > 0 K, got {T}")
-    a = CONST.mRb / (2.0 * CONST.kB * T)
+    a = M_RB / (2.0 * K_B * T)
     return np.sqrt(a / pi) * np.exp(-a * np.square(v))
 
 
@@ -207,9 +215,9 @@ def doppler_detunings(v, drive: DriveFields):
     Accepts scalar or array v.
     """
     v = np.asarray(v, dtype=float)
-    dd1 = drive.delta1 + v * OMEGA31 / CONST.c
-    dd2 = drive.delta2 - v * OMEGA42 / CONST.c
-    dd3 = drive.delta3 + v * OMEGA42 / CONST.c
+    dd1 = drive.delta1 + v * OMEGA31 / C_LIGHT
+    dd2 = drive.delta2 - v * OMEGA42 / C_LIGHT
+    dd3 = drive.delta3 + v * OMEGA42 / C_LIGHT
     if dd1.ndim == 0:
         return float(dd1), float(dd2), float(dd3)
     return dd1, dd2, dd3
@@ -240,14 +248,14 @@ def resonance_set(params: ExperimentParams, v: float = 0.0) -> ResonanceSet:
     Gamma_d2 = (gamma21+gamma41)/2 + gamma21 DeltaD2 / (DeltaD2 + OmegaE2),
     Gamma_d3 = (gamma11+gamma41)/2 + gamma11 DeltaD3 / (DeltaD3 + OmegaE3).
     """
-    if abs(v) >= CONST.c:
+    if abs(v) >= C_LIGHT:
         raise InvalidParameterError(f"|v| must be < c, got {v}")
     r, d = params.rates, params.drive
     _, dd2, dd3 = doppler_detunings(v, d)
     oe2 = float(effective_rabi(dd2, d.omega2, r.gamma21, r.gamma41))
     oe3 = float(effective_rabi(dd3, d.omega3, r.gamma11, r.gamma41))
-    wm = 1.0 - v / CONST.c
-    wp = 1.0 + v / CONST.c
+    wm = 1.0 - v / C_LIGHT
+    wp = 1.0 + v / C_LIGHT
     c1 = tuple(sorted(((dd2 - oe2) / (2 * wm), (dd2 + oe2) / (2 * wm))))
     c2 = tuple(sorted((dd3 - dd2 + s2 * oe2 + s3 * oe3) / (2 * wp)
                       for s2 in (-1, 1) for s3 in (-1, 1)))
@@ -266,7 +274,7 @@ def doppler_width(T: float) -> float:
     """
     if T <= 0:
         raise InvalidParameterError(f"temperature must be > 0 K, got {T}")
-    return OMEGA42 / CONST.c * sqrt(8.0 * log(2.0) * CONST.kB * T / CONST.mRb)
+    return OMEGA42 / C_LIGHT * sqrt(8.0 * log(2.0) * K_B * T / M_RB)
 
 
 def _sigma41_raw(T: float) -> float:
@@ -278,7 +286,7 @@ def _sigma41_raw(T: float) -> float:
     calibration (see SIGMA41_CALIBRATION).
     """
     return (OMEGA41 * NOMINAL_DIPOLE ** 2
-            / (2.0 * CONST.eps0 * CONST.hbar * CONST.c)
+            / (2.0 * EPS0 * HBAR * C_LIGHT)
             / doppler_width(T))
 
 

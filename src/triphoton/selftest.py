@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .params import (default_params, maxwell_boltzmann_pdf, resonance_set,
-                     doppler_detunings, doppler_width, DetuningOffsets, OMEGA42)
+                     doppler_detunings, doppler_width, DetuningOffsets, OMEGA42, C_LIGHT)
 from .susceptibility import (VelocityQuadrature, chi5, longitudinal_phi,
                              chi_linear_s1)
 from .correlation import cauchy_schwarz_factor
@@ -50,7 +50,7 @@ def _checks():
         d1a, d2a, d3a = doppler_detunings(100.0, params.drive)
         d1b, d2b, d3b = doppler_detunings(0.0, params.drive)
         slope = (d2a - d2b) / 100.0
-        return abs(slope + OMEGA42 / 299792458.0) < 1e-6
+        return abs(slope + OMEGA42 / C_LIGHT) < 1e-6
 
     def quadrature_oracle():
         quad = VelocityQuadrature(scheme="uniform-riemann")

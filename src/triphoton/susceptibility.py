@@ -20,11 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CONST
 from .errors import (InvalidParameterError, NumericalDomainError,
                      DispersionDomainError, RangeError)
-from .params import (ExperimentParams, KBAR, NOMINAL_DIPOLE, OMEGA31, OMEGA41,
-                     OMEGA42, maxwell_boltzmann_pdf, doppler_detunings)
+from .params import (C_LIGHT, EPS0, HBAR, ExperimentParams, KBAR, NOMINAL_DIPOLE,
+                     OMEGA31, OMEGA41, OMEGA42, maxwell_boltzmann_pdf, doppler_detunings)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +296,7 @@ def params_hash(params: ExperimentParams, *extra) -> str:
 def _chi5_prefactor(params: ExperimentParams) -> float:
     mu = NOMINAL_DIPOLE
     return (2.0 * params.cell.density_N * mu * mu * mu * mu ** 3
-            / (CONST.eps0 * CONST.hbar ** 5))
+            / (EPS0 * HBAR ** 5))
 
 
 # delta3 columns per block of the midpoint-rule chi5 grid, which serves the
@@ -323,7 +322,7 @@ def _chi5_grid(d2_axis, d3_axis, params: ExperimentParams,
     r, drv = params.rates, params.drive
     v, w = quad.nodes_weights(params)
     dd1, dd2, dd3 = doppler_detunings(v, drv)
-    wm, wp = 1.0 - v / CONST.c, 1.0 + v / CONST.c
+    wm, wp = 1.0 - v / C_LIGHT, 1.0 + v / C_LIGHT
     b1 = r.gamma31 + 1j * dd1
     jdd2 = 1j * dd2
     om2, om3 = np.abs(drv.omega2) ** 2, np.abs(drv.omega3) ** 2
@@ -371,7 +370,7 @@ def _chi5_exact(d2, d3, params: ExperimentParams, quad: VelocityQuadrature):
     i Delta1, and b2, b3 split by _quadratic_factors with
     s = W- d2 + W+ d3 = (d2 + d3) + v (d3 - d2) / c.
     """
-    r, drv, c = params.rates, params.drive, CONST.c
+    r, drv, c = params.rates, params.drive, C_LIGHT
     k1, k2 = OMEGA31 / c, OMEGA42 / c
     b1 = (1j * k1, -(r.gamma31 + 1j * drv.delta1))
     t3, b3 = _quadratic_factors(r.gamma11 + 1j * d3, 1j * d3 / c,
@@ -463,29 +462,29 @@ def _chi_linear(mode, delta, params: ExperimentParams, quad: VelocityQuadrature)
     if mode == "S2":
         sign, omega = -1.0, drv.omega2
         g_ground, g_opt = r.gamma22, r.gamma42
-        delta0, dslope = drv.delta2, -OMEGA42 / CONST.c
+        delta0, dslope = drv.delta2, -OMEGA42 / C_LIGHT
     else:
         sign, omega = 1.0, drv.omega3
         g_ground, g_opt = r.gamma11, r.gamma41
-        delta0, dslope = drv.delta3, OMEGA42 / CONST.c
+        delta0, dslope = drv.delta3, OMEGA42 / C_LIGHT
     scalar = np.isscalar(delta)
     d = np.atleast_1d(np.asarray(delta, dtype=float))
     out = np.empty(d.size, dtype=complex)
     ok = np.zeros(d.size, dtype=bool)
     if quad.scheme == "faddeeva":
-        x0, x1 = d + 1j * g_ground, sign * d / CONST.c
+        x0, x1 = d + 1j * g_ground, sign * d / C_LIGHT
         t, factors = _quadratic_factors(4.0 * x0, 4.0 * x1, d - delta0 + 1j * g_opt,
                                         x1 - dslope, np.abs(omega) ** 2)
         val, ok = _doppler_average(t * x0, t * x1, factors, params.sigma_v)
         out[ok] = (-4j * params.cell.density_N * NOMINAL_DIPOLE ** 2
-                   / (CONST.eps0 * CONST.hbar) * val[ok])
+                   / (EPS0 * HBAR) * val[ok])
     if not np.all(ok):
         v, w = quad.nodes_weights(params)
         _, dd2, dd3 = doppler_detunings(v, drv)
         dd = dd2 if mode == "S2" else dd3
-        kin = (1.0 + sign * v / CONST.c) * d[~ok, None]
+        kin = (1.0 + sign * v / C_LIGHT) * d[~ok, None]
         num = -4j * params.cell.density_N * NOMINAL_DIPOLE ** 2 * (kin + 1j * g_ground)
-        den = CONST.eps0 * CONST.hbar * (4.0 * (kin - dd + 1j * g_opt)
+        den = EPS0 * HBAR * (4.0 * (kin - dd + 1j * g_opt)
                                          * (kin + 1j * g_ground) + np.abs(omega) ** 2)
         summand = w * num / den
         if not np.all(np.isfinite(summand)):
@@ -537,7 +536,7 @@ def dispersion_profile(which: str, delta_axis, params: ExperimentParams,
     dn = np.gradient(n, axis)
     # group velocity from the definition (dk/domega)^-1 with the full carrier
     # frequency; the delta-only variant has no slow-light regime at any OD
-    v_group = CONST.c / (n + omega_c * dn)
+    v_group = C_LIGHT / (n + omega_c * dn)
     return DispersionProfile(delta_axis=axis, chi=chi, n=n, v_group=v_group)
 
 
@@ -553,7 +552,7 @@ def group_velocity(profiles: dict | None, mode: str, offs,
         raise InvalidParameterError(f"unknown group_delay_mode '{group_delay_mode}'")
     prof = (profiles or {}).get(mode)
     if prof is None:
-        return np.broadcast_to(CONST.c, np.shape(offs))
+        return np.broadcast_to(C_LIGHT, np.shape(offs))
     if group_delay_mode == "central":
         return np.broadcast_to(prof.v_at(0.0), np.shape(offs))
     return prof.v_at(offs)
@@ -580,7 +579,7 @@ def phase_mismatch(delta2, delta3, profiles: dict | None = None,
     d2 = np.asarray(delta2, dtype=float)
     d3 = np.asarray(delta3, dtype=float)
     d1 = -(d2 + d3)
-    t1 = d1 / CONST.c
+    t1 = d1 / C_LIGHT
     t2 = d2 / group_velocity(profiles, "S2", d2, group_delay_mode)
     t3 = d3 / group_velocity(profiles, "S3", d3, group_delay_mode)
     if phase_convention == "si-eq-s8":

@@ -13,7 +13,7 @@ import triphoton
 from triphoton import cli
 from triphoton.cli import main
 from triphoton.config import default_config, parse_config_text
-from triphoton.eventsim import EVENT_DTYPE
+from triphoton.eventsim import EVENT_DTYPE, ORIGIN_DUAL_PAIR
 from triphoton import io_formats
 
 SMALL = """\
@@ -185,6 +185,28 @@ def test_simulate_summary_names_the_duration(small_cfg, tmp_path, capsys,
     assert main(["simulate", "--config", small_cfg, "--out",
                  str(tmp_path / "run.tpe1"), "--duration", duration]) == 0
     assert f" events over {duration} s (seed " in capsys.readouterr().out
+
+
+# sha256 of the TPE1 file (origins kept) of a seeded 2 s run of SMALL whose
+# dual-pair second clicks lag their first by 1 s on average
+_PINNED_CLIPPED = "b34c95173dde0d06424849a2d75ab438de1a28d938db17ce29b3abfa3c25be67"
+
+
+def test_simulate_clips_clicks_past_the_end(tmp_path):
+    """A second click that falls past the run's end is dropped: every stamp
+    lies below duration_ps, and about 43% of the pair-b second clicks
+    (channel 3) are gone against the pair-a first clicks (channel 1)."""
+    cfg = tmp_path / "late.cfg"
+    cfg.write_text(SMALL + "dual_pair_delay = 1 s\n")
+    events = tmp_path / "run.tpe1"
+    assert main(["simulate", "--config", str(cfg), "--out", str(events),
+                 "--duration", "2", "--seed", "3", "--keep-origin"]) == 0
+    stream, header = io_formats.read_events(events)
+    assert int(stream["timestamp_ps"].max()) < header["duration_ps"] == 2 * 10 ** 12
+    dual = stream[stream["origin"] == ORIGIN_DUAL_PAIR]
+    firsts, seconds = (np.count_nonzero(dual["channel"] == ch) for ch in (1, 3))
+    assert seconds < 0.7 * firsts
+    assert hashlib.sha256(events.read_bytes()).hexdigest() == _PINNED_CLIPPED
 
 
 # sha256 of analyze's outputs for a seeded 0.2 s run of SMALL with 1 MHz
@@ -426,6 +448,17 @@ def test_undersampled_delay_grid_exit_code(tmp_path, capsys):
     assert f"delta2 needs at least {need} points" in capsys.readouterr().err
 
 
+def test_dispersion_domain_exit_code(tmp_path, capsys):
+    """A density so high that 1 + Re(chi) turns negative leaves the refractive
+    index undefined: linear-response exits 3 and writes nothing."""
+    cfg = tmp_path / "dense.cfg"
+    cfg.write_text(SMALL + "density = 1e300 cm^-3\n")
+    out = tmp_path / "lin"
+    assert main(["linear-response", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "1 + Re(chi) <= 0 on the requested axis" in capsys.readouterr().err
+    assert not any(out.glob("*.csv"))
+
+
 def _event_file(path, n):
     """A small sorted TPE1 file of n events over 1 s."""
     rng = np.random.default_rng(11)
@@ -449,6 +482,11 @@ def _event_file(path, n):
     ("power1 = 4 mW", "chi5-map"),                 # through delta1
     ("omega2 = 500 MHz\npower2 = 40 mW", "chi5-map"),   # a power sets its
     ("power3 = 10 mW\nomega3 = 400 MHz", "chi5-map"),   # field's Rabi frequency
+    # a field too weak for its detuning has a negative effective linewidth,
+    # and the spectral window built from it missed the resonances
+    ("omega2 = 10 MHz", "correlation-map"),                # -122.9 MHz
+    ("omega3 = 5 MHz\ndelta3 = -50 MHz", "correlation-map"),   # -73.1 MHz
+    ("omega2 = 0 Hz", "correlation-map"),
 ])
 def test_bad_config_value_exit_code(tmp_path, capsys, line, command):
     """The message names every key the config sets."""
@@ -461,6 +499,37 @@ def test_bad_config_value_exit_code(tmp_path, capsys, line, command):
     err = capsys.readouterr().err
     for row in line.splitlines():
         assert row.split()[0] in err
+
+
+@pytest.mark.parametrize("key, bound, command", [
+    ("spectral_n2", 2 ** 13, "correlation-map"),
+    ("spectral_n3", 2 ** 13, "correlation-map"),
+    ("tau_points", 2 ** 13, "correlation-map"),
+    ("map_n2", 2 ** 13, "chi5-map"),
+    ("map_n3", 2 ** 13, "chi5-map"),
+    ("quad_nodes", 2 ** 16, "chi5-map"),
+])
+def test_grid_size_bound_exit_code(tmp_path, capsys, monkeypatch, key, bound,
+                                   command):
+    """Each grid size and the midpoint node count has an upper bound.  The
+    bound reaches the compute stage; one past it exits 2 at parse time,
+    naming the key (spectral_n2 = 2000000000 used to exit 1 with numpy's
+    _ArrayMemoryError).  The compute stage is patched, so no size runs."""
+    def unreached(*args, **kwargs):
+        raise AssertionError("the compute stage was reached")
+    monkeypatch.setattr(cli, "chi5_map", unreached)
+    monkeypatch.setattr(cli, "spectral_kernel", unreached)
+    cfg = tmp_path / "big.cfg"
+    out = tmp_path / "out.csv"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    cfg.write_text(f"{key} = {bound}\n")
+    with pytest.raises(AssertionError, match="compute stage"):
+        main(argv)
+    cfg.write_text(f"{key} = {bound + 1}\n")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"key '{key}'" in err and f"<= {bound}" in err, err
+    assert not out.exists()
 
 
 def _dense_event_file(path):

@@ -7,8 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from triphoton.errors import (InvalidParameterError, RangeError,
                               SamplingError)
-from triphoton.params import resonance_set
-from triphoton.constants import CONST
+from triphoton.params import C_LIGHT, resonance_set
 from triphoton.susceptibility import (ComplexGrid2D, GridSpec2D, chi5_map,
                                       dispersion_profile)
 from triphoton import correlation
@@ -68,7 +67,7 @@ def test_kernel_group_delay_phases_from_profiles(params, quad):
         at = (lambda d: d) if mode == "local" else (lambda d: np.zeros_like(d))
         v2 = profiles["S2"].v_at(at(d2))[:, None]
         v3 = profiles["S3"].v_at(at(d3))[None, :]
-        dk = -(d2[:, None] + d3[None, :]) / CONST.c - d2[:, None] / v2 + d3[None, :] / v3
+        dk = -(d2[:, None] + d3[None, :]) / C_LIGHT - d2[:, None] / v2 + d3[None, :] / v3
         ref = (chi * np.sinc(dk * L / (2 * np.pi))
                * np.exp(-1j * d2[:, None] * L / (2 * v2))
                * np.exp(-1j * d3[None, :] * L / (2 * v3)))
@@ -229,6 +228,10 @@ def test_conditional_trace_validation():
     with pytest.raises(InvalidParameterError):
         ConditionalTrace(axis=np.array([0.0, 1.0, 2.0]),
                          values=np.array([0.0, -1.0, 0.0]))
+    # nanosecond spacings lie far below allclose's default atol
+    with pytest.raises(InvalidParameterError, match="uniform"):
+        ConditionalTrace(axis=np.array([0.0, 0.1, 0.3, 0.4, 0.7]) * 1e-9,
+                         values=np.ones(5))
 
 
 # ---------------------------------------------------------------------------

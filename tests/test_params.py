@@ -68,8 +68,8 @@ def test_reference_optical_depth(params):
 
 @given(st.floats(min_value=250.0, max_value=500.0))
 def test_velocity_pdf_even_and_normalized(T):
-    from triphoton.constants import CONST
-    v = np.linspace(-8, 8, 10001) * sqrt(CONST.kB * T / CONST.mRb)
+    from triphoton.params import K_B, M_RB
+    v = np.linspace(-8, 8, 10001) * sqrt(K_B * T / M_RB)
     f = maxwell_boltzmann_pdf(v, T)
     assert np.allclose(f, f[::-1])
     assert np.trapezoid(f, v) == pytest.approx(1.0, abs=1e-8)

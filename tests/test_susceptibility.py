@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triphoton.constants import CONST
 from triphoton import susceptibility
 from triphoton.errors import (InvalidParameterError, NumericalDomainError,
                               RangeError)
-from triphoton.params import (KBAR, OMEGA31, OMEGA42, default_params,
+from triphoton.params import (C_LIGHT, KBAR, OMEGA31, OMEGA42, default_params,
                               density_for_od, doppler_detunings)
 from triphoton.susceptibility import (ComplexGrid2D, GridSpec2D,
                                       VelocityQuadrature, _chi_linear, chi5,
@@ -106,7 +105,7 @@ def test_chi5_map_matches_direct_integral(params):
     r, drv = params.rates, params.drive
     v, w = MIDPOINT.nodes_weights(params)
     dd1, dd2, dd3 = doppler_detunings(v, drv)
-    wm, wp = 1.0 - v / CONST.c, 1.0 + v / CONST.c
+    wm, wp = 1.0 - v / C_LIGHT, 1.0 + v / C_LIGHT
     s = wm * d2 + wp * d3
     b1 = r.gamma31 + 1j * dd1
     b2 = (r.gamma21 + 1j * s) * (r.gamma41 + 1j * s + 1j * dd2) + drv.omega2 ** 2
@@ -247,9 +246,9 @@ def _coincident_pole_params(params):
 def test_chi5_coincident_poles_fall_back(params):
     coincident = _coincident_pole_params(params)
     _, ok = susceptibility._doppler_average(
-        1.0, 0.0, ((1j * OMEGA31 / CONST.c,
+        1.0, 0.0, ((1j * OMEGA31 / C_LIGHT,
                     -(coincident.rates.gamma31 + 1j * coincident.drive.delta1)),
-                   (1j * OMEGA42 / CONST.c,
+                   (1j * OMEGA42 / C_LIGHT,
                     -(coincident.rates.gamma41 + 1j * coincident.drive.delta3))),
         coincident.sigma_v)
     assert not ok
@@ -354,7 +353,7 @@ def test_vacuum_mismatch_alternating_signs(d2, d3):
     """With all modes at c the energy-conservation offset cancels everything
     except -2 delta2 / c."""
     dk = phase_mismatch(d2, d3)
-    assert dk == pytest.approx(-2.0 * d2 / CONST.c, rel=1e-12, abs=1e-13)
+    assert dk == pytest.approx(-2.0 * d2 / C_LIGHT, rel=1e-12, abs=1e-13)
 
 
 def test_vacuum_mismatch_frozen_value():
@@ -412,8 +411,8 @@ def test_slow_light_regimes(params, quad):
         hot, cell=dataclasses.replace(hot.cell,
                                       density_N=density_for_od(45.7, 388.15)))
     prof_hi = dispersion_profile("S2", axis, hot, quad)
-    min_lo = float(np.min(prof_lo.v_group[prof_lo.v_group > 0])) / CONST.c
-    min_hi = float(np.min(prof_hi.v_group[prof_hi.v_group > 0])) / CONST.c
+    min_lo = float(np.min(prof_lo.v_group[prof_lo.v_group > 0])) / C_LIGHT
+    min_hi = float(np.min(prof_hi.v_group[prof_hi.v_group > 0])) / C_LIGHT
     assert min_lo < 0.5
     assert min_hi < 0.05
     assert min_hi < min_lo
