@@ -24,7 +24,7 @@ from .susceptibility import (GridSpec2D, chi5_map, dispersion_profile,
 from .correlation import (default_spectral_window, spectral_kernel,
                           triphoton_amplitude_map, trace_map, diagonal_cut)
 from .eventsim import PS_PER_S, stream_windows
-from .params import C_LIGHT, rabi_from_power
+from .params import C_LIGHT, TWO_PI, rabi_from_power, resonance_set
 from .coincidence import (METHOD_LABELS, check_histogram, estimate_floor,
                           floor_frame, rates_report, triple_histogram)
 # the library entry points that perfbench/tracer.py times under these names;
@@ -199,8 +199,7 @@ def cmd_analyze(args) -> int:
     hist = triple_histogram(chunks, cfg["window"], cfg["bin"], duration,
                             METHOD_LABELS[method])
     floor = estimate_floor(hist)
-    hist = dataclasses.replace(hist, floor_estimate=floor)
-    report = rates_report(hist, peak_rebin=cfg["peak_rebin"])
+    report = rates_report(hist, floor, peak_rebin=cfg["peak_rebin"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     io_formats.write_real_grid(
@@ -270,6 +269,11 @@ def cmd_sweep(args) -> int:
     base = cfg.experiment_params()
     steps = [dataclasses.replace(base, drive=dataclasses.replace(
         base.drive, omega2=rabi_from_power(2, float(p)))) for p in powers]
+    lw2 = resonance_set(steps[0]).linewidth_d2  # grows with power2
+    if not lw2 > 0:
+        raise ConfigError(f"sweep --from {args.start} is too weak for delta2 = "
+                          f"{base.drive.delta2 / TWO_PI / 1e6:.4g} MHz (field 2's "
+                          f"effective linewidth {lw2 / TWO_PI / 1e6:.4g} MHz)")
     # spectral window frozen at the largest Rabi frequency (powers[-1] is hi)
     # so every sweep point is integrated over the same region
     spec = _spectral_spec(cfg, steps[-1])

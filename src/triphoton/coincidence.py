@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from statistics import NormalDist, median
 
 import numpy as np
 
 from .errors import InvalidParameterError, EstimationError
-from .correlation import (ConditionalTrace, cauchy_schwarz_factor,
+from .correlation import (ConditionalTrace, _unit_peak, cauchy_schwarz_factor,
                           oscillation_period, visibility)
 from .eventsim import PS_PER_S, split_channels
 
@@ -45,15 +45,14 @@ class CoincidenceHistogram2D:
     """Binned three-fold coincidences over (tau21, tau31).
 
     Axes hold bin centers in [0, window); counts are non-negative integers.
-    floor_estimate is filled by estimate_floor; method records which
-    reconstruction produced the histogram.
+    method records which reconstruction produced the histogram; the floor
+    is estimate_floor's, passed to subtract_accidentals and rates_report.
     """
 
     tau21_axis: np.ndarray
     tau31_axis: np.ndarray
     counts: np.ndarray
     duration: float
-    floor_estimate: float | None = None
     method: str = METHOD_LABELS["direct"]
 
     def __post_init__(self):
@@ -367,12 +366,9 @@ def estimate_floor(hist: CoincidenceHistogram2D) -> float:
     return float(median([c.mean() for c in chunks]))
 
 
-def subtract_accidentals(hist: CoincidenceHistogram2D,
+def subtract_accidentals(hist: CoincidenceHistogram2D, floor: float,
                          clamp: bool = True) -> np.ndarray:
-    """counts - floor, clamped at zero unless the raw signed map is requested."""
-    floor = hist.floor_estimate
-    if floor is None:
-        floor = estimate_floor(hist)
+    """counts - floor (per bin), clamped at zero unless a signed map is asked for."""
     out = hist.counts.astype(float) - floor
     if clamp:
         out = np.maximum(out, 0.0)
@@ -394,9 +390,10 @@ def rebin2d(counts: np.ndarray, factor: int) -> np.ndarray:
 # reporting
 # ---------------------------------------------------------------------------
 
-def rates_report(hist: CoincidenceHistogram2D, g1=(1.6, 2.0, 2.0),
-                 peak_rebin: int = 8) -> RatesReport:
-    """Rates, g3, Cauchy-Schwarz factor and trace metrics for one histogram.
+def rates_report(hist: CoincidenceHistogram2D, floor: float,
+                 g1=(1.6, 2.0, 2.0), peak_rebin: int = 8) -> RatesReport:
+    """Rates, g3, Cauchy-Schwarz factor and trace metrics for one histogram
+    over an accidental floor in counts per bin (estimate_floor's).
 
     triplet rate = (total - floor*nbins)/duration, accidental rate =
     floor*nbins/duration, both per minute with sqrt(N)/T errors.  g3 is the
@@ -405,10 +402,6 @@ def rates_report(hist: CoincidenceHistogram2D, g1=(1.6, 2.0, 2.0),
     regime).  Periods and visibility come from the marginals of the
     accidental-subtracted map.
     """
-    floor = hist.floor_estimate
-    if floor is None:
-        floor = estimate_floor(hist)
-        hist = replace(hist, floor_estimate=floor)
     nbins = hist.counts.size
     total = float(hist.counts.sum())
     acc_counts = floor * nbins
@@ -427,11 +420,11 @@ def rates_report(hist: CoincidenceHistogram2D, g1=(1.6, 2.0, 2.0),
     else:
         g3 = float(coarse.max()) / coarse_floor
         factor = cauchy_schwarz_factor(g3, g1)
-    sub = subtract_accidentals(hist)
-    tr21 = ConditionalTrace(axis=hist.tau21_axis, values=_norm(sub.sum(axis=1)),
-                            kind="trace-out-S3")
-    tr31 = ConditionalTrace(axis=hist.tau31_axis, values=_norm(sub.sum(axis=0)),
-                            kind="trace-out-S2")
+    sub = subtract_accidentals(hist, floor)
+    tr21 = ConditionalTrace(axis=hist.tau21_axis,
+                            values=_unit_peak(sub.sum(axis=1)), kind="trace-out-S3")
+    tr31 = ConditionalTrace(axis=hist.tau31_axis,
+                            values=_unit_peak(sub.sum(axis=0)), kind="trace-out-S2")
     periods = []
     for tr in (tr21, tr31):
         est = oscillation_period(tr)
@@ -447,11 +440,6 @@ def rates_report(hist: CoincidenceHistogram2D, g1=(1.6, 2.0, 2.0),
                        g3_peak=g3, cauchy_schwarz=factor,
                        zero_floor=bool(zero_floor), visibility=vis,
                        dominant_periods=tuple(periods))
-
-
-def _norm(v: np.ndarray) -> np.ndarray:
-    peak = float(v.max())
-    return v / peak if peak > 0 else v
 
 
 def _poisson_sum(js, mu: float) -> float:

@@ -192,13 +192,13 @@ REGISTRY = {
     "dark_rate_ch3": (_nonnegative(_parse_rate), "200 /s"),
     "dark_rate_ch4": (_nonnegative(_parse_rate), "200 /s"),
     "dual_pair_rate": (_nonnegative(_parse_rate), "1000 /s"),
-    "dual_pair_delay": (_parse_time, "1 us"),
+    "dual_pair_delay": (_positive(_parse_time), "1 us"),
     "efficiency_ch1": (_fraction(_parse_float), "1.0"),
     "efficiency_ch2": (_fraction(_parse_float), "1.0"),
     "efficiency_ch3": (_fraction(_parse_float), "1.0"),
     "efficiency_ch4": (_fraction(_parse_float), "1.0"),
     "fiber_coupling": (_fraction(_parse_float), "1.0"),
-    "jitter_sigma": (_parse_time, "0 ps"),
+    "jitter_sigma": (_nonnegative(_parse_time), "0 ps"),
     "duration": (_positive(_parse_time), "3600 s"),
     "seed": (_bounded(_parse_int, 0, 2 ** 64 - 1), "20240817"),
     # analysis

@@ -8,7 +8,7 @@ quadrature and a chirp-z transform; they serve as mutual cross-checks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from statistics import median
 
@@ -18,8 +18,8 @@ from .errors import (InvalidParameterError, SamplingError, RangeError,
                      EstimationError)
 from .params import C_LIGHT, TWO_PI, ExperimentParams, resonance_set
 from .susceptibility import (ComplexGrid2D, GridSpec2D, VelocityQuadrature,
-                             chi5_map, group_velocity, phase_mismatch,
-                             params_hash)
+                             _check_axis, chi5_map, group_velocity,
+                             phase_mismatch, params_hash)
 
 
 # ---------------------------------------------------------------------------
@@ -63,9 +63,8 @@ class ConditionalTrace:
         values = np.asarray(self.values, dtype=float)
         if axis.ndim != 1 or axis.shape != values.shape:
             raise InvalidParameterError("axis and values must be matched 1-D arrays")
-        d = np.diff(axis)
-        if axis.size > 1 and (np.any(d <= 0) or not np.allclose(d, d[0], rtol=1e-9, atol=0.0)):
-            raise InvalidParameterError("axis must be strictly increasing and uniform")
+        if axis.size > 1:
+            _check_axis(axis, "axis")
         if np.any(values < 0):
             raise InvalidParameterError("trace values must be non-negative")
         object.__setattr__(self, "axis", axis)
@@ -87,6 +86,10 @@ def default_spectral_window(params: ExperimentParams, n2: int = 512,
     Doppler shifts move each resonance by ~1 MHz per m/s.
     """
     sig = params.sigma_v
+    if not 3 * sig < C_LIGHT:
+        raise InvalidParameterError(
+            f"temperature = {params.cell.temperature:.4g} K puts the 3-sigma "
+            f"thermal speed at {3 * sig:.4g} m/s, not below c")
     sets = [resonance_set(params, v) for v in (-3 * sig, 0.0, 3 * sig)]
     lw2, lw3 = _linewidths(params, sets[1])
     lo2 = min(min(s.centers_d2) for s in sets) - linewidth_multiple * lw2
@@ -155,10 +158,8 @@ def spectral_kernel(spectral_spec: GridSpec2D, params: ExperimentParams,
         kern = kern * np.exp(-1j * d3 * (L / (2.0 * v3))[None, :])
     else:
         kern = kern * np.exp(-1j * (d2 + d3) * (L / (2.0 * C_LIGHT)))
-    return ComplexGrid2D(axis1=grid.axis1, axis2=grid.axis2, values=kern,
-                         label1="delta2", label2="delta3", unit="rad/s",
-                         provenance="spectral_kernel "
-                                    f"{params_hash(params, spectral_spec, quad)}")
+    return replace(grid, values=kern, provenance="spectral_kernel "
+                   f"{params_hash(params, spectral_spec, quad)}")
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +289,7 @@ def conditional_r2_closed(tau23_axis, kernel: ComplexGrid2D) -> ConditionalTrace
     e2 = np.exp(1j * np.outer(tau23, kernel.axis1))
     inner = (e2 @ kernel.values) * dd2
     r2 = np.sum(np.abs(inner) ** 2, axis=1) * dd3
-    peak = float(np.max(r2))
-    if peak > 0:
-        r2 = r2 / peak
-    return ConditionalTrace(axis=tau23, values=r2, kind="fixed-line",
+    return ConditionalTrace(axis=tau23, values=_unit_peak(r2), kind="fixed-line",
                             line_spec="closed-form R2(tau23)")
 
 
@@ -327,11 +325,14 @@ def trace_map(cmap: CorrelationMap, kind: str,
         axis = start + d1 * np.arange(n1 + n2 - 1)
     else:
         raise InvalidParameterError(f"unknown trace kind '{kind}'")
-    if normalize:
-        peak = float(values.max())
-        if peak > 0:
-            values = values / peak
+    values = _unit_peak(values) if normalize else values
     return ConditionalTrace(axis=axis, values=values, kind=kind)
+
+
+def _unit_peak(v: np.ndarray) -> np.ndarray:
+    """v over its maximum, or v itself when no value is positive."""
+    peak = float(v.max())
+    return v / peak if peak > 0 else v
 
 
 def diagonal_cut(cmap: CorrelationMap, c: float) -> ConditionalTrace:

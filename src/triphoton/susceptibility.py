@@ -594,17 +594,13 @@ def phase_mismatch(delta2, delta3, profiles: dict | None = None,
 def longitudinal_phi(dk, L: float):
     """Longitudinal phase-mismatch function Phi = sinc(x) exp(-i x), x = dk L/2.
 
-    sinc(x) = sin(x)/x with sinc(0) = 1; a truncated Taylor series is used for
-    |x| < 1e-4 to avoid cancellation near the removable singularity.
+    sinc(x) = sin(x)/x with sinc(0) = 1, from np.sinc as in spectral_kernel;
+    sin(x)/x keeps full relative precision near the removable singularity.
     """
     if L <= 0:
         raise InvalidParameterError(f"L must be > 0, got {L}")
     x = np.asarray(dk, dtype=float) * (L / 2.0)
-    small = np.abs(x) < 1e-4
-    xs = np.where(small, 0.0, x)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        s = np.where(small, 1.0 - x * x / 6.0 + x ** 4 / 120.0, np.sin(xs) / np.where(small, 1.0, xs))
-    out = s * np.exp(-1j * x)
+    out = np.sinc(x / np.pi) * np.exp(-1j * x)
     if out.ndim == 0:
         return complex(out)
     return out

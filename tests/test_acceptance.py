@@ -28,7 +28,7 @@ from triphoton.params import DetuningOffsets, effective_rabi, rabi_from_power
 from triphoton.eventsim import SourceConfig, generate_stream, split_channels
 from triphoton.coincidence import (reconstruct_triple_direct, rates_report,
                                    subtract_accidentals, rebin2d,
-                                   diagnose_crosscheck)
+                                   diagnose_crosscheck, estimate_floor)
 from triphoton.cli import sweep_rate
 from triphoton import io_formats
 
@@ -193,7 +193,8 @@ def test_criterion_06_stream_recovery(reference_run):
     minutes = run["cfg"].duration / 60.0
     truth_trip = ht.counts.sum() / minutes
     truth_acc = (hd.counts.sum() - ht.counts.sum()) / minutes
-    rep = rates_report(hd)
+    floor = estimate_floor(hd)
+    rep = rates_report(hd, floor)
     z_trip = abs(rep.triplet_rate_per_min - truth_trip) / rep.triplet_rate_err
     z_acc = abs(rep.accidental_rate_per_min - truth_acc) / rep.accidental_rate_err
     a = hd.counts.ravel().astype(float)
@@ -201,7 +202,7 @@ def test_criterion_06_stream_recovery(reference_run):
     m = (a + b) > 0
     stat = float(np.sum((a[m] - b[m]) ** 2 / (a[m] + b[m])))
     p_agree = float(chi2.sf(stat, int(m.sum()))) if m.any() else 1.0
-    sub = subtract_accidentals(hd)[:77, :77]
+    sub = subtract_accidentals(hd, floor)[:77, :77]
     r = float(np.corrcoef(rebin2d(sub, 4).ravel(),
                           rebin2d(run["cmap"].r3, 4).ravel())[0, 1])
     t3, t4 = split_channels(run["stream"]["channel"], run["stream"]["timestamp_ps"],
@@ -224,14 +225,15 @@ def test_criterion_07_cauchy_schwarz(reference_run):
     for the correlated stream, and stays at or below 1 for pure noise."""
     ident = cauchy_schwarz_factor(np.sqrt(250.0) * (1.6 * 2.0 * 2.0),
                                   (1.6, 2.0, 2.0))
-    rep = rates_report(reference_run["hist_direct"])
+    hd = reference_run["hist_direct"]
+    rep = rates_report(hd, estimate_floor(hd))
     noise_cfg = SourceConfig(triplet_rate=0.0,
                              singles_rate=(2e4, 2e4, 2e4, 0.0),
                              duration=600.0, seed=11)
     noise = generate_stream(None, noise_cfg)
     hist = reconstruct_triple_direct(noise, window=195e-9, bin_width=2.5e-9,
                                      duration=noise_cfg.duration)
-    rep_noise = rates_report(hist)
+    rep_noise = rates_report(hist, estimate_floor(hist))
     ok = (abs(ident - 250.0) < 1e-9 and rep.cauchy_schwarz > 1.0
           and rep_noise.cauchy_schwarz <= 1.0)
     _report(7, ok,

@@ -403,9 +403,11 @@ def test_sweep_rejects_bad_arguments(small_cfg, tmp_path, capsys):
                  "--from", "5mW", "--to", "40mW", "--steps", "1",
                  "--out", out]) == 2
     capsys.readouterr()
-    # a power that is not a number, or not finite, names its flag
+    # a power that is not a number, not finite, or too weak for delta2 =
+    # -150 MHz (0.1mW: a negative effective linewidth) names its flag
     for flag, value in (("--from", "abc"), ("--from", "5kW"),
-                        ("--to", "inf"), ("--to", "1e400mW")):
+                        ("--to", "inf"), ("--to", "1e400mW"),
+                        ("--from", "0.1mW")):
         powers = {"--from": "5mW", "--to": "40mW", flag: value}
         assert main(["sweep", "--config", small_cfg, "--param", "power2",
                      "--from", powers["--from"], "--to", powers["--to"],
@@ -487,6 +489,8 @@ def _event_file(path, n):
     ("omega2 = 10 MHz", "correlation-map"),                # -122.9 MHz
     ("omega3 = 5 MHz\ndelta3 = -50 MHz", "correlation-map"),   # -73.1 MHz
     ("omega2 = 0 Hz", "correlation-map"),
+    # a 3-sigma thermal speed past c leaves no Doppler window
+    ("temperature = 1e15 K", "correlation-map"),
 ])
 def test_bad_config_value_exit_code(tmp_path, capsys, line, command):
     """The message names every key the config sets."""

@@ -613,10 +613,9 @@ def test_floor_formula_for_independent_channels():
 
 def test_subtract_accidentals_clamps():
     h = _flat_hist(mu=2.0, seed=9)
-    h = dataclasses.replace(h, floor_estimate=2.0)
-    sub = subtract_accidentals(h)
+    sub = subtract_accidentals(h, 2.0)
     assert np.all(sub >= 0)
-    raw = subtract_accidentals(h, clamp=False)
+    raw = subtract_accidentals(h, 2.0, clamp=False)
     assert np.any(raw < 0)
     assert np.allclose(np.maximum(raw, 0.0), sub)
 
@@ -641,8 +640,8 @@ def test_rates_report_on_synthetic_histogram():
     h = _flat_hist(mu=2.0, seed=15, duration=120.0)
     counts = h.counts.copy()
     counts[28:32, 40:44] += 200  # a feature aligned with one coarse cell
-    h = dataclasses.replace(h, counts=counts, floor_estimate=2.0)
-    rep = rates_report(h, peak_rebin=4)
+    h = dataclasses.replace(h, counts=counts)
+    rep = rates_report(h, 2.0, peak_rebin=4)
     minutes = 2.0
     sig = counts.sum() - 2.0 * counts.size
     assert rep.triplet_rate_per_min == pytest.approx(sig / minutes, rel=1e-12)
@@ -658,9 +657,8 @@ def test_rates_report_zero_floor():
     counts = np.zeros((40, 40), dtype=int)
     counts[10, 10] = 5
     h = CoincidenceHistogram2D(tau21_axis=axis, tau31_axis=axis.copy(),
-                               counts=counts, duration=60.0,
-                               floor_estimate=0.0)
-    rep = rates_report(h)
+                               counts=counts, duration=60.0)
+    rep = rates_report(h, 0.0)
     assert rep.zero_floor
     assert rep.g3_peak == float("inf")
     assert rep.cauchy_schwarz == float("inf")

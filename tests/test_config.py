@@ -134,16 +134,6 @@ def test_quadrature_wiring():
     assert (q.scheme, q.range_sigmas) == ("faddeeva", 6.0)
 
 
-@pytest.mark.parametrize("line", ["quad_nodes = 2001.0", "quad_nodes = Exact",
-                                  "spectral_linewidth_multiple = 0",
-                                  "spectral_pad_fraction = -0.1"])
-def test_numeric_bounds_name_the_key(line):
-    key = line.split()[0]
-    with pytest.raises(ConfigError) as err:
-        parse_config_text("seed = 1\n" + line + "\n")
-    assert (err.value.key, err.value.line) == (key, 2)
-
-
 def _numeric_keys():
     """(key, unit suffix) for every REGISTRY key that holds a number."""
     for key, (_, text) in REGISTRY.items():
@@ -152,6 +142,22 @@ def _numeric_keys():
                 isinstance(val, (int, float)) and not isinstance(val, bool)):
             unit = " mW" if val is None else "".join(" " + u for u in text.split()[1:])
             yield key, unit
+
+
+# the detunings are signed, and -1 C is above absolute zero
+_SIGNED = ("delta1", "delta2", "delta3", "temperature")
+
+
+@pytest.mark.parametrize("line", ["quad_nodes = 2001.0", "quad_nodes = Exact",
+                                  "spectral_linewidth_multiple = 0",
+                                  "spectral_pad_fraction = -0.1"]
+                         + [f"{key} = -1{unit}" for key, unit in _numeric_keys()
+                            if key not in _SIGNED])
+def test_numeric_bounds_name_the_key(line):
+    key = line.split()[0]
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("seed = 1\n" + line + "\n")
+    assert (err.value.key, err.value.line) == (key, 2)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "1e999"])

@@ -330,9 +330,9 @@ def test_phi_bounded(dk):
     assert abs(longitudinal_phi(dk, 0.07)) <= 1.0 + 1e-12
 
 
-def test_phi_series_continuous_at_switch():
+def test_phi_matches_sin_over_x_near_zero():
     L = 0.07
-    x = 1e-4  # series/exact switchover is at |dk L/2| = 1e-4
+    x = 1e-4  # where a Taylor series would take over from sin(x)/x
     for dk in (2 * x / L * 0.999, 2 * x / L * 1.001):
         exact = np.sin(dk * L / 2) / (dk * L / 2) * np.exp(-1j * dk * L / 2)
         assert longitudinal_phi(dk, L) == pytest.approx(exact, rel=1e-10)
