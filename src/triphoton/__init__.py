@@ -10,7 +10,7 @@ and configuration / file formats / CLI (config, io_formats, cli).
 from .params import (VaporCell, DecayRates, DriveFields, DetuningOffsets,
                      ResonanceSet, C_LIGHT, HBAR, K_B, EPS0, M_RB,
                      OMEGA31, OMEGA41, OMEGA42, KBAR, NOMINAL_DIPOLE,
-                     ExperimentParams, default_params, maxwell_boltzmann_pdf,
+                     ExperimentParams, maxwell_boltzmann_pdf,
                      doppler_detunings, effective_rabi, resonance_set,
                      optical_depth, doppler_width)
 from .susceptibility import (VelocityQuadrature, ComplexGrid2D, GridSpec2D,

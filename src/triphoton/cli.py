@@ -21,8 +21,8 @@ from .errors import (ConfigError, InvalidParameterError, NumericalDomainError,
 from .config import parse_config, default_config, dump_defaults, RunConfig
 from .susceptibility import (GridSpec2D, chi5_map, dispersion_profile,
                              params_hash)
-from .correlation import (default_spectral_window, spectral_kernel,
-                          triphoton_amplitude_map, trace_map, diagonal_cut)
+from .correlation import (default_spectral_window, spectral_kernel, trace_map,
+                          triphoton_amplitude_map, diagonal_cut, _check_coverage)
 from .eventsim import PS_PER_S, stream_windows
 from .params import C_LIGHT, TWO_PI, rabi_from_power, resonance_set
 from .coincidence import (METHOD_LABELS, check_histogram, estimate_floor,
@@ -277,6 +277,10 @@ def cmd_sweep(args) -> int:
     # spectral window frozen at the largest Rabi frequency (powers[-1] is hi)
     # so every sweep point is integrated over the same region
     spec = _spectral_spec(cfg, steps[-1])
+    try:
+        _check_coverage(spec, steps[-1])
+    except InvalidParameterError as exc:
+        raise ConfigError(f"sweep --to {args.stop}: {exc}") from None
     rates = np.asarray([sweep_rate(params, spec, quad, float(p))
                         for params, p in zip(steps, powers)])
     coeff = np.polyfit(powers, rates, 1)

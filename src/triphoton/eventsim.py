@@ -13,7 +13,8 @@ of keys that pack the stamp and the series number, so no stream-sized sort
 temporary, index or gather is ever built.  stream_windows hands the windows
 out as they are merged: writing them to a file holds the sorted series (8 of
 the stream's 10 bytes per event) plus one window of 64k events.
-generate_stream collects them into the stream, which it adds.
+generate_stream copies the windows into one in-memory stream array, with
+the origin tag of each event.
 
 All randomness derives from a single 64-bit master seed through fixed
 per-source labels, so adding or removing one source never perturbs the
@@ -27,7 +28,6 @@ from math import inf, isfinite
 import numpy as np
 
 from .errors import InvalidParameterError
-from .correlation import CorrelationMap
 
 # simulation-truth origin tags
 ORIGIN_TRIPLET = 0

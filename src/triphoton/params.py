@@ -9,7 +9,6 @@ as bare MHz.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from math import pi, sqrt, log
 
@@ -51,7 +50,7 @@ class VaporCell:
     """Vapor cell geometry and thermodynamic state.
 
     temperature [K], length_L [m], density_N [atoms/m^3].  The optical depth
-    is derived from these and the transition constants: ExperimentParams.od.
+    is derived from these: ExperimentParams.od.
     """
 
     temperature: float
@@ -158,11 +157,18 @@ class ResonanceSet:
 class ExperimentParams:
     """Physical configuration of one simulated experiment: the config's three
     records and the optical depth derived from them.  The transitions and
-    dipoles are fixed atomic data, the module constants."""
+    dipoles are fixed atomic data, the module constants.  The thermal speed
+    must be below c out to 6 sigma, the midpoint rule's velocity node span."""
 
     cell: VaporCell
     rates: DecayRates
     drive: DriveFields
+
+    def __post_init__(self):
+        if not 6 * self.sigma_v < C_LIGHT:
+            raise InvalidParameterError(
+                f"temperature = {self.cell.temperature:.4g} K puts the 6-sigma "
+                f"thermal speed at {6 * self.sigma_v:.4g} m/s, not below c")
 
     @property
     def od(self) -> float:
@@ -173,21 +179,6 @@ class ExperimentParams:
     def sigma_v(self) -> float:
         """1-sigma thermal velocity sqrt(kB T / m) [m/s]."""
         return sqrt(K_B * self.cell.temperature / M_RB)
-
-
-def default_params(temperature_K: float = 353.15) -> ExperimentParams:
-    """The reference parameter set (hot-cell triphoton configuration): the
-    default config's parameters, at temperature_K.
-
-    Gamma31 = Gamma41 = 2pi x 6 MHz, Gamma11 = Gamma22 = 0.4 Gamma41,
-    Gamma21 = 0.2 Gamma41, Gamma42 = Gamma41 (not independently specified);
-    Delta1 = -2 GHz, Delta2 = -150 MHz, Delta3 = 50 MHz;
-    Omega2 = 870 MHz, Omega3 = 533 MHz (field 1 enters only through Delta1).
-    """
-    from .config import default_config   # config imports this module
-    params = default_config().experiment_params()
-    return dataclasses.replace(
-        params, cell=dataclasses.replace(params.cell, temperature=temperature_K))
 
 
 # ---------------------------------------------------------------------------
@@ -277,38 +268,25 @@ def doppler_width(T: float) -> float:
     return OMEGA42 / C_LIGHT * sqrt(8.0 * log(2.0) * K_B * T / M_RB)
 
 
-def _sigma41_raw(T: float) -> float:
-    """Uncalibrated on-resonance absorption cross-section of the S1/780 line.
-
-    omega41 |mu14|^2 / (2 eps0 hbar c) divided by the Doppler FWHM: the
-    homogeneous cross-section diluted by the ratio of natural to Doppler
-    width.  An overall dimensionless constant is left free and fixed once by
-    calibration (see SIGMA41_CALIBRATION).
-    """
-    return (OMEGA41 * NOMINAL_DIPOLE ** 2
-            / (2.0 * EPS0 * HBAR * C_LIGHT)
-            / doppler_width(T))
-
-
-# One-time calibration: the reference cell (N = 1.2e17 m^-3, T = 353.15 K,
-# L = 0.07 m, nominal dipole) must come out at OD = 4.6.  Frozen here; all
-# other optical depths follow from the same constant.
 _REF_N, _REF_T, _REF_L, _REF_OD = 1.2e17, 353.15, 0.07, 4.6
-SIGMA41_CALIBRATION = _REF_OD / (_REF_N * _REF_L * _sigma41_raw(_REF_T))
 
 
 def optical_depth(cell: VaporCell) -> float:
     """Optical depth OD = N sigma41 L of the S1/780 line for the given cell.
 
-    Linear in density and length; the cross-section carries the calibrated
-    prefactor and the 1/sqrt(T) Doppler dilution.
+    The Doppler-broadened cross-section sigma41 falls as 1/sqrt(T).  Absolute
+    dipoles are not known (NOMINAL_DIPOLE), so its prefactor is calibrated on
+    one reference cell, which comes out at exactly 4.6:
+    OD = 4.6 (N / 1.2e17 m^-3) (L / 0.07 m) sqrt(353.15 K / T).
     """
-    sigma41 = SIGMA41_CALIBRATION * _sigma41_raw(cell.temperature)
-    return cell.density_N * sigma41 * cell.length_L
+    return (_REF_OD * (cell.density_N / _REF_N) * (cell.length_L / _REF_L)
+            * sqrt(_REF_T / cell.temperature))
 
 
 def density_for_od(od_target: float, temperature_K: float,
                    length_L: float = _REF_L) -> float:
-    """Back-solve the atomic density that yields a given OD at temperature T."""
-    sigma41 = SIGMA41_CALIBRATION * _sigma41_raw(temperature_K)
-    return od_target / (sigma41 * length_L)
+    """The atomic density that yields od_target: optical_depth's inverse."""
+    if temperature_K <= 0:
+        raise InvalidParameterError(f"temperature must be > 0 K, got {temperature_K}")
+    return (_REF_N * (od_target / _REF_OD) * (_REF_L / length_L)
+            * sqrt(temperature_K / _REF_T))

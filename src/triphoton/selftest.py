@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .params import (default_params, maxwell_boltzmann_pdf, resonance_set,
+from .params import (maxwell_boltzmann_pdf, resonance_set,
                      doppler_detunings, doppler_width, DetuningOffsets, OMEGA42, C_LIGHT)
 from .susceptibility import (VelocityQuadrature, chi5, longitudinal_phi,
                              chi_linear_s1)
@@ -21,7 +21,7 @@ from . import io_formats
 
 
 def _checks():
-    params = default_params()
+    params = default_config().experiment_params()
 
     def mb_normalization():
         v = np.linspace(-8, 8, 20001) * params.sigma_v

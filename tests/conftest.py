@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from triphoton.params import default_params
+from triphoton.config import default_config
 from triphoton.susceptibility import GridSpec2D, VelocityQuadrature
 from triphoton.correlation import (default_spectral_window, spectral_kernel,
                                    triphoton_amplitude_map)
@@ -35,7 +35,7 @@ def raw_event_file():
 
 @pytest.fixture(scope="session")
 def params():
-    return default_params()
+    return default_config().experiment_params()
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.signal import find_peaks
 from scipy.stats import chi2
 
-from triphoton.params import (OMEGA42, default_params, density_for_od,
+from triphoton.params import (OMEGA42, density_for_od,
                               resonance_set, doppler_detunings,
                               maxwell_boltzmann_pdf)
 from triphoton.susceptibility import (ComplexGrid2D, GridSpec2D,
@@ -82,12 +82,11 @@ def test_criterion_02_resonance_maxima(params, quad):
     vs = np.linspace(-4 * sig, 4 * sig, 4001)
     curve = np.array([resonance_set(params, v).centers_d2 for v in vs])
     dists = np.array([np.min(np.abs(curve - pk)) for pk in peaks_a])
-    hot = default_params(temperature_K=388.15)
     hot = dataclasses.replace(
-        hot,
-        cell=dataclasses.replace(hot.cell,
+        params,
+        cell=dataclasses.replace(params.cell, temperature=388.15,
                                  density_N=density_for_od(45.7, 388.15)),
-        drive=dataclasses.replace(hot.drive, omega2=2 * np.pi * 533e6))
+        drive=dataclasses.replace(params.drive, omega2=2 * np.pi * 533e6))
     t0 = time.perf_counter()
     peaks_c, _ = _resonance_profile(hot, quad)
     elapsed_c = time.perf_counter() - t0

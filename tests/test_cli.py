@@ -293,9 +293,9 @@ _PINNED_MAPS = {
         "correlation_map.csv":
             "f0f659c24fabaed31f34eebd0f0ba85802c5d12d8ddd8e7826f9b520673782d2",
         "dispersion_s2.csv":
-            "219ba3f9fb35c1d17b4d4ea3adf704b190207180e2e72c2951456a98e1fbad3c",
+            "d761d57d262833f250e40842a2229a631d2f69d35fbc128a5361aa7a2368c0a8",
         "dispersion_s3.csv":
-            "b90ce02a5e706b6c0e56f446125a4a67fd85f583fee8dea5d12a4a8891b80250",
+            "34f6eb69bfb9f9f14500fb180b0a5ae38e4cde89d5fc20239eb058a73d673d76",
         "sweep.csv":
             "dcb029e4aa16c889c27c35a75bb5cac4f3bb618eee4755413c72debd1607c1ff",
     },
@@ -305,9 +305,9 @@ _PINNED_MAPS = {
         "correlation_map.csv":
             "d3adcae6e4a18b3a08e63d7b38531fd72efc6786cc975c47527965fac37c95f3",
         "dispersion_s2.csv":
-            "89fd277f4a62de21b7a339bd261084abf3d42b915426c252ecaeed6d2bcdbc20",
+            "9abe694550ac126d17c0e12c309b695668f4b79c1713027147329f915b5fb360",
         "dispersion_s3.csv":
-            "ee0a8380c710a5ff5b0b4511f2a3598097824c95f299888602cc9d8044a0bc7d",
+            "942d844f503746bed768e86c23d603c3311bd6b85e925c982564d14b13c02724",
         "sweep.csv":
             "950468c2f6da38d6f0043b45765c806bb95bdc6f37a13cafb677f8610707a6f9",
     },
@@ -403,11 +403,12 @@ def test_sweep_rejects_bad_arguments(small_cfg, tmp_path, capsys):
                  "--from", "5mW", "--to", "40mW", "--steps", "1",
                  "--out", out]) == 2
     capsys.readouterr()
-    # a power that is not a number, not finite, or too weak for delta2 =
-    # -150 MHz (0.1mW: a negative effective linewidth) names its flag
+    # a power that is not a number, not finite, too weak for delta2 =
+    # -150 MHz (0.1mW: a negative effective linewidth) or so strong that
+    # the resonances leave the +-5 GHz window (1000W) names its flag
     for flag, value in (("--from", "abc"), ("--from", "5kW"),
                         ("--to", "inf"), ("--to", "1e400mW"),
-                        ("--from", "0.1mW")):
+                        ("--from", "0.1mW"), ("--to", "1000W")):
         powers = {"--from": "5mW", "--to": "40mW", flag: value}
         assert main(["sweep", "--config", small_cfg, "--param", "power2",
                      "--from", powers["--from"], "--to", powers["--to"],
@@ -489,8 +490,14 @@ def _event_file(path, n):
     ("omega2 = 10 MHz", "correlation-map"),                # -122.9 MHz
     ("omega3 = 5 MHz\ndelta3 = -50 MHz", "correlation-map"),   # -73.1 MHz
     ("omega2 = 0 Hz", "correlation-map"),
-    # a 3-sigma thermal speed past c leaves no Doppler window
+    # a 6-sigma thermal speed past c puts Doppler nodes past c: every
+    # command refuses it, also the ones whose 3-sigma window stays below c
     ("temperature = 1e15 K", "correlation-map"),
+    ("temperature = 1e15 K", "chi5-map"),
+    ("temperature = 5e13 K", "correlation-map"),   # 3 sigma is 0.70 c
+    # a drive that moves a resonance past the window's +-5 GHz clip
+    ("omega2 = 100 GHz", "correlation-map"),
+    ("omega3 = 50 GHz", "correlation-map"),
 ])
 def test_bad_config_value_exit_code(tmp_path, capsys, line, command):
     """The message names every key the config sets."""

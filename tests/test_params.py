@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from triphoton.errors import InvalidParameterError
 from triphoton.params import (OMEGA31, OMEGA42, DecayRates, DetuningOffsets,
                               DriveFields, ExperimentParams,
-                              VaporCell, default_params, density_for_od,
+                              VaporCell, density_for_od,
                               doppler_detunings, doppler_width,
                               effective_rabi, maxwell_boltzmann_pdf,
                               optical_depth, rabi_from_power,
@@ -22,12 +22,6 @@ TWO_PI = 2.0 * pi
 # frozen reference values (computed once with independent high-resolution
 # numerics and pinned here as regressions)
 # ---------------------------------------------------------------------------
-
-def test_default_params_is_the_default_config():
-    """The suite's reference parameters are the ones the CLI runs."""
-    from triphoton.config import default_config
-    assert default_params() == default_config().experiment_params()
-
 
 def test_thermal_velocity_reference(params):
     assert params.sigma_v == pytest.approx(1.859570724773e2, rel=1e-9)
@@ -60,6 +54,12 @@ def test_resonance_set_reference(params):
 
 def test_reference_optical_depth(params):
     assert params.od == pytest.approx(4.6, abs=1e-9)
+
+
+def test_reference_cell_calibrated_exactly():
+    """The calibration cell comes out at OD 4.6 and back, with no rounding."""
+    assert optical_depth(VaporCell(353.15, 0.07, 1.2e17)) == 4.6
+    assert density_for_od(4.6, 353.15) == 1.2e17
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from triphoton import susceptibility
 from triphoton.errors import (InvalidParameterError, NumericalDomainError,
                               RangeError)
-from triphoton.params import (C_LIGHT, KBAR, OMEGA31, OMEGA42, default_params,
+from triphoton.params import (C_LIGHT, KBAR, OMEGA31, OMEGA42,
                               density_for_od, doppler_detunings)
 from triphoton.susceptibility import (ComplexGrid2D, GridSpec2D,
                                       VelocityQuadrature, _chi_linear, chi5,
@@ -406,10 +406,9 @@ def test_slow_light_regimes(params, quad):
     drops further as the optical depth grows."""
     axis = np.linspace(-2 * np.pi * 2e9, 2 * np.pi * 2e9, 1024)
     prof_lo = dispersion_profile("S2", axis, params, quad)
-    hot = default_params(temperature_K=388.15)
     hot = dataclasses.replace(
-        hot, cell=dataclasses.replace(hot.cell,
-                                      density_N=density_for_od(45.7, 388.15)))
+        params, cell=dataclasses.replace(params.cell, temperature=388.15,
+                                         density_N=density_for_od(45.7, 388.15)))
     prof_hi = dispersion_profile("S2", axis, hot, quad)
     min_lo = float(np.min(prof_lo.v_group[prof_lo.v_group > 0])) / C_LIGHT
     min_hi = float(np.min(prof_hi.v_group[prof_hi.v_group > 0])) / C_LIGHT
