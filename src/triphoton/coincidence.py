@@ -5,13 +5,14 @@ start-stop histograms, the delayed-start three-fold reconstruction circuit,
 a direct three-fold matcher as the mathematical reference, flat-background
 estimation and subtraction, and the rate / nonclassicality report.  The
 three-fold histogram takes time-ordered record chunks, so an event file is
-matched as it is read.  A coincidence's clicks lie within one window, among
+matched as it is read, with one carry: the records of the last window and
+their cluster marks.  A coincidence's clicks lie within one window, among
 consecutive records that all do, so each of them is one of three
 consecutive records within a window.  Only the records in such a
 three-record cluster (about 0.1% of them at the paper's operating point)
-reach the matcher, which takes their channel stamps chunk by chunk,
-carrying the starts whose window is open, and finds each start's stops by
-one sort-merge of the starts with the stops between them.
+are kept, and each block of them is matched against its own stops and the
+carried ones, each start's stops found by one sort-merge of the starts
+with the stops between them.
 
 Floor formula for independent Poisson channels with the all-stop matcher:
 each of the r1*T starts contributes on average (r2*bin) stops in a given
@@ -32,8 +33,8 @@ from .correlation import (ConditionalTrace, _unit_peak, cauchy_schwarz_factor,
                           oscillation_period, visibility)
 from .eventsim import PS_PER_S, split_channels
 
-# starts merged with their stops, and (stop2, stop3) pair numbers expanded
-# and binned, at once by the three-fold matcher
+# kept records matched, starts merged with their stops, and (stop2, stop3)
+# pair numbers expanded and binned, at once by the three-fold matcher
 _TRIPLE_BLOCK = 1 << 16
 
 # the histogram label of each reconstruction method
@@ -213,89 +214,55 @@ def _add_triples(counts, t1, t2, t3, span: int, b_ps: int) -> None:
             np.add.at(counts, rows + (t3[lo3[owner] + k3] - at) // b_ps, 1)
 
 
-def _triple_match(chunks, w_ps: int, b_ps: int) -> np.ndarray:
-    """2-D all-stop histogram of (t2 - t1, t3 - t1) delays below span =
-    nbins * b_ps (a window's last partial bin is dropped) over (t1, t2, t3)
-    chunks of sorted int64 stamps [ps], each at or after every stamp before.
-
-    Each chunk joins the carry.  With seen the largest stamp held, a start at
-    or below seen - span (a Python int: nothing wraps) needs only stops below
-    seen, all read, so it is matched now.  The other starts are carried, with
-    the stops at or after the earliest of them (or seen), to the next chunk
-    or the last match: beside a chunk it holds about a window of stamps.
-    """
-    nbins = w_ps // b_ps
-    span = nbins * b_ps
-    counts = np.zeros(nbins * nbins, dtype=np.int64)
-    held = [np.empty(0, dtype=np.int64)] * 3
-    for chunk in chunks:
-        t1, t2, t3 = (np.concatenate(pair) for pair in zip(held, chunk))
-        seen = max(int(t[-1]) if t.size else 0 for t in (t1, t2, t3))
-        ready = np.searchsorted(t1, seen - span, side="right")
-        _add_triples(counts, t1[:ready], t2, t3, span, b_ps)
-        first = t1[ready] if ready < t1.size else seen
-        held = [t1[ready:], *(t[np.searchsorted(t, first):] for t in (t2, t3))]
-    _add_triples(counts, *held, span, b_ps)
-    return counts.reshape(nbins, nbins)
-
-
-def _clusters(chunks, span: int):
-    """(stamps, channel bytes) of the records of time-ordered (stamps [ps],
-    channel bytes) record chunks that lie in a three-record cluster: three
-    consecutive records k, k + 1, k + 2, of any channels, with
-    t[k + 2] - t[k] < span.
-
-    A three-fold coincidence puts its start and two stops in one interval
-    [T, T + span).  The records stamped there are consecutive, so each is in
-    such a cluster, and a record in none adds to no count.  Each chunk joins
-    the last two records before it, with their marks; those two are marked
-    in full by the next chunk, or the end.  The stamps are sorted and below
-    2^63, so no difference wraps.  The records kept are handed on once they
-    reach _TRIPLE_BLOCK, and at the end, so the matcher runs once per block
-    of starts, not once per sparse chunk.
-    """
-    t = np.empty(0, dtype=np.int64)
-    channel = np.empty(0, dtype=np.uint8)
-    mark = np.empty(0, dtype=bool)
-    kept, size = [], 0
-    for stamps, ch in chunks:
-        t = np.concatenate((t[-2:], stamps.view(np.int64)))
-        channel = np.concatenate((channel[-2:], ch))
-        carried, mark = mark[-2:], np.zeros(t.size, dtype=bool)
-        mark[:carried.size] = carried
-        close = t[2:] - t[:-2] < span
-        mark[:-2] |= close
-        mark[1:-1] |= close
-        mark[2:] |= close
-        keep = np.flatnonzero(mark[:-2])
-        kept.append((t[keep], channel[keep]))
-        size += keep.size
-        if size >= _TRIPLE_BLOCK:
-            yield tuple(map(np.concatenate, zip(*kept)))
-            kept, size = [], 0
-    keep = np.flatnonzero(mark[-2:])
-    kept.append((t[-2:][keep], channel[-2:][keep]))
-    yield tuple(map(np.concatenate, zip(*kept)))
-
-
 def triple_histogram(chunks, window: float, bin_width: float, duration: float,
                      method: str = METHOD_LABELS["direct"]) -> CoincidenceHistogram2D:
     """Three-fold histogram of time-ordered record chunks of (sorted stamps
     [ps] below 2^63, channel bytes): read_channel_chunks' chunks as the file
     is read, or [(stamps, channels)] of a stream.  For each channel-1 click,
-    every (channel-2, channel-3) pair within the window counts once at
-    (tau21, tau31).  Channels 1, 2 and 3 of the records in three-record
-    clusters (_clusters) are matched (_triple_match).  Both reconstructions
-    run this.
+    every (channel-2, channel-3) pair with delays below span = nbins * bin
+    counts once at (tau21, tau31).  Both reconstructions run this.
+
+    The carry holds the records stamped after the newest stamp - span, each
+    marked if it is in a three-record cluster (t[k + 2] - t[k] < span).  An
+    older record is final: no later record joins its clusters, and a start's
+    stops are all read.  Final marked records are kept; every _TRIPLE_BLOCK
+    of them, and at the end, their starts are matched against their stops
+    and the carried ones (an unmarked stop adds no count).
     """
     w_ps, b_ps = check_histogram(window, bin_width)
-    kept = (split_channels(channel, stamps, (1, 2, 3))
-            for stamps, channel in _clusters(chunks, w_ps // b_ps * b_ps))
-    counts = _triple_match(kept, w_ps, b_ps)
-    axis = (np.arange(w_ps // b_ps) + 0.5) * b_ps / PS_PER_S
+    nbins = w_ps // b_ps
+    span = nbins * b_ps
+    counts = np.zeros(nbins * nbins, dtype=np.int64)
+    t, channel, mark = (np.empty(0, dtype=d) for d in (np.int64, np.uint8, bool))
+    kept, size = [], 0
+    for stamps, ch in itertools.chain(chunks, [(None, None)]):
+        if stamps is None:  # the end: every record is final
+            final = t.size
+        else:
+            t = np.concatenate((t, stamps.view(np.int64)))
+            channel = np.concatenate((channel, ch))
+            carried, mark = mark, np.zeros(t.size, dtype=bool)
+            mark[:carried.size] = carried
+            close = t[2:] - t[:-2] < span
+            mark[:-2] |= close
+            mark[1:-1] |= close
+            mark[2:] |= close
+            final = np.searchsorted(t, int(t[-1]) - span, side="right") if t.size else 0
+        keep = np.flatnonzero(mark[:final])
+        kept.append((t[keep], channel[keep]))
+        size += keep.size
+        t, channel, mark = t[final:], channel[final:], mark[final:]
+        if size >= _TRIPLE_BLOCK or stamps is None:
+            stamps_kept, channel_kept = map(np.concatenate, zip(*kept))
+            t1, t2, t3 = split_channels(channel_kept, stamps_kept, (1, 2, 3))
+            c2, c3 = split_channels(channel, t, (2, 3))
+            _add_triples(counts, t1, np.concatenate((t2, c2)),
+                         np.concatenate((t3, c3)), span, b_ps)
+            kept, size = [], 0
+    axis = (np.arange(nbins) + 0.5) * b_ps / PS_PER_S
     return CoincidenceHistogram2D(tau21_axis=axis, tau31_axis=axis.copy(),
-                                  counts=counts, duration=duration,
-                                  method=method)
+                                  counts=counts.reshape(nbins, nbins),
+                                  duration=duration, method=method)
 
 
 def _reconstruct(stream, window, bin_width, duration, method):

@@ -86,9 +86,8 @@ def default_spectral_window(params: ExperimentParams, n2: int = 512,
     centers are swept over the +-3 sigma thermal velocity range since
     Doppler shifts move each resonance by ~1 MHz per m/s.
     """
-    sig = params.sigma_v
-    sets = [resonance_set(params, v) for v in (-3 * sig, 0.0, 3 * sig)]
-    lw2, lw3 = _linewidths(params, sets[1])
+    sets = _resonance_sets(params)
+    lw2, lw3 = sets[0].linewidth_d2, sets[0].linewidth_d3
     lo2 = min(min(s.centers_d2) for s in sets) - linewidth_multiple * lw2
     hi2 = max(max(s.centers_d2) for s in sets) + linewidth_multiple * lw2
     lo3 = min(min(s.centers_d3) for s in sets) - linewidth_multiple * lw3
@@ -100,30 +99,41 @@ def default_spectral_window(params: ExperimentParams, n2: int = 512,
     return GridSpec2D(lo2, hi2, n2, lo3, hi3, n3)
 
 
-def _linewidths(params: ExperimentParams, rs) -> tuple[float, float]:
-    """rs's effective linewidths (delta2, delta3), refused unless positive:
-    a weak field with a negative detuning turns its linewidth negative, and
-    a window built from it would miss the resonances."""
-    for j, lw in ((2, rs.linewidth_d2), (3, rs.linewidth_d3)):
-        if not lw > 0:
-            omega, delta = (getattr(params.drive, f"{k}{j}") / TWO_PI / 1e6
-                            for k in ("omega", "delta"))
+def _resonance_sets(params: ExperimentParams) -> list:
+    """The resonance sets at v = 0, -3 sigma and +3 sigma.  The effective
+    linewidths at v = 0 are refused unless positive: a weak field with a
+    negative detuning turns its linewidth negative, and a window built from
+    it would miss the resonances.  A field with no Rabi frequency and no
+    ground decay has no linewidth (nan, 0 / 0) where its Doppler-shifted
+    detuning is <= 0, which is refused at all three velocities."""
+    sig = params.sigma_v
+    sets = [resonance_set(params, v) for v in (0.0, -3 * sig, 3 * sig)]
+    for j, ground in ((2, "gamma21"), (3, "gamma11")):
+        lws = [getattr(s, f"linewidth_d{j}") for s in sets]
+        omega, delta, rate = (x / TWO_PI / 1e6 for x in (
+            getattr(params.drive, f"omega{j}"), getattr(params.drive, f"delta{j}"),
+            getattr(params.rates, ground)))
+        if not np.isfinite(lws).all():
             raise InvalidParameterError(
-                f"effective linewidth of field {j} is {lw / TWO_PI / 1e6:.4g} MHz, "
+                f"effective linewidth of field {j} is 0 / 0 at a Doppler-shifted "
+                f"detuning <= 0: omega{j} = {omega:.4g} MHz and {ground} = "
+                f"{rate:.4g} MHz leave it no width (delta{j} = {delta:.4g} MHz)")
+        if not lws[0] > 0:
+            raise InvalidParameterError(
+                f"effective linewidth of field {j} is {lws[0] / TWO_PI / 1e6:.4g} MHz, "
                 f"not > 0: omega{j} = {omega:.4g} MHz is too weak for "
                 f"delta{j} = {delta:.4g} MHz")
-    return rs.linewidth_d2, rs.linewidth_d3
+    return sets
 
 
 def _check_coverage(spec: GridSpec2D, params: ExperimentParams):
     """spec must cover each axis' resonance centers at v = 0 +- 5 effective
     linewidths; a miss names the clip and the keys that place the centers."""
-    rs = resonance_set(params, 0.0)
-    lw2, lw3 = _linewidths(params, rs)
+    rs = _resonance_sets(params)[0]
     for axis, centers, lw, lo, hi, keys in (
-            ("delta2", rs.centers_d2, lw2, spec.min1, spec.max1,
+            ("delta2", rs.centers_d2, rs.linewidth_d2, spec.min1, spec.max1,
              "delta2, delta3, omega2 (power2) and omega3 (power3)"),
-            ("delta3", rs.centers_d3, lw3, spec.min2, spec.max2,
+            ("delta3", rs.centers_d3, rs.linewidth_d3, spec.min2, spec.max2,
              "delta3 and omega3 (power3)")):
         need = (min(centers) - 5 * lw, max(centers) + 5 * lw)
         if lo > need[0] or hi < need[1]:

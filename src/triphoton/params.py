@@ -237,7 +237,8 @@ def resonance_set(params: ExperimentParams, v: float = 0.0) -> ResonanceSet:
     OmegaE3 = sqrt(DeltaD3^2 + 4|Omega3|^2 + 4 gamma11 gamma41), and the
     asymmetric-split effective linewidths
     Gamma_d2 = (gamma21+gamma41)/2 + gamma21 DeltaD2 / (DeltaD2 + OmegaE2),
-    Gamma_d3 = (gamma11+gamma41)/2 + gamma11 DeltaD3 / (DeltaD3 + OmegaE3).
+    Gamma_d3 = (gamma11+gamma41)/2 + gamma11 DeltaD3 / (DeltaD3 + OmegaE3),
+    nan where that is 0 / 0 (no Rabi frequency, no ground decay, DeltaD <= 0).
     """
     if abs(v) >= C_LIGHT:
         raise InvalidParameterError(f"|v| must be < c, got {v}")
@@ -251,8 +252,10 @@ def resonance_set(params: ExperimentParams, v: float = 0.0) -> ResonanceSet:
     c2 = tuple(sorted((dd3 - dd2 + s2 * oe2 + s3 * oe3) / (2 * wp)
                       for s2 in (-1, 1) for s3 in (-1, 1)))
     c3 = tuple(sorted(((-dd3 - oe3) / (2 * wm), (-dd3 + oe3) / (2 * wm))))
-    lw2 = 0.5 * (r.gamma21 + r.gamma41) + r.gamma21 * dd2 / (dd2 + oe2)
-    lw3 = 0.5 * (r.gamma11 + r.gamma41) + r.gamma11 * dd3 / (dd3 + oe3)
+    lw2 = 0.5 * (r.gamma21 + r.gamma41) + (r.gamma21 * dd2 / (dd2 + oe2)
+                                           if dd2 + oe2 else np.nan)
+    lw3 = 0.5 * (r.gamma11 + r.gamma41) + (r.gamma11 * dd3 / (dd3 + oe3)
+                                           if dd3 + oe3 else np.nan)
     return ResonanceSet(centers_d1=c1, centers_d2=c2, centers_d3=c3,
                         eff_rabi_E2=oe2, eff_rabi_E3=oe3,
                         linewidth_d2=lw2, linewidth_d3=lw3)

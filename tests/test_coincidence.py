@@ -149,6 +149,29 @@ def test_stop_ranges_equal_two_searches(channels, span):
         assert a.dtype.kind == "i" and np.array_equal(a, b)
 
 
+def _one_chunk(t1, t2, t3):
+    """Three channels' sorted stamps as one (stamps, channel bytes) record
+    chunk, sorted by stamp."""
+    stamps = np.concatenate((t1, t2, t3))
+    channel = np.repeat(np.arange(1, 4, dtype=np.uint8), [t1.size, t2.size, t3.size])
+    order = np.argsort(stamps, kind="stable")
+    return stamps[order], channel[order]
+
+
+def _match(chunks, w_ps, b_ps):
+    """triple_histogram's counts of record chunks, window and bin in ps."""
+    return coincidence.triple_histogram(chunks, w_ps * 1e-12, b_ps * 1e-12, 1.0).counts
+
+
+def _unfiltered(t1, t2, t3, w_ps, b_ps):
+    """The counts of whole channel arrays, every record matched by one
+    _add_triples call."""
+    nbins = w_ps // b_ps
+    counts = np.zeros(nbins * nbins, dtype=np.int64)
+    coincidence._add_triples(counts, t1, t2, t3, nbins * b_ps, b_ps)
+    return counts.reshape(nbins, nbins)
+
+
 def _brute_pairs(starts, stops, span):
     """Every (start, stop) delay in [0, span), in Python integers."""
     return [int(u) - int(t) for t in starts for u in stops
@@ -174,7 +197,7 @@ def test_matchers_near_2_63_equal_brute_force(t1, t2, t3, block):
             for d3 in _brute_pairs([start], t3, nbins * b_ps):
                 brute[d2 // b_ps, d3 // b_ps] += 1
     with mock.patch.object(coincidence, "_TRIPLE_BLOCK", block):
-        got = coincidence._triple_match([(t1, t2, t3)], w_ps, b_ps)
+        got = _match([_one_chunk(t1, t2, t3)], w_ps, b_ps)
     assert np.array_equal(got, brute)
 
 
@@ -184,7 +207,7 @@ def test_coincidence_one_window_below_2_63_counts():
     t1 = np.array([2 ** 63 - 1000], dtype=np.int64)
     t2, t3 = t1 + 50, t1 + 60
     assert pairwise_histogram(t1, t2, 195e-9, 0.25e-9).sum() == 1
-    counts = coincidence._triple_match([(t1, t2, t3)], 195_000, 250)
+    counts = _match([_one_chunk(t1, t2, t3)], 195_000, 250)
     assert counts.sum() == 1 and counts[0, 0] == 1
 
 
@@ -225,12 +248,11 @@ def test_chunked_match_equals_one_chunk_and_brute_force(cut_records, block):
     stamps = np.array([t for t, _ in records], dtype=np.uint64)
     channel = np.array([c for _, c in records], dtype=np.uint8)
     edges = [0, *cuts, len(records)]
-    chunks = [eventsim.split_channels(channel[a:b], stamps[a:b], (1, 2, 3))
-              for a, b in zip(edges, edges[1:])]
+    chunks = [(stamps[a:b], channel[a:b]) for a, b in zip(edges, edges[1:])]
     whole = eventsim.split_channels(channel, stamps, (1, 2, 3))
     with mock.patch.object(coincidence, "_TRIPLE_BLOCK", block):
-        got = coincidence._triple_match(chunks, w_ps, b_ps)
-        one = coincidence._triple_match([whole], w_ps, b_ps)
+        got = _match(chunks, w_ps, b_ps)
+        one = _match([(stamps, channel)], w_ps, b_ps)
     assert np.array_equal(got, one)
     assert np.array_equal(got, _brute_grid(*whole, w_ps, b_ps))
 
@@ -253,7 +275,7 @@ def _spread_records(draw):
 def test_filtered_match_equals_unfiltered_and_brute_force(
         tmp_path_factory, raw_event_file, spread_records, chunk, block):
     """triple_histogram, which matches only the records in three-record
-    clusters, counts what _triple_match counts on every record and what
+    clusters, counts what _add_triples counts on every record and what
     brute force counts: the file read 1, 2, 3 or 2^16 records at a time,
     ties, stamps up to 2^63 - 1, a window that is not a whole number of bins
     and kept records handed on 1, 3 or 2^16 at a time."""
@@ -267,28 +289,49 @@ def test_filtered_match_equals_unfiltered_and_brute_force(
             mock.patch.object(coincidence, "_TRIPLE_BLOCK", block):
         _, chunks = io_formats.read_channel_chunks(path)
         got = coincidence.triple_histogram(chunks, w_ps * 1e-12, b_ps * 1e-12, 1.0)
-        every = coincidence._triple_match([whole], w_ps, b_ps)
+        every = _unfiltered(*whole, w_ps, b_ps)
     assert np.array_equal(got.counts, every)
     assert np.array_equal(got.counts, _brute_grid(*whole, w_ps, b_ps))
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 7])
-def test_clusters_keep_a_triple_at_every_seam(size):
-    """_clusters keeps the three records of a cluster wherever the chunk
-    seams cut it, and drops a lone pair of close records, three records
-    spread over exactly the span and records far from any other."""
-    span = 100
+def test_clusters_keep_a_triple_at_every_seam(size, monkeypatch):
+    """triple_histogram counts the coincidence of a three-record cluster
+    wherever the chunk seams cut it, and matches no start of a lone pair of
+    close records, of three records spread over exactly the span or far from
+    any other.  A carried record keeps the mark of a cluster whose first
+    records are final: with blocks of 3, the first three of
+    (2^63 - 601, ch 1), (2^63 - 601, ch 2), (2^63 - 600, ch 3),
+    (2^63 - 551, ch 1) are one coincidence at a 50 ps window and bin, also
+    with a later record at 2^63 - 1."""
+    starts, add = [], coincidence._add_triples
+
+    def tally(counts, t1, t2, t3, span, b_ps):
+        starts.append(t1)
+        add(counts, t1, t2, t3, span, b_ps)
+
+    monkeypatch.setattr(coincidence, "_add_triples", tally)
     for before in range(2 * size + 3):
         groups = ([[0]] * before + [[0, 10, 99]] + [[0]] * 2 + [[0, 50]]
                   + [[0]] * 2 + [[0, 40, 100]] + [[0]] * 3)
         stamps = np.concatenate([1000 * k + np.array(g) for k, g in enumerate(groups)])
-        channel = (1 + np.arange(stamps.size) % 4).astype(np.uint8)
+        channel = (1 + (np.arange(stamps.size) - before) % 4).astype(np.uint8)
         chunks = [(stamps[i:i + size], channel[i:i + size])
                   for i in range(0, stamps.size, size)]
-        kept = [np.concatenate(k) for k in zip(*coincidence._clusters(chunks, span))]
-        triple = slice(before, before + 3)
-        assert np.array_equal(kept[0], stamps[triple]), (size, before)
-        assert np.array_equal(kept[1], channel[triple]), (size, before)
+        starts.clear()
+        got = _match(chunks, 100, 1)
+        whole = eventsim.split_channels(channel, stamps, (1, 2, 3))
+        assert got.sum() == 1, (size, before)
+        assert np.array_equal(got, _brute_grid(*whole, 100, 1)), (size, before)
+        assert np.array_equal(np.concatenate(starts), stamps[before:before + 1])
+    monkeypatch.setattr(coincidence, "_TRIPLE_BLOCK", 3)
+    for n in (4, 5):
+        stamps = 2 ** 63 - np.array([601, 601, 600, 551, 1][:n], dtype=np.uint64)
+        channel = np.array([1, 2, 3, 1, 4][:n], dtype=np.uint8)
+        got = _match([(stamps[i:i + size], channel[i:i + size])
+                      for i in range(0, n, size)], 50, 50)
+        whole = eventsim.split_channels(channel, stamps, (1, 2, 3))
+        assert got.sum() == 1 and np.array_equal(got, _brute_grid(*whole, 50, 50))
 
 
 def test_analyze_counts_coincidence_one_window_below_2_63(tmp_path,
@@ -399,7 +442,7 @@ def test_triple_match_pair_blocks_bounded(monkeypatch):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        counts = coincidence._triple_match([(t1, t2, t3)], 320, 10)
+        counts = _unfiltered(t1, t2, t3, 320, 10)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -518,13 +561,13 @@ def test_matcher_sees_under_one_percent_of_reference_records(tmp_path,
     path = tmp_path / "run.tpe1"
     io_formats.write_windows(path, eventsim.stream_windows(cmap, cfg),
                              seed=cfg.seed, duration_ps=600 * PS_PER_S)
-    matched, match = [], coincidence._triple_match
+    matched, add = [], coincidence._add_triples
 
-    def tally(chunks, w_ps, b_ps):
-        counted = (matched.append(sum(t.size for t in c)) or c for c in chunks)
-        return match(counted, w_ps, b_ps)
+    def tally(counts, t1, t2, t3, span, b_ps):
+        matched.append(t1.size + t2.size + t3.size)
+        add(counts, t1, t2, t3, span, b_ps)
 
-    monkeypatch.setattr(coincidence, "_triple_match", tally)
+    monkeypatch.setattr(coincidence, "_add_triples", tally)
     _, chunks = io_formats.read_channel_chunks(path)
     hist = coincidence.triple_histogram(chunks, 195e-9, 0.25e-9, cfg.duration)
     monkeypatch.undo()
@@ -534,7 +577,8 @@ def test_matcher_sees_under_one_percent_of_reference_records(tmp_path,
         total += sum(t.size for t in every[-1])
     assert total > 4_000_000 and hist.counts.sum() > 0
     assert sum(matched) < 0.01 * total, f"{sum(matched)} of {total}"
-    assert np.array_equal(hist.counts, match(every, 195_000, 250))
+    whole = (np.concatenate(t) for t in zip(*every))
+    assert np.array_equal(hist.counts, _unfiltered(*whole, 195_000, 250))
 
 
 def test_triple_histogram_takes_channel_arrays():

@@ -5,8 +5,9 @@ import scipy.fft
 import scipy.signal
 from hypothesis import example, given, settings, strategies as st
 
+from triphoton.config import parse_config_text
 from triphoton.errors import (InvalidParameterError, RangeError,
-                              SamplingError)
+                              SamplingError, TriphotonError)
 from triphoton.params import C_LIGHT, resonance_set
 from triphoton.susceptibility import (ComplexGrid2D, GridSpec2D, chi5_map,
                                       dispersion_profile)
@@ -43,6 +44,35 @@ def test_default_window_covers_resonances(params):
     assert spec.max1 > max(rs.centers_d2) + 5 * rs.linewidth_d2
     assert spec.min2 < min(rs.centers_d3) - 5 * rs.linewidth_d3
     assert spec.max2 > max(rs.centers_d3) + 5 * rs.linewidth_d3
+
+
+# edge values of the keys that place the resonances and set their widths;
+# None keeps the default
+_RATE_EDGES = ["0 Hz", "1 Hz", None, "100 GHz"]
+_DETUNING_EDGES = ["0 Hz", "1 Hz", "-1 Hz", None, "100 GHz", "-100 GHz"]
+_DRIVE_DECAY_EDGES = {
+    **{k: _RATE_EDGES for k in ("omega2", "omega3", "gamma21", "gamma11",
+                                "gamma31", "gamma41")},
+    **{k: _DETUNING_EDGES for k in ("delta1", "delta2", "delta3")}}
+_DEFAULTS = dict.fromkeys(_DRIVE_DECAY_EDGES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fixed_dictionaries({k: st.sampled_from(pool)
+                              for k, pool in _DRIVE_DECAY_EDGES.items()}))
+@example(dict(_DEFAULTS, omega2="0 Hz", gamma21="0 Hz"))
+@example(dict(_DEFAULTS, omega3="0 Hz", gamma11="0 Hz"))
+def test_window_builds_or_refuses_at_drive_and_decay_edges(values):
+    """Drive and decay keys drawn together from edge pools either build the
+    parameters, the default spectral window and its coverage check, or are
+    refused with a TriphotonError.  A field with no Rabi frequency and no
+    ground decay used to raise ZeroDivisionError in resonance_set."""
+    text = "\n".join(f"{k} = {v}" for k, v in values.items() if v is not None)
+    try:
+        params = parse_config_text(text).experiment_params()
+        correlation._check_coverage(default_spectral_window(params), params)
+    except TriphotonError:
+        pass
 
 
 def test_kernel_rejects_undersized_window(params, quad):
