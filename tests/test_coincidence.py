@@ -299,7 +299,8 @@ def test_clusters_keep_a_triple_at_every_seam(size, monkeypatch):
     """triple_histogram counts the coincidence of a three-record cluster
     wherever the chunk seams cut it, and matches no start of a lone pair of
     close records, of three records spread over exactly the span or far from
-    any other.  A carried record keeps the mark of a cluster whose first
+    any other: every record but the triple's channels 2 and 3 is on
+    channel 1, so a record kept wrongly is an extra start.  A carried record keeps the mark of a cluster whose first
     records are final: with blocks of 3, the first three of
     (2^63 - 601, ch 1), (2^63 - 601, ch 2), (2^63 - 600, ch 3),
     (2^63 - 551, ch 1) are one coincidence at a 50 ps window and bin, also
@@ -315,7 +316,8 @@ def test_clusters_keep_a_triple_at_every_seam(size, monkeypatch):
         groups = ([[0]] * before + [[0, 10, 99]] + [[0]] * 2 + [[0, 50]]
                   + [[0]] * 2 + [[0, 40, 100]] + [[0]] * 3)
         stamps = np.concatenate([1000 * k + np.array(g) for k, g in enumerate(groups)])
-        channel = (1 + (np.arange(stamps.size) - before) % 4).astype(np.uint8)
+        channel = np.ones(stamps.size, dtype=np.uint8)
+        channel[before + 1:before + 3] = (2, 3)
         chunks = [(stamps[i:i + size], channel[i:i + size])
                   for i in range(0, stamps.size, size)]
         starts.clear()
