@@ -42,10 +42,8 @@ def _load(args) -> RunConfig:
 
 
 def _spectral_spec(cfg: RunConfig, params):
-    return default_spectral_window(
-        params, n2=cfg["spectral_n2"], n3=cfg["spectral_n3"],
-        linewidth_multiple=cfg["spectral_linewidth_multiple"],
-        pad_fraction=cfg["spectral_pad_fraction"])
+    return default_spectral_window(params, n2=cfg["spectral_n2"],
+                                   n3=cfg["spectral_n3"])
 
 
 def _profiles(cfg: RunConfig, params, spec):
@@ -109,8 +107,8 @@ def cmd_correlation_map(args) -> int:
     params = cfg.experiment_params()
     cmap = _correlation_map(cfg, params)
     digest = params_hash(params, _tau_spec(cfg), cfg.quadrature(), {k: cfg[k] for k in (
-        "spectral_n2", "spectral_n3", "spectral_linewidth_multiple",
-        "spectral_pad_fraction", "dispersion", "phase_convention", "group_delay_mode")})
+        "spectral_n2", "spectral_n3", "dispersion", "phase_convention",
+        "group_delay_mode")})
     io_formats.write_real_grid(
         args.out, cmap.tau21_axis, cmap.tau31_axis, cmap.r3,
         header_lines=["r3 = |A3(tau21, tau31)|^2, peak-normalized",

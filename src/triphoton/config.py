@@ -171,8 +171,6 @@ REGISTRY = {
     "quad_nodes": (_parse_quad_nodes, "exact"),
     "spectral_n2": (_bounded(_parse_int, 2, _MAX_AXIS), "512"),
     "spectral_n3": (_bounded(_parse_int, 2, _MAX_AXIS), "512"),
-    "spectral_linewidth_multiple": (_positive(_parse_float), "8.0"),
-    "spectral_pad_fraction": (_nonnegative(_parse_float), "0.25"),
     "tau_max": (_positive(_parse_time), "20 ns"),
     "tau_points": (_bounded(_parse_int, 2, _MAX_AXIS), "128"),
     "map_range": (_positive(_parse_freq), "3 GHz"),
@@ -242,13 +240,10 @@ class RunConfig:
 
     def source_config(self, duration=None, seed=None) -> SourceConfig:
         v = self.values
-        dual = ()
-        if v["dual_pair_rate"] > 0:
-            dual = (((1, 2), (2, 3), v["dual_pair_rate"], v["dual_pair_delay"]),)
         return SourceConfig(
             triplet_rate=v["triplet_rate"],
             singles_rate=tuple(v[f"singles_rate_ch{c}"] for c in (1, 2, 3, 4)),
-            dual_pair_rates=dual,
+            dual_pair_rate=v["dual_pair_rate"], dual_pair_delay=v["dual_pair_delay"],
             dark_rate=tuple(v[f"dark_rate_ch{c}"] for c in (1, 2, 3, 4)),
             detector_efficiency=tuple(v[f"efficiency_ch{c}"] for c in (1, 2, 3, 4)),
             fiber_coupling=v["fiber_coupling"],

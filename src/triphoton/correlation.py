@@ -22,6 +22,9 @@ from .susceptibility import (ComplexGrid2D, GridSpec2D, VelocityQuadrature,
                              phase_mismatch, params_hash)
 
 _CLIP = 2 * np.pi * 5e9  # the spectral window's bound on either axis [rad/s]
+# the spectral window's margins: effective linewidths beyond the outermost
+# resonance centers, then the fraction of that span padded on each side
+_LINEWIDTHS, _PAD = 8.0, 0.25
 
 # ---------------------------------------------------------------------------
 # containers
@@ -77,23 +80,22 @@ class ConditionalTrace:
 # ---------------------------------------------------------------------------
 
 def default_spectral_window(params: ExperimentParams, n2: int = 512,
-                            n3: int = 512, linewidth_multiple: float = 8.0,
-                            pad_fraction: float = 0.25) -> GridSpec2D:
+                            n3: int = 512) -> GridSpec2D:
     """Spectral integration window derived from the resonance structure.
 
-    Union of all resonance centers +- linewidth_multiple effective linewidths,
-    padded by pad_fraction of the span on each side, clipped to +-_CLIP.  The
+    Union of all resonance centers +- _LINEWIDTHS effective linewidths,
+    padded by _PAD of the span on each side, clipped to +-_CLIP.  The
     centers are swept over the +-3 sigma thermal velocity range since
     Doppler shifts move each resonance by ~1 MHz per m/s.
     """
     sets = _resonance_sets(params)
     lw2, lw3 = sets[0].linewidth_d2, sets[0].linewidth_d3
-    lo2 = min(min(s.centers_d2) for s in sets) - linewidth_multiple * lw2
-    hi2 = max(max(s.centers_d2) for s in sets) + linewidth_multiple * lw2
-    lo3 = min(min(s.centers_d3) for s in sets) - linewidth_multiple * lw3
-    hi3 = max(max(s.centers_d3) for s in sets) + linewidth_multiple * lw3
-    pad2 = pad_fraction * (hi2 - lo2)
-    pad3 = pad_fraction * (hi3 - lo3)
+    lo2 = min(min(s.centers_d2) for s in sets) - _LINEWIDTHS * lw2
+    hi2 = max(max(s.centers_d2) for s in sets) + _LINEWIDTHS * lw2
+    lo3 = min(min(s.centers_d3) for s in sets) - _LINEWIDTHS * lw3
+    hi3 = max(max(s.centers_d3) for s in sets) + _LINEWIDTHS * lw3
+    pad2 = _PAD * (hi2 - lo2)
+    pad3 = _PAD * (hi3 - lo3)
     lo2, hi2 = max(lo2 - pad2, -_CLIP), min(hi2 + pad2, _CLIP)
     lo3, hi3 = max(lo3 - pad3, -_CLIP), min(hi3 + pad3, _CLIP)
     return GridSpec2D(lo2, hi2, n2, lo3, hi3, n3)
@@ -153,22 +155,21 @@ def spectral_kernel(spectral_spec: GridSpec2D, params: ExperimentParams,
 
     The group-delay phase factors depend only on (delta2, delta3) and are
     folded in here, so the correlation map reduces to a plain 2-D Fourier
-    transform of this kernel.
+    transform of this kernel.  The group velocities are resolved once and
+    serve both dk and the phases.
     """
     _check_coverage(spectral_spec, params)
     grid = chi5_map(spectral_spec, params, quad)
     d2 = grid.axis1[:, None]
     d3 = grid.axis2[None, :]
+    v2 = group_velocity(profiles, "S2", grid.axis1, group_delay_mode)[:, None]
+    v3 = group_velocity(profiles, "S3", grid.axis2, group_delay_mode)[None, :]
     L = params.cell.length_L
-    dk = phase_mismatch(d2, d3, profiles,
-                        phase_convention=phase_convention,
-                        group_delay_mode=group_delay_mode)
+    dk = phase_mismatch(d2, d3, v2, v3, phase_convention)
     kern = grid.values * np.sinc(dk * L / (2 * np.pi))
     if profiles:
-        v2 = group_velocity(profiles, "S2", grid.axis1, group_delay_mode)
-        v3 = group_velocity(profiles, "S3", grid.axis2, group_delay_mode)
-        kern = kern * np.exp(-1j * d2 * (L / (2.0 * v2))[:, None])
-        kern = kern * np.exp(-1j * d3 * (L / (2.0 * v3))[None, :])
+        kern = kern * np.exp(-1j * d2 * (L / (2.0 * v2)))
+        kern = kern * np.exp(-1j * d3 * (L / (2.0 * v3)))
     else:
         kern = kern * np.exp(-1j * (d2 + d3) * (L / (2.0 * C_LIGHT)))
     return replace(grid, values=kern, provenance="spectral_kernel "

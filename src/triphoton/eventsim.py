@@ -54,15 +54,16 @@ class SourceConfig:
     """Rates, detector parameters and bookkeeping for one simulated run.
 
     Rates are per second.  singles_rate and dark_rate are per channel
-    (channels 1..4); dual_pair_rates lists SFWM contamination entries as
-    (channels_pair_a, channels_pair_b, rate, pair_delay_mean_s): two
-    independent biphoton streams, each at `rate`, whose accidental overlap
-    creates flat three-fold background.
+    (channels 1..4).  The SFWM contamination is two independent biphoton
+    streams, on channels (1, 2) and (2, 3), each at dual_pair_rate with an
+    exponential intra-pair delay of mean dual_pair_delay [s]; their
+    accidental overlap creates flat three-fold background.
     """
 
     triplet_rate: float = 102.0 / 60.0
     singles_rate: tuple = (0.0, 0.0, 0.0, 0.0)
-    dual_pair_rates: tuple = ()
+    dual_pair_rate: float = 0.0
+    dual_pair_delay: float = 1e-6
     dark_rate: tuple = (0.0, 0.0, 0.0, 0.0)
     detector_efficiency: tuple = (1.0, 1.0, 1.0, 1.0)
     fiber_coupling: float = 1.0
@@ -83,9 +84,12 @@ class SourceConfig:
             raise InvalidParameterError(
                 f"seed {self.seed!r} must be an integer in [0, 2^64)")
         # NaN fails every comparison, so 0 <= x < inf also refuses it
-        for name in ("triplet_rate", "jitter_sigma"):
+        for name in ("triplet_rate", "dual_pair_rate", "jitter_sigma"):
             if not 0 <= (value := getattr(self, name)) < inf:
                 raise InvalidParameterError(f"{name} {value!r} must be finite and >= 0")
+        if not 0 < self.dual_pair_delay < inf:
+            raise InvalidParameterError(
+                f"dual_pair_delay {self.dual_pair_delay!r} must be finite and > 0")
         for name in ("singles_rate", "dark_rate"):
             vals = getattr(self, name)
             if len(vals) != 4 or not all(0 <= r < inf for r in vals):
@@ -96,20 +100,12 @@ class SourceConfig:
             raise InvalidParameterError("efficiencies must be 4 values in [0, 1]")
         if not 0 <= self.fiber_coupling <= 1:
             raise InvalidParameterError("fiber_coupling must be in [0, 1]")
-        for entry in self.dual_pair_rates:
-            if not (len(entry) == 4 and 0 <= entry[2] < inf and 0 < entry[3] < inf
-                    and all(len(pair) == 2 and set(pair) <= {1, 2, 3, 4}
-                            for pair in entry[:2])):
-                raise InvalidParameterError(
-                    f"dual-pair entry {entry!r} needs two (first, second) channel "
-                    "pairs in 1..4, a finite rate >= 0 and a finite delay mean > 0")
         # each click series draws its count as one Poisson number
         rates = [("triplet_rate", self.triplet_rate)]
         for name in ("singles_rate", "dark_rate"):
             rates += [(f"{name} channel {ch}", r)
                       for ch, r in enumerate(getattr(self, name), 1)]
-        rates += [(f"dual-pair entry {entry!r} rate", entry[2])
-                  for entry in self.dual_pair_rates]
+        rates.append(("dual_pair_rate", self.dual_pair_rate))
         for name, rate in rates:
             expect = f"{name}: {rate!r} /s over {self.duration!r} s expects " \
                      f"{rate * self.duration:.3g} clicks"
@@ -197,14 +193,13 @@ def _channel_clicks(rng, cfg: SourceConfig, rate: float, ch: int, tag: int):
     return [(_poisson_times(rng, rate, cfg.duration), ch, tag)]
 
 
-def _dual_pair_clicks(rng, cfg: SourceConfig, pair_a, pair_b, rate: float,
-                      mean: float):
-    """Two independent biphoton streams, each pair split by an exponential
-    delay: the first and the second clicks of pair a, then of pair b."""
+def _dual_pair_clicks(rng, cfg: SourceConfig):
+    """The (1, 2) and then the (2, 3) biphoton streams, each pair's first
+    and second clicks split by an exponential delay."""
     series = []
-    for (ch_first, ch_second) in (pair_a, pair_b):
-        t0 = _poisson_times(rng, rate, cfg.duration)
-        dt = rng.exponential(mean, t0.size)
+    for (ch_first, ch_second) in ((1, 2), (2, 3)):
+        t0 = _poisson_times(rng, cfg.dual_pair_rate, cfg.duration)
+        dt = rng.exponential(cfg.dual_pair_delay, t0.size)
         dt += t0
         series += [(t0, ch_first, ORIGIN_DUAL_PAIR),
                    (dt, ch_second, ORIGIN_DUAL_PAIR)]
@@ -325,11 +320,9 @@ def _sources(cmap: CorrelationMap | None, cfg: SourceConfig):
             if rate > 0:
                 parts += _finalize(cfg, base + ch, _channel_clicks,
                                    rate, ch, tag)
-    # dual-pair SFWM contamination (labels 100+k)
-    for k, (pair_a, pair_b, rate, mean) in enumerate(cfg.dual_pair_rates):
-        if rate > 0:
-            parts += _finalize(cfg, 100 + k, _dual_pair_clicks,
-                               pair_a, pair_b, rate, mean)
+    # dual-pair SFWM contamination (label 100)
+    if cfg.dual_pair_rate > 0:
+        parts += _finalize(cfg, 100, _dual_pair_clicks)
     return parts
 
 
@@ -350,12 +343,12 @@ def generate_stream(cmap: CorrelationMap | None, cfg: SourceConfig) -> np.ndarra
     in source order: triplets, singles, darks, dual pairs, and within a
     source in click-series order.  Triplet emissions are a homogeneous
     Poisson process; each emission puts clicks at (t, t + tau21, t + tau31)
-    on channels 1, 2, 3 with the delays drawn from the map.  Dual-pair
-    entries place two independent biphoton streams with exponential
-    intra-pair delay.  Singles and darks are independent Poisson per
-    channel.  Each click series is finalized and sorted on its own, then the
-    series are merged window by window (_merge).  Deterministic given
-    cfg.seed.
+    on channels 1, 2, 3 with the delays drawn from the map.  The dual pairs
+    are two independent biphoton streams, on channels (1, 2) and (2, 3),
+    with exponential intra-pair delay.  Singles and darks are independent
+    Poisson per channel.  Each click series is finalized and sorted on its
+    own, then the series are merged window by window (_merge).
+    Deterministic given cfg.seed.
     """
     parts = _sources(cmap, cfg)
     out = np.empty(sum(ts.size for ts, _, _ in parts), dtype=EVENT_DTYPE)

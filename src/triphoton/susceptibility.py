@@ -311,13 +311,15 @@ _CHI5_BLOCK = 8
 _CHI5_PAIRS = 1 << 14
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _chi5_grid(d2_axis, d3_axis, params: ExperimentParams,
                quad: VelocityQuadrature):
     """chi5 over the (d2_axis, d3_axis) grid by the midpoint rule.
 
     Every point runs the same elementwise operations on its own (node,)
     slice whatever the block shapes, so a point of any grid equals the same
-    point evaluated as a 1 x 1 grid.
+    point evaluated as a 1 x 1 grid.  A zero denominator is no warning: the
+    non-finite sample it leaves is refused.
     """
     r, drv = params.rates, params.drive
     v, w = quad.nodes_weights(params)
@@ -356,10 +358,15 @@ def _chi5_grid(d2_axis, d3_axis, params: ExperimentParams,
 
 
 def _chi5_points(d2, d3, params: ExperimentParams, quad: VelocityQuadrature):
-    """chi5 at matched 1-D (d2, d3) arrays by the midpoint rule, each point
-    a 1 x 1 grid, so that it equals the map value exactly."""
-    return np.array([_chi5_grid(d2[k:k + 1], d3[k:k + 1], params, quad)[0, 0]
-                     for k in range(d2.size)], dtype=complex)
+    """chi5 at matched 1-D (d2, d3) arrays by the midpoint rule, one
+    single-column grid per distinct d3, so that each point equals the map
+    value exactly."""
+    out = np.empty(d2.size, dtype=complex)
+    cols, col_of = np.unique(d3, return_inverse=True)
+    for k in range(cols.size):
+        sel = np.flatnonzero(col_of == k)
+        out[sel] = _chi5_grid(d2[sel], cols[k:k + 1], params, quad)[:, 0]
+    return out
 
 
 def _chi5_exact(d2, d3, params: ExperimentParams, quad: VelocityQuadrature):
@@ -421,9 +428,9 @@ def chi5_map(grid_spec: GridSpec2D, params: ExperimentParams,
              quad: VelocityQuadrature = VelocityQuadrature()) -> ComplexGrid2D:
     """chi5 sampled over a rectangular (delta2, delta3) grid.
 
-    The midpoint rule is _chi5_grid, which also evaluates each point of
-    scalar chi5 (and each fallback point of the exact scheme) as a 1 x 1
-    grid.  The exact scheme runs _chi5_exact on blocks of delta2 rows, the
+    The midpoint rule is _chi5_grid, which also evaluates scalar chi5 and
+    the exact scheme's fallback points, one single-column grid per delta3.
+    The exact scheme runs _chi5_exact on blocks of delta2 rows, the
     same elementwise code as scalar chi5.  Either way the map is pointwise
     identical to individual calls.
     """
@@ -558,9 +565,8 @@ def group_velocity(profiles: dict | None, mode: str, offs,
     return prof.v_at(offs)
 
 
-def phase_mismatch(delta2, delta3, profiles: dict | None = None,
-                   phase_convention: str = "si-eq-s8",
-                   group_delay_mode: str = "local"):
+def phase_mismatch(delta2, delta3, v2=C_LIGHT, v3=C_LIGHT,
+                   phase_convention: str = "si-eq-s8"):
     """Longitudinal wavenumber mismatch Delta_k(delta2, delta3) [rad/m].
 
     Each wave contributes k_j = kbar_j + offset/v_j; the central wavenumbers
@@ -568,27 +574,18 @@ def phase_mismatch(delta2, delta3, profiles: dict | None = None,
     Delta_k(0, 0) = 0 exactly.  The pump offsets are zero (monochromatic
     drives), and delta1 = -(delta2 + delta3) by energy conservation.
 
-    phase_convention 'si-eq-s8' uses the alternating signs
-    +S1 -S2 +S3; 'main-text' sums all three emitted waves.  profiles maps
-    'S2'/'S3' to DispersionProfile; omitting one (or passing None) treats
-    that mode as vacuum (v = c).  group_delay_mode 'local' evaluates v at
-    each offset, 'central' freezes v at line center.
+    v2 and v3 are the S2 and S3 group velocities at delta2 and delta3, as
+    group_velocity gives them (default vacuum); S1 propagates at c.
+    phase_convention 'si-eq-s8' uses the alternating signs +S1 -S2 +S3;
+    'main-text' sums all three emitted waves.
     """
     if phase_convention not in ("si-eq-s8", "main-text"):
         raise InvalidParameterError(f"unknown phase_convention '{phase_convention}'")
     d2 = np.asarray(delta2, dtype=float)
     d3 = np.asarray(delta3, dtype=float)
-    d1 = -(d2 + d3)
-    t1 = d1 / C_LIGHT
-    t2 = d2 / group_velocity(profiles, "S2", d2, group_delay_mode)
-    t3 = d3 / group_velocity(profiles, "S3", d3, group_delay_mode)
-    if phase_convention == "si-eq-s8":
-        dk = t1 - t2 + t3
-    else:
-        dk = t1 + t2 + t3
-    if dk.ndim == 0:
-        return float(dk)
-    return dk
+    t1, t2, t3 = -(d2 + d3) / C_LIGHT, d2 / v2, d3 / v3
+    dk = t1 - t2 + t3 if phase_convention == "si-eq-s8" else t1 + t2 + t3
+    return float(dk) if dk.ndim == 0 else dk
 
 
 def longitudinal_phi(dk, L: float):

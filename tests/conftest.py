@@ -77,7 +77,7 @@ def reference_run(kernel512):
                                    kernel=kernel512)
     cfg = SourceConfig(triplet_rate=102.0 / 60.0,
                        singles_rate=(800.0,) * 4,
-                       dual_pair_rates=(((1, 2), (2, 3), 1000.0, 1e-6),),
+                       dual_pair_rate=1000.0, dual_pair_delay=1e-6,
                        dark_rate=(200.0,) * 4,
                        duration=3600.0, seed=20240817)
     t0 = time.perf_counter()

@@ -462,6 +462,56 @@ def test_dispersion_domain_exit_code(tmp_path, capsys):
     assert not any(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("quad_nodes", ["exact", "201"])
+def test_non_finite_chi5_exit_code_prints_one_line(tmp_path, quad_nodes):
+    """omega2 = gamma21 = 0 zeroes a midpoint-rule denominator.  numpy's
+    divide-by-zero (and, at 201 nodes, invalid-reduce) RuntimeWarnings used
+    to reach stderr ahead of the message; stderr is the message alone."""
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("omega2 = 0 Hz\ngamma21 = 0 Hz\nmap_n2 = 9\nmap_n3 = 9\n"
+                   f"quad_nodes = {quad_nodes}\n")
+    root = Path(__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "-m", "triphoton.cli", "chi5-map",
+                          "--config", str(cfg), "--out", str(tmp_path / "m.csv")],
+                         capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=str(root / "src")))
+    assert run.returncode == 3
+    assert run.stderr == "numerical error: non-finite chi5 integrand sample\n"
+
+
+def test_every_config_key_is_read(tmp_path, monkeypatch, capsys):
+    """Each command runs on a tiny config, simulate without --duration and
+    analyze without --method; together they read every REGISTRY key, so no
+    parsed key goes unread (as omega1 and quad_range_sigmas once did)."""
+    from triphoton.config import REGISTRY, RunConfig
+    read = set()
+
+    class Reads(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+    load = cli._load
+    monkeypatch.setattr(cli, "_load",
+                        lambda args: RunConfig(values=Reads(load(args).values)))
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("spectral_n2 = 64\nspectral_n3 = 64\ntau_max = 4 ns\n"
+                   "tau_points = 16\nmap_n2 = 8\nmap_n3 = 8\nduration = 0.5 s\n"
+                   "window = 50 ns\nbin = 1 ns\n")
+    conf = ["--config", str(cfg)]
+    events = str(tmp_path / "run.tpe1")
+    for argv in (["chi5-map", "--out", str(tmp_path / "chi5.csv")],
+                 ["linear-response", "--out", str(tmp_path / "lin")],
+                 ["correlation-map", "--out", str(tmp_path / "r3.csv")],
+                 ["trace", "--kind", "trace-out-S3", "--out", str(tmp_path / "t.csv")],
+                 ["simulate", "--out", events],
+                 ["analyze", events, "--out", str(tmp_path / "an")],
+                 ["sweep", "--from", "20mW", "--to", "40mW", "--steps", "2",
+                  "--out", str(tmp_path / "sweep.csv")]):
+        assert main([*argv, *conf]) == 0, capsys.readouterr().err
+    assert read == set(REGISTRY)
+
+
 def _event_file(path, n):
     """A small sorted TPE1 file of n events over 1 s."""
     rng = np.random.default_rng(11)
@@ -481,6 +531,8 @@ def _event_file(path, n):
     ("quad_scheme = gauss-hermite", "chi5-map"),   # the key is gone
     ("delay_offset = 150 ns", "analyze"),          # so is this one
     ("quad_range_sigmas = 6.0", "chi5-map"),       # and this one
+    ("spectral_linewidth_multiple = 8.0", "correlation-map"),   # the window's
+    ("spectral_pad_fraction = 0.25", "correlation-map"),        # margins too
     ("omega1 = 300 MHz", "chi5-map"),              # field 1 enters only
     ("power1 = 4 mW", "chi5-map"),                 # through delta1
     ("omega2 = 500 MHz\npower2 = 40 mW", "chi5-map"),   # a power sets its
@@ -614,7 +666,7 @@ def test_simulate_bad_seed_or_duration_exit_code(tmp_path, capsys, args,
 @pytest.mark.parametrize("line, names", [
     ("triplet_rate = 1e30 /s", ["triplet_rate"]),
     ("singles_rate_ch1 = 1e30 /s", ["singles_rate", "channel 1"]),
-    ("dual_pair_rate = 1e30 /s", ["dual-pair entry"]),
+    ("dual_pair_rate = 1e30 /s", ["dual_pair_rate"]),
 ])
 def test_simulate_rate_beyond_poisson_limit_exit_code(tmp_path, capsys,
                                                       monkeypatch, line, names):

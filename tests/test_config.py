@@ -1,4 +1,6 @@
 """Flat key=value configuration parsing."""
+import dataclasses
+import inspect
 from math import pi
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from triphoton.errors import ConfigError
 from triphoton.config import (REGISTRY, default_config, dump_defaults,
                               parse_config, parse_config_text)
+from triphoton.eventsim import ORIGIN_DUAL_PAIR, _sources
 from triphoton.susceptibility import VelocityQuadrature
 
 TWO_PI = 2.0 * pi
@@ -72,10 +75,13 @@ def test_unknown_key_rejected():
         parse_config_text("detuning2 = -150 MHz\n")
     assert exc.value.key == "detuning2"
     assert exc.value.line == 1
-    # the midpoint rule spans a fixed +-6 thermal widths; the key is gone
-    with pytest.raises(ConfigError, match="unknown key") as exc:
-        parse_config_text("quad_range_sigmas = 6.0\n")
-    assert exc.value.key == "quad_range_sigmas"
+    # the midpoint rule spans a fixed +-6 thermal widths and the spectral
+    # window fixed margins; the keys are gone
+    for line in ("quad_range_sigmas = 6.0", "spectral_linewidth_multiple = 8.0",
+                 "spectral_pad_fraction = 0.25"):
+        with pytest.raises(ConfigError, match="unknown key") as exc:
+            parse_config_text(line + "\n")
+        assert exc.value.key == line.split()[0]
 
 
 def test_bad_unit_rejected():
@@ -148,9 +154,7 @@ def _numeric_keys():
 _SIGNED = ("delta1", "delta2", "delta3", "temperature")
 
 
-@pytest.mark.parametrize("line", ["quad_nodes = 2001.0", "quad_nodes = Exact",
-                                  "spectral_linewidth_multiple = 0",
-                                  "spectral_pad_fraction = -0.1"]
+@pytest.mark.parametrize("line", ["quad_nodes = 2001.0", "quad_nodes = Exact"]
                          + [f"{key} = -1{unit}" for key, unit in _numeric_keys()
                             if key not in _SIGNED])
 def test_numeric_bounds_name_the_key(line):
@@ -186,11 +190,41 @@ def test_source_config_wiring():
     assert s.seed == 5
     assert s.singles_rate == (800.0,) * 4
     assert s.dark_rate == (200.0,) * 4
-    assert len(s.dual_pair_rates) == 1
-    pair_a, pair_b, rate, delay = s.dual_pair_rates[0]
-    assert (pair_a, pair_b) == ((1, 2), (2, 3))
-    assert rate == pytest.approx(500.0)
-    assert delay == pytest.approx(1e-6)
+    assert s.dual_pair_rate == pytest.approx(500.0)
+    assert s.dual_pair_delay == pytest.approx(1e-6)
+
+
+def test_library_defaults_equal_config_defaults():
+    """The library functions' keyword defaults restate config defaults; each
+    stays equal to its REGISTRY entry, at rel 1e-12 across a unit."""
+    from triphoton.coincidence import (METHOD_LABELS, diagnose_crosscheck,
+                                       rates_report, reconstruct_triple_delayed,
+                                       reconstruct_triple_direct, triple_histogram)
+    from triphoton.correlation import default_spectral_window, spectral_kernel
+    from triphoton.eventsim import SourceConfig
+    from triphoton.susceptibility import group_velocity, phase_mismatch
+
+    cfg = default_config()
+
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    assert default(default_spectral_window, "n2") == cfg["spectral_n2"]
+    assert default(default_spectral_window, "n3") == cfg["spectral_n3"]
+    for fn in (spectral_kernel, phase_mismatch):
+        assert default(fn, "phase_convention") == cfg["phase_convention"]
+    for fn in (spectral_kernel, group_velocity):
+        assert default(fn, "group_delay_mode") == cfg["group_delay_mode"]
+    for fn in (reconstruct_triple_direct, reconstruct_triple_delayed,
+               diagnose_crosscheck):
+        assert default(fn, "window") == pytest.approx(cfg["window"], rel=1e-12)
+        assert default(fn, "bin_width") == pytest.approx(cfg["bin"], rel=1e-12)
+    assert default(rates_report, "peak_rebin") == cfg["peak_rebin"]
+    assert default(triple_histogram, "method") == METHOD_LABELS[cfg["method"]]
+    fields = {f.name: f.default for f in dataclasses.fields(SourceConfig)}
+    for name in ("triplet_rate", "duration", "dual_pair_delay"):
+        assert fields[name] == pytest.approx(cfg[name], rel=1e-12), name
+    assert VelocityQuadrature() == cfg.quadrature()
 
 
 def test_source_config_overrides():
@@ -200,5 +234,7 @@ def test_source_config_overrides():
 
 
 def test_zero_dual_rate_drops_entry():
-    cfg = parse_config_text("dual_pair_rate = 0 /s\n")
-    assert cfg.source_config().dual_pair_rates == ()
+    cfg = parse_config_text("dual_pair_rate = 0 /s\ntriplet_rate = 0 /s\n")
+    s = cfg.source_config(duration=1.0)
+    assert s.dual_pair_rate == 0.0
+    assert ORIGIN_DUAL_PAIR not in {tag for _, _, tag in _sources(None, s)}

@@ -53,7 +53,7 @@ def test_sources_are_independent_streams():
     bare = SourceConfig(triplet_rate=20.0, duration=20.0, seed=7)
     noisy = SourceConfig(triplet_rate=20.0, singles_rate=(200.0,) * 4,
                          dark_rate=(50.0,) * 4,
-                         dual_pair_rates=(((1, 2), (2, 3), 30.0, 1e-6),),
+                         dual_pair_rate=30.0, dual_pair_delay=1e-6,
                          duration=20.0, seed=7)
     s_bare = generate_stream(cmap, bare)
     s_noisy = generate_stream(cmap, noisy)
@@ -106,18 +106,24 @@ def test_poisson_counts_within_tolerance():
 
 
 def test_dual_pair_channels_and_delay():
-    cfg = SourceConfig(triplet_rate=0.0,
-                       dual_pair_rates=(((1, 2), (3, 4), 200.0, 50e-9),),
-                       duration=50.0, seed=13)
+    """Pairs (1, 2) and (2, 3): channel 2 holds the second click of the one
+    and the first of the other."""
+    cfg = SourceConfig(triplet_rate=0.0, dual_pair_rate=200.0,
+                       dual_pair_delay=50e-9, duration=50.0, seed=13)
     s = generate_stream(None, cfg)
     assert set(np.unique(s["origin"])) == {ORIGIN_DUAL_PAIR}
-    assert set(np.unique(s["channel"])) == {1, 2, 3, 4}
-    # mean intra-pair delay matches the exponential parameter
-    t1 = np.sort(s["timestamp_ps"][s["channel"] == 1].astype(np.int64))
-    t2 = np.sort(s["timestamp_ps"][s["channel"] == 2].astype(np.int64))
-    assert t1.size == t2.size
-    mean = float(np.mean(t2 - t1)) / PS_PER_S
-    assert mean == pytest.approx(50e-9, rel=0.05)
+    assert set(np.unique(s["channel"])) == {1, 2, 3}
+    t1, t2, t3 = (s["timestamp_ps"][s["channel"] == c].astype(np.int64)
+                  for c in (1, 2, 3))
+    assert t1.size + t3.size == t2.size
+    # the pairs are ms apart, so a partner is the nearest channel-2 click
+    # after a channel-1 click, or before a channel-3 click; the mean
+    # intra-pair delay matches the exponential parameter
+    after = t2[np.searchsorted(t2, t1)] - t1
+    before = t3 - t2[np.searchsorted(t2, t3, side="right") - 1]
+    for delays in (after, before):
+        assert delays.min() >= 0
+        assert float(np.mean(delays)) / PS_PER_S == pytest.approx(50e-9, rel=0.05)
 
 
 def test_dark_counts_tagged():
@@ -174,7 +180,7 @@ _PINNED_STREAMS = {
     "jitter-thinned": (
         lambda: SourceConfig(triplet_rate=300.0,
                              singles_rate=(400.0, 300.0, 200.0, 100.0),
-                             dual_pair_rates=(((1, 2), (2, 3), 500.0, 1e-6),),
+                             dual_pair_rate=500.0, dual_pair_delay=1e-6,
                              dark_rate=(50.0,) * 4,
                              detector_efficiency=(0.9, 0.8, 0.7, 0.6),
                              fiber_coupling=0.85, jitter_sigma=50e-12,
@@ -368,7 +374,7 @@ def test_source_config_validation():
     with pytest.raises(InvalidParameterError):
         SourceConfig(fiber_coupling=1.5)
     with pytest.raises(InvalidParameterError):
-        SourceConfig(dual_pair_rates=(((1, 2), (3, 4), 10.0, 0.0),))
+        SourceConfig(dual_pair_delay=0.0)
     for duration in (float("nan"), float("inf"), -1.0, 2.0 ** 63 / PS_PER_S):
         with pytest.raises(InvalidParameterError, match="duration"):
             SourceConfig(duration=duration)
@@ -391,28 +397,15 @@ _NAN, _INF = float("nan"), float("inf")
     ("jitter_sigma", {"jitter_sigma": -1e-9}),
     ("jitter_sigma", {"jitter_sigma": _NAN}),
     ("jitter_sigma", {"jitter_sigma": _INF}),
-    ("dual-pair entry", {"dual_pair_rates": (((1, 2), (3, 4), _NAN, 1e-6),)}),
-    ("dual-pair entry", {"dual_pair_rates": (((1, 2), (3, 4), _INF, 1e-6),)}),
-    ("dual-pair entry", {"dual_pair_rates": (((1, 2), (3, 4), 10.0, _INF),)}),
+    ("dual_pair_rate", {"dual_pair_rate": _NAN}),
+    ("dual_pair_rate", {"dual_pair_rate": _INF}),
+    ("dual_pair_delay", {"dual_pair_delay": _INF}),
 ])
 def test_source_config_refuses_non_finite_rates(field, kwargs):
     """A NaN rate used to give no events and no error, an infinite one
     numpy's bare 'lam value too large', a negative jitter no jitter."""
     with pytest.raises(InvalidParameterError, match=field):
         SourceConfig(**kwargs)
-
-
-@pytest.mark.parametrize("pair_a, pair_b", [
-    ((0, 2), (2, 3)), ((1, 2), (2, 5)), ((1, 2, 3), (2, 3)), ((1,), (2, 3))],
-    ids=["channel-0", "channel-5", "three-channels", "one-channel"])
-def test_dual_pair_channels_outside_1_to_4_rejected(pair_a, pair_b):
-    """Channel 0 used to take channel 4's efficiency through eff[ch - 1],
-    channel 5 to raise a bare IndexError, a 3-channel pair a bare unpacking
-    ValueError; each is a bad entry, named."""
-    entry = (pair_a, pair_b, 10.0, 1e-6)
-    with pytest.raises(InvalidParameterError) as err:
-        SourceConfig(dual_pair_rates=(entry,))
-    assert repr(entry) in str(err.value)
 
 
 def test_triplets_require_map():

@@ -13,8 +13,9 @@ from triphoton.params import (C_LIGHT, KBAR, OMEGA31, OMEGA42,
 from triphoton.susceptibility import (ComplexGrid2D, GridSpec2D,
                                       VelocityQuadrature, _chi_linear, chi5,
                                       chi5_map, chi_linear_s1,
-                                      dispersion_profile, longitudinal_phi,
-                                      params_hash, phase_mismatch)
+                                      dispersion_profile, group_velocity,
+                                      longitudinal_phi, params_hash,
+                                      phase_mismatch)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +262,34 @@ def test_chi5_coincident_poles_fall_back(params):
     assert grid.values[2, 1] == x
 
 
+def test_exact_fallback_runs_one_grid_per_delta3(params, monkeypatch):
+    """omega3 = gamma11 = 0 puts a velocity pole on the real axis for whole
+    delta3 columns.  Their points used to take one 1 x 1 midpoint grid each;
+    they take one single-column grid per delta3, with the same values."""
+    real = dataclasses.replace(
+        params, rates=dataclasses.replace(params.rates, gamma11=0.0),
+        drive=dataclasses.replace(params.drive, omega3=0.0))
+    calls = []
+    grid_1x1 = susceptibility._chi5_grid
+
+    def spy(d2_axis, d3_axis, *args):
+        calls.append((d2_axis.copy(), d3_axis.copy()))
+        return grid_1x1(d2_axis, d3_axis, *args)
+
+    monkeypatch.setattr(susceptibility, "_chi5_grid", spy)
+    half = 2 * np.pi * 3e9
+    grid = chi5_map(GridSpec2D(-half, half, 16, -half, half, 16), real, EXACT)
+    assert all(d3.size == 1 for _, d3 in calls)
+    columns = [float(d3[0]) for _, d3 in calls]
+    assert len(columns) == len(set(columns)) > 0
+    assert sum(d2.size for d2, _ in calls) > len(calls)
+    for d2, d3 in calls:
+        j = int(np.flatnonzero(grid.axis2 == d3[0])[0])
+        for x in d2:
+            i = int(np.flatnonzero(grid.axis1 == x)[0])
+            assert grid.values[i, j] == grid_1x1(np.array([x]), d3, real, EXACT)[0, 0]
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
@@ -373,7 +402,7 @@ def test_mismatch_validation():
     with pytest.raises(InvalidParameterError):
         phase_mismatch(0.0, 0.0, phase_convention="other")
     with pytest.raises(InvalidParameterError):
-        phase_mismatch(0.0, 0.0, group_delay_mode="frozen")
+        group_velocity(None, "S2", 0.0, group_delay_mode="frozen")
 
 
 # ---------------------------------------------------------------------------
