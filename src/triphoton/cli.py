@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 configuration or input error (a bad config value
 or argument, an unreadable or malformed file), 3 numerical-domain error.
-Every subcommand accepts --config (flat key=value file; omitted means full
-defaults) and prints a one-line summary on success.
+Each command that reads a config takes --config (flat key=value file;
+omitted means full defaults), and each prints a one-line summary on success.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from . import io_formats
 
 
 def _load(args) -> RunConfig:
-    if getattr(args, "config", None):
+    if args.config:
         return parse_config(args.config)
     return default_config()
 
@@ -120,6 +120,9 @@ def cmd_correlation_map(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    if args.kind != "diag" and args.line is not None:
+        raise ConfigError(f"trace --line applies to --kind diag only, "
+                          f"not --kind {args.kind}")
     cfg = _load(args)
     params = cfg.experiment_params()
     if args.kind == "diag":
@@ -193,7 +196,7 @@ def cmd_analyze(args) -> int:
     header, chunks = io_formats.read_channel_chunks(args.eventfile)
     duration = header["duration_ps"] / PS_PER_S
     method = args.method or cfg["method"]
-    # the delayed circuit's offset cancels (reconstruct_triple_delayed)
+    # the delayed circuit's offset cancels (coincidence.METHOD_LABELS)
     hist = triple_histogram(chunks, cfg["window"], cfg["bin"], duration,
                             METHOD_LABELS[method])
     floor = estimate_floor(hist)
@@ -364,9 +367,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="stop", required=True)
     p.add_argument("--steps", type=int, default=8)
 
-    add("selftest", cmd_selftest, help="run the built-in oracle/property checks")
-    add("print-defaults", cmd_print_defaults,
-        help="dump the fully resolved default configuration")
+    # these two read no config
+    sub.add_parser("selftest", help="run the built-in oracle/property checks"
+                   ).set_defaults(fn=cmd_selftest)
+    sub.add_parser("print-defaults", help="dump the fully resolved default "
+                   "configuration").set_defaults(fn=cmd_print_defaults)
     return ap
 
 

@@ -37,7 +37,13 @@ from .eventsim import PS_PER_S, split_channels
 # pair numbers expanded and binned, at once by the three-fold matcher
 _TRIPLE_BLOCK = 1 << 16
 
-# the histogram label of each reconstruction method
+# the histogram label of each reconstruction method.  The delayed-start
+# circuit fans the channel-1 click out into an undelayed start, paired with
+# channel-2 stops (tau21), and a delayed copy, paired with equally delayed
+# channel-3 stops (tau31).  Delaying a start and its channel-3 stops by the
+# same whole number of picoseconds changes neither their order nor their
+# difference, so the offset cancels exactly and the circuit counts what the
+# direct matcher counts: only the label differs.
 METHOD_LABELS = {"direct": "direct-3fold", "delayed": "delayed-pairwise"}
 
 
@@ -163,20 +169,18 @@ def check_histogram(window: float, bin_width: float,
 
 
 def pairwise_histogram(starts: np.ndarray, stops: np.ndarray, window: float,
-                       bin_width: float, multiple_stops: bool = True) -> np.ndarray:
+                       bin_width: float) -> np.ndarray:
     """Start-stop delay counts of two sorted int64 channels [ps].
 
-    Every stop with delay in [0, window) after a start is binned; with
-    multiple_stops (default) all stops per start count, matching the flat
-    accidental floor of an all-stop histogrammer.
+    Every stop with delay in [0, window) after a start is binned: all stops
+    per start count, matching the flat accidental floor of an all-stop
+    histogrammer.
     """
     w_ps, b_ps = _window_bin_ps(window, bin_width)
     nbins = w_ps // b_ps
     counts = np.zeros(nbins, dtype=np.int64)
     if starts.size and stops.size:
         keep, lo, n = _stop_ranges(starts, stops, nbins * b_ps)
-        if not multiple_stops:
-            n = np.minimum(n, 1)
         edges = np.concatenate(([0], np.cumsum(n)))
         rep, offs = _expand(edges, 0, edges[-1])
         delays = stops[lo[rep] + offs] - starts[keep][rep]
@@ -287,16 +291,9 @@ def reconstruct_triple_direct(stream: np.ndarray, window: float = 195e-9,
 def reconstruct_triple_delayed(stream: np.ndarray, window: float = 195e-9,
                                bin_width: float = 0.25e-9,
                                duration: float | None = None) -> CoincidenceHistogram2D:
-    """Delayed-start reconstruction emulating the experimental circuit.
-
-    The channel-1 click fans out into an undelayed start (paired with
-    channel-2 stops, giving tau21) and a delayed copy paired with equally
-    delayed channel-3 stops (giving tau31); (tau21, tau31) pairs sharing one
-    start increment the histogram.  Delaying a start and its channel-3 stops
-    by the same whole number of picoseconds changes neither their order nor
-    their difference, so the offset cancels exactly and the circuit counts
-    what the direct matcher counts.
-    """
+    """Delayed-start reconstruction emulating the experimental circuit,
+    whose offset cancels (see METHOD_LABELS): the direct matcher's histogram
+    under the delayed label."""
     return _reconstruct(stream, window, bin_width, duration, "delayed")
 
 

@@ -448,8 +448,6 @@ def visibility(trace: ConditionalTrace) -> float:
     i1 = i0 + 1 + int(peaks[0])
     seg = v[i0:i1 + 1]
     hi, lo = float(seg.max()), float(seg.min())
-    if hi + lo == 0:
-        return 0.0
     return (hi - lo) / (hi + lo)
 
 

@@ -240,26 +240,24 @@ def _text(values) -> list[str]:
 
 
 def _column(values):
-    """A _write_rows column of the elements in C order: the text of integers,
-    through a table of their distinct values (by bincount for counts in
-    0..size, as a histogram's are), or the floats themselves."""
+    """A _write_rows column of the elements in C order: the text of integer
+    counts in 0..size, as a histogram's are, through a bincount table of
+    their distinct values, or the values themselves."""
     flat = np.ravel(values)
-    if flat.dtype.kind not in "biu":
+    if (flat.dtype.kind not in "biu" or not flat.size
+            or flat.min() < 0 or flat.max() > flat.size):
         return flat
-    if flat.size and 0 <= flat.min() and flat.max() <= flat.size:
-        flat = flat.astype(np.intp, copy=False)
-        uniq = np.flatnonzero(np.bincount(flat))
-        table = np.empty(uniq[-1] + 1, dtype=object)
-        table[uniq] = _text(uniq)
-        return table[flat].tolist()
-    uniq, inverse = np.unique(flat, return_inverse=True)
-    return np.array(_text(uniq), dtype=object)[inverse].tolist()
+    flat = flat.astype(np.intp, copy=False)
+    uniq = np.flatnonzero(np.bincount(flat))
+    table = np.empty(uniq[-1] + 1, dtype=object)
+    table[uniq] = _text(uniq)
+    return table[flat].tolist()
 
 
 def _fill(buf, width, parts, first=0) -> str:
     """The text of the row template buf (width // 2 fields a row), cut to the
     rows of the equal-length parts, its fields from first on set to them:
-    text lists, or floats formatted here a block at a time."""
+    text lists, or numbers formatted here a block at a time."""
     del buf[len(parts[0]) * width:]  # the last block may be short
     for k, part in enumerate(parts, start=first):
         buf[2 * k::width] = part if isinstance(part, list) else _text(part)

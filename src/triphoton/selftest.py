@@ -16,7 +16,7 @@ from .susceptibility import (VelocityQuadrature, chi5, longitudinal_phi,
                              chi_linear_s1)
 from .correlation import cauchy_schwarz_factor
 from .config import parse_config_text, default_config
-from .eventsim import SourceConfig, generate_stream
+from .eventsim import SourceConfig, stream_windows
 from . import io_formats
 
 
@@ -93,16 +93,18 @@ def _checks():
         return ok
 
     def event_file_round_trip():
-        cfg = SourceConfig(triplet_rate=0.0, singles_rate=(50.0, 50.0, 0.0, 0.0),
+        cfg = SourceConfig(triplet_rate=0.0, singles_rate=(5e3, 5e3, 0.0, 0.0),
                            duration=10.0, seed=7)
-        stream = generate_stream(None, cfg)
+        windows = list(stream_windows(None, cfg))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "events.tpe1"
-            io_formats.write_events(path, stream, seed=7, duration_ps=10 * 10 ** 12,
-                                    keep_origin=True)
-            back, header = io_formats.read_events(path)
-        return (np.array_equal(back["timestamp_ps"], stream["timestamp_ps"])
-                and np.array_equal(back["channel"], stream["channel"])
+            io_formats.write_windows(path, windows, seed=7, duration_ps=10 * 10 ** 12)
+            header, chunks = io_formats.read_channel_chunks(path)
+            # ~100k records: two chunks, each viewing buffers the next one reuses
+            back = [(ts.copy(), ch.copy()) for ts, ch in chunks]
+        sent = [np.concatenate(col) for col in zip(*windows)]
+        back = [np.concatenate(col) for col in zip(*back)]
+        return (np.array_equal(back[0], sent[0]) and np.array_equal(back[1], sent[1])
                 and header["seed"] == 7)
 
     return [

@@ -41,11 +41,38 @@ def test_print_defaults_round_trips(capsys):
     assert parse_config_text(text).values == default_config().values
 
 
+SELFTEST_CHECKS = [
+    "maxwell-boltzmann normalization",
+    "longitudinal phi trivials",
+    "emitted-offset sum rule",
+    "resonance center pair symmetry",
+    "doppler detuning slopes",
+    "midpoint velocity quadrature vs 20k-node oracle",
+    "exact doppler integral vs 20k-node oracle",
+    "chi_S1 identically zero",
+    "cauchy-schwarz algebraic identity",
+    "optical depth reference calibration",
+    "doppler width sqrt(T) scaling",
+    "config parsing round trip",
+    "event file round trip",
+]
+
+
 def test_selftest_passes(capsys):
+    """selftest prints one line per check, all 13 passing and in order."""
     assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "all checks passed" in out
-    assert "[FAIL]" not in out
+    assert capsys.readouterr().out.splitlines() == (
+        [f"[PASS] {name}" for name in SELFTEST_CHECKS]
+        + ["selftest: all checks passed"])
+
+
+@pytest.mark.parametrize("command", ["print-defaults", "selftest"])
+def test_config_refused_where_unread(command, tmp_path, capsys):
+    """print-defaults and selftest read no config, so --config is refused."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(tmp_path / "missing.cfg")])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
 
 
 def test_chi5_map_command(small_cfg, tmp_path):
@@ -132,6 +159,23 @@ def test_trace_diag_bad_line_exit_code(small_cfg, tmp_path, capsys,
                  f"--line={line}", "--out", str(tmp_path / "d.csv")])
     assert code == 2
     assert "--line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,line", [("trace-out-S1", "nan"), ("trace-out-S2", "-7"),
+                                       ("trace-out-S3", "5e-9")])
+def test_trace_line_off_diag_exit_code(small_cfg, tmp_path, capsys, monkeypatch,
+                                       kind, line):
+    """--line sets the diagonal cut only: with another kind it is refused
+    before any map is computed, naming the flag and the kind."""
+    def no_map(*args, **kwargs):
+        raise AssertionError("the correlation map was computed")
+
+    monkeypatch.setattr(cli, "triphoton_amplitude_map", no_map)
+    code = main(["trace", "--config", small_cfg, "--kind", kind,
+                 f"--line={line}", "--out", str(tmp_path / "t.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--line" in err and kind in err
 
 
 @pytest.mark.parametrize("line", ["0", "1e-08"])

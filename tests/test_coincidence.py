@@ -69,16 +69,6 @@ def test_pairwise_matches_brute_force(seed):
     assert counts.sum() <= starts.size * stops.size
 
 
-def test_pairwise_single_stop_mode():
-    t = _times(_stream({1: [0], 2: [10, 20, 30]}))
-    all_stops = pairwise_histogram(t[1], t[2], 100e-12, 10e-12)
-    first_only = pairwise_histogram(t[1], t[2], 100e-12, 10e-12,
-                                    multiple_stops=False)
-    assert all_stops.sum() == 3
-    assert first_only.sum() == 1
-    assert first_only[1] == 1
-
-
 def test_pairwise_window_edges():
     t = _times(_stream({1: [100], 2: [100, 199, 200]}))
     counts = pairwise_histogram(t[1], t[2], 100e-12, 10e-12)
