@@ -60,12 +60,16 @@ def _tau_spec(cfg: RunConfig):
                       0.0, cfg["tau_max"], cfg["tau_points"])
 
 
-def _correlation_map(cfg: RunConfig, params):
-    spec = _spectral_spec(cfg, params)
-    kernel = spectral_kernel(
+def _kernel(cfg: RunConfig, params, spec):
+    """The spectral kernel over spec under every map setting of cfg."""
+    return spectral_kernel(
         spec, params, cfg.quadrature(),
         _profiles(cfg, params, spec) if cfg["dispersion"] == "on" else None,
         cfg["phase_convention"], cfg["group_delay_mode"])
+
+
+def _correlation_map(cfg: RunConfig, params):
+    kernel = _kernel(cfg, params, _spectral_spec(cfg, params))
     return triphoton_amplitude_map(_tau_spec(cfg), kernel)
 
 
@@ -195,10 +199,9 @@ def cmd_analyze(args) -> int:
                           "per axis, too few for the accidental floor's border frame")
     header, chunks = io_formats.read_channel_chunks(args.eventfile)
     duration = header["duration_ps"] / PS_PER_S
-    method = args.method or cfg["method"]
     # the delayed circuit's offset cancels (coincidence.METHOD_LABELS)
     hist = triple_histogram(chunks, cfg["window"], cfg["bin"], duration,
-                            METHOD_LABELS[method])
+                            METHOD_LABELS[args.method])
     floor = estimate_floor(hist)
     report = rates_report(hist, floor, peak_rebin=cfg["peak_rebin"])
     out = Path(args.out)
@@ -214,22 +217,21 @@ def cmd_analyze(args) -> int:
     with open(out / "report.json", "w") as fh:
         json.dump(_strict_json(rep), fh, indent=2, sort_keys=True,
                   allow_nan=False)
-    print(f"analyze: {method} method, triplets "
+    print(f"analyze: {args.method} method, triplets "
           f"{report.triplet_rate_per_min:.1f}+-{report.triplet_rate_err:.1f}/min, "
           f"accidentals {report.accidental_rate_per_min:.1f}"
           f"+-{report.accidental_rate_err:.1f}/min, wrote {out}")
     return 0
 
 
-def sweep_rate(params, spec, quad, power2) -> float:
+def sweep_rate(kern, power2) -> float:
     """Integrated triplet generation rate, arbitrary units.
 
     The emitted amplitude is proportional to the field-2 amplitude times the
-    susceptibility, so the rate integrates P2 |chi5 sinc|^2 over the fixed
-    spectral window (fixed so sweep points are mutually comparable); params
-    carries the Rabi frequency of the field-2 power power2 [W].
+    susceptibility, so the rate integrates P2 |kernel|^2 over the kernel's
+    spectral window (fixed so sweep points are mutually comparable); kern
+    is built at the Rabi frequency of the field-2 power power2 [W].
     """
-    kern = spectral_kernel(spec, params, quad)
     dd2 = kern.axis1[1] - kern.axis1[0]
     dd3 = kern.axis2[1] - kern.axis2[0]
     return float(power2 * np.sum(np.abs(kern.values) ** 2) * dd2 * dd3)
@@ -254,8 +256,6 @@ def _parse_power_arg(flag: str, text: str) -> float:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    if args.param != "power2":
-        raise ConfigError(f"sweep supports only --param power2, got {args.param}")
     lo = _parse_power_arg("--from", args.start)
     hi = _parse_power_arg("--to", args.stop)
     if args.steps < 2 or not hi > lo > 0:
@@ -266,7 +266,6 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"sweep --steps {args.steps} is too many to "
                           "allocate") from None
     powers = np.linspace(lo, hi, args.steps)
-    quad = cfg.quadrature()
     base = cfg.experiment_params()
     steps = [dataclasses.replace(base, drive=dataclasses.replace(
         base.drive, omega2=rabi_from_power(2, float(p)))) for p in powers]
@@ -282,7 +281,7 @@ def cmd_sweep(args) -> int:
         _check_coverage(spec, steps[-1])
     except InvalidParameterError as exc:
         raise ConfigError(f"sweep --to {args.stop}: {exc}") from None
-    rates = np.asarray([sweep_rate(params, spec, quad, float(p))
+    rates = np.asarray([sweep_rate(_kernel(cfg, params, spec), float(p))
                         for params, p in zip(steps, powers)])
     coeff = np.polyfit(powers, rates, 1)
     resid = rates - np.polyval(coeff, powers)
@@ -358,11 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
             help="reconstruct and report on an event file")
     p.add_argument("eventfile")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--method", choices=["direct", "delayed"], default=None)
+    p.add_argument("--method", choices=["direct", "delayed"], default="direct")
 
-    p = add("sweep", cmd_sweep, help="rate versus drive power trend CSV")
+    p = add("sweep", cmd_sweep, help="rate versus field-2 power trend CSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--param", default="power2")
     p.add_argument("--from", dest="start", required=True)
     p.add_argument("--to", dest="stop", required=True)
     p.add_argument("--steps", type=int, default=8)

@@ -288,25 +288,6 @@ def triphoton_amplitude_map(tau_spec: GridSpec2D, kernel: ComplexGrid2D,
     return CorrelationMap(grid=grid)
 
 
-def conditional_r2_closed(tau23_axis, kernel: ComplexGrid2D) -> ConditionalTrace:
-    """Closed-form conditional two-photon rate R2(tau23), unit-normalized.
-
-    R2 = integral over delta3 of |integral over delta2 of the spectral kernel
-    times exp(+i delta2 tau23)|^2 -- the inner transform only runs over
-    delta2, the outer modulus-squared integral over delta3.  The transform
-    sign matches triphoton_amplitude_map.
-    """
-    tau23 = np.asarray(tau23_axis, dtype=float)
-    _nyquist_check(kernel.axis1, tau23, "delta2")
-    dd2 = kernel.axis1[1] - kernel.axis1[0]
-    dd3 = kernel.axis2[1] - kernel.axis2[0]
-    e2 = np.exp(1j * np.outer(tau23, kernel.axis1))
-    inner = (e2 @ kernel.values) * dd2
-    r2 = np.sum(np.abs(inner) ** 2, axis=1) * dd3
-    return ConditionalTrace(axis=tau23, values=_unit_peak(r2), kind="fixed-line",
-                            line_spec="closed-form R2(tau23)")
-
-
 # ---------------------------------------------------------------------------
 # traces and cuts
 # ---------------------------------------------------------------------------

@@ -285,11 +285,3 @@ def optical_depth(cell: VaporCell) -> float:
     return (_REF_OD * (cell.density_N / _REF_N) * (cell.length_L / _REF_L)
             * sqrt(_REF_T / cell.temperature))
 
-
-def density_for_od(od_target: float, temperature_K: float,
-                   length_L: float = _REF_L) -> float:
-    """The atomic density that yields od_target: optical_depth's inverse."""
-    if temperature_K <= 0:
-        raise InvalidParameterError(f"temperature must be > 0 K, got {temperature_K}")
-    return (_REF_N * (od_target / _REF_OD) * (_REF_L / length_L)
-            * sqrt(temperature_K / _REF_T))

@@ -58,17 +58,51 @@ def kernel1024(params, quad):
     return spectral_kernel(spec, params, quad)
 
 
+def _expand(first, n):
+    """(g, k) of every index k with first[g] <= k < first[g] + n[g]."""
+    group = np.repeat(np.arange(n.size), n)
+    return group, np.arange(group.size) + np.repeat(first - (np.cumsum(n) - n), n)
+
+
+def _start_stop_pairs(starts, stops, span):
+    """(start index, stop - start) of every pair with 0 <= stop - start <
+    span, grouped by start, from searchsorted bounds on the sorted stops."""
+    lo = np.searchsorted(stops, starts, side="left")
+    owner, k = _expand(lo, np.searchsorted(stops, starts + span, side="left") - lo)
+    return owner, stops[k] - starts[owner]
+
+
+def delayed_start_join(stream, window=195e-9, bin_width=0.25e-9, delay=1e-6):
+    """Three-fold counts of the delayed-start circuit, built apart from the
+    package's matcher: the (1,2) start-stop pairs give tau21, the (1,3)
+    pairs with start and stop delayed alike by delay give tau31, and the two
+    pair lists join on the start."""
+    b_ps = int(round(bin_width * 1e12))
+    nbins = int(round(window * 1e12)) // b_ps
+    span, d_ps = nbins * b_ps, int(round(delay * 1e12))
+    stamps = stream["timestamp_ps"].astype(np.int64)
+    t1, t2, t3 = (stamps[stream["channel"] == c] for c in (1, 2, 3))
+    own2, tau21 = _start_stop_pairs(t1, t2, span)
+    own3, tau31 = _start_stop_pairs(t1 + d_ps, t3 + d_ps, span)
+    # each (1,2) pair meets every (1,3) pair of its start
+    first3 = np.searchsorted(own3, own2, side="left")
+    pair2, pair3 = _expand(first3, np.searchsorted(own3, own2, side="right") - first3)
+    counts = np.zeros((nbins, nbins), dtype=np.int64)
+    np.add.at(counts, (tau21[pair2] // b_ps, tau31[pair3] // b_ps), 1)
+    return counts
+
+
 @pytest.fixture(scope="session")
 def reference_run(kernel512):
-    """One-hour synthetic stream at the reference operating point, plus both
-    reconstructions and the simulation-truth counts.
+    """One-hour synthetic stream at the reference operating point, plus its
+    direct histogram, the delayed-start join's counts and the
+    simulation-truth counts.
 
     The sampling map is evaluated on the analysis bin centers (0.25 ns cells)
     so the recovered histogram is directly comparable to the input density.
     """
     import time
-    from triphoton.coincidence import (reconstruct_triple_direct,
-                                       reconstruct_triple_delayed)
+    from triphoton.coincidence import reconstruct_triple_direct
 
     centers = (np.arange(77) + 0.5) * 0.25e-9
     tau_spec = GridSpec2D(centers[0], centers[-1], 77,
@@ -83,10 +117,10 @@ def reference_run(kernel512):
     t0 = time.perf_counter()
     stream = generate_stream(cmap, cfg)
     hist_direct = reconstruct_triple_direct(stream, duration=cfg.duration)
-    hist_delayed = reconstruct_triple_delayed(stream, duration=cfg.duration)
+    counts_delayed = delayed_start_join(stream)
     elapsed = time.perf_counter() - t0
     hist_truth = reconstruct_triple_direct(stream[stream["origin"] == 0],
                                            duration=cfg.duration)
     return {"cmap": cmap, "cfg": cfg, "stream": stream,
-            "hist_direct": hist_direct, "hist_delayed": hist_delayed,
+            "hist_direct": hist_direct, "counts_delayed": counts_delayed,
             "hist_truth": hist_truth, "elapsed": elapsed}

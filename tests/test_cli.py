@@ -1,4 +1,5 @@
 """End-to-end command-line surface, run in process."""
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,6 +14,9 @@ import triphoton
 from triphoton import cli
 from triphoton.cli import main
 from triphoton.config import default_config, parse_config_text
+from triphoton.correlation import default_spectral_window, spectral_kernel
+from triphoton.params import rabi_from_power
+from triphoton.susceptibility import dispersion_profile
 from triphoton.eventsim import EVENT_DTYPE, ORIGIN_DUAL_PAIR
 from triphoton import io_formats
 
@@ -368,7 +372,7 @@ def test_map_bytes_pinned(tmp_path, nodes):
     for argv in (["chi5-map", *c, "--out", str(tmp_path / "chi5_map.csv")],
                  ["correlation-map", *c, "--out", str(tmp_path / "correlation_map.csv")],
                  ["linear-response", *c, "--out", str(tmp_path)],
-                 ["sweep", *c, "--param", "power2", "--from", "5mW", "--to", "40mW",
+                 ["sweep", *c, "--from", "5mW", "--to", "40mW",
                   "--steps", "3", "--out", str(tmp_path / "sweep.csv")]):
         assert main(argv) == 0, argv[0]
     got = {}
@@ -428,24 +432,73 @@ def test_stream_study_script_runs(tmp_path):
 
 def test_sweep_command(small_cfg, tmp_path):
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--config", small_cfg, "--param", "power2",
-                 "--from", "5mW", "--to", "40mW", "--steps", "3",
-                 "--out", str(out)]) == 0
+    assert main(["sweep", "--config", small_cfg, "--from", "5mW", "--to", "40mW",
+                 "--steps", "3", "--out", str(out)]) == 0
     rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert len(rows) == 3
     powers = [float(r.split(",")[0]) for r in rows]
     assert powers == pytest.approx([5e-3, 22.5e-3, 40e-3])
 
 
+_SWEEP_SETTINGS = {
+    "main-text": "phase_convention = main-text\n",
+    "dispersion-local": "dispersion = on\ngroup_delay_mode = local\n",
+    "dispersion-central": "dispersion = on\ngroup_delay_mode = central\n",
+}
+
+
+def _sweep_columns(cfg_path, out):
+    assert main(["sweep", "--config", str(cfg_path), "--from", "5mW", "--to", "40mW",
+                 "--steps", "3", "--out", str(out)]) == 0
+    rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    return [[float(x) for x in r.split(",")] for r in rows]
+
+
+@pytest.mark.parametrize("setting", sorted(_SWEEP_SETTINGS))
+def test_sweep_runs_its_config(small_cfg, tmp_path, setting):
+    """Each sweep row is P2 times the integral of |kernel|^2, for the kernel
+    that the config's map settings give at that power: the phase convention,
+    and the S2/S3 dispersion profiles under either group-delay mode, over the
+    window frozen at the top power.  So the rows differ from the default
+    config's."""
+    text = SMALL + _SWEEP_SETTINGS[setting]
+    (tmp_path / "set.cfg").write_text(text)
+    default = _sweep_columns(small_cfg, tmp_path / "default.csv")
+    got = _sweep_columns(tmp_path / "set.cfg", tmp_path / "set.csv")
+
+    cfg = parse_config_text(text)
+    quad = cfg.quadrature()
+    base = cfg.experiment_params()
+    at = [dataclasses.replace(base, drive=dataclasses.replace(
+        base.drive, omega2=rabi_from_power(2, p))) for p, _ in got]
+    spec = default_spectral_window(at[-1], n2=128, n3=128)
+    expected = []
+    for params, (p, _) in zip(at, got):
+        profiles = None
+        if cfg["dispersion"] == "on":
+            profiles = {mode: dispersion_profile(mode, np.linspace(lo, hi, 128),
+                                                 params, quad)
+                        for mode, lo, hi in (("S2", spec.min1, spec.max1),
+                                             ("S3", spec.min2, spec.max2))}
+        kern = spectral_kernel(spec, params, quad, profiles,
+                               cfg["phase_convention"], cfg["group_delay_mode"])
+        dd2 = kern.axis1[1] - kern.axis1[0]
+        dd3 = kern.axis2[1] - kern.axis2[0]
+        expected.append([p, float(p * np.sum(np.abs(kern.values) ** 2) * dd2 * dd3)])
+    assert got == expected
+    assert [r for _, r in got] != [r for _, r in default]
+
+
 def test_sweep_rejects_bad_arguments(small_cfg, tmp_path, capsys):
     out = str(tmp_path / "s.csv")
-    assert main(["sweep", "--config", small_cfg, "--param", "power3",
-                 "--from", "5mW", "--to", "40mW", "--out", out]) == 2
-    assert main(["sweep", "--config", small_cfg, "--param", "power2",
-                 "--from", "40mW", "--to", "5mW", "--out", out]) == 2
-    assert main(["sweep", "--config", small_cfg, "--param", "power2",
-                 "--from", "5mW", "--to", "40mW", "--steps", "1",
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", small_cfg, "--param", "power3",
+              "--from", "5mW", "--to", "40mW", "--out", out])
+    assert exc.value.code == 2
+    assert main(["sweep", "--config", small_cfg, "--from", "40mW", "--to", "5mW",
                  "--out", out]) == 2
+    assert main(["sweep", "--config", small_cfg, "--from", "5mW", "--to", "40mW",
+                 "--steps", "1", "--out", out]) == 2
     capsys.readouterr()
     # a power that is not a number, not finite, too weak for delta2 =
     # -150 MHz (0.1mW: a negative effective linewidth) or so strong that
@@ -454,9 +507,8 @@ def test_sweep_rejects_bad_arguments(small_cfg, tmp_path, capsys):
                         ("--to", "inf"), ("--to", "1e400mW"),
                         ("--from", "0.1mW"), ("--to", "1000W")):
         powers = {"--from": "5mW", "--to": "40mW", flag: value}
-        assert main(["sweep", "--config", small_cfg, "--param", "power2",
-                     "--from", powers["--from"], "--to", powers["--to"],
-                     "--out", out]) == 2
+        assert main(["sweep", "--config", small_cfg, "--from", powers["--from"],
+                     "--to", powers["--to"], "--out", out]) == 2
         assert f"sweep {flag} " in capsys.readouterr().err
 
 
@@ -524,9 +576,9 @@ def test_non_finite_chi5_exit_code_prints_one_line(tmp_path, quad_nodes):
 
 
 def test_every_config_key_is_read(tmp_path, monkeypatch, capsys):
-    """Each command runs on a tiny config, simulate without --duration and
-    analyze without --method; together they read every REGISTRY key, so no
-    parsed key goes unread (as omega1 and quad_range_sigmas once did)."""
+    """Each command runs on a tiny config, simulate without --duration;
+    together they read every REGISTRY key, so no parsed key goes unread (as
+    omega1 and quad_range_sigmas once did)."""
     from triphoton.config import REGISTRY, RunConfig
     read = set()
 

@@ -101,8 +101,8 @@ def test_missing_equals_rejected():
 def test_choice_keys_validated():
     with pytest.raises(ConfigError):
         parse_config_text("group_delay_mode = frozen\n")
-    with pytest.raises(ConfigError):
-        parse_config_text("method = fastest\n")
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config_text("method = direct\n")
     assert parse_config_text("dispersion = on\n")["dispersion"] == "on"
 
 
@@ -220,7 +220,7 @@ def test_library_defaults_equal_config_defaults():
         assert default(fn, "window") == pytest.approx(cfg["window"], rel=1e-12)
         assert default(fn, "bin_width") == pytest.approx(cfg["bin"], rel=1e-12)
     assert default(rates_report, "peak_rebin") == cfg["peak_rebin"]
-    assert default(triple_histogram, "method") == METHOD_LABELS[cfg["method"]]
+    assert default(triple_histogram, "method") == METHOD_LABELS["direct"]
     fields = {f.name: f.default for f in dataclasses.fields(SourceConfig)}
     for name in ("triplet_rate", "duration", "dual_pair_delay"):
         assert fields[name] == pytest.approx(cfg[name], rel=1e-12), name

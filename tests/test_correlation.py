@@ -14,11 +14,12 @@ from triphoton.susceptibility import (ComplexGrid2D, GridSpec2D, chi5_map,
 from triphoton import correlation
 from triphoton.correlation import (CorrelationMap, ConditionalTrace,
                                    cauchy_schwarz_factor,
-                                   conditional_r2_closed,
                                    default_spectral_window, diagonal_cut,
                                    oscillation_period, spectral_kernel,
                                    trace_map, triphoton_amplitude_map,
                                    visibility)
+
+from oracles import conditional_r2_closed
 
 
 def _random_kernel(seed, n=16, dd=2e8):

@@ -9,11 +9,12 @@ from hypothesis import given, strategies as st
 from triphoton.errors import InvalidParameterError
 from triphoton.params import (OMEGA31, OMEGA42, DecayRates, DetuningOffsets,
                               DriveFields, ExperimentParams,
-                              VaporCell, density_for_od,
-                              doppler_detunings, doppler_width,
+                              VaporCell, doppler_detunings, doppler_width,
                               effective_rabi, maxwell_boltzmann_pdf,
                               optical_depth, rabi_from_power,
                               resonance_set)
+
+from oracles import density_for_od
 
 TWO_PI = 2.0 * pi
 

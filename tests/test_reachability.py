@@ -86,8 +86,6 @@ UNREACHED = {
     "coincidence.diagnose_crosscheck": _ITEM_4,
     "coincidence._poisson_sum": _ITEM_4,
     "coincidence._poisson_tails": _ITEM_4,
-    "correlation.conditional_r2_closed": "criterion 4's closed-form oracle",
-    "params.density_for_od": "the inverse of ExperimentParams.od, for the tests",
     "io_formats._read_rows": _CSV_READER,
     "io_formats._scan_rows": _CSV_READER,
     "io_formats._read_grid": _CSV_READER,

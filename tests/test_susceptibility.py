@@ -9,13 +9,15 @@ from triphoton import susceptibility
 from triphoton.errors import (InvalidParameterError, NumericalDomainError,
                               RangeError)
 from triphoton.params import (C_LIGHT, KBAR, OMEGA31, OMEGA42,
-                              density_for_od, doppler_detunings)
+                              doppler_detunings)
 from triphoton.susceptibility import (ComplexGrid2D, GridSpec2D,
                                       VelocityQuadrature, _chi_linear, chi5,
                                       chi5_map, chi_linear_s1,
                                       dispersion_profile, group_velocity,
                                       longitudinal_phi, params_hash,
                                       phase_mismatch)
+
+from oracles import density_for_od
 
 
 # ---------------------------------------------------------------------------
