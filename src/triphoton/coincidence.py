@@ -46,6 +46,10 @@ _TRIPLE_BLOCK = 1 << 16
 # direct matcher counts: only the label differs.
 METHOD_LABELS = {"direct": "direct-3fold", "delayed": "delayed-pairwise"}
 
+# the assumed (g1_a, g1_b, g1_c) that rates_report's Cauchy-Schwarz factor
+# [g3]^2 / (g1_a g1_b g1_c)^2 divides by; no config key sets them
+G1 = (1.6, 2.0, 2.0)
+
 
 @dataclass(frozen=True)
 class CoincidenceHistogram2D:
@@ -330,13 +334,9 @@ def estimate_floor(hist: CoincidenceHistogram2D) -> float:
     return float(median([c.mean() for c in chunks]))
 
 
-def subtract_accidentals(hist: CoincidenceHistogram2D, floor: float,
-                         clamp: bool = True) -> np.ndarray:
-    """counts - floor (per bin), clamped at zero unless a signed map is asked for."""
-    out = hist.counts.astype(float) - floor
-    if clamp:
-        out = np.maximum(out, 0.0)
-    return out
+def subtract_accidentals(hist: CoincidenceHistogram2D, floor: float) -> np.ndarray:
+    """counts - floor (per bin), clamped at zero."""
+    return np.maximum(hist.counts.astype(float) - floor, 0.0)
 
 
 def rebin2d(counts: np.ndarray, factor: int) -> np.ndarray:
@@ -355,7 +355,7 @@ def rebin2d(counts: np.ndarray, factor: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def rates_report(hist: CoincidenceHistogram2D, floor: float,
-                 g1=(1.6, 2.0, 2.0), peak_rebin: int = 8) -> RatesReport:
+                 peak_rebin: int = 8) -> RatesReport:
     """Rates, g3, Cauchy-Schwarz factor and trace metrics for one histogram
     over an accidental floor in counts per bin (estimate_floor's).
 
@@ -363,7 +363,8 @@ def rates_report(hist: CoincidenceHistogram2D, floor: float,
     floor*nbins/duration, both per minute with sqrt(N)/T errors.  g3 is the
     peak/floor ratio evaluated on a peak_rebin-fold coarsened histogram (the
     full-resolution maximum is a biased order statistic in the sparse
-    regime).  Periods and visibility come from the marginals of the
+    regime), and the Cauchy-Schwarz factor divides its square by G1's.
+    Periods and visibility come from the marginals of the
     accidental-subtracted map.
     """
     nbins = hist.counts.size
@@ -383,7 +384,7 @@ def rates_report(hist: CoincidenceHistogram2D, floor: float,
         factor = float("inf")
     else:
         g3 = float(coarse.max()) / coarse_floor
-        factor = cauchy_schwarz_factor(g3, g1)
+        factor = cauchy_schwarz_factor(g3, G1)
     sub = subtract_accidentals(hist, floor)
     tr21 = ConditionalTrace(axis=hist.tau21_axis,
                             values=_unit_peak(sub.sum(axis=1)), kind="trace-out-S3")

@@ -3,8 +3,8 @@
 The two-dimensional amplitude A3(tau21, tau31) is the Fourier transform of
 the windowed spectral kernel chi5 * sinc(dk L / 2) (with the group-delay
 phases folded into the kernel, since they depend only on the spectral
-offsets).  Two independent evaluation paths are provided: a direct double
-quadrature and a chirp-z transform; they serve as mutual cross-checks.
+offsets), evaluated with a chirp-z transform.  The direct Riemann double
+sum it reproduces is the tests' oracle.
 """
 from __future__ import annotations
 
@@ -248,8 +248,8 @@ def _nyquist_check(spec_axis: np.ndarray, tau_axis: np.ndarray, name: str):
 # correlation maps
 # ---------------------------------------------------------------------------
 
-def triphoton_amplitude_map(tau_spec: GridSpec2D, kernel: ComplexGrid2D,
-                            method: str = "transform") -> CorrelationMap:
+def triphoton_amplitude_map(tau_spec: GridSpec2D,
+                            kernel: ComplexGrid2D) -> CorrelationMap:
     """Triphoton amplitude A3(tau21, tau31), peak-normalized.
 
     A3 = double integral of the spectral kernel times
@@ -257,33 +257,25 @@ def triphoton_amplitude_map(tau_spec: GridSpec2D, kernel: ComplexGrid2D,
     response-function pole convention of the susceptibilities (poles at
     Im delta > 0) so the correlation is supported at non-negative delays and
     the group-delay phases shift the peak to positive delay, as observed in
-    coincidence histograms.  method 'direct' performs the
-    Riemann double sum explicitly; 'transform' evaluates the identical sum
-    with a chirp-z transform, so the two agree to machine precision by
-    default.  kernel is the spectral kernel grid, as built by
+    coincidence histograms.  A chirp-z transform evaluates the Riemann double
+    sum, which the tests' oracle performs explicitly; the two agree to
+    machine precision.  kernel is the spectral kernel grid, as built by
     spectral_kernel.
     """
-    if method not in ("direct", "transform"):
-        raise InvalidParameterError(f"unknown method '{method}'")
     tau21, tau31 = tau_spec.axes()
     _nyquist_check(kernel.axis1, tau21, "delta2")
     _nyquist_check(kernel.axis2, tau31, "delta3")
     dd2 = kernel.axis1[1] - kernel.axis1[0]
     dd3 = kernel.axis2[1] - kernel.axis2[0]
-    if method == "direct":
-        e2 = np.exp(1j * np.outer(tau21, kernel.axis1))
-        e3 = np.exp(1j * np.outer(kernel.axis2, tau31))
-        a3 = (e2 @ kernel.values @ e3) * (dd2 * dd3)
-    else:
-        a3 = _fourier_axis(kernel.values, kernel.axis1, tau21, axis=0)
-        a3 = _fourier_axis(a3, kernel.axis2, tau31, axis=1)
-        a3 = a3 * (dd2 * dd3)
+    a3 = _fourier_axis(kernel.values, kernel.axis1, tau21, axis=0)
+    a3 = _fourier_axis(a3, kernel.axis2, tau31, axis=1)
+    a3 = a3 * (dd2 * dd3)
     scale = float(np.max(np.abs(a3)))
     if scale > 0:
         a3 = a3 / scale
     grid = ComplexGrid2D(axis1=tau21, axis2=tau31, values=a3,
                          label1="tau21", label2="tau31", unit="s",
-                         provenance=f"triphoton_amplitude_map method={method} "
+                         provenance="triphoton_amplitude_map method=transform "
                                     f"raw_scale={scale!r}")
     return CorrelationMap(grid=grid)
 

@@ -44,6 +44,8 @@ _RECORD_DTYPE = np.dtype([("timestamp_ps", "<u8"), ("channel", "u1"),
 RECORD_CHUNK = 1 << 16
 # CSV rows joined per write: the row text the writers hold at once
 ROW_BLOCK = 1 << 12
+# the channel count every written header declares
+CHANNEL_COUNT = 4
 # first timestamp the reader rejects: the matcher reads stamps as int64
 _STAMP_LIMIT = np.uint64(1 << 63)
 
@@ -53,7 +55,7 @@ _STAMP_LIMIT = np.uint64(1 << 63)
 # ---------------------------------------------------------------------------
 
 def write_windows(path, windows, seed: int, duration_ps: int,
-                  channel_count: int = 4, keep_origin: bool = False) -> int:
+                  keep_origin: bool = False) -> int:
     """Write time-sorted (timestamp_ps, channel, origin) windows to a TPE1
     file, RECORD_CHUNK records at a time through one reused record buffer;
     returns the number of records written.
@@ -63,7 +65,7 @@ def write_windows(path, windows, seed: int, duration_ps: int,
     names the first such record's index.
     """
     header = _HEADER_STRUCT.pack(MAGIC, VERSION, HEADER_LEN, seed,
-                                 duration_ps, channel_count)
+                                 duration_ps, CHANNEL_COUNT)
     buf = np.zeros(0, dtype=_RECORD_DTYPE)
     count, last = 0, 0
     fh = open(path, "wb")
@@ -104,10 +106,10 @@ def write_windows(path, windows, seed: int, duration_ps: int,
 
 
 def write_events(path, stream: np.ndarray, seed: int, duration_ps: int,
-                 channel_count: int = 4, keep_origin: bool = False) -> None:
+                 keep_origin: bool = False) -> None:
     """Write a time-sorted EVENT_DTYPE stream to a TPE1 file (write_windows)."""
     write_windows(path, [tuple(stream[f] for f in EVENT_DTYPE.names)], seed,
-                  duration_ps, channel_count, keep_origin)
+                  duration_ps, keep_origin)
 
 
 def _open_events(fh, path):

@@ -107,8 +107,7 @@ def reference_run(kernel512):
     centers = (np.arange(77) + 0.5) * 0.25e-9
     tau_spec = GridSpec2D(centers[0], centers[-1], 77,
                           centers[0], centers[-1], 77)
-    cmap = triphoton_amplitude_map(tau_spec, method="transform",
-                                   kernel=kernel512)
+    cmap = triphoton_amplitude_map(tau_spec, kernel=kernel512)
     cfg = SourceConfig(triplet_rate=102.0 / 60.0,
                        singles_rate=(800.0,) * 4,
                        dual_pair_rate=1000.0, dual_pair_delay=1e-6,

@@ -30,7 +30,7 @@ from triphoton.coincidence import (reconstruct_triple_direct, rates_report,
 from triphoton.cli import sweep_rate
 from triphoton import io_formats
 
-from oracles import conditional_r2_closed, density_for_od
+from oracles import amplitude_map_direct, conditional_r2_closed, density_for_od
 
 
 def _report(num, ok, detail):
@@ -106,8 +106,8 @@ def test_criterion_03_dual_transform_paths(kernel512):
     grid, and both match an analytic Gaussian-kernel oracle to 1e-6."""
     t0 = time.perf_counter()
     tau = GridSpec2D(0.0, 20e-9, 64, 0.0, 20e-9, 64)
-    m_t = triphoton_amplitude_map(tau, method="transform", kernel=kernel512)
-    m_d = triphoton_amplitude_map(tau, method="direct", kernel=kernel512)
+    m_t = triphoton_amplitude_map(tau, kernel=kernel512)
+    m_d = amplitude_map_direct(tau, kernel=kernel512)
     cross = float(np.max(np.abs(m_t.grid.values - m_d.grid.values))
                   / np.max(np.abs(m_d.grid.values)))
     # analytic oracle: separable Gaussian kernel, known transform
@@ -122,8 +122,8 @@ def test_criterion_03_dual_transform_paths(kernel512):
     exact = np.exp(-0.5 * (s * t21[:, None]) ** 2
                    - 0.5 * (s * t31[None, :]) ** 2)
     worst = 0.0
-    for method in ("transform", "direct"):
-        m = triphoton_amplitude_map(tg, method=method, kernel=kern)
+    for amplitude_map in (triphoton_amplitude_map, amplitude_map_direct):
+        m = amplitude_map(tg, kernel=kern)
         worst = max(worst, float(np.max(np.abs(m.grid.values - exact))))
     elapsed = time.perf_counter() - t0
     ok = cross < 1e-4 and worst < 1e-6 and elapsed < 300.0
@@ -137,7 +137,7 @@ def test_criterion_04_conditional_pair_rate(kernel1024):
     tau23 = np.linspace(0.0, 50e-9, 128)
     closed = conditional_r2_closed(tau23, kernel=kernel1024)
     tau = GridSpec2D(0.0, 50e-9, 128, 0.0, 160e-9, 640)
-    cmap = triphoton_amplitude_map(tau, method="transform", kernel=kernel1024)
+    cmap = triphoton_amplitude_map(tau, kernel=kernel1024)
     marginal = trace_map(cmap, "trace-out-S3")
     diff = float(np.max(np.abs(closed.values - marginal.values))
                  / np.max(marginal.values))
@@ -170,7 +170,7 @@ def test_criterion_05_trace_structure(kernel512):
     reference pair with no hard tolerance, as required.
     """
     tau = GridSpec2D(0.0, 19e-9, 77, 0.0, 19e-9, 77)
-    cmap = triphoton_amplitude_map(tau, method="transform", kernel=kernel512)
+    cmap = triphoton_amplitude_map(tau, kernel=kernel512)
     p21 = _significant_spectral_peaks(trace_map(cmap, "trace-out-S3"))
     p31 = _significant_spectral_peaks(trace_map(cmap, "trace-out-S2"))
     fmt = lambda ps: ", ".join(f"{p * 1e9:.2f} ns (h {h:.2f})" for p, h in ps)
@@ -184,8 +184,9 @@ def test_criterion_05_trace_structure(kernel512):
 
 def test_criterion_06_stream_recovery(reference_run):
     """Rates recovered from a 1-hour synthetic stream agree with the
-    simulation truth to 3 sigma, both reconstruction methods agree (the
-    direct matcher and conftest's delayed-start join), the subtracted map
+    simulation truth to 3 sigma, both reconstruction methods (the direct
+    matcher and conftest's delayed-start join) count the same coincidences
+    bin for bin and agree under a chi-square test, the subtracted map
     correlates with the input density, and the diagnosis channel stays
     flat."""
     run = reference_run
@@ -202,19 +203,21 @@ def test_criterion_06_stream_recovery(reference_run):
     m = (a + b) > 0
     stat = float(np.sum((a[m] - b[m]) ** 2 / (a[m] + b[m])))
     p_agree = float(chi2.sf(stat, int(m.sum()))) if m.any() else 1.0
+    same_bins = np.array_equal(hd.counts, run["counts_delayed"])
     sub = subtract_accidentals(hd, floor)[:77, :77]
     r = float(np.corrcoef(rebin2d(sub, 4).ravel(),
                           rebin2d(run["cmap"].r3, 4).ravel())[0, 1])
     t3, t4 = split_channels(run["stream"]["channel"], run["stream"]["timestamp_ps"],
                             (3, 4))
     diag = diagnose_crosscheck(t3, t4)
-    ok = (z_trip <= 3.0 and z_acc <= 3.0 and p_agree > 0.01 and r >= 0.9
-          and diag["flat"] and run["elapsed"] < 180.0)
+    ok = (z_trip <= 3.0 and z_acc <= 3.0 and same_bins and p_agree > 0.01
+          and r >= 0.9 and diag["flat"] and run["elapsed"] < 180.0)
     _report(6, ok,
             f"triplets {rep.triplet_rate_per_min:.1f}/min vs truth "
             f"{truth_trip:.1f} ({z_trip:.1f} sigma), accidentals "
             f"{rep.accidental_rate_per_min:.1f}/min vs truth {truth_acc:.1f} "
-            f"({z_acc:.1f} sigma), method agreement p {p_agree:.3f}, "
+            f"({z_acc:.1f} sigma), method counts {a.sum():.0f} vs "
+            f"{b.sum():.0f} (equal bins {same_bins}), agreement p {p_agree:.3f}, "
             f"Pearson r {r:.3f} (need 0.9), diagnosis flat {diag['flat']}, "
             f"{run['elapsed']:.0f} s for {run['stream'].size} events "
             f"(budget 180 s)")

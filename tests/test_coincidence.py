@@ -11,7 +11,7 @@ from scipy.stats import norm, poisson
 
 from triphoton import coincidence, eventsim, io_formats
 from triphoton.config import default_config
-from triphoton.correlation import CorrelationMap
+from triphoton.correlation import CorrelationMap, cauchy_schwarz_factor
 from triphoton.errors import EstimationError, InvalidParameterError
 from triphoton.susceptibility import ComplexGrid2D
 from triphoton.eventsim import EVENT_DTYPE, PS_PER_S, SourceConfig, \
@@ -651,7 +651,7 @@ def test_subtract_accidentals_clamps():
     h = _flat_hist(mu=2.0, seed=9)
     sub = subtract_accidentals(h, 2.0)
     assert np.all(sub >= 0)
-    raw = subtract_accidentals(h, 2.0, clamp=False)
+    raw = h.counts.astype(float) - 2.0
     assert np.any(raw < 0)
     assert np.allclose(np.maximum(raw, 0.0), sub)
 
@@ -686,6 +686,15 @@ def test_rates_report_on_synthetic_histogram():
     assert not rep.zero_floor
     assert rep.g3_peak > 50.0
     assert rep.cauchy_schwarz > 1.0
+
+
+def test_rates_report_divides_by_g1():
+    """The Cauchy-Schwarz factor is g3's over the assumed G1, which README
+    names."""
+    h = _flat_hist(mu=2.0, seed=15, duration=120.0)
+    rep = rates_report(h, 2.0, peak_rebin=4)
+    assert coincidence.G1 == (1.6, 2.0, 2.0)
+    assert rep.cauchy_schwarz == cauchy_schwarz_factor(rep.g3_peak, coincidence.G1)
 
 
 def test_rates_report_zero_floor():

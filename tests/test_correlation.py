@@ -19,7 +19,7 @@ from triphoton.correlation import (CorrelationMap, ConditionalTrace,
                                    trace_map, triphoton_amplitude_map,
                                    visibility)
 
-from oracles import conditional_r2_closed
+from oracles import amplitude_map_direct, conditional_r2_closed
 
 
 def _random_kernel(seed, n=16, dd=2e8):
@@ -128,8 +128,8 @@ def test_transform_matches_direct_sum(seed):
     rng = np.random.default_rng(seed + 1)
     t0 = float(rng.uniform(0.0, 2e-9))
     tau = GridSpec2D(t0, t0 + 8e-9, 11, 0.0, 9e-9, 13)
-    m_t = triphoton_amplitude_map(tau, method="transform", kernel=kern)
-    m_d = triphoton_amplitude_map(tau, method="direct", kernel=kern)
+    m_t = triphoton_amplitude_map(tau, kernel=kern)
+    m_d = amplitude_map_direct(tau, kernel=kern)
     num = np.max(np.abs(m_t.grid.values - m_d.grid.values))
     assert num / np.max(np.abs(m_d.grid.values)) < 1e-10
 
@@ -143,7 +143,7 @@ def test_parseval_identity():
     tau_lo = -(n / 2) * dt
     tau = GridSpec2D(tau_lo, tau_lo + (n - 1) * dt, n,
                      tau_lo, tau_lo + (n - 1) * dt, n)
-    cmap = triphoton_amplitude_map(tau, method="direct", kernel=kern)
+    cmap = amplitude_map_direct(tau, kernel=kern)
     a3 = _raw_values(cmap)
     lhs = float(np.sum(np.abs(a3) ** 2)) * dt * dt
     rhs = (2 * np.pi) ** 2 * float(np.sum(np.abs(kern.values) ** 2)) * dd * dd
@@ -160,12 +160,6 @@ def test_nyquist_guard_and_required_size():
     span = kern.axis1[-1] - kern.axis1[0]
     ax = np.linspace(kern.axis1[0], kern.axis1[-1], need)
     assert (ax[1] - ax[0]) * 40e-9 <= np.pi + 1e-9
-
-
-def test_invalid_method_rejected():
-    tau = GridSpec2D(0.0, 1e-9, 4, 0.0, 1e-9, 4)
-    with pytest.raises(InvalidParameterError):
-        triphoton_amplitude_map(tau, method="fft", kernel=_random_kernel(0))
 
 
 def test_map_is_peak_normalized(kernel512):

@@ -1,11 +1,16 @@
 """Every function under src/triphoton is entered by some command, unless
-UNREACHED names it with its reason.
+UNREACHED names it with its reason, and every defaulted parameter of a
+module-level function that a command calls takes a value other than its
+default from some command, unless FIXED names it with its reason.
 
 A fresh interpreter sets a profile hook before it imports triphoton (config's
 bound checkers run at import time), runs every command through cli.main on
 tiny configs, exits 2 and 3 included, and writes out the (file, first line)
 of each code object it entered.  Each def under src/triphoton is matched by
 its first line, which for a decorated function is its first decorator's.
+For a module-level function (its module's global of that name has the code
+object being entered) the hook also records whether each defaulted parameter
+received a value other than its default.
 """
 import ast
 import json
@@ -13,6 +18,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "triphoton"
@@ -94,15 +101,44 @@ UNREACHED = {
     "io_formats.read_trace": _CSV_READER,
 }
 
+# a default that no command changes, with why it stays a parameter
+FIXED = {
+    "correlation.trace_map.normalize":
+        "tests check the mass of the raw marginals, which only it exposes",
+    "correlation.czt.a":
+        "_fourier_axis passes exp(-i ddel tau0), 1 on every command's delay "
+        "grid (they start at 0); criterion 6's grid starts at 0.125 ns",
+}
+
 _RECORDER = r"""
 import json, os, sys
 package, runs, report = sys.argv[1], json.loads(sys.argv[2]), sys.argv[3]
 entered = set()
+varied = {}  # "module.function.parameter" -> whether a call changed it
+
+def differs(value, default):
+    if value is default:
+        return False
+    try:
+        return not bool(value == default)
+    except ValueError:  # an array against a scalar default
+        return True
 
 def profile(frame, event, arg):
-    if event == "call" and frame.f_code.co_filename.startswith(package):
-        entered.add((os.path.basename(frame.f_code.co_filename),
-                     frame.f_code.co_firstlineno))
+    if event != "call" or not frame.f_code.co_filename.startswith(package):
+        return
+    code = frame.f_code
+    entered.add((os.path.basename(code.co_filename), code.co_firstlineno))
+    fn = frame.f_globals.get(code.co_name)
+    if getattr(fn, "__code__", None) is not code:
+        return
+    names = code.co_varnames[:code.co_argcount]
+    defaults = dict(zip(names[len(names) - len(fn.__defaults__ or ()):],
+                        fn.__defaults__ or ()), **(fn.__kwdefaults__ or {}))
+    prefix = f"{frame.f_globals['__name__'].rpartition('.')[2]}.{code.co_name}."
+    for name, default in defaults.items():
+        key = prefix + name
+        varied[key] = varied.get(key, False) or differs(frame.f_locals[name], default)
 
 sys.setprofile(profile)
 from triphoton import cli
@@ -114,7 +150,7 @@ for argv in runs:
         codes.append(exc.code)
 sys.setprofile(None)
 with open(report, "w") as fh:
-    json.dump({"codes": codes, "entered": sorted(entered)}, fh)
+    json.dump({"codes": codes, "entered": sorted(entered), "varied": varied}, fh)
 """
 
 
@@ -138,7 +174,10 @@ def _functions():
     return found
 
 
-def test_every_function_is_reached_or_listed(tmp_path):
+@pytest.fixture(scope="module")
+def recorded(tmp_path_factory):
+    """The recorder's report of one pass over RUNS."""
+    tmp_path = tmp_path_factory.mktemp("reachability")
     cfg_dir, out_dir = tmp_path / "cfg", tmp_path / "out"
     cfg_dir.mkdir()
     out_dir.mkdir()
@@ -154,9 +193,12 @@ def test_every_function_is_reached_or_listed(tmp_path):
     assert run.returncode == 0, run.stderr
     result = json.loads(report.read_text())
     assert result["codes"] == [code for _, code in RUNS], run.stderr
+    return result
 
+
+def test_every_function_is_reached_or_listed(recorded):
     functions = _functions()
-    reached = {functions[key] for key in map(tuple, result["entered"])
+    reached = {functions[key] for key in map(tuple, recorded["entered"])
                if key in functions}
     unreached = set(functions.values()) - reached
     missing = sorted(unreached - set(UNREACHED))
@@ -164,3 +206,12 @@ def test_every_function_is_reached_or_listed(tmp_path):
     stale = sorted(set(UNREACHED) - unreached)
     assert not stale, f"UNREACHED lists {stale}, which a command reaches or which is gone"
 
+
+def test_every_default_is_varied_or_listed(recorded):
+    fixed = {key for key, varied in recorded["varied"].items() if not varied}
+    missing = sorted(fixed - set(FIXED))
+    assert not missing, (f"no command changes the default of {missing}, "
+                         "and FIXED does not list it")
+    stale = sorted(set(FIXED) - fixed)
+    assert not stale, (f"FIXED lists {stale}, which a command changes or which "
+                       "no command calls")
