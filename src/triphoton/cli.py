@@ -109,16 +109,17 @@ def cmd_linear_response(args) -> int:
 def cmd_correlation_map(args) -> int:
     cfg = _load(args)
     params = cfg.experiment_params()
-    cmap = _correlation_map(cfg, params)
+    a3 = _correlation_map(cfg, params)
+    r3 = np.abs(a3.values) ** 2
     digest = params_hash(params, _tau_spec(cfg), cfg.quadrature(), {k: cfg[k] for k in (
         "spectral_n2", "spectral_n3", "dispersion", "phase_convention",
         "group_delay_mode")})
     io_formats.write_real_grid(
-        args.out, cmap.tau21_axis, cmap.tau31_axis, cmap.r3,
+        args.out, a3.axis1, a3.axis2, r3,
         header_lines=["r3 = |A3(tau21, tau31)|^2, peak-normalized",
-                      f"provenance: {cmap.grid.provenance}",
+                      f"provenance: {a3.provenance}",
                       f"params_hash: {digest}"])
-    print(f"correlation-map: {cmap.r3.shape[0]}x{cmap.r3.shape[1]} tau grid, "
+    print(f"correlation-map: {r3.shape[0]}x{r3.shape[1]} tau grid, "
           f"wrote {args.out}")
     return 0
 
@@ -137,9 +138,9 @@ def cmd_trace(args) -> int:
         if not 0 <= args.line <= top:
             raise ConfigError(f"trace --line {args.line!r} s is outside the "
                               f"delay grid's tau21 + tau31 range [0, {top!r}] s")
-    cmap = _correlation_map(cfg, params)
-    trace = (diagonal_cut(cmap, args.line) if args.kind == "diag"
-             else trace_map(cmap, args.kind))
+    a3 = _correlation_map(cfg, params)
+    trace = (diagonal_cut(a3, args.line) if args.kind == "diag"
+             else trace_map(a3, args.kind))
     io_formats.write_trace(args.out, trace.axis, trace.values,
                            header_lines=[f"kind: {trace.kind}",
                                          f"line_spec: {trace.line_spec}"])
@@ -151,9 +152,9 @@ def cmd_simulate(args) -> int:
     cfg = _load(args)
     params = cfg.experiment_params()
     scfg = cfg.source_config(duration=args.duration, seed=args.seed)
-    cmap = _correlation_map(cfg, params) if scfg.triplet_rate > 0 else None
+    a3 = _correlation_map(cfg, params) if scfg.triplet_rate > 0 else None
     events = io_formats.write_windows(
-        args.out, stream_windows(cmap, scfg), seed=scfg.seed,
+        args.out, stream_windows(a3, scfg), seed=scfg.seed,
         duration_ps=int(round(scfg.duration * PS_PER_S)),
         keep_origin=args.keep_origin)
     print(f"simulate: {events} events over {scfg.duration:g} s "
@@ -207,7 +208,7 @@ def cmd_analyze(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     io_formats.write_real_grid(
-        out / "histogram2d.csv", hist.tau21_axis, hist.tau31_axis,
+        out / "histogram2d.csv", hist.axis, hist.axis,
         hist.counts, header_lines=[f"method: {hist.method}",
                                    f"floor_per_bin: {floor!r}",
                                    f"duration_s: {duration!r}"])

@@ -55,13 +55,13 @@ G1 = (1.6, 2.0, 2.0)
 class CoincidenceHistogram2D:
     """Binned three-fold coincidences over (tau21, tau31).
 
-    Axes hold bin centers in [0, window); counts are non-negative integers.
-    method records which reconstruction produced the histogram; the floor
-    is estimate_floor's, passed to subtract_accidentals and rates_report.
+    axis holds the bin centers in [0, window), the same on both delay axes;
+    counts are non-negative integers.  method records which reconstruction
+    produced the histogram; the floor is estimate_floor's, passed to
+    subtract_accidentals and rates_report.
     """
 
-    tau21_axis: np.ndarray
-    tau31_axis: np.ndarray
+    axis: np.ndarray
     counts: np.ndarray
     duration: float
     method: str = METHOD_LABELS["direct"]
@@ -268,8 +268,7 @@ def triple_histogram(chunks, window: float, bin_width: float, duration: float,
                          np.concatenate((t3, c3)), span, b_ps)
             kept, size = [], 0
     axis = (np.arange(nbins) + 0.5) * b_ps / PS_PER_S
-    return CoincidenceHistogram2D(tau21_axis=axis, tau31_axis=axis.copy(),
-                                  counts=counts.reshape(nbins, nbins),
+    return CoincidenceHistogram2D(axis=axis, counts=counts.reshape(nbins, nbins),
                                   duration=duration, method=method)
 
 
@@ -386,9 +385,9 @@ def rates_report(hist: CoincidenceHistogram2D, floor: float,
         g3 = float(coarse.max()) / coarse_floor
         factor = cauchy_schwarz_factor(g3, G1)
     sub = subtract_accidentals(hist, floor)
-    tr21 = ConditionalTrace(axis=hist.tau21_axis,
+    tr21 = ConditionalTrace(axis=hist.axis,
                             values=_unit_peak(sub.sum(axis=1)), kind="trace-out-S3")
-    tr31 = ConditionalTrace(axis=hist.tau31_axis,
+    tr31 = ConditionalTrace(axis=hist.axis,
                             values=_unit_peak(sub.sum(axis=0)), kind="trace-out-S2")
     periods = []
     for tr in (tr21, tr31):

@@ -9,7 +9,6 @@ sum it reproduces is the tests' oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from statistics import median
 
 import numpy as np
@@ -29,29 +28,6 @@ _LINEWIDTHS, _PAD = 8.0, 0.25
 # ---------------------------------------------------------------------------
 # containers
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CorrelationMap:
-    """A3 over a (tau21, tau31) grid plus the coincidence rate r3 = |A3|^2.
-
-    grid.values holds A3 normalized to unit peak modulus; the raw scale is
-    recorded in grid.provenance.
-    """
-
-    grid: ComplexGrid2D
-
-    @cached_property
-    def r3(self) -> np.ndarray:
-        return np.abs(self.grid.values) ** 2
-
-    @property
-    def tau21_axis(self):
-        return self.grid.axis1
-
-    @property
-    def tau31_axis(self):
-        return self.grid.axis2
-
 
 @dataclass(frozen=True)
 class ConditionalTrace:
@@ -249,8 +225,9 @@ def _nyquist_check(spec_axis: np.ndarray, tau_axis: np.ndarray, name: str):
 # ---------------------------------------------------------------------------
 
 def triphoton_amplitude_map(tau_spec: GridSpec2D,
-                            kernel: ComplexGrid2D) -> CorrelationMap:
-    """Triphoton amplitude A3(tau21, tau31), peak-normalized.
+                            kernel: ComplexGrid2D) -> ComplexGrid2D:
+    """Triphoton amplitude A3(tau21, tau31), peak-normalized, with its raw
+    scale in the provenance; the coincidence rate is r3 = |A3|^2.
 
     A3 = double integral of the spectral kernel times
     exp(+i delta2 tau21) exp(+i delta3 tau31).  The + sign pairs with the
@@ -273,33 +250,32 @@ def triphoton_amplitude_map(tau_spec: GridSpec2D,
     scale = float(np.max(np.abs(a3)))
     if scale > 0:
         a3 = a3 / scale
-    grid = ComplexGrid2D(axis1=tau21, axis2=tau31, values=a3,
+    return ComplexGrid2D(axis1=tau21, axis2=tau31, values=a3,
                          label1="tau21", label2="tau31", unit="s",
                          provenance="triphoton_amplitude_map method=transform "
                                     f"raw_scale={scale!r}")
-    return CorrelationMap(grid=grid)
 
 
 # ---------------------------------------------------------------------------
 # traces and cuts
 # ---------------------------------------------------------------------------
 
-def trace_map(cmap: CorrelationMap, kind: str,
+def trace_map(a3: ComplexGrid2D, kind: str,
               normalize: bool = True) -> ConditionalTrace:
-    """Marginal of r3 over one delay axis.
+    """Marginal of r3 = |A3|^2 over one delay axis of the A3 grid.
 
     trace-out-S3 sums over tau31 (returns a tau21 trace), trace-out-S2 the
     converse; trace-out-S1 re-bins by tau32 = tau31 - tau21 and sums (only
     defined for equal grid spacing on both axes).
     """
-    r3 = cmap.r3
+    r3 = np.abs(a3.values) ** 2
     if kind == "trace-out-S3":
-        axis, values = cmap.tau21_axis, r3.sum(axis=1)
+        axis, values = a3.axis1, r3.sum(axis=1)
     elif kind == "trace-out-S2":
-        axis, values = cmap.tau31_axis, r3.sum(axis=0)
+        axis, values = a3.axis2, r3.sum(axis=0)
     elif kind == "trace-out-S1":
-        d1 = cmap.tau21_axis[1] - cmap.tau21_axis[0]
-        d2 = cmap.tau31_axis[1] - cmap.tau31_axis[0]
+        d1 = a3.axis1[1] - a3.axis1[0]
+        d2 = a3.axis2[1] - a3.axis2[0]
         if not np.isclose(d1, d2, rtol=1e-9):
             raise InvalidParameterError(
                 "trace-out-S1 requires equal spacing on both axes")
@@ -308,7 +284,7 @@ def trace_map(cmap: CorrelationMap, kind: str,
         idx = (np.arange(n2)[None, :] - np.arange(n1)[:, None]) + (n1 - 1)
         values = np.bincount(idx.ravel(), weights=r3.ravel(),
                              minlength=n1 + n2 - 1)
-        start = (cmap.tau31_axis[0] - cmap.tau21_axis[-1])
+        start = (a3.axis2[0] - a3.axis1[-1])
         axis = start + d1 * np.arange(n1 + n2 - 1)
     else:
         raise InvalidParameterError(f"unknown trace kind '{kind}'")
@@ -322,14 +298,14 @@ def _unit_peak(v: np.ndarray) -> np.ndarray:
     return v / peak if peak > 0 else v
 
 
-def diagonal_cut(cmap: CorrelationMap, c: float) -> ConditionalTrace:
-    """r3 sampled along the line tau21 + tau31 = c, axis is tau21.
+def diagonal_cut(a3: ComplexGrid2D, c: float) -> ConditionalTrace:
+    """r3 = |A3|^2 sampled along the line tau21 + tau31 = c, axis is tau21.
 
     tau31 = c - tau21 is evaluated by linear interpolation along axis2 at
     each tau21 grid point for which the line stays inside the grid.
     """
-    t21 = cmap.tau21_axis
-    t31 = cmap.tau31_axis
+    t21, t31 = a3.axis1, a3.axis2
+    r3 = np.abs(a3.values) ** 2
     target = c - t21
     mask = (target >= t31[0]) & (target <= t31[-1])
     if not np.any(mask):
@@ -337,7 +313,7 @@ def diagonal_cut(cmap: CorrelationMap, c: float) -> ConditionalTrace:
     sel = np.flatnonzero(mask)
     vals = np.empty(sel.size)
     for k, i in enumerate(sel):
-        vals[k] = np.interp(target[i], t31, cmap.r3[i, :])
+        vals[k] = np.interp(target[i], t31, r3[i, :])
     return ConditionalTrace(axis=t21[sel], values=vals, kind="fixed-line",
                             line_spec=f"tau21 + tau31 = {c!r} s")
 

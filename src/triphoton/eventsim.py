@@ -1,6 +1,6 @@
 """Monte Carlo generation of time-tagged detection streams.
 
-True triplets are drawn from a CorrelationMap used as a 2-D probability
+True triplets are drawn from |A3|^2 of an A3 grid, used as a 2-D probability
 density over (tau21, tau31); on top of that the accidental sources the
 experiment suffers from are layered: uncorrelated singles, dual SFWM biphoton
 contamination, and dark counts.  Every click passes efficiency thinning and
@@ -125,24 +125,26 @@ def _rng(seed: int, label: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, label))))
 
 
-def _sample_triplet_delays(cmap: CorrelationMap, rng: np.random.Generator,
+def _sample_triplet_delays(a3: ComplexGrid2D, rng: np.random.Generator,
                            n: int):
-    """n (tau21, tau31) draws distributed proportionally to r3, as two arrays.
+    """n (tau21, tau31) draws distributed proportionally to r3 = |A3|^2 of
+    the grid a3 (axis1 tau21, axis2 tau31), as two arrays.
 
     Inverse-CDF sampling on the flattened cell masses, with a uniform jitter
     inside the selected cell so the samples fill the grid continuously.
     """
-    p = cmap.r3.ravel()
+    r3 = np.abs(a3.values) ** 2
+    p = r3.ravel()
     total = p.sum()
     if total <= 0:
         raise InvalidParameterError("correlation map has zero total mass")
     idx = rng.choice(p.size, size=n, p=p / total)
-    n2 = cmap.r3.shape[1]
+    n2 = r3.shape[1]
     i, j = idx // n2, idx % n2
-    d21 = cmap.tau21_axis[1] - cmap.tau21_axis[0]
-    d31 = cmap.tau31_axis[1] - cmap.tau31_axis[0]
-    t21 = cmap.tau21_axis[i] + (rng.random(n) - 0.5) * d21
-    t31 = cmap.tau31_axis[j] + (rng.random(n) - 0.5) * d31
+    d21 = a3.axis1[1] - a3.axis1[0]
+    d31 = a3.axis2[1] - a3.axis2[0]
+    t21 = a3.axis1[i] + (rng.random(n) - 0.5) * d21
+    t31 = a3.axis2[j] + (rng.random(n) - 0.5) * d31
     return t21, t31
 
 
@@ -178,10 +180,10 @@ def split_channels(channel: np.ndarray, stamps: np.ndarray, channels) -> tuple:
     return tuple(stamps.view(np.int64).take(np.flatnonzero(channel == c)) for c in channels)
 
 
-def _triplet_clicks(rng, cfg: SourceConfig, cmap: CorrelationMap):
+def _triplet_clicks(rng, cfg: SourceConfig, a3: ComplexGrid2D):
     """Clicks on channels 1, 2, 3 at (t, t + tau21, t + tau31) per emission."""
     t0 = _poisson_times(rng, cfg.triplet_rate, cfg.duration)
-    t21, t31 = _sample_triplet_delays(cmap, rng, t0.size)
+    t21, t31 = _sample_triplet_delays(a3, rng, t0.size)
     t21 += t0
     t31 += t0
     return [(t0, 1, ORIGIN_TRIPLET), (t21, 2, ORIGIN_TRIPLET),
@@ -216,9 +218,10 @@ def _finalize(cfg: SourceConfig, label: int, clicks, *args):
     jittered, clipped to the run and quantized to 1 ps.  Every efficiency
     draw is taken, series after series, before the first jitter draw, each
     CHUNK at a time: PCG64 yields the numbers one draw over the series
-    concatenated would.  A copy is made only where a click is dropped, and
-    the sort only where a series is out of order: a first click without
-    jitter never is.  The stamps take the place of the float times they
+    concatenated would; a series whose efficiency is 1 keeps every click,
+    and the generator is advanced past its draws.  A copy is made only
+    where a click is dropped, and the sort only where a series is out of
+    order: a first click without jitter never is.  The stamps take the place of the float times they
     come from, CHUNK at a time.  A series has one channel and one origin, so
     it is sorted in place, stamps alone.
     """
@@ -227,6 +230,10 @@ def _finalize(cfg: SourceConfig, label: int, clicks, *args):
     eff = np.asarray(cfg.detector_efficiency) * cfg.fiber_coupling
     for k in range(len(series)):
         times_s, ch, tag = series[k]
+        if eff[ch - 1] == 1.0:
+            # every click is kept: skip the draws that could not drop one
+            rng.bit_generator.advance(times_s.size)
+            continue
         keep = np.empty(times_s.size, dtype=bool)
         for lo in range(0, times_s.size, CHUNK):
             hi = min(lo + CHUNK, times_s.size)
@@ -304,14 +311,14 @@ def _merge(parts, window: int):
         yield (key, *np.take(tags, part, axis=0).T)
 
 
-def _sources(cmap: CorrelationMap | None, cfg: SourceConfig):
+def _sources(a3: ComplexGrid2D | None, cfg: SourceConfig):
     """The merge parts of every source, in source order."""
     parts = []
     # triplets (label 0)
     if cfg.triplet_rate > 0:
-        if cmap is None:
+        if a3 is None:
             raise InvalidParameterError("triplet_rate > 0 requires a correlation map")
-        parts += _finalize(cfg, 0, _triplet_clicks, cmap)
+        parts += _finalize(cfg, 0, _triplet_clicks, a3)
     # singles (labels 10+ch) and darks (labels 200+ch)
     for base, rates, tag in ((10, cfg.singles_rate, ORIGIN_SINGLE),
                              (200, cfg.dark_rate, ORIGIN_DARK)):
@@ -326,17 +333,17 @@ def _sources(cmap: CorrelationMap | None, cfg: SourceConfig):
     return parts
 
 
-def stream_windows(cmap: CorrelationMap | None, cfg: SourceConfig):
+def stream_windows(a3: ComplexGrid2D | None, cfg: SourceConfig):
     """The stream of generate_stream as an iterator of merge windows, each
     (timestamp_ps, channel, origin) arrays of about CHUNK events.
 
     Every source is finalized before this returns; the merge runs as the
     windows are taken, so the sorted stream is never held whole.
     """
-    return _merge(_sources(cmap, cfg), CHUNK)
+    return _merge(_sources(a3, cfg), CHUNK)
 
 
-def generate_stream(cmap: CorrelationMap | None, cfg: SourceConfig) -> np.ndarray:
+def generate_stream(a3: ComplexGrid2D | None, cfg: SourceConfig) -> np.ndarray:
     """Synthesize the full detection stream for one run.
 
     Returns a structured array (EVENT_DTYPE) sorted stably by timestamp, ties
@@ -350,7 +357,7 @@ def generate_stream(cmap: CorrelationMap | None, cfg: SourceConfig) -> np.ndarra
     own, then the series are merged window by window (_merge).
     Deterministic given cfg.seed.
     """
-    parts = _sources(cmap, cfg)
+    parts = _sources(a3, cfg)
     out = np.empty(sum(ts.size for ts, _, _ in parts), dtype=EVENT_DTYPE)
     pos = 0
     for window in _merge(parts, CHUNK):

@@ -5,14 +5,13 @@ from math import sqrt
 
 import numpy as np
 
-from triphoton.correlation import (ConditionalTrace, CorrelationMap,
-                                   _nyquist_check, _unit_peak)
+from triphoton.correlation import ConditionalTrace, _nyquist_check, _unit_peak
 from triphoton.errors import InvalidParameterError
 from triphoton.params import _REF_L, _REF_N, _REF_OD, _REF_T
 from triphoton.susceptibility import ComplexGrid2D, GridSpec2D
 
 
-def amplitude_map_direct(tau_spec: GridSpec2D, kernel: ComplexGrid2D) -> CorrelationMap:
+def amplitude_map_direct(tau_spec: GridSpec2D, kernel: ComplexGrid2D) -> ComplexGrid2D:
     """A3(tau21, tau31) as the explicit Riemann double sum of the spectral
     kernel times exp(+i delta2 tau21) exp(+i delta3 tau31), peak-normalized
     with its raw scale in the provenance, as triphoton_amplitude_map's."""
@@ -27,10 +26,9 @@ def amplitude_map_direct(tau_spec: GridSpec2D, kernel: ComplexGrid2D) -> Correla
     scale = float(np.max(np.abs(a3)))
     if scale > 0:
         a3 = a3 / scale
-    grid = ComplexGrid2D(axis1=tau21, axis2=tau31, values=a3,
+    return ComplexGrid2D(axis1=tau21, axis2=tau31, values=a3,
                          label1="tau21", label2="tau31", unit="s",
                          provenance=f"amplitude_map_direct raw_scale={scale!r}")
-    return CorrelationMap(grid=grid)
 
 
 def conditional_r2_closed(tau23_axis, kernel: ComplexGrid2D) -> ConditionalTrace:

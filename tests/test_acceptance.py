@@ -108,8 +108,8 @@ def test_criterion_03_dual_transform_paths(kernel512):
     tau = GridSpec2D(0.0, 20e-9, 64, 0.0, 20e-9, 64)
     m_t = triphoton_amplitude_map(tau, kernel=kernel512)
     m_d = amplitude_map_direct(tau, kernel=kernel512)
-    cross = float(np.max(np.abs(m_t.grid.values - m_d.grid.values))
-                  / np.max(np.abs(m_d.grid.values)))
+    cross = float(np.max(np.abs(m_t.values - m_d.values))
+                  / np.max(np.abs(m_d.values)))
     # analytic oracle: separable Gaussian kernel, known transform
     s = 1e9
     ax = np.linspace(-8e9, 8e9, 512)
@@ -124,7 +124,7 @@ def test_criterion_03_dual_transform_paths(kernel512):
     worst = 0.0
     for amplitude_map in (triphoton_amplitude_map, amplitude_map_direct):
         m = amplitude_map(tg, kernel=kern)
-        worst = max(worst, float(np.max(np.abs(m.grid.values - exact))))
+        worst = max(worst, float(np.max(np.abs(m.values - exact))))
     elapsed = time.perf_counter() - t0
     ok = cross < 1e-4 and worst < 1e-6 and elapsed < 300.0
     _report(3, ok, f"path cross-check {cross:.2e} (tol 1e-4), Gaussian oracle "
@@ -206,7 +206,7 @@ def test_criterion_06_stream_recovery(reference_run):
     same_bins = np.array_equal(hd.counts, run["counts_delayed"])
     sub = subtract_accidentals(hd, floor)[:77, :77]
     r = float(np.corrcoef(rebin2d(sub, 4).ravel(),
-                          rebin2d(run["cmap"].r3, 4).ravel())[0, 1])
+                          rebin2d(np.abs(run["cmap"].values) ** 2, 4).ravel())[0, 1])
     t3, t4 = split_channels(run["stream"]["channel"], run["stream"]["timestamp_ps"],
                             (3, 4))
     diag = diagnose_crosscheck(t3, t4)
@@ -284,7 +284,7 @@ def test_criterion_09_determinism_round_trips(tmp_path):
                          + 1j * rng.normal(size=(24, 24)))
     m1 = triphoton_amplitude_map(tau, kernel=kern)
     m2 = triphoton_amplitude_map(tau, kernel=kern)
-    same_map = m1.grid.values.tobytes() == m2.grid.values.tobytes()
+    same_map = m1.values.tobytes() == m2.values.tobytes()
     cfg = SourceConfig(triplet_rate=5.0, singles_rate=(100.0,) * 4,
                        dark_rate=(20.0,) * 4, duration=30.0, seed=99)
     s1 = generate_stream(m1, cfg)

@@ -257,6 +257,25 @@ def test_simulate_clips_clicks_past_the_end(tmp_path):
     assert hashlib.sha256(events.read_bytes()).hexdigest() == _PINNED_CLIPPED
 
 
+# sha256 of the TPE1 file (origins kept) of a seeded 5 s run of SMALL with
+# channel 2 at half efficiency and 50 ps of jitter
+_PINNED_THINNED = "824223ffcb18621e013ac6726e6c8651eaf94544710bdc5abc7f28c802f63f3a"
+
+
+def test_simulate_thinned_channel_bytes_pinned(tmp_path):
+    """Channel 2's series draw and compare their uniforms while every other
+    series, at efficiency 1, skips its draws: the clicks kept and every
+    later draw (the next series' uniforms, the jitter) stay as they were."""
+    cfg = tmp_path / "thinned.cfg"
+    cfg.write_text(SMALL + "efficiency_ch2 = 0.5\njitter_sigma = 50 ps\n")
+    events = tmp_path / "run.tpe1"
+    assert main(["simulate", "--config", str(cfg), "--out", str(events),
+                 "--duration", "5", "--seed", "7", "--keep-origin"]) == 0
+    stream, _ = io_formats.read_events(events)
+    assert np.bincount(stream["channel"]).tolist() == [0, 9972, 7450, 10033, 5044]
+    assert hashlib.sha256(events.read_bytes()).hexdigest() == _PINNED_THINNED
+
+
 # sha256 of analyze's outputs for a seeded 0.2 s run of SMALL with 1 MHz
 # singles on channels 1-3: ~600k events, ~0.2 stops per start and channel
 # in the 780-bin window, and an accidental floor that is not zero

@@ -11,7 +11,7 @@ from scipy.stats import norm, poisson
 
 from triphoton import coincidence, eventsim, io_formats
 from triphoton.config import default_config
-from triphoton.correlation import CorrelationMap, cauchy_schwarz_factor
+from triphoton.correlation import cauchy_schwarz_factor
 from triphoton.errors import EstimationError, InvalidParameterError
 from triphoton.susceptibility import ComplexGrid2D
 from triphoton.eventsim import EVENT_DTYPE, PS_PER_S, SourceConfig, \
@@ -493,8 +493,7 @@ def test_channel_read_and_match_peak_memory(tmp_path):
     never the stream."""
     cfg = default_config().source_config(duration=600.0)
     axis = np.linspace(0.0, 10e-9, 8)
-    cmap = CorrelationMap(grid=ComplexGrid2D(axis1=axis, axis2=axis,
-                                             values=np.ones((8, 8), complex)))
+    cmap = ComplexGrid2D(axis1=axis, axis2=axis, values=np.ones((8, 8), complex))
     path = tmp_path / "run.tpe1"
     n = io_formats.write_windows(path, eventsim.stream_windows(cmap, cfg),
                                  seed=cfg.seed, duration_ps=600 * PS_PER_S)
@@ -518,8 +517,7 @@ def test_channel_chunk_match_peak_memory_independent_of_length(tmp_path):
     and 4.8M events) the tracemalloc peaks of read_channel_chunks plus
     triple_histogram differ by less than one record chunk."""
     axis = np.linspace(0.0, 10e-9, 8)
-    cmap = CorrelationMap(grid=ComplexGrid2D(axis1=axis, axis2=axis,
-                                             values=np.ones((8, 8), complex)))
+    cmap = ComplexGrid2D(axis1=axis, axis2=axis, values=np.ones((8, 8), complex))
     peaks = []
     for seconds in (60, 600):
         cfg = default_config().source_config(duration=float(seconds))
@@ -548,8 +546,7 @@ def test_matcher_sees_under_one_percent_of_reference_records(tmp_path,
     matcher, which counts what it counts on every record."""
     cfg = default_config().source_config(duration=600.0)
     axis = np.linspace(0.0, 10e-9, 8)
-    cmap = CorrelationMap(grid=ComplexGrid2D(axis1=axis, axis2=axis,
-                                             values=np.ones((8, 8), complex)))
+    cmap = ComplexGrid2D(axis1=axis, axis2=axis, values=np.ones((8, 8), complex))
     path = tmp_path / "run.tpe1"
     io_formats.write_windows(path, eventsim.stream_windows(cmap, cfg),
                              seed=cfg.seed, duration_ps=600 * PS_PER_S)
@@ -591,7 +588,7 @@ def test_known_triple_lands_in_expected_bin():
     h = reconstruct_triple_direct(s, 1e-9, 100e-12)
     assert h.counts.sum() == 1
     assert h.counts[3, 7] == 1
-    assert h.tau21_axis[3] == pytest.approx(350e-12)
+    assert h.axis[3] == pytest.approx(350e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -602,8 +599,7 @@ def _flat_hist(mu, nbins=80, seed=0, duration=60.0):
     rng = np.random.default_rng(seed)
     counts = rng.poisson(mu, size=(nbins, nbins))
     axis = (np.arange(nbins) + 0.5) * 0.25e-9
-    return CoincidenceHistogram2D(tau21_axis=axis, tau31_axis=axis.copy(),
-                                  counts=counts, duration=duration)
+    return CoincidenceHistogram2D(axis=axis, counts=counts, duration=duration)
 
 
 def test_floor_estimate_unbiased_on_flat_map():
@@ -701,8 +697,7 @@ def test_rates_report_zero_floor():
     axis = (np.arange(40) + 0.5) * 0.25e-9
     counts = np.zeros((40, 40), dtype=int)
     counts[10, 10] = 5
-    h = CoincidenceHistogram2D(tau21_axis=axis, tau31_axis=axis.copy(),
-                               counts=counts, duration=60.0)
+    h = CoincidenceHistogram2D(axis=axis, counts=counts, duration=60.0)
     rep = rates_report(h, 0.0)
     assert rep.zero_floor
     assert rep.g3_peak == float("inf")
@@ -712,8 +707,7 @@ def test_rates_report_zero_floor():
 def test_histogram_rejects_negative_counts():
     axis = (np.arange(4) + 0.5) * 1e-9
     with pytest.raises(InvalidParameterError):
-        CoincidenceHistogram2D(tau21_axis=axis, tau31_axis=axis.copy(),
-                               counts=np.full((4, 4), -1), duration=1.0)
+        CoincidenceHistogram2D(axis=axis, counts=np.full((4, 4), -1), duration=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,7 @@ from triphoton.params import C_LIGHT, resonance_set
 from triphoton.susceptibility import (ComplexGrid2D, GridSpec2D, chi5_map,
                                       dispersion_profile)
 from triphoton import correlation
-from triphoton.correlation import (CorrelationMap, ConditionalTrace,
-                                   cauchy_schwarz_factor,
+from triphoton.correlation import (ConditionalTrace, cauchy_schwarz_factor,
                                    default_spectral_window, diagonal_cut,
                                    oscillation_period, spectral_kernel,
                                    trace_map, triphoton_amplitude_map,
@@ -29,9 +28,9 @@ def _random_kernel(seed, n=16, dd=2e8):
     return ComplexGrid2D(axis1=ax, axis2=ax, values=vals)
 
 
-def _raw_values(cmap):
-    scale = float(cmap.grid.provenance.split("raw_scale=")[1])
-    return cmap.grid.values * scale
+def _raw_values(a3):
+    scale = float(a3.provenance.split("raw_scale=")[1])
+    return a3.values * scale
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +129,8 @@ def test_transform_matches_direct_sum(seed):
     tau = GridSpec2D(t0, t0 + 8e-9, 11, 0.0, 9e-9, 13)
     m_t = triphoton_amplitude_map(tau, kernel=kern)
     m_d = amplitude_map_direct(tau, kernel=kern)
-    num = np.max(np.abs(m_t.grid.values - m_d.grid.values))
-    assert num / np.max(np.abs(m_d.grid.values)) < 1e-10
+    num = np.max(np.abs(m_t.values - m_d.values))
+    assert num / np.max(np.abs(m_d.values)) < 1e-10
 
 
 def test_parseval_identity():
@@ -143,8 +142,7 @@ def test_parseval_identity():
     tau_lo = -(n / 2) * dt
     tau = GridSpec2D(tau_lo, tau_lo + (n - 1) * dt, n,
                      tau_lo, tau_lo + (n - 1) * dt, n)
-    cmap = amplitude_map_direct(tau, kernel=kern)
-    a3 = _raw_values(cmap)
+    a3 = _raw_values(amplitude_map_direct(tau, kernel=kern))
     lhs = float(np.sum(np.abs(a3) ** 2)) * dt * dt
     rhs = (2 * np.pi) ** 2 * float(np.sum(np.abs(kern.values) ** 2)) * dd * dd
     assert lhs == pytest.approx(rhs, rel=1e-10)
@@ -164,9 +162,8 @@ def test_nyquist_guard_and_required_size():
 
 def test_map_is_peak_normalized(kernel512):
     tau = GridSpec2D(0.0, 20e-9, 32, 0.0, 20e-9, 32)
-    cmap = triphoton_amplitude_map(tau, kernel=kernel512)
-    assert float(np.max(np.abs(cmap.grid.values))) == pytest.approx(1.0)
-    assert np.allclose(cmap.r3, np.abs(cmap.grid.values) ** 2)
+    a3 = triphoton_amplitude_map(tau, kernel=kernel512)
+    assert float(np.max(np.abs(a3.values))) == pytest.approx(1.0)
 
 
 def test_conditional_r2_matches_brute_force():
@@ -194,36 +191,36 @@ def _toy_map():
     rng = np.random.default_rng(2)
     a3 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     a3 /= np.max(np.abs(a3))
-    grid = ComplexGrid2D(axis1=ax, axis2=ax, values=a3)
-    return CorrelationMap(grid=grid)
+    return ComplexGrid2D(axis1=ax, axis2=ax, values=a3)
 
 
 def test_trace_marginals_conserve_mass():
-    cmap = _toy_map()
-    total = cmap.r3.sum()
+    a3 = _toy_map()
+    total = (np.abs(a3.values) ** 2).sum()
     for kind in ("trace-out-S3", "trace-out-S2", "trace-out-S1"):
-        tr = trace_map(cmap, kind, normalize=False)
+        tr = trace_map(a3, kind, normalize=False)
         assert tr.values.sum() == pytest.approx(total, rel=1e-12)
 
 
 def test_trace_axes_and_orientation():
-    cmap = _toy_map()
-    tr21 = trace_map(cmap, "trace-out-S3", normalize=False)
-    assert np.array_equal(tr21.axis, cmap.tau21_axis)
-    assert np.allclose(tr21.values, cmap.r3.sum(axis=1))
-    tr31 = trace_map(cmap, "trace-out-S2", normalize=False)
-    assert np.allclose(tr31.values, cmap.r3.sum(axis=0))
+    a3 = _toy_map()
+    r3 = np.abs(a3.values) ** 2
+    tr21 = trace_map(a3, "trace-out-S3", normalize=False)
+    assert np.array_equal(tr21.axis, a3.axis1)
+    assert np.allclose(tr21.values, r3.sum(axis=1))
+    tr31 = trace_map(a3, "trace-out-S2", normalize=False)
+    assert np.allclose(tr31.values, r3.sum(axis=0))
 
 
 def test_trace_out_first_photon_rebins_by_difference():
-    cmap = _toy_map()
-    tr = trace_map(cmap, "trace-out-S1", normalize=False)
-    n = cmap.r3.shape[0]
+    a3 = _toy_map()
+    r3 = np.abs(a3.values) ** 2
+    tr = trace_map(a3, "trace-out-S1", normalize=False)
+    n = r3.shape[0]
     assert tr.axis.size == 2 * n - 1
-    assert tr.axis[0] == pytest.approx(cmap.tau31_axis[0]
-                                       - cmap.tau21_axis[-1])
+    assert tr.axis[0] == pytest.approx(a3.axis2[0] - a3.axis1[-1])
     # the central sample collects the main diagonal (tau32 = 0)
-    assert tr.values[n - 1] == pytest.approx(np.trace(cmap.r3), rel=1e-12)
+    assert tr.values[n - 1] == pytest.approx(np.trace(r3), rel=1e-12)
 
 
 def test_trace_unknown_kind():
@@ -232,12 +229,13 @@ def test_trace_unknown_kind():
 
 
 def test_diagonal_cut_matches_interpolation():
-    cmap = _toy_map()
+    a3 = _toy_map()
+    r3 = np.abs(a3.values) ** 2
     c = 3e-9
-    tr = diagonal_cut(cmap, c)
+    tr = diagonal_cut(a3, c)
     for k, t21 in enumerate(tr.axis):
-        expect = np.interp(c - t21, cmap.tau31_axis,
-                           cmap.r3[np.flatnonzero(cmap.tau21_axis == t21)[0]])
+        expect = np.interp(c - t21, a3.axis2,
+                           r3[np.flatnonzero(a3.axis1 == t21)[0]])
         assert tr.values[k] == pytest.approx(expect, rel=1e-12)
 
 

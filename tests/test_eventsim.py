@@ -10,7 +10,6 @@ from triphoton.config import default_config, parse_config_text
 from triphoton import eventsim, io_formats
 from triphoton.errors import InvalidParameterError
 from triphoton.susceptibility import ComplexGrid2D
-from triphoton.correlation import CorrelationMap
 from triphoton.eventsim import (EVENT_DTYPE, ORIGIN_DARK, ORIGIN_DUAL_PAIR,
                                 ORIGIN_SINGLE, ORIGIN_TRIPLET, PS_PER_S,
                                 SourceConfig, _merge, _sample_triplet_delays,
@@ -22,8 +21,7 @@ def _toy_cmap(n=8, span=10e-9, seed=4):
     rng = np.random.default_rng(seed)
     a3 = rng.random((n, n)) + 1j * rng.random((n, n))
     a3 /= np.max(np.abs(a3))
-    grid = ComplexGrid2D(axis1=ax, axis2=ax, values=a3)
-    return CorrelationMap(grid=grid)
+    return ComplexGrid2D(axis1=ax, axis2=ax, values=a3)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +84,7 @@ def test_triplet_click_geometry():
     t1 = np.sort(s["timestamp_ps"][s["channel"] == 1].astype(np.int64))
     # delays are tiny against the mean emission spacing, so sorting preserves
     # the pairing between starts and their partner clicks
-    half_cell_ps = 0.5 * (cmap.tau21_axis[1] - cmap.tau21_axis[0]) * PS_PER_S
+    half_cell_ps = 0.5 * (cmap.axis1[1] - cmap.axis1[0]) * PS_PER_S
     for ch in (2, 3):
         tc = np.sort(s["timestamp_ps"][s["channel"] == ch].astype(np.int64))
         delays = tc - t1
@@ -334,11 +332,11 @@ def test_window_path_writes_the_generated_stream(tmp_path, monkeypatch):
 def test_sampled_delays_stay_on_grid_support(seed):
     cmap = _toy_cmap(seed=seed % 17 + 1)
     rng = np.random.default_rng(seed)
-    d = cmap.tau21_axis[1] - cmap.tau21_axis[0]
+    d = cmap.axis1[1] - cmap.axis1[0]
     for _ in range(20):
         (t21,), (t31,) = _sample_triplet_delays(cmap, rng, 1)
-        assert cmap.tau21_axis[0] - d / 2 <= t21 <= cmap.tau21_axis[-1] + d / 2
-        assert cmap.tau31_axis[0] - d / 2 <= t31 <= cmap.tau31_axis[-1] + d / 2
+        assert cmap.axis1[0] - d / 2 <= t21 <= cmap.axis1[-1] + d / 2
+        assert cmap.axis2[0] - d / 2 <= t31 <= cmap.axis2[-1] + d / 2
 
 
 def test_sampled_delays_follow_density():
@@ -346,8 +344,7 @@ def test_sampled_delays_follow_density():
     ax = np.linspace(0.0, 10e-9, 8)
     a3 = np.zeros((8, 8), dtype=complex)
     a3[2, 5] = 1.0
-    grid = ComplexGrid2D(axis1=ax, axis2=ax, values=a3)
-    cmap = CorrelationMap(grid=grid)
+    cmap = ComplexGrid2D(axis1=ax, axis2=ax, values=a3)
     rng = np.random.default_rng(1)
     d = ax[1] - ax[0]
     for _ in range(50):

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triphoton import susceptibility
+from triphoton import io_formats, susceptibility
+from triphoton.cli import main
+from triphoton.config import parse_config_text
 from triphoton.errors import (InvalidParameterError, NumericalDomainError,
                               RangeError)
 from triphoton.params import (C_LIGHT, KBAR, OMEGA31, OMEGA42,
@@ -290,6 +292,37 @@ def test_exact_fallback_runs_one_grid_per_delta3(params, monkeypatch):
         for x in d2:
             i = int(np.flatnonzero(grid.axis1 == x)[0])
             assert grid.values[i, j] == grid_1x1(np.array([x]), d3, real, EXACT)[0, 0]
+
+
+def test_chi5_map_command_reaches_the_midpoint_fallback(tmp_path, monkeypatch):
+    """A config reaches the exact scheme's midpoint fallback: omega3 = 0 and
+    gamma11 = 0 put a velocity pole on the real axis, and chi5-map still
+    exits 0.  Rejected points and exact ones alike lie within 2e-8 of the
+    map peak (the 2001-node rule's accuracy, as VelocityQuadrature states
+    it) of a 40,000-node midpoint oracle over +-8 sigma."""
+    rejected = []
+    average = susceptibility._doppler_average
+
+    def count(*args):
+        value, ok = average(*args)
+        rejected.append(int(np.size(ok) - np.count_nonzero(ok)))
+        return value, ok
+
+    monkeypatch.setattr(susceptibility, "_doppler_average", count)
+    cfg = tmp_path / "real-pole.cfg"
+    cfg.write_text("omega3 = 0 Hz\ngamma11 = 0 Hz\nmap_n2 = 32\nmap_n3 = 32\n")
+    out = tmp_path / "chi5.csv"
+    assert main(["chi5-map", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sum(rejected) > 0
+    grid = io_formats.read_complex_grid(out)
+    run = parse_config_text(cfg.read_text())
+    half = run["map_range"]
+    oracle = chi5_map(GridSpec2D(-half, half, 32, -half, half, 32),
+                      run.experiment_params(),
+                      VelocityQuadrature(scheme="uniform-riemann",
+                                         node_count=40000, range_sigmas=8.0))
+    peak = float(np.max(np.abs(oracle.values)))
+    assert float(np.max(np.abs(grid.values - oracle.values))) <= 2e-8 * peak
 
 
 # ---------------------------------------------------------------------------
